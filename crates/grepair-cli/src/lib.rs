@@ -820,12 +820,18 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
     // line shows this run's delta.
     let rounds_ctr = grepair_obs::counter("engine.rounds");
     let matches_ctr = grepair_obs::counter("match.matches_found");
-    let print_metrics = |out: &mut String, r0: u64, m0: u64| {
+    let delta_ctr = grepair_obs::counter("engine.seed_delta");
+    let print_metrics = |out: &mut String, r0: u64, m0: u64, d0: u64| {
         writeln!(
             out,
-            "  metrics: {} rounds, {} matches found",
-            grepair_obs::counter("engine.rounds").get() - r0,
-            grepair_obs::counter("match.matches_found").get() - m0,
+            "  metrics: {} rounds, {} matches found, seeded by {}",
+            rounds_ctr.get() - r0,
+            matches_ctr.get() - m0,
+            if delta_ctr.get() > d0 {
+                "the nodes touched since the last fixpoint"
+            } else {
+                "a full scan"
+            },
         )
         .unwrap();
     };
@@ -854,10 +860,10 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
             // every run, so run 2+ plans entirely from cache.
             let planner = Planner::new();
             for i in 0..runs {
-                let (r0, m0) = (rounds_ctr.get(), matches_ctr.get());
+                let (r0, m0, d0) = (rounds_ctr.get(), matches_ctr.get(), delta_ctr.get());
                 let report = engine.repair_with_planner(&mut g, &rules.rules, &planner);
                 print_run(&mut out, i, &report);
-                print_metrics(&mut out, r0, m0);
+                print_metrics(&mut out, r0, m0, d0);
                 final_outcome = report.outcome;
                 // A budget trip is sticky: every later run would return
                 // the same outcome immediately. Stop at this boundary.
@@ -876,12 +882,12 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
             let mut store = open_store(dir)?;
             writeln!(out, "{}", recovery_summary(&store)).unwrap();
             for i in 0..runs {
-                let (r0, m0) = (rounds_ctr.get(), matches_ctr.get());
+                let (r0, m0, d0) = (rounds_ctr.get(), matches_ctr.get(), delta_ctr.get());
                 let report = store
                     .repair(&engine, &rules.rules)
                     .map_err(|e| CliError::io(format!("durable repair failed: {e}")))?;
                 print_run(&mut out, i, &report);
-                print_metrics(&mut out, r0, m0);
+                print_metrics(&mut out, r0, m0, d0);
                 final_outcome = report.outcome;
                 if report.outcome.is_budget_trip() {
                     break;

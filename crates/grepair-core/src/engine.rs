@@ -7,11 +7,12 @@
 //! - [`EngineMode::Naive`] re-enumerates **all** matches of **all** rules
 //!   every round until a fixpoint. Cost per round is a full multi-pattern
 //!   subgraph-matching pass; rounds repeat as long as repairs cascade.
-//! - [`EngineMode::Incremental`] performs one full scan to seed a
-//!   violation queue, then after each applied repair re-matches **only**
-//!   patterns anchored in the repair's touched-node delta
-//!   ([`grepair_match::Matcher::find_touching`]). Work is proportional to
-//!   the affected neighborhood, not the graph.
+//! - [`EngineMode::Incremental`] seeds a violation queue — from one full
+//!   scan, or from the nodes edited since the caller last saw the graph
+//!   clean ([`RepairSeed::Touched`]) — then after each applied repair
+//!   re-matches **only** patterns anchored in the repair's touched-node
+//!   delta ([`grepair_match::Matcher::find_touching`]). Work is
+//!   proportional to the affected neighborhood, not the graph.
 //!
 //! Shared semantics:
 //!
@@ -38,7 +39,9 @@
 //! byte-identical to scanning the live graph (see
 //! [`grepair_match::view`]), so the choice is purely a performance knob.
 //! Delta-driven re-matching after each repair always runs on the live
-//! graph — the snapshot would be stale after the first applied repair.
+//! graph — the snapshot would be stale after the first applied repair —
+//! and so do a [`RepairSeed::Touched`] run's seed and fixpoint check:
+//! anchored searches read too little of the graph to pay for a freeze.
 
 use crate::analysis::{l_overlap, preconditions_of, Preconditions};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
@@ -90,7 +93,8 @@ pub struct EngineConfig {
     /// [`EngineConfig::naive_with_indexes`], whose cost is dominated by
     /// repeated full scans.
     pub freeze_scans: bool,
-    /// Run a final full scan to count residual violations.
+    /// Run a final scan to count residual violations (see
+    /// [`RepairReport::violations_remaining`]).
     pub verify_fixpoint: bool,
     /// Analysis-driven stratified scheduling. When the rule set's trigger
     /// graph is acyclic ([`crate::analysis::stratify`]), rules are grouped
@@ -141,6 +145,25 @@ impl EngineConfig {
             ..Self::default()
         }
     }
+}
+
+/// Where a repair run looks for its first violations.
+#[derive(Clone, Copy, Debug)]
+pub enum RepairSeed<'a> {
+    /// Scan the whole graph.
+    Full,
+    /// Match only around these nodes. The caller vouches that the graph
+    /// had **no** match of any rule when the set was empty, and that
+    /// every node affected by an edit since is in it (the definition
+    /// [`Applied::touched`] uses). Every violation then intersects the
+    /// set, [`Matcher::find_touching`] finds exactly those, and the run
+    /// pops, applies and reports the same operations a
+    /// [`RepairSeed::Full`] run would — the queue's order is total, so
+    /// equal violation sets give equal runs. Only the incremental
+    /// worklist consumes it:
+    /// stratified and [`EngineMode::Naive`] runs rescan every round by
+    /// construction and treat it as [`RepairSeed::Full`].
+    Touched(&'a TouchSet),
 }
 
 /// How a repair run ended — the typed answer to "did it finish, and if
@@ -252,7 +275,8 @@ pub struct RuleStats {
     /// Full scans that included this rule. Under the naive engine's
     /// dirty-rule scheduling this stays below `RepairReport::rounds` for
     /// rules untouched by the cascade; the incremental engine scans every
-    /// rule exactly once (the seed).
+    /// rule exactly once (the seed) — or not at all under
+    /// [`RepairSeed::Touched`], where no sweep of the graph happens.
     pub scans: usize,
 }
 
@@ -272,7 +296,12 @@ pub struct RepairReport {
     pub total_cost: f64,
     /// `true` if the run ended with no detectable violations.
     pub converged: bool,
-    /// Residual violations (only counted when `verify_fixpoint`).
+    /// Residual violations (only counted when `verify_fixpoint`). After
+    /// a [`RepairSeed::Touched`] run this counts the matches touching the
+    /// seed or any node a repair of the run touched, which under the
+    /// seed's contract is every match in the graph: one that avoids all
+    /// of them existed, untouched, before the seed started filling —
+    /// when there were none.
     pub violations_remaining: usize,
     /// Patterns actually compiled during the run (plan-cache misses).
     /// With a caller-owned [`Planner`] these counters are per-run
@@ -315,6 +344,9 @@ struct EngineTelemetry {
     strata: obs::Counter,
     rule_scans: Vec<obs::Counter>,
     rule_repair_ns: std::sync::Arc<obs::Histogram>,
+    seed_full: std::sync::Arc<obs::Counter>,
+    seed_delta: std::sync::Arc<obs::Counter>,
+    seed_nodes: std::sync::Arc<obs::Histogram>,
 }
 
 impl EngineTelemetry {
@@ -327,6 +359,9 @@ impl EngineTelemetry {
                 .map(|_| obs::counter("engine.rule_scans").child())
                 .collect(),
             rule_repair_ns: obs::histogram("engine.rule_repair_ns"),
+            seed_full: obs::counter("engine.seed_full"),
+            seed_delta: obs::counter("engine.seed_delta"),
+            seed_nodes: obs::histogram("engine.seed_nodes"),
         }
     }
 }
@@ -473,7 +508,7 @@ impl RepairEngine {
         sink: impl RepairSink,
     ) -> RepairReport {
         let planner = Planner::new();
-        self.repair_with_planner_and_sink(g, rules, &planner, sink)
+        self.repair_with_planner_and_sink(g, rules, &planner, RepairSeed::Full, sink)
     }
 
     /// Repair with a **caller-owned, long-lived [`Planner`]** — the
@@ -497,17 +532,20 @@ impl RepairEngine {
         rules: &[Grr],
         planner: &Planner,
     ) -> RepairReport {
-        self.repair_with_planner_and_sink(g, rules, planner, |_: &AppliedOp| {})
+        let sink = |_: &AppliedOp| {};
+        self.repair_with_planner_and_sink(g, rules, planner, RepairSeed::Full, sink)
     }
 
     /// [`RepairEngine::repair_with_planner`] + the op sink of
-    /// [`RepairEngine::repair_with_sink`] — the full-control entry point
-    /// durable stores use.
+    /// [`RepairEngine::repair_with_sink`] + the [`RepairSeed`] — the
+    /// full-control entry point durable stores use. The other three
+    /// entry points pass [`RepairSeed::Full`].
     pub fn repair_with_planner_and_sink(
         &self,
         g: &mut Graph,
         rules: &[Grr],
         planner: &Planner,
+        seed: RepairSeed<'_>,
         mut sink: impl RepairSink,
     ) -> RepairReport {
         let start = Instant::now();
@@ -554,6 +592,23 @@ impl RepairEngine {
         } else {
             None
         };
+        // Only the incremental worklist can start from a delta; every
+        // other schedule rescans per round and so starts from a scan.
+        // A delta-seeded run grows its copy of the seed by every node a
+        // repair touches — where any residual violation must lie.
+        let mut delta = match seed {
+            RepairSeed::Touched(t)
+                if schedule.is_none() && self.config.mode == EngineMode::Incremental =>
+            {
+                tel.seed_delta.inc();
+                tel.seed_nodes.record(t.len() as u64);
+                Some(t.clone())
+            }
+            _ => {
+                tel.seed_full.inc();
+                None
+            }
+        };
         match schedule {
             Some(strata) => {
                 tel.strata.add(strata.len() as u64);
@@ -566,7 +621,10 @@ impl RepairEngine {
                     self.run_naive(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
                 }
                 EngineMode::Incremental => {
-                    self.run_incremental(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
+                    self.run_incremental(
+                        g, rules, delta.as_mut(), &mut report, max_repairs, &mut sink, planner,
+                        &tel,
+                    )
                 }
             },
         }
@@ -579,7 +637,10 @@ impl RepairEngine {
         }
 
         if self.config.verify_fixpoint && !report.outcome.is_budget_trip() {
-            report.violations_remaining = self.count_violations_with(g, rules, planner);
+            report.violations_remaining = match &delta {
+                Some(closure) => self.matches_touching(g, rules, planner, closure).count(),
+                None => self.count_violations_with(g, rules, planner),
+            };
             report.converged = report.violations_remaining == 0;
             // The deadline can expire during the verification scan
             // itself, cutting the count short — surface the trip rather
@@ -719,6 +780,23 @@ impl RepairEngine {
         self.full_scan_filtered(g, rules, None, planner)
     }
 
+    /// Every (rule index, match) whose match intersects `touched`, on
+    /// the live graph — a delta seed's discovery and its fixpoint check.
+    fn matches_touching<'a>(
+        &self,
+        g: &'a Graph,
+        rules: &'a [Grr],
+        planner: &'a Planner,
+        touched: &'a TouchSet,
+    ) -> impl Iterator<Item = (usize, Match)> + 'a {
+        let matcher =
+            Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
+        rules.iter().enumerate().flat_map(move |(ri, rule)| {
+            let found = matcher.find_touching(&rule.pattern, touched);
+            found.into_iter().map(move |m| (ri, m))
+        })
+    }
+
     /// Full scan restricted to the rules marked in `dirty` (`None` = all
     /// rules) — the naive engine's label-keyed worklist skips rules whose
     /// match sets provably cannot have changed since their last scan.
@@ -752,13 +830,7 @@ impl RepairEngine {
         for (k, ms) in per_rule.into_iter().enumerate() {
             let ri = selected[k];
             for m in ms {
-                let cost = estimate_cost(g, &rules[ri], &m, &self.config.costs);
-                out.push(Violation {
-                    rule: ri,
-                    m,
-                    cost,
-                    priority: rules[ri].priority,
-                });
+                out.push(self.violation(g, rules, ri, m));
             }
         }
         out
@@ -979,11 +1051,16 @@ impl RepairEngine {
         }
     }
 
+    /// The worklist loop. `delta` is the run's seed: `None` scans the
+    /// whole graph, `Some` matches only around those nodes (see
+    /// [`RepairSeed::Touched`]) and is grown by every node the run's
+    /// repairs touch.
     #[allow(clippy::too_many_arguments)]
     fn run_incremental(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        mut delta: Option<&mut TouchSet>,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
@@ -998,12 +1075,20 @@ impl RepairEngine {
         // could have *enabled* are re-matched — the rule-dependency
         // pruning that keeps per-repair work independent of |Σ|.
         let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
-        for scans in tel.rule_scans.iter() {
-            scans.inc();
-        }
         let mut queue: BinaryHeap<Violation> = {
             let _seed_span = obs::span("engine.round", "engine");
-            self.full_scan(g, rules, planner).into()
+            match delta.as_deref() {
+                None => {
+                    for scans in tel.rule_scans.iter() {
+                        scans.inc();
+                    }
+                    self.full_scan(g, rules, planner).into()
+                }
+                Some(touched) => self
+                    .matches_touching(g, rules, planner, touched)
+                    .map(|(ri, m)| self.violation(g, rules, ri, m))
+                    .collect(),
+            }
         };
         if self.budget.is_tripped() {
             // Mid-seed-scan trip: the queue is partial — stop before
@@ -1037,6 +1122,9 @@ impl RepairEngine {
             let Some(touched) = self.apply_one_touched(g, rules, &v, report, sink, tel) else {
                 continue;
             };
+            if let Some(delta) = delta.as_deref_mut() {
+                delta.extend(&touched);
+            }
             sink.round_committed();
             self.budget
                 .charge_ops((report.ops.len() - last_ops_start) as u64);
@@ -1047,13 +1135,7 @@ impl RepairEngine {
             // the trigger filter below only covers *newly created* matches.
             let mut again = v.m.clone();
             if revalidate(g, &rules[v.rule].pattern, &mut again) {
-                let cost = estimate_cost(g, &rules[v.rule], &again, &self.config.costs);
-                queue.push(Violation {
-                    rule: v.rule,
-                    m: again,
-                    cost,
-                    priority: rules[v.rule].priority,
-                });
+                queue.push(self.violation(g, rules, v.rule, again));
             }
             // Delta-driven discovery: only trigger-affected rules, only
             // matches anchored in the delta. The planner's cache serves
@@ -1066,16 +1148,20 @@ impl RepairEngine {
                     continue;
                 }
                 for m in matcher.find_touching(&rule.pattern, &touched) {
-                    let cost = estimate_cost(g, rule, &m, &self.config.costs);
                     report.per_rule[ri].matches_found += 1;
-                    queue.push(Violation {
-                        rule: ri,
-                        m,
-                        cost,
-                        priority: rule.priority,
-                    });
+                    queue.push(self.violation(g, rules, ri, m));
                 }
             }
+        }
+    }
+
+    /// Price match `m` of `rules[ri]` for the arbitration queue.
+    fn violation(&self, g: &Graph, rules: &[Grr], ri: usize, m: Match) -> Violation {
+        Violation {
+            rule: ri,
+            cost: estimate_cost(g, &rules[ri], &m, &self.config.costs),
+            m,
+            priority: rules[ri].priority,
         }
     }
 
@@ -1859,6 +1945,75 @@ mod tests {
             "counters must be per-run deltas, not lifetime totals"
         );
         g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn delta_seed_runs_what_a_full_seed_runs_without_a_sweep() {
+        // The module's three-class rule set is cyclic (worklist). Clean
+        // the graph, then edit it: a person moves in, married to
+        // themselves, sharing an ssn with a resident.
+        let rules = rules();
+        let engine = RepairEngine::default();
+        let mut g = dirty_graph();
+        assert!(engine.repair(&mut g, &rules).converged);
+        let city = g.nodes_with_label(g.try_label("City").unwrap())[0];
+        let p = g.add_node_named("Person");
+        g.add_edge_named(p, city, "livesIn").unwrap();
+        g.add_edge_named(p, p, "marriedTo").unwrap();
+        let ssn = g.attr_key("ssn");
+        g.set_attr(p, ssn, Value::Int(42)).unwrap();
+        let touched: TouchSet = [p, city].into_iter().collect();
+
+        let run = |seed: RepairSeed<'_>| {
+            let mut g = g.clone();
+            let report = engine.repair_with_planner_and_sink(
+                &mut g,
+                &rules,
+                &Planner::new(),
+                seed,
+                |_: &AppliedOp| {},
+            );
+            (report, g.to_doc())
+        };
+        let (full, full_doc) = run(RepairSeed::Full);
+        let (delta, delta_doc) = run(RepairSeed::Touched(&touched));
+        assert!(full.repairs_applied >= 3);
+        assert_eq!(delta.ops, full.ops);
+        assert_eq!(delta_doc, full_doc);
+        assert!(delta.converged && delta.outcome == RepairOutcome::Completed);
+        let found = |r: &RepairReport| -> Vec<usize> {
+            r.per_rule.iter().map(|s| s.matches_found).collect()
+        };
+        assert_eq!(found(&delta), found(&full));
+        assert!(full.per_rule.iter().all(|s| s.scans == 1));
+        assert!(delta.per_rule.iter().all(|s| s.scans == 0), "no sweep");
+    }
+
+    #[test]
+    fn stratified_and_naive_runs_scan_whatever_the_seed() {
+        // An empty delta would find nothing; both schedules must ignore
+        // it and repair the whole (dirty) graph.
+        let nothing = TouchSet::default();
+        let rules = parse_rules(&cascade_src(3)).unwrap();
+        for config in [
+            EngineConfig::default(), // acyclic set: stratified
+            EngineConfig {
+                stratify: false,
+                ..EngineConfig::naive_with_indexes()
+            },
+        ] {
+            let mut g = cascade_graph(10);
+            let report = RepairEngine::new(config).repair_with_planner_and_sink(
+                &mut g,
+                &rules,
+                &Planner::new(),
+                RepairSeed::Touched(&nothing),
+                |_: &AppliedOp| {},
+            );
+            assert!(report.converged);
+            assert_eq!(report.repairs_applied, 30);
+            assert!(report.per_rule.iter().all(|s| s.scans >= 1));
+        }
     }
 
     #[test]

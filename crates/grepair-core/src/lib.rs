@@ -69,12 +69,13 @@ pub use apply::{apply_rule, revalidate, Applied, AppliedOp};
 pub use cost::{estimate_cost, op_cost};
 pub use dsl::{parse_rule, parse_rules, parse_rules_with_spans, ParseError, RuleSpan};
 pub use engine::{
-    EngineConfig, EngineMode, RepairEngine, RepairOutcome, RepairReport, RepairSink, RuleStats,
+    EngineConfig, EngineMode, RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink,
+    RuleStats,
 };
 // Re-exported so downstream crates (the store's repair hook, the CLI)
-// can hold a long-lived planner without depending on grepair-match
-// directly.
-pub use grepair_match::{Planner, StatsSource};
+// can hold a long-lived planner and a repair seed without depending on
+// grepair-match directly.
+pub use grepair_match::{Planner, StatsSource, TouchSet};
 pub use printer::{rule_to_dsl, ruleset_to_dsl};
 pub use watch::{LiveViolation, Watcher};
 pub use rule::{Action, Category, Grr, PatternEdgeRef, RuleError, Target, ValueSource};

@@ -6,8 +6,8 @@
 //! batch of external edits, pass the touched nodes to
 //! [`Watcher::update`] and only the affected neighborhood is re-matched
 //! (the same delta discipline as the incremental engine). Optionally,
-//! [`Watcher::repair_touched`] repairs just the newly introduced
-//! violations.
+//! [`Watcher::repair_all`] repairs the outstanding violations and
+//! follows their cascades the same way.
 
 use crate::apply::{apply_rule, revalidate};
 use crate::cost::estimate_cost;
@@ -95,7 +95,7 @@ impl Watcher {
     fn prune(&mut self, g: &Graph) {
         let rules = &self.rules;
         self.live
-            .retain(|_, v| revalidate(g, &rules[v.rule].pattern, &mut v.m.clone()));
+            .retain(|_, v| revalidate(g, &rules[v.rule].pattern, &mut v.m));
     }
 
     /// Report externally touched nodes; discovers new violations in their

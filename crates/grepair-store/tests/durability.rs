@@ -6,7 +6,7 @@
 //! exactly the last durably committed state — all applied repairs
 //! intact, the torn garbage discarded.
 
-use grepair_core::{EngineConfig, RepairEngine, RuleSet};
+use grepair_core::{EngineConfig, RepairEngine, RepairOutcome, RuleSet};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 use grepair_store::{DurableGraph, StoreConfig};
 use std::path::PathBuf;
@@ -250,9 +250,23 @@ fn store_planner_stays_warm_across_repairs() {
     assert!(r1.repairs_applied > 0);
     assert!(r1.pattern_compiles > 0, "cold planner compiles on run 1");
 
+    // Run 1 verified the graph clean and nothing has changed since:
+    // there is nothing to match around, so a back-to-back repair plans
+    // nothing at all.
+    let r = store.repair(&engine, &rules.rules).unwrap();
+    assert_eq!(r.outcome, RepairOutcome::Completed);
+    assert_eq!(r.violations_remaining, 0);
+    assert_eq!(r.repairs_applied, 0, "fixpoint is stable");
+    assert_eq!((r.pattern_compiles, r.plan_cache_hits), (0, 0));
+
+    // One journaled ingest later, run 2 matches around the new node
+    // through the anchored plans run 1 compiled for its cascades.
+    let city = store.graph().try_label("City").unwrap();
+    let city = store.graph().nodes_with_label(city)[0];
+    let p = store.add_node("Person").unwrap();
+    store.add_edge(p, city, "livesIn").unwrap();
     let r2 = store.repair(&engine, &rules.rules).unwrap();
     assert!(r2.converged);
-    assert_eq!(r2.repairs_applied, 0, "fixpoint is stable");
     assert_eq!(
         r2.pattern_compiles, 0,
         "run 2 must be served from the warmed plan cache (hits: {})",

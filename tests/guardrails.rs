@@ -319,6 +319,114 @@ proptest! {
     }
 }
 
+/// A clean social store that [`DurableGraph::repair`] has verified (so
+/// the next repair is delta-seeded), with one dirty batch ingested on
+/// top: a duplicate handle, a self-follow, a flagged account and a
+/// missing display name, each wired to existing accounts.
+fn delta_fixture(clean: &Graph, dir: &std::path::Path) -> DurableGraph {
+    let _ = std::fs::remove_dir_all(dir);
+    let rules = social_rules().rules;
+    let mut store = DurableGraph::create_with(dir, StoreConfig::default(), clean.clone()).unwrap();
+    let verified = store.repair(&RepairEngine::default(), &rules).unwrap();
+    assert!(verified.converged && verified.repairs_applied == 0);
+    let g = store.graph();
+    let handle = g.try_attr_key("handle").unwrap();
+    let old: Vec<_> = g.nodes().take(4).collect();
+    let taken = g.attr(old[0], handle).unwrap().clone();
+    let attrs = |pairs: &[(&str, grepair_graph::Value)]| -> Vec<(String, grepair_graph::Value)> {
+        pairs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
+    };
+    let dup = store
+        .add_node_with_attrs("Account", &attrs(&[("handle", taken)]))
+        .unwrap();
+    let narcissist = store
+        .add_node_with_attrs("Account", &attrs(&[("handle", "@narcissist".into())]))
+        .unwrap();
+    let bot = store
+        .add_node_with_attrs(
+            "Account",
+            &attrs(&[("handle", "@bot".into()), ("flagged", true.into())]),
+        )
+        .unwrap();
+    store.add_edge(narcissist, narcissist, "follows").unwrap();
+    for (i, &n) in [dup, narcissist, bot].iter().enumerate() {
+        store.add_edge(n, old[i + 1], "follows").unwrap();
+        store.add_edge(old[i], n, "follows").unwrap();
+    }
+    store
+}
+
+/// Cancelling a *delta-seeded* durable repair at every check boundary
+/// leaves the graph — and the reopened store — at a completed-round
+/// prefix of the untripped run, and the next repair (a full scan: the
+/// trip, and the reopen, dropped the clean mark) finishes at the
+/// untripped run's graph.
+#[test]
+fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
+    let rules = social_rules().rules;
+    let mut clean = generate_social(&SocialConfig {
+        accounts: 60,
+        seed: 5,
+        ..SocialConfig::default()
+    })
+    .0;
+    assert!(RepairEngine::default().repair(&mut clean, &rules).converged);
+    let dir = std::env::temp_dir().join(format!(
+        "grepair-guardrails-delta-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+
+    // Untripped run: its check count, and — from the same graph in
+    // memory, full-seeded, which applies the identical rounds — every
+    // completed-round prefix.
+    let mut store = delta_fixture(&clean, &dir);
+    let rec = RoundRecorder::default();
+    let dirty = store.graph().clone();
+    RepairEngine::default().repair_with_sink(&mut dirty.clone(), &rules, rec.clone());
+    let prefixes = prefix_docs(&dirty, &rec.state.borrow().rounds);
+    let unlimited = Budget::unlimited();
+    let untripped = store
+        .repair(&RepairEngine::default().with_budget(&unlimited), &rules)
+        .unwrap();
+    assert!(untripped.converged && untripped.repairs_applied >= 4);
+    assert!(
+        untripped.per_rule.iter().all(|r| r.scans == 0),
+        "fixture must take the delta seed"
+    );
+    assert_eq!(rec.state.borrow().rounds.concat(), untripped.ops);
+    let done = store.graph().to_doc();
+    assert_eq!(prefixes.last(), Some(&done));
+    drop(store);
+    assert!(unlimited.checks() > 4, "one boundary per pop: {}", unlimited.checks());
+
+    for n in 1..=unlimited.checks() {
+        let mut store = delta_fixture(&clean, &dir);
+        let budget = Budget::unlimited().cancel_at_check(n);
+        let report = store
+            .repair(&RepairEngine::default().with_budget(&budget), &rules)
+            .unwrap();
+        assert!(report.per_rule.iter().all(|r| r.scans == 0));
+        let doc = store.graph().to_doc();
+        assert!(
+            prefixes.contains(&doc),
+            "cancel at check {n}: outcome {:?} after {} ops matches no round prefix",
+            report.outcome,
+            report.ops.len()
+        );
+        let slots = store.graph().dump_slots();
+        drop(store);
+
+        let mut store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.graph().dump_slots(), slots, "cancel at check {n}: reopened");
+        let resumed = store.repair(&RepairEngine::default(), &rules).unwrap();
+        assert!(resumed.per_rule.iter().all(|r| r.scans == 1), "full scan after a trip and a reopen");
+        assert!(resumed.converged);
+        assert_eq!(store.graph().to_doc(), done, "cancel at check {n}: resumed run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Non-convergence is typed, not silent: a round-limited run reports
 /// `RoundLimit` while a converged run with residuals-free fixpoint
 /// reports `Completed` — the two `converged = false` causes are

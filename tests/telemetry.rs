@@ -112,6 +112,46 @@ fn every_layer_contributes_spans_and_histograms() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// "Did this repair rescan the world?" is answered by always-on
+/// counters (tracing off): a full seed bumps `engine.seed_full` and one
+/// `engine.rule_scans` per rule; a delta seed bumps `engine.seed_delta`,
+/// records its size in `engine.seed_nodes` and sweeps nothing.
+#[test]
+fn seed_counters_tell_a_rescan_from_a_delta() {
+    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = tmpdir("seed");
+    let (mut g, refs) = generate_kg(&KgConfig::with_persons(120));
+    inject_kg_noise(&mut g, &refs, &NoiseConfig::default());
+    let rules = gold_kg_rules().rules;
+    let engine = RepairEngine::default();
+    let read = || {
+        let nodes = grepair_obs::histogram("engine.seed_nodes");
+        [
+            grepair_obs::counter("engine.seed_full").get(),
+            grepair_obs::counter("engine.seed_delta").get(),
+            grepair_obs::counter("engine.rule_scans").get(),
+            nodes.count(),
+            nodes.sum(),
+        ]
+    };
+    let delta = |after: [u64; 5], before: [u64; 5]| std::array::from_fn(|i| after[i] - before[i]);
+
+    let mut store = DurableGraph::create_with(&dir, StoreConfig::default(), g).unwrap();
+    let t0 = read();
+    assert!(store.repair(&engine, &rules).unwrap().converged);
+    let t1 = read();
+    assert_eq!(delta(t1, t0), [1, 0, rules.len() as u64, 0, 0], "first repair scans");
+
+    let city = store.graph().try_label("City").unwrap();
+    let city = store.graph().nodes_with_label(city)[0];
+    let p = store.add_node("Person").unwrap();
+    store.add_edge(p, city, "livesIn").unwrap();
+    let report = store.repair(&engine, &rules).unwrap();
+    assert!(report.converged && report.repairs_applied > 0);
+    assert_eq!(delta(read(), t1), [0, 1, 0, 1, 2], "two touched nodes, no sweep");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Guardrail trips are telemetry-covered too: a repair cut short by an
 /// expired deadline bumps `limit.deadline_trips` exactly once (the trip
 /// is sticky and first-wins), emits the `limit.trip` warn event, and
