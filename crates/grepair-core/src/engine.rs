@@ -43,7 +43,7 @@
 //! and so do a [`RepairSeed::Touched`] run's seed and fixpoint check:
 //! anchored searches read too little of the graph to pay for a freeze.
 
-use crate::analysis::{l_overlap, preconditions_of, Preconditions};
+use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
 use crate::cost::estimate_cost;
 use crate::rule::Grr;
@@ -344,6 +344,7 @@ struct EngineTelemetry {
     strata: obs::Counter,
     rule_scans: Vec<obs::Counter>,
     rule_repair_ns: std::sync::Arc<obs::Histogram>,
+    rematch_rules: std::sync::Arc<obs::Histogram>,
     seed_full: std::sync::Arc<obs::Counter>,
     seed_delta: std::sync::Arc<obs::Counter>,
     seed_nodes: std::sync::Arc<obs::Histogram>,
@@ -359,6 +360,7 @@ impl EngineTelemetry {
                 .map(|_| obs::counter("engine.rule_scans").child())
                 .collect(),
             rule_repair_ns: obs::histogram("engine.rule_repair_ns"),
+            rematch_rules: obs::histogram("engine.rematch_rules"),
             seed_full: obs::counter("engine.seed_full"),
             seed_delta: obs::counter("engine.seed_delta"),
             seed_nodes: obs::histogram("engine.seed_nodes"),
@@ -436,6 +438,160 @@ impl Ord for Violation {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse: BinaryHeap is a max-heap, we want the cheapest first.
         other.cmp_key().cmp(&self.cmp_key())
+    }
+}
+
+/// The worklist's arbitration queue: pops violations in exactly
+/// `BinaryHeap<Violation>`'s order, but holds the seed — nearly every
+/// entry of a full-scan run — as one sorted run drained from its cheap
+/// end, and keeps a heap only for violations discovered during the run.
+/// A pop is then `O(1)` against the seed and `O(log arrivals)` otherwise,
+/// not `O(log (seed + arrivals))`. `Ord`-equal violations are
+/// interchangeable (equal cost bits, priority, rule and nodes;
+/// [`revalidate`] rewrites the witness edges before anything reads
+/// them), so which of two tied heads pops first is unobservable.
+struct ArbitrationQueue {
+    /// Ascending in `Ord`, i.e. cheapest last.
+    seed: Vec<Violation>,
+    arrivals: BinaryHeap<Violation>,
+}
+
+impl ArbitrationQueue {
+    fn from_seed(mut seed: Vec<Violation>) -> Self {
+        seed.sort_unstable();
+        ArbitrationQueue {
+            seed,
+            arrivals: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, v: Violation) {
+        self.arrivals.push(v);
+    }
+
+    fn pop(&mut self) -> Option<Violation> {
+        match (self.seed.last(), self.arrivals.peek()) {
+            (Some(s), Some(a)) if a > s => self.arrivals.pop(),
+            (Some(_), _) => self.seed.pop(),
+            (None, _) => self.arrivals.pop(),
+        }
+    }
+}
+
+/// One precondition class of a [`TriggerIndex`].
+#[derive(Default)]
+struct TriggerClass {
+    /// Concrete label / attribute key → the rules naming it, ascending.
+    named: FxHashMap<String, Vec<usize>>,
+    /// Rules with an unlabelled (`None`) precondition here, ascending:
+    /// every label overlaps it.
+    wildcard: Vec<usize>,
+}
+
+impl TriggerClass {
+    /// Record rule `ri`'s preconditions; rules arrive in ascending order.
+    fn add(&mut self, ri: usize, pre: Vec<L>) {
+        for l in pre {
+            let rules = match l {
+                Some(name) => self.named.entry(name).or_default(),
+                None => &mut self.wildcard,
+            };
+            if rules.last() != Some(&ri) {
+                rules.push(ri);
+            }
+        }
+    }
+
+    /// Append the rules holding a precondition that overlaps `name`.
+    fn overlapping(&self, name: &str, out: &mut Vec<usize>) {
+        out.extend_from_slice(&self.wildcard);
+        if let Some(rules) = self.named.get(name) {
+            out.extend_from_slice(rules);
+        }
+    }
+}
+
+/// Inverted trigger filter: which rules can a set of applied operations
+/// *enable* (create a new match of)? Built once per run from
+/// [`preconditions_of`], it maps each concrete edge label, node label
+/// and attribute key a rule's pattern mentions — per precondition class
+/// — to the rules mentioning it, next to the rules that accept any label
+/// there. Answering for an op is then one `&str` lookup in the class the
+/// op can affect: no allocation and no walk over Σ. The answer is a
+/// sound label-level over-approximation — every real enablement is
+/// caught; a spurious one only costs a re-match that finds nothing new.
+#[derive(Default)]
+struct TriggerIndex {
+    pos_edge: TriggerClass,
+    node_label: TriggerClass,
+    neg_edge: TriggerClass,
+    missing_attr: TriggerClass,
+    needs_attr: TriggerClass,
+    /// Rules with any negative-edge precondition, ascending.
+    any_neg_edge: Vec<usize>,
+    n_rules: usize,
+}
+
+impl TriggerIndex {
+    fn new(rules: &[Grr]) -> Self {
+        let mut ix = TriggerIndex {
+            n_rules: rules.len(),
+            ..TriggerIndex::default()
+        };
+        for (ri, rule) in rules.iter().enumerate() {
+            let pre = preconditions_of(rule);
+            if !pre.neg_edge.is_empty() {
+                ix.any_neg_edge.push(ri);
+            }
+            ix.pos_edge.add(ri, pre.pos_edge);
+            ix.node_label.add(ri, pre.node_label);
+            ix.neg_edge.add(ri, pre.neg_edge);
+            ix.missing_attr.add(ri, pre.missing_attr);
+            ix.needs_attr.add(ri, pre.needs_attr);
+        }
+        ix
+    }
+
+    /// Fill `out` with the rules any of `ops` can enable — ascending,
+    /// without duplicates.
+    fn enabled_by(&self, ops: &[AppliedOp], out: &mut Vec<usize>) {
+        fn sort_dedup(out: &mut Vec<usize>) {
+            out.sort_unstable();
+            out.dedup();
+        }
+        out.clear();
+        for op in ops {
+            match op {
+                AppliedOp::InsertNode { label, .. } | AppliedOp::RelabelNode { to: label, .. } => {
+                    self.node_label.overlapping(label, out)
+                }
+                AppliedOp::InsertEdge { label, .. } => self.pos_edge.overlapping(label, out),
+                // Deleting a node removes incident edges of unknown
+                // labels: any negative / no-edge condition could be
+                // enabled.
+                AppliedOp::DeleteNode { .. } => out.extend_from_slice(&self.any_neg_edge),
+                AppliedOp::DeleteEdge { label, .. } => self.neg_edge.overlapping(label, out),
+                AppliedOp::SetAttr { key, .. } => self.needs_attr.overlapping(key, out),
+                AppliedOp::RemoveAttr { key, .. } => self.missing_attr.overlapping(key, out),
+                AppliedOp::RelabelEdge { from, to, .. } => {
+                    self.pos_edge.overlapping(to, out);
+                    self.neg_edge.overlapping(from, out);
+                }
+                // Merges rewire edges of arbitrary labels and union
+                // attributes: conservatively affects everything.
+                AppliedOp::Merge { .. } => {
+                    out.clear();
+                    out.extend(0..self.n_rules);
+                    return;
+                }
+            }
+            // A whole round's ops arrive in one slice (naive, stratified):
+            // keep `out` at O(|Σ|) however many of them hit the same rules.
+            if out.len() > 4 * self.n_rules {
+                sort_dedup(out);
+            }
+        }
+        sort_dedup(out);
     }
 }
 
@@ -850,7 +1006,7 @@ impl RepairEngine {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
         // Label-keyed dirty-rule worklist. A rule is rescanned in round
         // k+1 only if (a) some round-k operation could have *enabled* a
-        // new match at the label level ([`ops_can_enable`] — the same
+        // new match at the label level ([`TriggerIndex`] — the same
         // sound over-approximation the incremental trigger filter uses),
         // or (b) one of its own repairs left its match still valid
         // (partial fixes like deleting one of several parallel witness
@@ -858,7 +1014,8 @@ impl RepairEngine {
         // set is provably unchanged: its round-k matches were all
         // attempted and eliminated, and nothing could have created new
         // ones.
-        let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
+        let triggers = TriggerIndex::new(rules);
+        let mut enabled = Vec::new();
         let mut dirty = vec![true; rules.len()];
         for _round in 0..self.config.max_rounds {
             // Guardrail boundary: cancels/deadlines/caps are observed
@@ -931,11 +1088,9 @@ impl RepairEngine {
             if !applied_any {
                 return;
             }
-            let round_ops = &report.ops[round_ops_start..];
-            for (ri, pre) in preconditions.iter().enumerate() {
-                if !next_dirty[ri] && ops_can_enable(round_ops, pre) {
-                    next_dirty[ri] = true;
-                }
+            triggers.enabled_by(&report.ops[round_ops_start..], &mut enabled);
+            for &ri in &enabled {
+                next_dirty[ri] = true;
             }
             dirty = next_dirty;
             if !dirty.iter().any(|&d| d) {
@@ -966,7 +1121,8 @@ impl RepairEngine {
         planner: &Planner,
         tel: &EngineTelemetry,
     ) {
-        let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
+        let triggers = TriggerIndex::new(rules);
+        let mut enabled = Vec::new();
         for stratum in strata {
             let mut dirty = vec![false; rules.len()];
             for &ri in stratum {
@@ -1037,11 +1193,9 @@ impl RepairEngine {
                 // Within a stratum no rule can label-enable another (that
                 // edge would have forced a later stratum), but the check
                 // keeps the scheduler honest if the approximation drifts.
-                let pass_ops = &report.ops[pass_ops_start..];
-                for &ri in stratum {
-                    if !next_dirty[ri] && ops_can_enable(pass_ops, &preconditions[ri]) {
-                        next_dirty[ri] = true;
-                    }
+                triggers.enabled_by(&report.ops[pass_ops_start..], &mut enabled);
+                for &ri in enabled.iter().filter(|ri| stratum.contains(ri)) {
+                    next_dirty[ri] = true;
                 }
                 dirty = next_dirty;
                 if !dirty.iter().any(|&d| d) {
@@ -1055,6 +1209,14 @@ impl RepairEngine {
     /// whole graph, `Some` matches only around those nodes (see
     /// [`RepairSeed::Touched`]) and is grown by every node the run's
     /// repairs touch.
+    ///
+    /// Each step pops the cheapest outstanding violation from the
+    /// [`ArbitrationQueue`], revalidates and applies it, then asks the
+    /// [`TriggerIndex`] which rules the applied operations can enable and
+    /// re-matches only those, only around the touched nodes. Neither
+    /// structure walks the rule set: what a repair costs depends on the
+    /// rules it enables, not on |Σ| (`engine.rematch_rules` records that
+    /// number per repair).
     #[allow(clippy::too_many_arguments)]
     fn run_incremental(
         &self,
@@ -1070,19 +1232,21 @@ impl RepairEngine {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
         report.rounds = 1;
         tel.rounds.inc();
-        // Trigger filter: label-level preconditions per rule. After a
-        // repair, only rules whose preconditions the applied operations
-        // could have *enabled* are re-matched — the rule-dependency
-        // pruning that keeps per-repair work independent of |Σ|.
-        let preconditions: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
-        let mut queue: BinaryHeap<Violation> = {
+        // Trigger filter: after a repair, only rules whose label-level
+        // preconditions the applied operations could have *enabled* are
+        // re-matched — one index lookup per operation, so the
+        // rule-dependency pruning keeps per-repair work independent of
+        // |Σ|.
+        let triggers = TriggerIndex::new(rules);
+        let mut enabled = Vec::new();
+        let seed: Vec<Violation> = {
             let _seed_span = obs::span("engine.round", "engine");
             match delta.as_deref() {
                 None => {
                     for scans in tel.rule_scans.iter() {
                         scans.inc();
                     }
-                    self.full_scan(g, rules, planner).into()
+                    self.full_scan(g, rules, planner)
                 }
                 Some(touched) => self
                     .matches_touching(g, rules, planner, touched)
@@ -1096,9 +1260,10 @@ impl RepairEngine {
             report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
             return;
         }
-        for v in queue.iter() {
+        for v in &seed {
             report.per_rule[v.rule].matches_found += 1;
         }
+        let mut queue = ArbitrationQueue::from_seed(seed);
         let mut last_ops_start: usize;
         while let Some(mut v) = queue.pop() {
             // Guardrail boundary: in incremental mode one applied repair
@@ -1128,26 +1293,23 @@ impl RepairEngine {
             sink.round_committed();
             self.budget
                 .charge_ops((report.ops.len() - last_ops_start) as u64);
-            let new_ops = &report.ops[last_ops_start..];
             // A repair may not fully eliminate its own violation (e.g. it
             // deleted one of several parallel witness edges): revalidate
             // the very match just repaired and requeue it if it persists —
             // the trigger filter below only covers *newly created* matches.
-            let mut again = v.m.clone();
-            if revalidate(g, &rules[v.rule].pattern, &mut again) {
-                queue.push(self.violation(g, rules, v.rule, again));
+            if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
+                queue.push(self.violation(g, rules, v.rule, v.m));
             }
             // Delta-driven discovery: only trigger-affected rules, only
             // matches anchored in the delta. The planner's cache serves
             // the per-anchor plans — compiled once per (pattern, anchor),
             // not once per repair.
+            triggers.enabled_by(&report.ops[last_ops_start..], &mut enabled);
+            tel.rematch_rules.record(enabled.len() as u64);
             let matcher =
                 Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
-            for (ri, rule) in rules.iter().enumerate() {
-                if !ops_can_enable(new_ops, &preconditions[ri]) {
-                    continue;
-                }
-                for m in matcher.find_touching(&rule.pattern, &touched) {
+            for &ri in &enabled {
+                for m in matcher.find_touching(&rules[ri].pattern, &touched) {
                     report.per_rule[ri].matches_found += 1;
                     queue.push(self.violation(g, rules, ri, m));
                 }
@@ -1242,55 +1404,56 @@ fn cached_schedule(rules: &[Grr]) -> Option<std::sync::Arc<Vec<Vec<usize>>>> {
         .clone()
 }
 
-/// Can any of `ops` enable a new match of a rule with preconditions
-/// `pre`? Sound over-approximation at the label level: every real
-/// enablement is caught; spurious re-matches only cost time.
-fn ops_can_enable(ops: &[AppliedOp], pre: &Preconditions) -> bool {
-    let some = |l: &str| Some(l.to_owned());
-    for op in ops {
-        let hit = match op {
-            AppliedOp::InsertNode { label, .. } => pre
-                .node_label
-                .iter()
-                .any(|p| l_overlap(&some(label), p)),
-            AppliedOp::InsertEdge { label, .. } => {
-                pre.pos_edge.iter().any(|p| l_overlap(&some(label), p))
-            }
-            // Deleting a node removes incident edges of unknown labels:
-            // any negative / no-edge condition could be enabled.
-            AppliedOp::DeleteNode { .. } => !pre.neg_edge.is_empty(),
-            AppliedOp::DeleteEdge { label, .. } => {
-                pre.neg_edge.iter().any(|p| l_overlap(&some(label), p))
-            }
-            AppliedOp::RelabelNode { to, .. } => {
-                pre.node_label.iter().any(|p| l_overlap(&some(to), p))
-            }
-            AppliedOp::SetAttr { key, .. } => {
-                pre.needs_attr.iter().any(|p| l_overlap(&some(key), p))
-            }
-            AppliedOp::RemoveAttr { key, .. } => {
-                pre.missing_attr.iter().any(|p| l_overlap(&some(key), p))
-            }
-            AppliedOp::RelabelEdge { from, to, .. } => {
-                pre.pos_edge.iter().any(|p| l_overlap(&some(to), p))
-                    || pre.neg_edge.iter().any(|p| l_overlap(&some(from), p))
-            }
-            // Merges rewire edges of arbitrary labels and union
-            // attributes: conservatively affects everything.
-            AppliedOp::Merge { .. } => true,
-        };
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{l_overlap, Preconditions};
     use crate::dsl::parse_rules;
     use grepair_graph::Value;
+
+    /// The trigger filter as a walk over one rule's preconditions — the
+    /// predicate [`TriggerIndex::enabled_by`] must compute exactly: can
+    /// any of `ops` enable a new match of a rule with preconditions `pre`?
+    fn ops_can_enable(ops: &[AppliedOp], pre: &Preconditions) -> bool {
+        let some = |l: &str| Some(l.to_owned());
+        for op in ops {
+            let hit = match op {
+                AppliedOp::InsertNode { label, .. } => pre
+                    .node_label
+                    .iter()
+                    .any(|p| l_overlap(&some(label), p)),
+                AppliedOp::InsertEdge { label, .. } => {
+                    pre.pos_edge.iter().any(|p| l_overlap(&some(label), p))
+                }
+                // Deleting a node removes incident edges of unknown labels:
+                // any negative / no-edge condition could be enabled.
+                AppliedOp::DeleteNode { .. } => !pre.neg_edge.is_empty(),
+                AppliedOp::DeleteEdge { label, .. } => {
+                    pre.neg_edge.iter().any(|p| l_overlap(&some(label), p))
+                }
+                AppliedOp::RelabelNode { to, .. } => {
+                    pre.node_label.iter().any(|p| l_overlap(&some(to), p))
+                }
+                AppliedOp::SetAttr { key, .. } => {
+                    pre.needs_attr.iter().any(|p| l_overlap(&some(key), p))
+                }
+                AppliedOp::RemoveAttr { key, .. } => {
+                    pre.missing_attr.iter().any(|p| l_overlap(&some(key), p))
+                }
+                AppliedOp::RelabelEdge { from, to, .. } => {
+                    pre.pos_edge.iter().any(|p| l_overlap(&some(to), p))
+                        || pre.neg_edge.iter().any(|p| l_overlap(&some(from), p))
+                }
+                // Merges rewire edges of arbitrary labels and union
+                // attributes: conservatively affects everything.
+                AppliedOp::Merge { .. } => true,
+            };
+            if hit {
+                return true;
+            }
+        }
+        false
+    }
 
     /// A small KG with one violation of each class.
     fn dirty_graph() -> Graph {
@@ -2155,20 +2318,15 @@ mod tests {
         assert!(neg_nan.is_nan() && neg_nan.is_sign_negative());
         assert_eq!(nan.cmp(&mk(neg_nan)), std::cmp::Ordering::Equal);
 
-        let mut heap: BinaryHeap<Violation> = [
-            neg_nan,
-            f64::INFINITY,
-            1.0,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-            2.0,
-        ]
-        .into_iter()
-        .map(mk)
-        .collect();
+        // Through the engine's queue, split across its two halves: a
+        // sorted seed run and the arrivals heap.
+        let seed = [neg_nan, f64::INFINITY, 1.0, f64::NEG_INFINITY];
+        let mut queue = ArbitrationQueue::from_seed(seed.into_iter().map(mk).collect());
+        for cost in [-0.0, 0.0, 2.0] {
+            queue.push(mk(cost));
+        }
         let mut popped = Vec::new();
-        while let Some(v) = heap.pop() {
+        while let Some(v) = queue.pop() {
             popped.push(v.cost);
         }
         // Cheapest-first total order: -inf < -0.0 < +0.0 < finite < +inf
@@ -2180,6 +2338,221 @@ mod tests {
         assert_eq!(popped[4], 2.0);
         assert_eq!(popped[5], f64::INFINITY);
         assert!(popped[6].is_nan(), "NaN must sort last: {popped:?}");
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of pushes and pops over any seed pops in
+        /// exactly `BinaryHeap<Violation>`'s order — duplicates, equal
+        /// costs and non-finite costs included. Ties may pop either
+        /// instance, so sequences are compared by sort key.
+        #[test]
+        fn arbitration_queue_pops_in_binary_heap_order(
+            seed in proptest::collection::vec((0usize..9, 0i32..2, 0usize..2, 0u32..3), 0..24),
+            steps in proptest::collection::vec(
+                proptest::option::of((0usize..9, 0i32..2, 0usize..2, 0u32..3)),
+                0..48,
+            ),
+        ) {
+            let neg_nan = f64::from_bits(f64::NAN.to_bits() | (1 << 63));
+            let costs =
+                [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, 2.5, f64::INFINITY, f64::NAN, neg_nan];
+            let mk = |&(cost, priority, rule, node): &(usize, i32, usize, u32)| Violation {
+                rule,
+                m: Match { nodes: vec![NodeId(node)], edges: vec![] },
+                cost: costs[cost],
+                priority,
+            };
+            let key = |v: Option<Violation>| {
+                v.map(|v| (cost_order_bits(v.cost), v.priority, v.rule, v.m.nodes))
+            };
+            let mut heap: BinaryHeap<Violation> = seed.iter().map(mk).collect();
+            let mut queue = ArbitrationQueue::from_seed(seed.iter().map(mk).collect());
+            for step in &steps {
+                match step {
+                    Some(v) => {
+                        heap.push(mk(v));
+                        queue.push(mk(v));
+                    }
+                    None => proptest::prop_assert_eq!(key(queue.pop()), key(heap.pop())),
+                }
+            }
+            while !heap.is_empty() {
+                proptest::prop_assert_eq!(key(queue.pop()), key(heap.pop()));
+            }
+            proptest::prop_assert!(queue.pop().is_none());
+        }
+    }
+
+    /// One op of every variant per name, plus the two name-free variants.
+    fn probe_ops(names: &[String]) -> Vec<AppliedOp> {
+        use grepair_graph::EdgeId;
+        let (node, edge) = (NodeId(0), EdgeId(0));
+        let mut ops = vec![
+            AppliedOp::Merge {
+                keep: node,
+                merged: NodeId(1),
+                rewired: 1,
+                dropped: 0,
+            },
+            AppliedOp::DeleteNode {
+                node,
+                label: "__unmentioned".into(),
+                removed_edges: 2,
+            },
+        ];
+        for name in names {
+            let s = || name.clone();
+            ops.extend([
+                AppliedOp::InsertNode {
+                    node,
+                    label: s(),
+                    attrs: vec![(s(), Value::Int(1))],
+                },
+                AppliedOp::InsertEdge {
+                    edge,
+                    src: node,
+                    dst: node,
+                    label: s(),
+                },
+                AppliedOp::DeleteNode {
+                    node,
+                    label: s(),
+                    removed_edges: 0,
+                },
+                AppliedOp::DeleteEdge {
+                    edge,
+                    src: node,
+                    dst: node,
+                    label: s(),
+                },
+                AppliedOp::RelabelNode {
+                    node,
+                    from: "__unmentioned".into(),
+                    to: s(),
+                },
+                AppliedOp::SetAttr {
+                    node,
+                    key: s(),
+                    value: Value::Int(1),
+                    old: None,
+                },
+                AppliedOp::RemoveAttr {
+                    node,
+                    key: s(),
+                    old: Value::Int(1),
+                },
+            ]);
+            for other in names {
+                ops.push(AppliedOp::RelabelEdge {
+                    edge,
+                    from: s(),
+                    to: other.clone(),
+                });
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn trigger_index_agrees_with_the_per_rule_walk() {
+        use grepair_gen::catalog::{GOLD_KG_DSL, SOCIAL_DSL};
+        // grepair-gen links the non-test build of this crate, so its rule
+        // sets cross over as text.
+        let synthetic =
+            crate::ruleset::RuleSet::from_json(&grepair_gen::synthetic_rules(16).to_json())
+                .unwrap()
+                .rules;
+        let parse = |src: &str| parse_rules(src).unwrap();
+        // Unlabelled nodes and `*` edges: a wildcard in every class that
+        // can hold one, next to concrete names in the same classes.
+        let wildcards = "rule any_edge [conflict]
+             match (x)-[*]->(y:Q)
+             where not (y)-[*]->(x)
+             repair delete edge (x)-[*]->(y)
+
+             rule no_out [incompleteness]
+             match (x:P)
+             where not (x)-[*]->(*), missing(x.seen)
+             repair set x.seen = true
+
+             rule no_in [incompleteness]
+             match (x)
+             where not (*)-[r]->(x), has(x.k)
+             repair unset x.k
+
+             rule labelled [conflict]
+             match (a:P)-[r]->(b)
+             where not (b)-[r]->(a), a.k == b.j
+             repair delete edge (a)-[r]->(b)
+
+             rule label_only [conflict]
+             match (x:Q)
+             where x.k == 1
+             repair relabel node x to P";
+        let mut wildcard_classes = [false; 3];
+        for (set, rules) in [
+            ("gold-kg", parse(GOLD_KG_DSL)),
+            ("social", parse(SOCIAL_DSL)),
+            ("synthetic-16", synthetic),
+            ("cascade", parse(&cascade_src(8))),
+            ("wildcards", parse(wildcards)),
+        ] {
+            let pre: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
+            let index = TriggerIndex::new(&rules);
+
+            let mut names: Vec<String> = pre
+                .iter()
+                .flat_map(|p| {
+                    [
+                        &p.pos_edge,
+                        &p.node_label,
+                        &p.neg_edge,
+                        &p.missing_attr,
+                        &p.needs_attr,
+                    ]
+                })
+                .flatten()
+                .flatten()
+                .cloned()
+                .collect();
+            names.sort();
+            names.dedup();
+            names.push("__unmentioned".into());
+            for p in &pre {
+                wildcard_classes[0] |= p.pos_edge.contains(&None);
+                wildcard_classes[1] |= p.node_label.contains(&None);
+                wildcard_classes[2] |= p.neg_edge.contains(&None);
+            }
+
+            let singles = probe_ops(&names);
+            let n = singles.len();
+            let mixed = (0..n).map(|i| {
+                vec![
+                    singles[i].clone(),
+                    singles[(7 * i + 3) % n].clone(),
+                    singles[(13 * i + 5) % n].clone(),
+                ]
+            });
+            // The last slice is a whole round's worth without the leading
+            // `Merge`: it runs the mid-slice compaction.
+            let slices = singles
+                .iter()
+                .map(|op| vec![op.clone()])
+                .chain(mixed)
+                .chain([Vec::new(), singles.clone(), singles[1..].to_vec()]);
+            let mut enabled = vec![usize::MAX]; // must be cleared, not appended to
+            for ops in slices {
+                index.enabled_by(&ops, &mut enabled);
+                let walk: Vec<usize> = (0..rules.len())
+                    .filter(|&ri| ops_can_enable(&ops, &pre[ri]))
+                    .collect();
+                assert_eq!(enabled, walk, "{set}: {ops:?}");
+            }
+        }
+        assert_eq!(
+            wildcard_classes, [true; 3],
+            "the hand-written set lost a wildcard"
+        );
     }
 
     #[test]

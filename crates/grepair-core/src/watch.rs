@@ -128,15 +128,21 @@ impl Watcher {
             if self.live.is_empty() {
                 break;
             }
-            let mut pending: Vec<LiveViolation> = self.live.values().cloned().collect();
-            pending.sort_by(|a, b| {
-                let ca = estimate_cost(g, &self.rules[a.rule], &a.m, &self.costs);
-                let cb = estimate_cost(g, &self.rules[b.rule], &b.m, &self.costs);
-                ca.total_cmp(&cb)
+            // Priced once each: an estimate reads the graph.
+            let mut pending: Vec<(f64, LiveViolation)> = self
+                .live
+                .values()
+                .map(|v| {
+                    let cost = estimate_cost(g, &self.rules[v.rule], &v.m, &self.costs);
+                    (cost, v.clone())
+                })
+                .collect();
+            pending.sort_by(|(ca, a), (cb, b)| {
+                ca.total_cmp(cb)
                     .then_with(|| (a.rule, &a.m.nodes).cmp(&(b.rule, &b.m.nodes)))
             });
             let mut applied_round = 0usize;
-            for mut v in pending {
+            for (_, mut v) in pending {
                 if !revalidate(g, &self.rules[v.rule].pattern, &mut v.m) {
                     self.live.remove(&(v.rule, v.m.nodes.clone()));
                     continue;

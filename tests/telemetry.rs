@@ -8,7 +8,9 @@
 //! cumulative and shared with whatever ran before).
 
 use grepair_core::{EngineConfig, RepairEngine};
-use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
+use grepair_gen::{
+    generate_kg, gold_kg_rules, inject_kg_noise, synthetic_rules, KgConfig, NoiseConfig,
+};
 use grepair_obs::TraceEvent;
 use grepair_store::{DurableGraph, StoreConfig};
 use std::sync::Mutex;
@@ -150,6 +152,39 @@ fn seed_counters_tell_a_rescan_from_a_delta() {
     assert!(report.converged && report.repairs_applied > 0);
     assert_eq!(delta(read(), t1), [0, 1, 0, 1, 2], "two touched nodes, no sweep");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// "Did per-repair work grow with |Σ|?" is answered by the always-on
+/// `engine.rematch_rules` histogram: one sample per repair the worklist
+/// applies, holding how many rules the trigger index handed to
+/// `find_touching`. The synthetic set's firing rules set attributes no
+/// rule reads, so every sample is 0 however many rules the set has; the
+/// gold KG rules feed each other, so theirs are not.
+#[test]
+fn rematch_rules_histogram_counts_the_rules_each_repair_enables() {
+    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let (mut g, refs) = generate_kg(&KgConfig::with_persons(120));
+    inject_kg_noise(&mut g, &refs, &NoiseConfig::default());
+    let h = grepair_obs::histogram("engine.rematch_rules");
+    let read = || [h.count(), h.sum()];
+    let engine = RepairEngine::default();
+
+    let t0 = read();
+    let report = engine.repair(&mut g.clone(), &synthetic_rules(16).rules);
+    assert_eq!(report.strata, 0, "cyclic set: the worklist runs");
+    assert!(report.repairs_applied > 0);
+    let t1 = read();
+    assert_eq!(
+        [t1[0] - t0[0], t1[1] - t0[1]],
+        [report.repairs_applied as u64, 0],
+        "one sample per repair, every one of them 0"
+    );
+
+    let report = engine.repair(&mut g, &gold_kg_rules().rules);
+    assert_eq!(report.strata, 0);
+    let t2 = read();
+    assert_eq!(t2[0] - t1[0], report.repairs_applied as u64);
+    assert!(t2[1] > t1[1], "gold repairs enable other gold rules");
 }
 
 /// Guardrail trips are telemetry-covered too: a repair cut short by an
