@@ -74,20 +74,26 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse a raw token list. Tokens starting with `--` take the next
-    /// token as value unless they are known boolean switches.
-    pub fn parse(tokens: &[String]) -> Self {
-        const SWITCHES: &[&str] = &[
-            "--naive", "--quick", "--parallel", "--frozen", "--lint", "--read-only",
+    /// Parse a raw token list. A `--switch` stands alone, a `--option`
+    /// takes the next token as its value, and any other `--name` is a
+    /// usage error — never silently an option that eats the next token.
+    pub fn parse(tokens: &[String]) -> Result<Self, CliError> {
+        const SWITCHES: &[&str] = &["naive", "lint", "read-only"];
+        const OPTIONS: &[&str] = &[
+            "rules", "graph", "out", "store", "dir", "from", "report", "trace", "format",
+            "timeout", "max-ops", "runs", "deny", "warn", "allow", "persons", "accounts",
+            "seed", "noise", "clean", "ledger", "min-support", "min-confidence",
         ];
         let mut out = Args::default();
         let mut i = 0;
         while i < tokens.len() {
             let t = &tokens[i];
             if let Some(name) = t.strip_prefix("--") {
-                if SWITCHES.contains(&t.as_str()) {
+                if SWITCHES.contains(&name) {
                     out.switches.push(name.to_owned());
                     i += 1;
+                } else if !OPTIONS.contains(&name) {
+                    return Err(CliError::usage(format!("unknown option {t}\n\n{USAGE}")));
                 } else if i + 1 < tokens.len() {
                     out.flags.push((name.to_owned(), tokens[i + 1].clone()));
                     i += 2;
@@ -108,7 +114,7 @@ impl Args {
                 i += 1;
             }
         }
-        out
+        Ok(out)
     }
 
     fn get(&self, names: &[&str]) -> Option<&str> {
@@ -424,12 +430,12 @@ commands:
   gen kg        --persons N [--seed S] [--noise RATE] -o OUT [--clean C] [--ledger L]
   gen social    --accounts N [--seed S] -o OUT
   stats         GRAPH
-  check         -r RULES (-g GRAPH | --store DIR [--read-only]) [--frozen] [--trace FILE]
+  check         -r RULES (-g GRAPH | --store DIR [--read-only]) [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   explain       -r RULES (-g GRAPH | --store DIR [--read-only])
-  repair        -r RULES -g GRAPH -o OUT [--naive] [--frozen] [--report R] [--trace FILE]
+  repair        -r RULES -g GRAPH -o OUT [--naive] [--report R] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
-  repair        -r RULES --store DIR [-o OUT] [--naive] [--frozen] [--report R] [--trace FILE]
+  repair        -r RULES --store DIR [-o OUT] [--naive] [--report R] [--trace FILE]
   watch         -r RULES (-g GRAPH [-o OUT] | --store DIR) [--runs N] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   metrics       [-r RULES (-g GRAPH | --store DIR)] [--format json]
@@ -444,9 +450,7 @@ commands:
   store fsck    -d DIR [--format json]
 
 Graph files are .json (GraphDoc) or .txt (fixture format); rule files are
-.grr DSL or .json. --frozen runs full scans over a compacted CSR snapshot
-of the graph (faster on large graphs, identical results; --naive enables
-it by default).
+.grr DSL or .json.
 
 `lint` runs the static rule-set analyses as stable diagnostics
 (GR001..GR007: termination, consistency, effectiveness, implication,
@@ -498,7 +502,7 @@ reports outcome 'round-limit' and also exits 5, distinguishing a blown
 limit from residual violations under a completed fixpoint.
 
 Observability: --trace FILE (on check/repair/watch) records spans from
-every layer — engine rounds, matching, planning, freezes, WAL writes —
+every layer — engine rounds, matching, planning, WAL writes —
 and exports them as a Chrome trace (load in chrome://tracing or
 Perfetto). `metrics` prints the process-wide metrics registry (counters,
 gauges, latency histograms with p50/p90/p99, warn events) as text or,
@@ -538,7 +542,7 @@ fn cmd_gen(tokens: &[String]) -> CliResult {
     let Some(kind) = tokens.first().map(String::as_str) else {
         return Err(CliError::usage("gen: expected 'kg' or 'social'"));
     };
-    let args = Args::parse(&tokens[1..]);
+    let args = Args::parse(&tokens[1..])?;
     let out = args
         .get(&["o", "out"])
         .ok_or_else(|| CliError::usage("gen: missing -o OUT"))?
@@ -606,7 +610,7 @@ fn cmd_gen(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_stats(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let path = args
         .positional
         .first()
@@ -670,7 +674,7 @@ fn store_graph(dir: &str, read_only: bool, header: &mut String) -> Result<Graph,
 }
 
 fn cmd_check(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("check: missing -r RULES"))?
@@ -696,16 +700,8 @@ fn cmd_check(tokens: &[String]) -> CliResult {
     planner.refresh_stats(&g);
     let budget = make_budget(&args, "check", MaxOps::Matches)?;
     let cfg = grepair_match::MatchConfig::default();
-    let counts: Vec<usize> = if args.has("frozen") {
-        let frozen = grepair_graph::FrozenGraph::freeze(&g);
-        let matcher =
-            grepair_match::Matcher::with_planner(&frozen, cfg, &planner).with_budget(&budget);
-        rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect()
-    } else {
-        let matcher =
-            grepair_match::Matcher::with_planner(&g, cfg, &planner).with_budget(&budget);
-        rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect()
-    };
+    let matcher = grepair_match::Matcher::with_planner(&g, cfg, &planner).with_budget(&budget);
+    let counts: Vec<usize> = rules.rules.iter().map(|r| matcher.count(&r.pattern)).collect();
     let mut out = header;
     let mut total = 0usize;
     for (r, n) in rules.rules.iter().zip(counts) {
@@ -731,7 +727,7 @@ fn cmd_check(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_explain(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("explain: missing -r RULES"))?,
@@ -803,7 +799,7 @@ fn cmd_explain(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_watch(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("watch: missing -r RULES"))?
@@ -915,7 +911,7 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_repair(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("repair: missing -r RULES"))?
@@ -923,14 +919,11 @@ fn cmd_repair(tokens: &[String]) -> CliResult {
     let (rules, spans) = load_rules_spanned(&rules_path)?;
     lint_preflight("repair", &rules_path, &rules, &spans, &args)?;
     let trace = trace_arg(&args);
-    let mut config = if args.has("naive") {
+    let config = if args.has("naive") {
         EngineConfig::naive_with_indexes()
     } else {
         EngineConfig::default()
     };
-    if args.has("frozen") {
-        config.freeze_scans = true;
-    }
     let budget = make_budget(&args, "repair", MaxOps::Ops)?;
     let engine = RepairEngine::new(config).with_budget(&budget);
 
@@ -1018,7 +1011,7 @@ fn cmd_repair(tokens: &[String]) -> CliResult {
 /// from every layer; bare `metrics` prints whatever the process has
 /// accumulated so far.
 fn cmd_metrics(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     if args.get(&["r", "rules"]).is_some() {
         grepair_obs::set_tracing(true);
         let pass = cmd_check(tokens);
@@ -1038,7 +1031,7 @@ fn cmd_store(tokens: &[String]) -> CliResult {
             "store: expected 'init', 'status', 'compact', 'export' or 'fsck'",
         ));
     };
-    let args = Args::parse(&tokens[1..]);
+    let args = Args::parse(&tokens[1..])?;
     let dir = args
         .get(&["d", "dir", "store"])
         .ok_or_else(|| CliError::usage(format!("store {sub}: missing -d DIR")))?;
@@ -1112,7 +1105,7 @@ fn cmd_store(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_lint(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules_path = args
         .get(&["r", "rules"])
         .ok_or_else(|| CliError::usage("lint: missing -r RULES"))?
@@ -1140,7 +1133,7 @@ fn cmd_lint(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_analyze(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("analyze: missing -r RULES"))?,
@@ -1178,7 +1171,7 @@ fn cmd_analyze(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_mine(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let g = load_graph(
         args.get(&["g", "graph"])
             .ok_or_else(|| CliError::usage("mine: missing -g GRAPH"))?,
@@ -1219,7 +1212,7 @@ fn cmd_mine(tokens: &[String]) -> CliResult {
 }
 
 fn cmd_fmt(tokens: &[String]) -> CliResult {
-    let args = Args::parse(tokens);
+    let args = Args::parse(tokens)?;
     let rules = load_rules(
         args.get(&["r", "rules"])
             .ok_or_else(|| CliError::usage("fmt: missing -r RULES"))?,
@@ -1251,6 +1244,14 @@ mod tests {
         let err = dispatch(&toks(&["frobnicate"])).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(dispatch(&[]).is_err());
+        // An unknown option is named and refused before anything runs —
+        // it must not pass for an option and swallow the next token.
+        for name in ["frozen", "quick", "parallel", "no-such-option"] {
+            let opt = &format!("--{name}");
+            let err = dispatch(&toks(&["repair", opt, "-r", "absent.grr"])).unwrap_err();
+            assert_eq!(err.code, 2, "{opt}: {}", err.message);
+            assert!(err.message.contains(&format!("unknown option {opt}")), "{}", err.message);
+        }
     }
 
     #[test]
@@ -1334,51 +1335,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("applied"), "{out}");
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frozen_switch_matches_live_results() {
-        let dir = tmpdir();
-        let dirty = dir.join("dirty-frozen.json");
-        let rules = dir.join("rules-frozen.grr");
-        let out_live = dir.join("repaired-live.json");
-        let out_frozen = dir.join("repaired-frozen.json");
-        dispatch(&toks(&[
-            "gen", "kg", "--persons", "200", "--noise", "0.1",
-            "-o", dirty.to_str().unwrap(),
-        ]))
-        .unwrap();
-        std::fs::write(&rules, grepair_gen::catalog::GOLD_KG_DSL).unwrap();
-
-        // check: identical per-rule counts with and without --frozen.
-        let live = dispatch(&toks(&[
-            "check", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let frozen = dispatch(&toks(&[
-            "check", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "--frozen",
-        ]))
-        .unwrap();
-        assert_eq!(live, frozen);
-
-        // repair: identical repaired graphs with and without --frozen.
-        dispatch(&toks(&[
-            "repair", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "-o", out_live.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = dispatch(&toks(&[
-            "repair", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
-            "-o", out_frozen.to_str().unwrap(), "--frozen",
-        ]))
-        .unwrap();
-        assert!(out.contains("converged: true"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&out_live).unwrap(),
-            std::fs::read_to_string(&out_frozen).unwrap()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,28 +27,13 @@
 //! - **Churn guard** — the same (rule, matched nodes) repair may be
 //!   applied at most [`EngineConfig::max_churn`] times, which bounds
 //!   runtime even for rule sets whose trigger graph is cyclic.
-//!
-//! ## Full scans over frozen snapshots
-//!
-//! Every *full* scan — each naive round, the incremental engine's seed
-//! scan, and the final fixpoint verification — is a pure read phase. With
-//! [`EngineConfig::freeze_scans`] the engine first compacts the graph
-//! into a [`grepair_graph::FrozenGraph`] CSR snapshot and matches against
-//! that, which trades one `O(V + E)` freeze for cache-friendly,
-//! binary-searchable adjacency during the scan. Match output is
-//! byte-identical to scanning the live graph (see
-//! [`grepair_match::view`]), so the choice is purely a performance knob.
-//! Delta-driven re-matching after each repair always runs on the live
-//! graph — the snapshot would be stale after the first applied repair —
-//! and so do a [`RepairSeed::Touched`] run's seed and fixpoint check:
-//! anchored searches read too little of the graph to pay for a freeze.
 
 use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
 use crate::cost::estimate_cost;
 use crate::rule::Grr;
-use grepair_graph::{EditCosts, FrozenGraph, Graph, NodeId};
-use grepair_match::{GraphView, Match, MatchConfig, Matcher, Planner, TouchSet};
+use grepair_graph::{EditCosts, Graph, NodeId};
+use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
 use grepair_obs as obs;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -85,14 +70,6 @@ pub struct EngineConfig {
     pub costs: EditCosts,
     /// Enumerate rule matches in parallel during full scans (F8).
     pub parallel: bool,
-    /// Build a [`FrozenGraph`] CSR snapshot before every full scan
-    /// (naive rounds, the incremental seed scan, fixpoint verification)
-    /// and match against it instead of the live graph. Match output is
-    /// byte-identical; the compacted layout pays off on label-filtered
-    /// scans over non-tiny graphs. On by default for
-    /// [`EngineConfig::naive_with_indexes`], whose cost is dominated by
-    /// repeated full scans.
-    pub freeze_scans: bool,
     /// Run a final scan to count residual violations (see
     /// [`RepairReport::violations_remaining`]).
     pub verify_fixpoint: bool,
@@ -117,7 +94,6 @@ impl Default for EngineConfig {
             max_churn: 16,
             costs: EditCosts::default(),
             parallel: false,
-            freeze_scans: false,
             verify_fixpoint: true,
             stratify: true,
         }
@@ -135,13 +111,10 @@ impl EngineConfig {
     }
 
     /// Naive rounds but with the optimized matcher (isolates the
-    /// incremental-maintenance contribution, F6). Full scans run over a
-    /// frozen CSR snapshot by default — this engine's cost is almost
-    /// entirely repeated full scans, exactly the phase snapshots speed up.
+    /// incremental-maintenance contribution, F6).
     pub fn naive_with_indexes() -> Self {
         Self {
             mode: EngineMode::Naive,
-            freeze_scans: true,
             ..Self::default()
         }
     }
@@ -765,23 +738,31 @@ impl RepairEngine {
                 None
             }
         };
+        // Trigger filter: only rules whose label-level preconditions the
+        // applied operations could have *enabled* are re-scanned or
+        // re-matched.
+        let triggers = TriggerIndex::new(rules);
         match schedule {
             Some(strata) => {
                 tel.strata.add(strata.len() as u64);
-                self.run_stratified(
-                    g, rules, &strata, &mut report, max_repairs, &mut sink, planner, &tel,
-                )
+                for stratum in strata.iter() {
+                    self.run_rounds(
+                        g, rules, Some(stratum), &triggers, &mut report, max_repairs, &mut sink,
+                        planner, &tel,
+                    );
+                    if report.outcome != RepairOutcome::Completed {
+                        break;
+                    }
+                }
             }
             None => match self.config.mode {
-                EngineMode::Naive => {
-                    self.run_naive(g, rules, &mut report, max_repairs, &mut sink, planner, &tel)
-                }
-                EngineMode::Incremental => {
-                    self.run_incremental(
-                        g, rules, delta.as_mut(), &mut report, max_repairs, &mut sink, planner,
-                        &tel,
-                    )
-                }
+                EngineMode::Naive => self.run_rounds(
+                    g, rules, None, &triggers, &mut report, max_repairs, &mut sink, planner, &tel,
+                ),
+                EngineMode::Incremental => self.run_incremental(
+                    g, rules, delta.as_mut(), &triggers, &mut report, max_repairs, &mut sink,
+                    planner, &tel,
+                ),
             },
         }
         // The report's scheduling counters are read back from the run's
@@ -849,10 +830,7 @@ impl RepairEngine {
     /// Multi-rule parallel sweep; with the `parallel` feature all rules'
     /// morsels share one work queue (stealing across rules and within a
     /// pattern).
-    fn parallel_scan<G: GraphView + Sync>(
-        matcher: &Matcher<'_, G>,
-        rules: &[&Grr],
-    ) -> Vec<Vec<Match>> {
+    fn parallel_scan(matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
         #[cfg(feature = "parallel")]
         {
             let patterns: Vec<&grepair_match::Pattern> =
@@ -866,13 +844,9 @@ impl RepairEngine {
             .collect()
     }
 
-    /// One full multi-rule scan over an arbitrary view, honoring the
-    /// `parallel` toggle. Results are indexed like `rules`.
-    fn scan_matches<G: GraphView + Sync>(
-        &self,
-        matcher: &Matcher<'_, G>,
-        rules: &[&Grr],
-    ) -> Vec<Vec<Match>> {
+    /// One full multi-rule scan, honoring the `parallel` toggle. Results
+    /// are indexed like `rules`.
+    fn scan_matches(&self, matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
         if self.config.parallel {
             Self::parallel_scan(matcher, rules)
         } else {
@@ -896,34 +870,14 @@ impl RepairEngine {
         self.count_violations_with(g, rules, &planner)
     }
 
-    /// Freeze `g` for a scan, using the chunk-parallel freeze when this
-    /// engine runs parallel (identical output either way).
-    fn freeze_for_scan(&self, g: &Graph) -> FrozenGraph {
-        #[cfg(feature = "parallel")]
-        if self.config.parallel {
-            return FrozenGraph::par_freeze(g);
-        }
-        FrozenGraph::freeze(g)
+    /// The matcher every scan and re-match of a run goes through: this
+    /// engine's configuration, the run's planner, the attached budget.
+    fn matcher<'a>(&self, g: &'a Graph, planner: &'a Planner) -> Matcher<'a> {
+        Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget)
     }
 
     fn count_violations_with(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> usize {
-        if self.config.freeze_scans {
-            let frozen = self.freeze_for_scan(g);
-            self.count_with(
-                &Matcher::with_planner(&frozen, self.config.match_config, planner)
-                    .with_budget(&self.budget),
-                rules,
-            )
-        } else {
-            self.count_with(
-                &Matcher::with_planner(g, self.config.match_config, planner)
-                    .with_budget(&self.budget),
-                rules,
-            )
-        }
-    }
-
-    fn count_with<G: GraphView + Sync>(&self, matcher: &Matcher<'_, G>, rules: &[Grr]) -> usize {
+        let matcher = self.matcher(g, planner);
         if self.config.parallel {
             rules.par_iter().map(|r| matcher.count(&r.pattern)).sum()
         } else {
@@ -936,8 +890,8 @@ impl RepairEngine {
         self.full_scan_filtered(g, rules, None, planner)
     }
 
-    /// Every (rule index, match) whose match intersects `touched`, on
-    /// the live graph — a delta seed's discovery and its fixpoint check.
+    /// Every (rule index, match) whose match intersects `touched` — a
+    /// delta seed's discovery and its fixpoint check.
     fn matches_touching<'a>(
         &self,
         g: &'a Graph,
@@ -945,8 +899,7 @@ impl RepairEngine {
         planner: &'a Planner,
         touched: &'a TouchSet,
     ) -> impl Iterator<Item = (usize, Match)> + 'a {
-        let matcher =
-            Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
+        let matcher = self.matcher(g, planner);
         rules.iter().enumerate().flat_map(move |(ri, rule)| {
             let found = matcher.find_touching(&rule.pattern, touched);
             found.into_iter().map(move |m| (ri, m))
@@ -956,10 +909,6 @@ impl RepairEngine {
     /// Full scan restricted to the rules marked in `dirty` (`None` = all
     /// rules) — the naive engine's label-keyed worklist skips rules whose
     /// match sets provably cannot have changed since their last scan.
-    ///
-    /// With [`EngineConfig::freeze_scans`] the matching itself runs over a
-    /// freshly frozen CSR snapshot; cost estimation always reads the live
-    /// graph (identical data — the snapshot is taken at the same version).
     fn full_scan_filtered(
         &self,
         g: &Graph,
@@ -972,16 +921,7 @@ impl RepairEngine {
             Some(d) => (0..rules.len()).filter(|&i| d[i]).collect(),
         };
         let subset: Vec<&Grr> = selected.iter().map(|&i| &rules[i]).collect();
-        let per_rule: Vec<Vec<Match>> = if self.config.freeze_scans {
-            let frozen = self.freeze_for_scan(g);
-            let matcher = Matcher::with_planner(&frozen, self.config.match_config, planner)
-                .with_budget(&self.budget);
-            self.scan_matches(&matcher, &subset)
-        } else {
-            let matcher = Matcher::with_planner(g, self.config.match_config, planner)
-                .with_budget(&self.budget);
-            self.scan_matches(&matcher, &subset)
-        };
+        let per_rule = self.scan_matches(&self.matcher(g, planner), &subset);
         let mut out = Vec::new();
         for (k, ms) in per_rule.into_iter().enumerate() {
             let ri = selected[k];
@@ -992,11 +932,34 @@ impl RepairEngine {
         out
     }
 
+    /// The round loop of the two round-based schedules: scan the dirty
+    /// rules, apply the round's violations cheapest-first, work out which
+    /// rules the round's operations dirtied, repeat until none are.
+    ///
+    /// `stratum = None` is [`EngineMode::Naive`] over the whole rule set:
+    /// at most [`EngineConfig::max_rounds`] rounds, under the churn guard.
+    ///
+    /// `stratum = Some(rules)` drives one stratum of an acyclic schedule
+    /// to fixpoint ([`crate::analysis::stratify`]'s topological leveling:
+    /// no rule can enable a rule in its own or an earlier stratum, so the
+    /// caller runs the strata once each, in order, and never revisits
+    /// one). Only the stratum's rules are ever scanned, and neither the
+    /// round cap nor the churn guard applies — acyclicity *proves* that
+    /// every chain of enablements is finite, so the only repeat work is a
+    /// rule re-fixing partially repaired matches of its own pattern (e.g.
+    /// several parallel duplicate edges), which strictly shrinks the
+    /// match set. `max_repairs` stays as a backstop.
+    ///
+    /// Returns with [`RepairReport::outcome`] still
+    /// [`RepairOutcome::Completed`] exactly when the scope reached its
+    /// fixpoint (or only noop repairs remained).
     #[allow(clippy::too_many_arguments)]
-    fn run_naive(
+    fn run_rounds(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        stratum: Option<&[usize]>,
+        triggers: &TriggerIndex,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
@@ -1014,13 +977,19 @@ impl RepairEngine {
         // set is provably unchanged: its round-k matches were all
         // attempted and eliminated, and nothing could have created new
         // ones.
-        let triggers = TriggerIndex::new(rules);
         let mut enabled = Vec::new();
-        let mut dirty = vec![true; rules.len()];
-        for _round in 0..self.config.max_rounds {
+        let mut dirty = vec![stratum.is_none(); rules.len()];
+        for &ri in stratum.unwrap_or_default() {
+            dirty[ri] = true;
+        }
+        let max_rounds = match stratum {
+            None => self.config.max_rounds,
+            Some(_) => usize::MAX,
+        };
+        for _round in 0..max_rounds {
             // Guardrail boundary: cancels/deadlines/caps are observed
-            // *between* rounds, so a trip always leaves the graph at a
-            // completed-round prefix.
+            // *between* rounds (and so between strata), so a trip always
+            // leaves the graph at a completed-round prefix.
             if let Some(trip) = self.budget.checkpoint() {
                 report.outcome = trip.into();
                 return;
@@ -1053,7 +1022,8 @@ impl RepairEngine {
             for v in &violations {
                 report.per_rule[v.rule].matches_found += 1;
             }
-            // Cheapest-first within the round (best-repair arbitration).
+            // Cheapest-first within the round (best-repair arbitration,
+            // identical to the worklist engine).
             violations.sort_by(|a, b| a.cmp_key().cmp(&b.cmp_key()));
             let round_ops_start = report.ops.len();
             let mut next_dirty = vec![false; rules.len()];
@@ -1069,7 +1039,7 @@ impl RepairEngine {
                 if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                     continue;
                 }
-                if !self.admit(&mut churn, &v) {
+                if stratum.is_none() && !self.admit(&mut churn, &v) {
                     continue;
                 }
                 if self.apply_one(g, rules, &v, report, sink, tel) {
@@ -1086,11 +1056,18 @@ impl RepairEngine {
             self.budget
                 .charge_ops((report.ops.len() - round_ops_start) as u64);
             if !applied_any {
+                // Only noop repairs remain (ineffective rules): no
+                // further progress is possible.
                 return;
             }
+            // Within a stratum no rule can label-enable another (that
+            // edge would have forced a later stratum), but the check
+            // keeps the scheduler honest if the approximation drifts.
             triggers.enabled_by(&report.ops[round_ops_start..], &mut enabled);
             for &ri in &enabled {
-                next_dirty[ri] = true;
+                if stratum.is_none_or(|s| s.contains(&ri)) {
+                    next_dirty[ri] = true;
+                }
             }
             dirty = next_dirty;
             if !dirty.iter().any(|&d| d) {
@@ -1098,111 +1075,6 @@ impl RepairEngine {
             }
         }
         report.outcome = RepairOutcome::RoundLimit;
-    }
-
-    /// Stratified scheduling over an acyclic trigger graph. `strata` is a
-    /// topological leveling from [`crate::analysis::stratify`]: no rule
-    /// can enable a rule in its own or an earlier stratum, so each
-    /// stratum is driven to fixpoint once, in order, and never revisited.
-    /// The churn guard is intentionally absent — acyclicity *proves* that
-    /// every chain of enablements is finite, so the only repeat work is a
-    /// rule re-fixing partially repaired matches of its own pattern
-    /// (e.g. several parallel duplicate edges), which strictly shrinks
-    /// the match set. `max_repairs` stays as a backstop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        strata: &[Vec<usize>],
-        report: &mut RepairReport,
-        max_repairs: usize,
-        sink: &mut dyn RepairSink,
-        planner: &Planner,
-        tel: &EngineTelemetry,
-    ) {
-        let triggers = TriggerIndex::new(rules);
-        let mut enabled = Vec::new();
-        for stratum in strata {
-            let mut dirty = vec![false; rules.len()];
-            for &ri in stratum {
-                dirty[ri] = true;
-            }
-            loop {
-                // Guardrail boundary — covers both the round edge and the
-                // stratum edge (the first iteration per stratum).
-                if let Some(trip) = self.budget.checkpoint() {
-                    report.outcome = trip.into();
-                    return;
-                }
-                let _round_span = obs::span("engine.round", "engine");
-                if self.wants_stats() {
-                    planner.refresh_if_drifted(g);
-                }
-                for (ri, d) in dirty.iter().enumerate() {
-                    if *d {
-                        tel.rule_scans[ri].inc();
-                    }
-                }
-                let mut violations = self.full_scan_filtered(g, rules, Some(&dirty), planner);
-                if self.budget.is_tripped() {
-                    // Mid-scan trip: abandon the partial round entirely.
-                    report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
-                    return;
-                }
-                report.rounds += 1;
-                tel.rounds.inc();
-                if violations.is_empty() {
-                    break;
-                }
-                for v in &violations {
-                    report.per_rule[v.rule].matches_found += 1;
-                }
-                // Cheapest-first within the pass (best-repair arbitration,
-                // identical to the worklist engines).
-                violations.sort_by(|a, b| a.cmp_key().cmp(&b.cmp_key()));
-                let pass_ops_start = report.ops.len();
-                let mut next_dirty = vec![false; rules.len()];
-                let mut applied_any = false;
-                for mut v in violations {
-                    if report.repairs_applied >= max_repairs {
-                        report.outcome = RepairOutcome::RoundLimit;
-                        if report.ops.len() > pass_ops_start {
-                            sink.round_committed();
-                        }
-                        return;
-                    }
-                    if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                        continue;
-                    }
-                    if self.apply_one(g, rules, &v, report, sink, tel) {
-                        applied_any = true;
-                    }
-                    if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                        next_dirty[v.rule] = true;
-                    }
-                }
-                sink.round_committed();
-                self.budget
-                    .charge_ops((report.ops.len() - pass_ops_start) as u64);
-                if !applied_any {
-                    // Only noop repairs remain (ineffective rules): the
-                    // stratum cannot make further progress.
-                    break;
-                }
-                // Within a stratum no rule can label-enable another (that
-                // edge would have forced a later stratum), but the check
-                // keeps the scheduler honest if the approximation drifts.
-                triggers.enabled_by(&report.ops[pass_ops_start..], &mut enabled);
-                for &ri in enabled.iter().filter(|ri| stratum.contains(ri)) {
-                    next_dirty[ri] = true;
-                }
-                dirty = next_dirty;
-                if !dirty.iter().any(|&d| d) {
-                    break;
-                }
-            }
-        }
     }
 
     /// The worklist loop. `delta` is the run's seed: `None` scans the
@@ -1223,6 +1095,7 @@ impl RepairEngine {
         g: &mut Graph,
         rules: &[Grr],
         mut delta: Option<&mut TouchSet>,
+        triggers: &TriggerIndex,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
@@ -1232,12 +1105,10 @@ impl RepairEngine {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
         report.rounds = 1;
         tel.rounds.inc();
-        // Trigger filter: after a repair, only rules whose label-level
-        // preconditions the applied operations could have *enabled* are
+        // After a repair only the rules its operations can enable are
         // re-matched — one index lookup per operation, so the
         // rule-dependency pruning keeps per-repair work independent of
         // |Σ|.
-        let triggers = TriggerIndex::new(rules);
         let mut enabled = Vec::new();
         let seed: Vec<Violation> = {
             let _seed_span = obs::span("engine.round", "engine");
@@ -1306,8 +1177,7 @@ impl RepairEngine {
             // not once per repair.
             triggers.enabled_by(&report.ops[last_ops_start..], &mut enabled);
             tel.rematch_rules.record(enabled.len() as u64);
-            let matcher =
-                Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget);
+            let matcher = self.matcher(g, planner);
             for &ri in &enabled {
                 for m in matcher.find_touching(&rules[ri].pattern, &touched) {
                     report.per_rule[ri].matches_found += 1;
@@ -2553,38 +2423,6 @@ mod tests {
             wildcard_classes, [true; 3],
             "the hand-written set lost a wildcard"
         );
-    }
-
-    #[test]
-    fn frozen_scans_reach_identical_fixpoints() {
-        let rules = rules();
-        for base_cfg in [
-            EngineConfig::default(),
-            EngineConfig::naive_with_indexes(),
-        ] {
-            let mut live_cfg = base_cfg.clone();
-            live_cfg.freeze_scans = false;
-            let mut frozen_cfg = base_cfg;
-            frozen_cfg.freeze_scans = true;
-
-            let mut g1 = dirty_graph();
-            let r1 = RepairEngine::new(live_cfg).repair(&mut g1, &rules);
-            let mut g2 = dirty_graph();
-            let r2 = RepairEngine::new(frozen_cfg).repair(&mut g2, &rules);
-            assert!(r1.converged && r2.converged);
-            assert_eq!(r1.repairs_applied, r2.repairs_applied);
-            assert_eq!(r1.rounds, r2.rounds);
-            assert_eq!(g1.num_nodes(), g2.num_nodes());
-            assert_eq!(g1.num_edges(), g2.num_edges());
-            assert_eq!(g1.to_doc(), g2.to_doc(), "fixpoints must be identical");
-        }
-    }
-
-    #[test]
-    fn naive_with_indexes_freezes_by_default() {
-        assert!(EngineConfig::naive_with_indexes().freeze_scans);
-        assert!(!EngineConfig::default().freeze_scans);
-        assert!(!EngineConfig::naive().freeze_scans);
     }
 
     #[test]

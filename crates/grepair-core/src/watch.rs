@@ -5,14 +5,11 @@
 //! set and maintains the live violation list incrementally: after each
 //! batch of external edits, pass the touched nodes to
 //! [`Watcher::update`] and only the affected neighborhood is re-matched
-//! (the same delta discipline as the incremental engine). Optionally,
-//! [`Watcher::repair_all`] repairs the outstanding violations and
-//! follows their cascades the same way.
+//! (the same delta discipline as the incremental engine).
 
-use crate::apply::{apply_rule, revalidate};
-use crate::cost::estimate_cost;
+use crate::apply::revalidate;
 use crate::rule::Grr;
-use grepair_graph::{EditCosts, Graph, NodeId};
+use grepair_graph::{Graph, NodeId};
 use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
 use rustc_hash::FxHashMap;
 
@@ -31,9 +28,9 @@ pub struct LiveViolation {
 /// are responsible for reporting every touched node. Stale entries are
 /// pruned lazily via revalidation.
 ///
-/// The watcher *does* own a long-lived [`Planner`]: every update and
-/// repair pass matches through one warm plan cache, so the steady-state
-/// cost of watching is delta re-matching alone — no per-call pattern
+/// The watcher *does* own a long-lived [`Planner`]: every update matches
+/// through one warm plan cache, so the steady-state cost of watching is
+/// delta re-matching alone — no per-call pattern
 /// compilation, no statistics recompute (statistics refresh through the
 /// drift gate, adopting the graph's maintained snapshot when
 /// [`Graph::maintain_stats`] is on).
@@ -41,8 +38,7 @@ pub struct Watcher {
     rules: Vec<Grr>,
     /// Key: (rule, nodes) → violation. Deduplicates across updates.
     live: FxHashMap<(usize, Vec<NodeId>), LiveViolation>,
-    costs: EditCosts,
-    /// Warm planning state carried across every update/repair call.
+    /// Warm planning state carried across every update call.
     planner: Planner,
 }
 
@@ -52,7 +48,6 @@ impl Watcher {
         let mut w = Watcher {
             rules,
             live: FxHashMap::default(),
-            costs: EditCosts::default(),
             planner: Planner::new(),
         };
         w.planner.refresh_stats(g);
@@ -114,54 +109,6 @@ impl Watcher {
             }
         }
         added
-    }
-
-    /// Repair all currently outstanding violations (cheapest first),
-    /// updating the live set with any cascade. Returns the number of
-    /// repairs applied.
-    pub fn repair_all(&mut self, g: &mut Graph) -> usize {
-        let mut applied_total = 0usize;
-        // Bounded loop mirroring the engine's churn discipline.
-        for _ in 0..64 {
-            self.planner.refresh_if_drifted(g);
-            self.prune(g);
-            if self.live.is_empty() {
-                break;
-            }
-            // Priced once each: an estimate reads the graph.
-            let mut pending: Vec<(f64, LiveViolation)> = self
-                .live
-                .values()
-                .map(|v| {
-                    let cost = estimate_cost(g, &self.rules[v.rule], &v.m, &self.costs);
-                    (cost, v.clone())
-                })
-                .collect();
-            pending.sort_by(|(ca, a), (cb, b)| {
-                ca.total_cmp(cb)
-                    .then_with(|| (a.rule, &a.m.nodes).cmp(&(b.rule, &b.m.nodes)))
-            });
-            let mut applied_round = 0usize;
-            for (_, mut v) in pending {
-                if !revalidate(g, &self.rules[v.rule].pattern, &mut v.m) {
-                    self.live.remove(&(v.rule, v.m.nodes.clone()));
-                    continue;
-                }
-                let applied = apply_rule(g, &self.rules[v.rule], &v.m, &self.costs)
-                    .expect("validated rules cannot fail");
-                self.live.remove(&(v.rule, v.m.nodes.clone()));
-                if applied.is_noop() {
-                    continue;
-                }
-                applied_round += 1;
-                self.update(g, &applied.touched);
-            }
-            applied_total += applied_round;
-            if applied_round == 0 {
-                break;
-            }
-        }
-        applied_total
     }
 }
 
@@ -234,24 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_all_fixes_and_cascades() {
-        let (mut g, mut w) = setup();
-        let p2 = g.add_node_named("Person");
-        let city = g
-            .nodes()
-            .find(|&n| g.label_name(g.node_label(n).unwrap()) == "City")
-            .unwrap();
-        g.add_edge_named(p2, city, "livesIn").unwrap();
-        g.add_edge_named(p2, p2, "knows").unwrap();
-        w.update(&g, &[p2, city].into_iter().collect());
-
-        let applied = w.repair_all(&mut g);
-        assert_eq!(applied, 2, "citizenship insert + self-knows delete");
-        assert_eq!(w.violation_count(&g), 0);
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
     fn watcher_planner_stays_warm_across_updates() {
         // Big enough that a handful of edits stays inside the planner's
         // drift tolerance — the cache must survive the whole session.
@@ -293,9 +222,7 @@ mod tests {
             "updates must not recompile cached per-anchor plans"
         );
         assert!(w.planner().cache_hit_count() > 0);
-        assert_eq!(w.repair_all(&mut g), 4);
-        assert_eq!(w.violation_count(&g), 0);
-        g.check_invariants().unwrap();
+        assert_eq!(w.violation_count(&g), 4);
     }
 
     #[test]

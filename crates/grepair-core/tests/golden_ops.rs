@@ -1,17 +1,22 @@
-//! Golden op sequence of the worklist engine.
+//! Golden op sequences of the three engine schedules.
 //!
-//! The arbitration queue and the trigger filter decide *which* repair
-//! lands next and *which* matches are re-discovered, so any change to
-//! either that is not order-preserving moves this hash: it covers every
-//! applied operation (ids included), in order, and each rule's
-//! `matches_found`. The pinned value was computed with one
+//! The arbitration queue, the round loop and the trigger filter decide
+//! *which* repair lands next and *which* matches are re-discovered, so any
+//! change to one of them that is not order-preserving moves these hashes:
+//! each covers every applied operation (ids included), in order, and each
+//! rule's `matches_found`. The worklist value was computed with one
 //! `BinaryHeap<Violation>` as the queue and a linear walk over Σ as the
-//! filter; a faster queue or filter must reproduce it bit for bit.
+//! filter; the stratified and naive values with one hand-written round
+//! loop per schedule. A faster queue or filter, or a shared round loop,
+//! must reproduce them bit for bit.
 
-use grepair_core::{Grr, RepairEngine, RepairOutcome};
+use grepair_core::{
+    parse_rules, EngineConfig, EngineMode, Grr, RepairEngine, RepairOutcome, RepairReport,
+};
 use grepair_gen::{
     generate_kg, gold_kg_rules, inject_kg_noise, synthetic_rules, KgConfig, NoiseConfig,
 };
+use grepair_graph::{Graph, Value};
 
 /// FNV-1a — stable across toolchains, unlike `DefaultHasher`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -20,8 +25,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn worklist_op_sequence_is_pinned() {
+/// `(ops applied, fnv1a(ops | per-rule matches_found))` of a finished run.
+fn digest(report: &RepairReport) -> (usize, u64) {
+    assert_eq!(report.outcome, RepairOutcome::Completed);
+    assert!(report.converged);
+    let found: Vec<usize> = report.per_rule.iter().map(|s| s.matches_found).collect();
+    let hash = fnv1a(format!("{:?}|{:?}", report.ops, found).as_bytes());
+    (report.ops.len(), hash)
+}
+
+/// A seeded noisy 2 000-person KG and a cyclic 26-rule set over it.
+fn seeded_kg() -> (Graph, Vec<Grr>) {
     let seed = 20_180_416;
     let (mut g, refs) = generate_kg(&KgConfig {
         seed,
@@ -37,17 +51,53 @@ fn worklist_op_sequence_is_pinned() {
     );
     let mut rules: Vec<Grr> = gold_kg_rules().rules;
     rules.extend(synthetic_rules(16).rules);
+    (g, rules)
+}
 
+#[test]
+fn worklist_op_sequence_is_pinned() {
+    let (mut g, rules) = seeded_kg();
     let report = RepairEngine::default().repair(&mut g, &rules);
     assert_eq!(report.strata, 0, "the set is cyclic: the worklist must run");
-    assert_eq!(report.outcome, RepairOutcome::Completed);
-    assert!(report.converged);
+    assert_eq!(digest(&report), (3240, 16_561_389_111_087_361_895));
+}
 
-    let found: Vec<usize> = report.per_rule.iter().map(|s| s.matches_found).collect();
-    let digest = fnv1a(format!("{:?}|{:?}", report.ops, found).as_bytes());
-    assert_eq!(
-        (report.ops.len(), digest),
-        (3240, 16_561_389_111_087_361_895),
-        "applied ops or per-rule matches_found moved (matches_found = {found:?})"
-    );
+#[test]
+fn naive_round_op_sequence_is_pinned() {
+    let (mut g, rules) = seeded_kg();
+    let config = EngineConfig {
+        mode: EngineMode::Naive,
+        stratify: true,
+        ..EngineConfig::default()
+    };
+    let report = RepairEngine::new(config).repair(&mut g, &rules);
+    assert_eq!(report.strata, 0, "the set is cyclic: naive rounds must run");
+    assert!(report.rounds > 1);
+    assert_eq!(digest(&report), (3240, 17_148_470_973_941_850_180));
+}
+
+#[test]
+fn stratified_op_sequence_is_pinned() {
+    // An 8-stage attribute cascade: stage i sets a{i+1} wherever a{i} is
+    // present and a{i+1} missing, so the trigger graph is a chain.
+    let src: String = (0..8)
+        .map(|i| {
+            format!(
+                "rule stage{i} [incompleteness]
+                 match (x:T) where has(x.a{i}), missing(x.a{next})
+                 repair set x.a{next} = true\n",
+                next = i + 1
+            )
+        })
+        .collect();
+    let rules = parse_rules(&src).unwrap();
+    let mut g = Graph::new();
+    let a0 = g.attr_key("a0");
+    for _ in 0..3_000 {
+        let node = g.add_node_named("T");
+        g.set_attr(node, a0, Value::Bool(true)).unwrap();
+    }
+    let report = RepairEngine::default().repair(&mut g, &rules);
+    assert!(report.strata > 0, "the set is acyclic: strata must run");
+    assert_eq!(digest(&report), (24_000, 14_056_968_947_073_612_927));
 }

@@ -2,8 +2,7 @@
 //!
 //! On generated knowledge-graph scenarios with injected noise and
 //! (already dirty) social scenarios, every engine configuration — Naive,
-//! NaiveWithIndexes (frozen scans), Incremental, frozen Incremental, and
-//! the parallel sweep — must:
+//! NaiveWithIndexes, Incremental, and the parallel sweep — must:
 //!
 //! - converge, and agree on the residual violation count as measured by
 //!   one canonical counter;
@@ -26,19 +25,9 @@ use proptest::prelude::*;
 
 /// Every engine configuration under differential test, labelled.
 fn engine_matrix() -> Vec<(&'static str, EngineConfig)> {
-    let nwi_live = EngineConfig {
-        freeze_scans: false,
-        ..EngineConfig::naive_with_indexes()
-    };
-    let inc_frozen = EngineConfig {
-        freeze_scans: true,
-        ..EngineConfig::default()
-    };
     vec![
         ("incremental", EngineConfig::default()),
-        ("incremental-frozen", inc_frozen),
-        ("naive-indexed-frozen", EngineConfig::naive_with_indexes()),
-        ("naive-indexed-live", nwi_live),
+        ("naive-indexed", EngineConfig::naive_with_indexes()),
         ("naive-full", EngineConfig::naive()),
         (
             "parallel-sweep",

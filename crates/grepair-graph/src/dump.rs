@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// caller holding element ids — same live elements, same labels and
 /// attributes (by name), same tombstones, and the same future slot-reuse
 /// order. The mutation version counter is carried so staleness tracking
-/// (e.g. [`crate::FrozenGraph`]) survives a restore.
+/// (e.g. a planner's statistics snapshot) survives a restore.
 ///
 /// [`Graph`]: crate::Graph
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]

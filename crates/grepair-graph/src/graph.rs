@@ -846,9 +846,7 @@ impl Graph {
     /// Minimal live edge id `src --label--> dst`, if any.
     ///
     /// Among parallel duplicates the *lowest* edge id wins, independent of
-    /// adjacency-list order — the witness convention shared with
-    /// [`crate::FrozenGraph`] so matching over a snapshot is byte-identical
-    /// to matching over the live graph.
+    /// adjacency-list order — the matcher's witness convention.
     pub fn find_edge(&self, src: NodeId, dst: NodeId, label: LabelId) -> Option<EdgeId> {
         let n = self.live_node(src).ok()?;
         n.out

@@ -40,8 +40,6 @@
 //! - [`io`] — portable JSON / plain-text documents.
 //! - [`dump`] — exact slot-level dumps (tombstones and free lists
 //!   included), the document form behind durable-store snapshots.
-//! - [`snapshot`] — frozen, compacted CSR snapshots for scan-heavy
-//!   matching phases.
 //! - [`stats`] — dataset statistics (T1 table).
 
 #![forbid(unsafe_code)]
@@ -56,7 +54,6 @@ pub mod graph;
 pub mod ids;
 pub mod interner;
 pub mod io;
-pub mod snapshot;
 pub mod stats;
 mod value;
 
@@ -67,6 +64,5 @@ pub use graph::{sig_bit, EdgeRef, Graph, MergeOutcome};
 pub use ids::{AttrKeyId, Direction, EdgeId, LabelId, NodeId};
 pub use interner::Interner;
 pub use io::{EdgeDoc, GraphDoc, NodeDoc};
-pub use snapshot::{CsrEntry, FrozenGraph};
 pub use stats::{CardinalityStats, GraphStats};
 pub use value::Value;

@@ -4,13 +4,13 @@
 //! of a fixture graph. The tests assert byte-exact stability of the
 //! serializers (`parse(golden) → graph → serialize == golden`) and deep
 //! equality of the document model through every round trip — including
-//! fixtures whose build history leaves free-list tombstones, which both
-//! the doc exporter and the CSR snapshot builder must compact.
+//! fixtures whose build history leaves free-list tombstones, which the
+//! doc exporter must compact.
 //!
 //! Regenerate after an intentional format change with
 //! `GOLDEN_REGEN=1 cargo test -p grepair-graph --test golden_io`.
 
-use grepair_graph::{FrozenGraph, Graph, GraphDoc, Value};
+use grepair_graph::{Graph, GraphDoc, Value};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -134,27 +134,4 @@ fn tombstoned_graph_round_trips_compactly() {
     let text = doc.to_text();
     assert_golden("kg_tombstoned.txt", &text);
     assert_eq!(GraphDoc::from_text(&text).unwrap(), doc);
-}
-
-#[test]
-fn csr_builder_compacts_tombstoned_fixture() {
-    let g = tombstoned_fixture();
-    let frozen = FrozenGraph::freeze(&g);
-    frozen.check_against(&g).unwrap();
-    assert_eq!(frozen.num_nodes(), g.num_nodes());
-    assert_eq!(frozen.num_edges(), g.num_edges());
-
-    // A graph rebuilt from the portable doc freezes to the same shape:
-    // same per-label node counts, same per-label edge counts.
-    let rebuilt = Graph::from_doc(&g.to_doc()).unwrap();
-    let frozen2 = FrozenGraph::freeze(&rebuilt);
-    frozen2.check_against(&rebuilt).unwrap();
-    for (id, name) in g.labels().iter() {
-        let l = grepair_graph::LabelId(id);
-        let l2 = rebuilt.try_label(name);
-        let count2 = l2.map(|l2| frozen2.count_nodes_with_label(l2)).unwrap_or(0);
-        assert_eq!(frozen.count_nodes_with_label(l), count2, "label {name}");
-        let ecount2 = l2.map(|l2| frozen2.count_edges_with_label(l2)).unwrap_or(0);
-        assert_eq!(frozen.count_edges_with_label(l), ecount2, "label {name}");
-    }
 }

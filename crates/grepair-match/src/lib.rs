@@ -44,7 +44,6 @@ pub mod oracle;
 pub mod pattern;
 pub mod plan;
 pub mod sat;
-pub mod view;
 
 pub use matcher::{
     ExplainStep, Match, MatchConfig, Matcher, PlanAccess, PlanExplanation, PlanStep, TouchSet,
@@ -52,4 +51,3 @@ pub use matcher::{
 pub use pattern::{CmpOp, Constraint, Pattern, PatternBuilder, PatternEdge, PatternNode, Rhs, Var};
 pub use plan::{Planner, StatsSource};
 pub use sat::unsatisfiable;
-pub use view::GraphView;

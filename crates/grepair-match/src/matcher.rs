@@ -23,7 +23,6 @@
 
 use crate::pattern::{CmpOp, Constraint, Pattern, Rhs, Var};
 use crate::plan::Planner;
-use crate::view::GraphView;
 use grepair_obs as obs;
 use grepair_graph::{
     sig_bit, AttrKeyId, CardinalityStats, Direction, EdgeId, Graph, LabelId, NodeId, Value,
@@ -319,12 +318,9 @@ struct ReplanInfo {
     gen: Vec<u64>,
 }
 
-/// Pattern matcher over a single [`GraphView`] — the live [`Graph`] by
-/// default, or a [`grepair_graph::FrozenGraph`] CSR snapshot for
-/// scan-heavy phases. Both views yield byte-identical match output (see
-/// [`crate::view`]).
-pub struct Matcher<'g, G: GraphView + ?Sized = Graph> {
-    g: &'g G,
+/// Pattern matcher over a single [`Graph`].
+pub struct Matcher<'g> {
+    g: &'g Graph,
     cfg: MatchConfig,
     planner: Option<&'g Planner>,
     budget: Option<obs::Budget>,
@@ -344,9 +340,9 @@ const BUDGET_POLL_PERIOD: u32 = 64;
 /// therefore enforced with a granularity of roughly this many rows.
 const FRONTIER_FLUSH_ROWS: u64 = 1024;
 
-impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
+impl<'g> Matcher<'g> {
     /// Matcher with default (fully optimized) configuration.
-    pub fn new(g: &'g G) -> Self {
+    pub fn new(g: &'g Graph) -> Self {
         Self {
             g,
             cfg: MatchConfig::default(),
@@ -356,7 +352,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
     }
 
     /// Matcher with explicit configuration.
-    pub fn with_config(g: &'g G, cfg: MatchConfig) -> Self {
+    pub fn with_config(g: &'g Graph, cfg: MatchConfig) -> Self {
         Self {
             g,
             cfg,
@@ -372,9 +368,9 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
     /// plan order and cost change.
     ///
     /// The planner must be dedicated to this graph's lineage (the graph
-    /// across mutations, plus snapshots frozen from it) — never shared
-    /// between unrelated graphs; see [`crate::plan`].
-    pub fn with_planner(g: &'g G, cfg: MatchConfig, planner: &'g Planner) -> Self {
+    /// across mutations) — never shared between unrelated graphs; see
+    /// [`crate::plan`].
+    pub fn with_planner(g: &'g Graph, cfg: MatchConfig, planner: &'g Planner) -> Self {
         Self {
             g,
             cfg,
@@ -417,8 +413,8 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
         }
     }
 
-    /// The underlying graph view.
-    pub fn graph(&self) -> &'g G {
+    /// The underlying graph.
+    pub fn graph(&self) -> &'g Graph {
         self.g
     }
 
@@ -481,10 +477,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
     /// balance across workers. Returns exactly [`Matcher::find_all`]'s
     /// match set in the same order.
     #[cfg(feature = "parallel")]
-    pub fn par_find_all(&self, pattern: &Pattern) -> Vec<Match>
-    where
-        G: Sync,
-    {
+    pub fn par_find_all(&self, pattern: &Pattern) -> Vec<Match> {
         self.par_find_all_many(&[pattern])
             .pop()
             .unwrap_or_default()
@@ -510,10 +503,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
     /// per-pattern sequential DFS emission order — element `i` equals
     /// `self.find_all(patterns[i])`, byte for byte.
     #[cfg(feature = "parallel")]
-    pub fn par_find_all_many(&self, patterns: &[&Pattern]) -> Vec<Vec<Match>>
-    where
-        G: Sync,
-    {
+    pub fn par_find_all_many(&self, patterns: &[&Pattern]) -> Vec<Vec<Match>> {
         use rayon::prelude::*;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
@@ -736,8 +726,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
     }
 
     /// Build the one-shot replacement plan after an adaptive abort:
-    /// patch the planner's statistics to the graph's current truth (for
-    /// live views — snapshots keep their stale estimates; other
+    /// patch the planner's statistics to the graph's current truth (other
     /// patterns' cached plans are deliberately left warm, see
     /// [`Planner::patch_stats`]), fold the observed frontier multiplier
     /// of the blown step in as a floor, recompile with adaptation
@@ -753,10 +742,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
         touched: &TouchSet,
     ) -> Option<Arc<Compiled>> {
         let planner = self.planner?;
-        let patched = match self.g.live_graph() {
-            Some(live) => planner.patch_stats(live),
-            None => false,
-        };
+        let patched = planner.patch_stats(self.g);
         let mut overrides = FxHashMap::default();
         if info.depth > 0 {
             // Estimated rows entering the blown step vs. candidates it
@@ -1561,7 +1547,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
                     LabelReq::Is(l) => Some(l),
                     _ => None,
                 };
-                let mut cands = g.neighbors(anchor_node, dir, want);
+                let mut cands = neighbors(g, anchor_node, dir, want);
                 cands.sort_unstable();
                 cands.dedup();
                 if best.as_ref().map(|b| cands.len() < b.len()).unwrap_or(true) {
@@ -1617,7 +1603,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
                 c.sort_unstable();
                 c
             }
-            _ => g.node_ids(),
+            _ => g.nodes().collect(),
         }
     }
 
@@ -1639,7 +1625,7 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
             return false;
         }
         if let LabelReq::Is(l) = comp.labels[v] {
-            if g.label_of(cand) != Some(l) {
+            if g.node_label(cand).ok() != Some(l) {
                 return false;
             }
         } else if !g.contains_node(cand) {
@@ -1662,8 +1648,8 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
             let s = if e.src == v { cand } else { st.assignment[e.src] };
             let d = if e.dst == v { cand } else { st.assignment[e.dst] };
             let found = match e.label {
-                LabelReq::Is(l) => g.find_edge(s, d, Some(l)),
-                LabelReq::Any => g.find_edge(s, d, None),
+                LabelReq::Is(l) => g.find_edge(s, d, l),
+                LabelReq::Any => g.find_edge_any(s, d),
                 LabelReq::Unsatisfiable => None,
             };
             match found {
@@ -1677,8 +1663,8 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
             let s = if e.src == v { cand } else { st.assignment[e.src] };
             let d = if e.dst == v { cand } else { st.assignment[e.dst] };
             let exists = match e.label {
-                LabelReq::Is(l) => g.has_edge(s, d, Some(l)),
-                LabelReq::Any => g.has_edge(s, d, None),
+                LabelReq::Is(l) => g.has_edge_labeled(s, d, l),
+                LabelReq::Any => g.edges_between(s, d).next().is_some(),
                 LabelReq::Unsatisfiable => false,
             };
             if exists {
@@ -1707,10 +1693,10 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
             CC::HasAttr(var, key) => attr_of(*var, *key).is_some(),
             CC::MissingAttr(var, key) => attr_of(*var, *key).is_none(),
             CC::NoOutEdge(var, label) => {
-                !g.has_adjacent_edge(node_of(*var), Direction::Out, *label)
+                !has_adjacent_edge(g, node_of(*var), Direction::Out, *label)
             }
             CC::NoInEdge(var, label) => {
-                !g.has_adjacent_edge(node_of(*var), Direction::In, *label)
+                !has_adjacent_edge(g, node_of(*var), Direction::In, *label)
             }
             CC::Cmp { var, key, op, rhs } => {
                 let Some(lhs) = attr_of(*var, *key) else {
@@ -1725,6 +1711,56 @@ impl<'g, G: GraphView + ?Sized> Matcher<'g, G> {
                 }
             }
         }
+    }
+}
+
+/// Neighbors of `id` over `dir`-oriented incident edges, optionally
+/// restricted to one edge label. May contain duplicates (parallel
+/// edges); unspecified order.
+fn neighbors(g: &Graph, id: NodeId, dir: Direction, label: Option<LabelId>) -> Vec<NodeId> {
+    // Hot path: one output allocation, no intermediate edge-id Vec.
+    fn gather(
+        g: &Graph,
+        edges: impl Iterator<Item = EdgeId>,
+        dir: Direction,
+        label: Option<LabelId>,
+    ) -> Vec<NodeId> {
+        edges
+            .filter_map(|e| {
+                let er = g.edge(e).ok()?;
+                if let Some(l) = label {
+                    if er.label != l {
+                        return None;
+                    }
+                }
+                Some(match dir {
+                    Direction::Out => er.dst,
+                    Direction::In => er.src,
+                })
+            })
+            .collect()
+    }
+    match dir {
+        Direction::Out => gather(g, g.out_edges(id), dir, label),
+        Direction::In => gather(g, g.in_edges(id), dir, label),
+    }
+}
+
+/// Whether `id` has any `dir`-oriented incident edge with the given
+/// label (`None` = any label at all).
+fn has_adjacent_edge(g: &Graph, id: NodeId, dir: Direction, label: Option<LabelId>) -> bool {
+    // Monomorphized per call site: `out_edges` and `in_edges` return
+    // distinct opaque iterator types, and this sits in the matcher's
+    // innermost constraint loop — no boxing.
+    fn check(g: &Graph, mut edges: impl Iterator<Item = EdgeId>, label: Option<LabelId>) -> bool {
+        match label {
+            None => edges.next().is_some(),
+            Some(l) => edges.any(|e| g.edge(e).map(|er| er.label == l).unwrap_or(false)),
+        }
+    }
+    match dir {
+        Direction::Out => check(g, g.out_edges(id), label),
+        Direction::In => check(g, g.in_edges(id), label),
     }
 }
 
@@ -2336,6 +2372,37 @@ mod tests {
         b.node("y", Some("Org"));
         let p = b.build().unwrap();
         assert_eq!(Matcher::new(&g).find_all(&p).len(), 2); // 2 cities × 1 org
+    }
+
+    #[test]
+    fn witness_is_minimal_edge_id_among_parallel_duplicates() {
+        let mut g = Graph::new();
+        let p = g.label("P");
+        let r = g.label("r");
+        let a = g.add_node(p);
+        let b_ = g.add_node(p);
+        let e1 = g.add_edge(a, b_, r).unwrap();
+        let e2 = g.add_edge(a, b_, r).unwrap();
+        // Re-adding after a delete reuses the lowest slot but appends to
+        // the adjacency list: the minimal id is no longer listed first.
+        g.remove_edge(e1).unwrap();
+        assert_eq!(g.add_edge(a, b_, r).unwrap(), e1);
+        assert!(e1 < e2);
+        assert_eq!(g.out_edges(a).next(), Some(e2));
+
+        for labelled in [true, false] {
+            let mut pb = Pattern::builder();
+            let x = pb.node("x", Some("P"));
+            let y = pb.node("y", Some("P"));
+            if labelled {
+                pb.edge(x, y, "r");
+            } else {
+                pb.edge_any(x, y);
+            }
+            let found = Matcher::new(&g).find_all(&pb.build().unwrap());
+            assert_eq!(found.len(), 1);
+            assert_eq!(found[0].edges, vec![e1]);
+        }
     }
 
     #[test]

@@ -24,16 +24,13 @@
 //! # One graph lineage per planner
 //!
 //! A planner must only ever serve matchers over **one graph's lineage**
-//! — the graph itself across mutations, and [`FrozenGraph`] snapshots
-//! taken from it. The cache-validity argument (append-only interners ⇒
-//! equal vocabulary sizes prove cached label resolutions still hold)
-//! only works within a lineage; two *unrelated* graphs can intern the
+//! — the graph itself across mutations. The cache-validity argument
+//! (append-only interners ⇒ equal vocabulary sizes prove cached label
+//! resolutions still hold) only works within a lineage; two *unrelated* graphs can intern the
 //! same names in different orders while agreeing on vocabulary sizes,
 //! and a plan cached against one would silently resolve the wrong
 //! `LabelId`s on the other. Use a fresh planner per graph — they are
 //! cheap to create (the engine builds one per repair run).
-//!
-//! [`FrozenGraph`]: grepair_graph::FrozenGraph
 //!
 //! ```
 //! use grepair_graph::Graph;
@@ -62,7 +59,6 @@
 
 use crate::matcher::{Compiled, Matcher, SearchState, TouchSet};
 use crate::pattern::Pattern;
-use crate::view::GraphView;
 use grepair_graph::{CardinalityStats, Graph};
 use grepair_obs as obs;
 use rustc_hash::FxHashMap;
@@ -267,32 +263,32 @@ impl Planner {
         true
     }
 
-    /// The cache key for `(pattern, anchor)` under `m`'s view and
+    /// The cache key for `(pattern, anchor)` under `m`'s graph and
     /// configuration — the one construction shared by lookup
     /// ([`Planner::compiled`]) and replacement ([`Planner::store_plan`]).
-    fn plan_key<G: GraphView + ?Sized>(
+    fn plan_key(
         &self,
-        m: &Matcher<'_, G>,
+        m: &Matcher<'_>,
         pattern: &Pattern,
         anchor: Option<usize>,
     ) -> PlanKey {
         PlanKey {
             fingerprint: pattern.fingerprint(),
             anchor: anchor.unwrap_or(usize::MAX),
-            labels: m.graph().num_labels(),
-            attr_keys: m.graph().num_attr_keys(),
+            labels: m.graph().labels().len(),
+            attr_keys: m.graph().attr_keys().len(),
             stats_epoch: self.stats.lock().unwrap().epoch,
             cfg: m.config_bits(),
         }
     }
 
-    /// Replace the cached plan for `(pattern, anchor)` under `m`'s view
+    /// Replace the cached plan for `(pattern, anchor)` under `m`'s graph
     /// and configuration — the adaptive re-plan installs its corrected
     /// plan here so subsequent calls use it directly instead of
     /// re-tripping the monitor on the old one.
-    pub(crate) fn store_plan<G: GraphView + ?Sized>(
+    pub(crate) fn store_plan(
         &self,
-        m: &Matcher<'_, G>,
+        m: &Matcher<'_>,
         pattern: &Pattern,
         anchor: Option<usize>,
         comp: Arc<Compiled>,
@@ -363,13 +359,13 @@ impl Planner {
         self.compiles.inc();
     }
 
-    /// Cached-or-fresh compile of `pattern` for `m`'s view and
+    /// Cached-or-fresh compile of `pattern` for `m`'s graph and
     /// configuration. `None` is cached too — a pattern unmatchable under
     /// the current vocabulary stays unmatchable until the vocabulary
     /// grows, which changes the key.
-    pub(crate) fn compiled<G: GraphView + ?Sized>(
+    pub(crate) fn compiled(
         &self,
-        m: &Matcher<'_, G>,
+        m: &Matcher<'_>,
         pattern: &Pattern,
         anchor: Option<usize>,
         touched: &TouchSet,

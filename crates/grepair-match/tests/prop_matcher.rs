@@ -1,7 +1,7 @@
 //! Property tests: the optimized matcher agrees with the brute-force
 //! oracle on random graphs and patterns, under every configuration.
 
-use grepair_graph::{FrozenGraph, Graph, NodeId, Value};
+use grepair_graph::{Graph, NodeId, Value};
 use grepair_match::{oracle, Match, MatchConfig, Matcher, Pattern, Planner, TouchSet};
 use proptest::prelude::*;
 
@@ -123,6 +123,19 @@ fn build_pattern(rp: &RandPattern) -> Pattern {
     b.build().unwrap()
 }
 
+/// Remove some nodes so the graph carries dead slots.
+fn punch_tombstones(g: &mut Graph, kill_mask: u8) {
+    let victims: Vec<NodeId> = g
+        .nodes()
+        .enumerate()
+        .filter(|(i, _)| kill_mask & (1 << (i % 8)) != 0 && i % 3 == 0)
+        .map(|(_, n)| n)
+        .collect();
+    for v in victims {
+        g.remove_node(v).unwrap();
+    }
+}
+
 fn node_sets(ms: &[Match]) -> Vec<Vec<NodeId>> {
     let mut v: Vec<Vec<NodeId>> = ms.iter().map(|m| m.nodes.clone()).collect();
     v.sort();
@@ -143,10 +156,16 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Every ablated configuration still finds the oracle's match set.
+    /// Every ablated configuration still finds the oracle's match set,
+    /// also on a graph with tombstoned slots.
     #[test]
-    fn all_configs_agree_with_oracle(rg in graph_strategy(), rp in pattern_strategy()) {
-        let g = build_graph(&rg);
+    fn all_configs_agree_with_oracle(
+        rg in graph_strategy(),
+        rp in pattern_strategy(),
+        kill_mask in any::<u8>(),
+    ) {
+        let mut g = build_graph(&rg);
+        punch_tombstones(&mut g, kill_mask);
         let p = build_pattern(&rp);
         let expected = node_sets(&oracle::brute_force_matches(&g, &p));
         let full = MatchConfig::default();
@@ -210,63 +229,9 @@ proptest! {
         prop_assert_eq!(node_sets(&par), expected);
     }
 
-    /// Matching over a frozen CSR snapshot returns exactly the live
-    /// matcher's match sequence — same assignments, same witness edges,
-    /// same order — under every configuration, and therefore also agrees
-    /// with the brute-force oracle. Exercises the tombstone-compaction
-    /// path by deleting some nodes before freezing.
-    #[test]
-    fn frozen_matcher_equals_live_matcher(
-        rg in graph_strategy(),
-        rp in pattern_strategy(),
-        kill_mask in any::<u8>(),
-    ) {
-        let mut g = build_graph(&rg);
-        // Punch tombstones so the snapshot must compact.
-        let victims: Vec<NodeId> = g
-            .nodes()
-            .enumerate()
-            .filter(|(i, _)| kill_mask & (1 << (i % 8)) != 0 && i % 3 == 0)
-            .map(|(_, n)| n)
-            .collect();
-        for v in victims {
-            g.remove_node(v).unwrap();
-        }
-        let p = build_pattern(&rp);
-        let frozen = FrozenGraph::freeze(&g);
-        frozen.check_against(&g).unwrap();
-
-        let full = MatchConfig::default();
-        for cfg in [
-            full,
-            MatchConfig::naive(),
-            MatchConfig { use_label_index: false, ..full },
-            MatchConfig { connected_order: false, ..full },
-        ] {
-            let live = Matcher::with_config(&g, cfg).find_all(&p);
-            let cold = Matcher::with_config(&frozen, cfg).find_all(&p);
-            prop_assert_eq!(&live, &cold, "config {:?}", cfg);
-        }
-        let expected = node_sets(&oracle::brute_force_matches(&g, &p));
-        prop_assert_eq!(node_sets(&Matcher::new(&frozen).find_all(&p)), expected);
-    }
-
-    /// The parallel batch path over a frozen snapshot also returns the
-    /// exact sequential match sequence.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn frozen_par_find_all_equals_live_sequential(rg in graph_strategy(), rp in pattern_strategy()) {
-        let g = build_graph(&rg);
-        let p = build_pattern(&rp);
-        let frozen = FrozenGraph::freeze(&g);
-        let live_seq = Matcher::new(&g).find_all(&p);
-        let frozen_par = Matcher::new(&frozen).par_find_all(&p);
-        prop_assert_eq!(&frozen_par, &live_seq);
-    }
-
     /// Morsel-driven parallel matching is byte-identical to the serial
-    /// matcher across thread counts {1, 2, 8}, on live, frozen, and
-    /// tombstoned graphs — both the single-pattern entry and the
+    /// matcher across thread counts {1, 2, 8}, also on tombstoned
+    /// graphs — both the single-pattern entry and the
     /// multi-pattern sweep (which schedules all patterns' morsels on
     /// one shared queue).
     #[cfg(feature = "parallel")]
@@ -278,39 +243,22 @@ proptest! {
         kill_mask in any::<u8>(),
     ) {
         let mut g = build_graph(&rg);
-        // Punch tombstones so the live graph has dead slots.
-        let victims: Vec<NodeId> = g
-            .nodes()
-            .enumerate()
-            .filter(|(i, _)| kill_mask & (1 << (i % 8)) != 0 && i % 3 == 0)
-            .map(|(_, n)| n)
-            .collect();
-        for v in victims {
-            g.remove_node(v).unwrap();
-        }
+        punch_tombstones(&mut g, kill_mask);
         let p = build_pattern(&rp);
         let p2 = build_pattern(&rp2);
         let m = Matcher::new(&g);
         let seq = m.find_all(&p);
         let seq2 = m.find_all(&p2);
-        let frozen = FrozenGraph::freeze(&g);
-        let fm = Matcher::new(&frozen);
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let (par, many, fpar) = pool.install(|| {
-                (
-                    m.par_find_all(&p),
-                    m.par_find_all_many(&[&p, &p2]),
-                    fm.par_find_all(&p),
-                )
-            });
-            prop_assert_eq!(&par, &seq, "live single-pattern, {} threads", threads);
+            let (par, many) =
+                pool.install(|| (m.par_find_all(&p), m.par_find_all_many(&[&p, &p2])));
+            prop_assert_eq!(&par, &seq, "single-pattern, {} threads", threads);
             prop_assert_eq!(&many[0], &seq, "sweep slot 0, {} threads", threads);
             prop_assert_eq!(&many[1], &seq2, "sweep slot 1, {} threads", threads);
-            prop_assert_eq!(&fpar, &seq, "frozen, {} threads", threads);
         }
     }
 
@@ -333,11 +281,6 @@ proptest! {
         prop_assert_eq!(cost.count(&p), first.len());
         prop_assert_eq!(cost.exists(&p), !first.is_empty());
         prop_assert_eq!(&cost.find_all(&p), &first, "cached plan must replay identically");
-
-        // Frozen view under the same planner: identical sequence too.
-        let frozen = FrozenGraph::freeze(&g);
-        let frozen_cost = Matcher::with_planner(&frozen, MatchConfig::default(), &planner);
-        prop_assert_eq!(&frozen_cost.find_all(&p), &first);
     }
 
     /// `find_touching` through the planner's per-anchor plan cache

@@ -739,18 +739,6 @@ impl<V: Vfs> DurableGraph<V> {
         Ok(())
     }
 
-    /// Journal an engine-applied repair operation. The operation must
-    /// already have been applied to [`DurableGraph::graph`] (that is
-    /// what [`RepairEngine::repair_with_sink`]'s sink guarantees).
-    pub fn journal_applied(&mut self, op: &AppliedOp) -> Result<()> {
-        self.ensure_writable()?;
-        // The op ran outside the store: whom it affected (the neighbours
-        // of a deleted node, the edges a merge rewired) can no longer be
-        // read off the graph.
-        self.clean = None;
-        self.append(&Mutation::from_applied(op))
-    }
-
     // ---- mutators ----------------------------------------------------------
 
     /// Insert a node; journals and returns the allocated id.
@@ -934,9 +922,9 @@ impl<V: Vfs> DurableGraph<V> {
     /// unverified: a reopen (the first repair after
     /// [`DurableGraph::open`] is a full scan), a repair that trips its
     /// budget, leaves residual violations, fails to journal or runs with
-    /// `verify_fixpoint` off, a repair of a different rule set,
-    /// [`DurableGraph::journal_applied`], and a delta grown past a
-    /// quarter of the live nodes (a scan is cheaper then).
+    /// `verify_fixpoint` off, a repair of a different rule set, and a
+    /// delta grown past a quarter of the live nodes (a scan is cheaper
+    /// then).
     /// [`DurableGraph::compact`] keeps it. Applied operations, allocated
     /// ids and journaled records are byte-identical either way: with no
     /// match anywhere else, both seeds find the same violations, and the

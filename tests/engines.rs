@@ -26,26 +26,12 @@ fn all_engine_configs_converge_to_violation_free_graphs() {
     let base = dirty(300, 5);
     let configs = vec![
         ("incremental", EngineConfig::default()),
-        ("naive-indexed-frozen", EngineConfig::naive_with_indexes()),
-        (
-            "naive-indexed-live",
-            EngineConfig {
-                freeze_scans: false,
-                ..EngineConfig::naive_with_indexes()
-            },
-        ),
+        ("naive-indexed", EngineConfig::naive_with_indexes()),
         ("naive-full", EngineConfig::naive()),
         (
             "incremental-parallel",
             EngineConfig {
                 parallel: true,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "incremental-frozen-seed",
-            EngineConfig {
-                freeze_scans: true,
                 ..EngineConfig::default()
             },
         ),
@@ -204,41 +190,6 @@ fn cascading_chain_favours_incremental() {
     assert!(strat.converged);
     assert_eq!(strat.repairs_applied, STAGES * 50);
     assert_eq!(g3.to_doc(), g1.to_doc(), "fixpoints must match");
-}
-
-/// Frozen CSR snapshots are a pure layout change: a matcher over the
-/// snapshot must report exactly the live matcher's violations, rule by
-/// rule, and the engine-level frozen counter must agree too.
-#[test]
-fn frozen_snapshot_counts_equal_live_counts() {
-    use grepair_graph::FrozenGraph;
-    use grepair_match::Matcher;
-
-    let rules = gold_kg_rules();
-    let g = dirty(400, 11);
-    let frozen = FrozenGraph::freeze(&g);
-    frozen.check_against(&g).unwrap();
-
-    let live = Matcher::new(&g);
-    let cold = Matcher::new(&frozen);
-    for r in &rules.rules {
-        assert_eq!(
-            live.find_all(&r.pattern),
-            cold.find_all(&r.pattern),
-            "rule {} diverged between live and frozen matching",
-            r.name
-        );
-    }
-
-    let live_engine = RepairEngine::default();
-    let frozen_engine = RepairEngine::new(EngineConfig {
-        freeze_scans: true,
-        ..EngineConfig::default()
-    });
-    assert_eq!(
-        live_engine.count_violations(&g, &rules.rules),
-        frozen_engine.count_violations(&g, &rules.rules)
-    );
 }
 
 #[test]

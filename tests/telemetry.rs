@@ -40,9 +40,9 @@ fn with_tracing<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
     (out, grepair_obs::take_events())
 }
 
-/// The tentpole acceptance check: a full repair over a durable store,
-/// with frozen scans, leaves ≥ 1 span and ≥ 1 histogram sample from
-/// every layer — engine, matcher, planner, freeze, and WAL.
+/// The tentpole acceptance check: a full repair over a durable store
+/// leaves ≥ 1 span and ≥ 1 histogram sample from every layer — engine,
+/// matcher, planner, and WAL.
 #[test]
 fn every_layer_contributes_spans_and_histograms() {
     let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -52,16 +52,12 @@ fn every_layer_contributes_spans_and_histograms() {
     let mut dirty = clean.clone();
     inject_kg_noise(&mut dirty, &refs, &NoiseConfig::default());
     let rules = gold_kg_rules();
-    let engine = RepairEngine::new(EngineConfig {
-        freeze_scans: true, // pull the snapshot layer into the run
-        ..EngineConfig::default()
-    });
+    let engine = RepairEngine::default();
 
     let layer_histograms = [
         ("engine", "engine.rule_repair_ns"),
         ("matcher", "match.find_all_ns"),
         ("planner", "plan.compile_ns"),
-        ("freeze", "graph.freeze_ns"),
         ("wal", "wal.append_ns"),
         ("wal", "store.recovery_ns"),
     ];
@@ -86,7 +82,6 @@ fn every_layer_contributes_spans_and_histograms() {
         ("engine", "engine.round"),
         ("matcher", "match.find_all"),
         ("planner", "plan.compile"),
-        ("freeze", "graph.freeze"),
         ("wal", "store.recovery"),
     ];
     for (layer, span) in layer_spans {
