@@ -262,8 +262,8 @@ impl Graph {
             }
         };
         self.index_node(id, label);
-        let attrs: Vec<(AttrKeyId, Value)> = self.nodes[id.index()].attrs.clone();
-        for (k, v) in attrs {
+        for i in 0..self.nodes[id.index()].attrs.len() {
+            let (k, v) = self.nodes[id.index()].attrs[i].clone();
             self.index_attr(id, k, v);
         }
         self.n_nodes += 1;

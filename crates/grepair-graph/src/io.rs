@@ -12,6 +12,7 @@ use crate::ids::NodeId;
 use crate::value::Value;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A node in document form.
@@ -85,19 +86,29 @@ impl GraphDoc {
     pub fn into_graph(&self) -> Result<(Graph, FxHashMap<u32, NodeId>)> {
         let mut g = Graph::new();
         let mut map: FxHashMap<u32, NodeId> = FxHashMap::default();
+        map.reserve(self.nodes.len());
+        // Names come in runs — a label over a stretch of nodes or edges,
+        // and the same sorted key at the same position of consecutive
+        // nodes — so each is interned once per run, not per occurrence.
+        let mut last_label = None;
+        let mut last_keys = Vec::new();
         for nd in &self.nodes {
-            if map.contains_key(&nd.id) {
-                return Err(GraphError::Parse(format!("duplicate node id {}", nd.id)));
+            let label = same_name(&mut last_label, &nd.label, |l| g.label(l));
+            if last_keys.len() < nd.attrs.len() {
+                last_keys.resize(nd.attrs.len(), None);
             }
-            let label = g.label(&nd.label);
             let attrs = nd
                 .attrs
                 .iter()
-                .map(|(k, v)| (g.attr_key(k), v.clone()))
+                .zip(&mut last_keys)
+                .map(|((k, v), last)| (same_name(last, k, |k| g.attr_key(k)), v.clone()))
                 .collect();
             let id = g.add_node_with_attrs(label, attrs);
-            map.insert(nd.id, id);
+            if map.insert(nd.id, id).is_some() {
+                return Err(GraphError::Parse(format!("duplicate node id {}", nd.id)));
+            }
         }
+        let mut last_label = None;
         for ed in &self.edges {
             let src = *map
                 .get(&ed.src)
@@ -105,7 +116,7 @@ impl GraphDoc {
             let dst = *map
                 .get(&ed.dst)
                 .ok_or_else(|| GraphError::Parse(format!("unknown edge dst {}", ed.dst)))?;
-            let label = g.label(&ed.label);
+            let label = same_name(&mut last_label, &ed.label, |l| g.label(l));
             g.add_edge(src, dst, label)?;
         }
         Ok((g, map))
@@ -157,52 +168,56 @@ impl GraphDoc {
     /// Parse the plain-text fixture format (see [`GraphDoc::to_text`]).
     ///
     /// Malformed lines — unterminated strings, bad escapes, missing
-    /// `key=value` structure — are rejected with a line-numbered
+    /// `key=value` structure, a key repeated on one node, anything after
+    /// an edge's `dst` — are rejected with a line-numbered
     /// [`GraphError::Parse`]; nothing mis-parses silently.
     pub fn from_text(s: &str) -> Result<Self> {
         let mut doc = GraphDoc::default();
+        // Reused across lines; literal parts borrow from `s`.
+        let mut parts = Vec::new();
         for (lineno, raw) in s.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             let err = |msg: String| GraphError::Parse(format!("line {}: {msg}", lineno + 1));
-            let tokens = tokenize_line(line).map_err(&err)?;
-            let mut toks = tokens.into_iter();
-            let directive = toks
-                .next()
-                .and_then(|t| t.as_plain().map(str::to_owned))
-                .unwrap_or_default();
-            match directive.as_str() {
+            tokenize_line(line, &mut parts).map_err(&err)?;
+            let mut toks = parts
+                .split_mut(|p| matches!(p, Part::End))
+                .filter(|t| !t.is_empty());
+            let number = |tok: Option<&mut [Part<'_>]>, what: &str| {
+                tok.and_then(|t| as_plain(t)?.parse::<u32>().ok())
+                    .ok_or_else(|| err(format!("expected {what}")))
+            };
+            match toks.next().and_then(|t| as_plain(t)).unwrap_or_default() {
                 "node" => {
-                    let id: u32 = toks
-                        .next()
-                        .and_then(|t| t.as_plain().and_then(|p| p.parse().ok()))
-                        .ok_or_else(|| err("expected node id".into()))?;
+                    let id = number(toks.next(), "node id")?;
                     let label = toks
                         .next()
-                        .and_then(|t| t.into_string())
+                        .and_then(into_string)
                         .ok_or_else(|| err("expected node label".into()))?;
                     let mut attrs = BTreeMap::new();
                     for tok in toks {
-                        let (k, v) = tok.into_key_value().map_err(&err)?;
-                        attrs.insert(k, v);
+                        let (k, v) = key_value(tok).map_err(&err)?;
+                        match attrs.entry(k) {
+                            Entry::Vacant(e) => e.insert(v),
+                            Entry::Occupied(e) => {
+                                return Err(err(format!("duplicate attribute key {:?}", e.key())))
+                            }
+                        };
                     }
                     doc.nodes.push(NodeDoc { id, label, attrs });
                 }
                 "edge" => {
-                    let src: u32 = toks
-                        .next()
-                        .and_then(|t| t.as_plain().and_then(|p| p.parse().ok()))
-                        .ok_or_else(|| err("expected edge src".into()))?;
+                    let src = number(toks.next(), "edge src")?;
                     let label = toks
                         .next()
-                        .and_then(|t| t.into_string())
+                        .and_then(into_string)
                         .ok_or_else(|| err("expected edge label".into()))?;
-                    let dst: u32 = toks
-                        .next()
-                        .and_then(|t| t.as_plain().and_then(|p| p.parse().ok()))
-                        .ok_or_else(|| err("expected edge dst".into()))?;
+                    let dst = number(toks.next(), "edge dst")?;
+                    if toks.next().is_some() {
+                        return Err(err("unexpected token after edge dst".into()));
+                    }
                     doc.edges.push(EdgeDoc { src, dst, label });
                 }
                 other => return Err(err(format!("unknown directive {other:?}"))),
@@ -212,123 +227,139 @@ impl GraphDoc {
     }
 }
 
-/// One segment of a fixture token: literal text, or a double-quoted
-/// (already unescaped) string. `name="Ann Lee"` is one token of two
-/// parts: `Lit("name=")` + `Quoted("Ann Lee")`. Keeping the quoting
-/// structure (instead of flattening to a string) is what lets the parser
-/// tell a quoted key or value apart from embedded quote characters.
-#[derive(Clone, Debug, PartialEq)]
-enum Part {
-    Lit(String),
+/// `last`'s id if it was resolved for this same name, else `intern(name)`
+/// remembered in `last`.
+fn same_name<'d, T: Copy>(
+    last: &mut Option<(&'d str, T)>,
+    name: &'d str,
+    intern: impl FnOnce(&str) -> T,
+) -> T {
+    match *last {
+        Some((prev, id)) if prev == name => id,
+        _ => last.insert((name, intern(name))).1,
+    }
+}
+
+/// One segment of a fixture token: literal text (borrowed from the
+/// line), or a double-quoted (already unescaped) string.
+/// `name="Ann Lee"` is one token of two parts: `Lit("name=")` +
+/// `Quoted("Ann Lee")`. Keeping the quoting structure (instead of
+/// flattening to a string) is what lets the parser tell a quoted key or
+/// value apart from embedded quote characters.
+#[derive(Debug)]
+enum Part<'a> {
+    Lit(&'a str),
     Quoted(String),
+    /// Token boundary; never part of a token.
+    End,
 }
 
-/// A whitespace-delimited fixture token as a part sequence.
-#[derive(Clone, Debug, PartialEq)]
-struct Token(Vec<Part>);
-
-impl Token {
-    /// The token as unquoted literal text, if that is all it is.
-    fn as_plain(&self) -> Option<&str> {
-        match self.0.as_slice() {
-            [Part::Lit(s)] => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The token as a single string (either one literal or one quoted
-    /// segment) — the shape labels must have.
-    fn into_string(self) -> Option<String> {
-        match self.0.into_iter().collect::<Vec<_>>().as_mut_slice() {
-            [Part::Lit(s)] | [Part::Quoted(s)] => Some(std::mem::take(s)),
-            _ => None,
-        }
-    }
-
-    /// Split an attribute token into key and typed value. Accepted
-    /// shapes: `key=value`, `key="…"`, `"…"=value`, `"…"="…"`; anything
-    /// else is an error.
-    fn into_key_value(self) -> Result<(String, Value), String> {
-        let mut parts = self.0.into_iter();
-        let (key, rest) = match parts.next() {
-            Some(Part::Lit(lit)) => match lit.split_once('=') {
-                Some((k, v)) => (k.to_owned(), v.to_owned()),
-                None => return Err(format!("expected key=value, got {lit:?}")),
-            },
-            Some(Part::Quoted(k)) => match parts.next() {
-                Some(Part::Lit(lit)) if lit.starts_with('=') => (k, lit[1..].to_owned()),
-                _ => return Err(format!("expected '=' after quoted key {k:?}")),
-            },
-            None => return Err("empty attribute token".into()),
-        };
-        if key.is_empty() {
-            return Err("empty attribute key".into());
-        }
-        let value = match (rest.is_empty(), parts.next()) {
-            // key=literal — typed parse.
-            (false, None) => parse_text_value(&rest),
-            // key="…" — exactly one quoted segment, always a string.
-            (true, Some(Part::Quoted(s))) => {
-                if parts.next().is_some() {
-                    return Err(format!("trailing garbage after value of {key:?}"));
-                }
-                Value::Str(s)
-            }
-            _ => {
-                return Err(format!(
-                    "malformed value for {key:?}: expected a literal or one quoted string"
-                ))
-            }
-        };
-        Ok((key, value))
+/// The token as unquoted literal text, if that is all it is.
+fn as_plain<'a>(tok: &[Part<'a>]) -> Option<&'a str> {
+    match tok {
+        [Part::Lit(s)] => Some(s),
+        _ => None,
     }
 }
 
-/// Split a fixture line into [`Token`]s, unescaping double-quoted
-/// segments. Escapes: `\"`, `\\`, `\n`, `\t`, `\r`, `\0`, `\u{HEX}`.
-fn tokenize_line(line: &str) -> Result<Vec<Token>, String> {
-    let mut tokens = Vec::new();
-    let mut parts: Vec<Part> = Vec::new();
-    let mut lit = String::new();
-    let mut chars = line.chars();
-    let flush_lit = |lit: &mut String, parts: &mut Vec<Part>| {
-        if !lit.is_empty() {
-            parts.push(Part::Lit(std::mem::take(lit)));
+/// The token as a single string (either one literal or one quoted
+/// segment) — the shape labels must have.
+fn into_string(tok: &mut [Part<'_>]) -> Option<String> {
+    match tok {
+        [Part::Lit(s)] => Some((*s).to_owned()),
+        [Part::Quoted(s)] => Some(std::mem::take(s)),
+        _ => None,
+    }
+}
+
+/// Split an attribute token into key and typed value. Accepted shapes:
+/// `key=value`, `key="…"`, `"…"=value`, `"…"="…"`; anything else is an
+/// error.
+fn key_value<'a>(tok: &mut [Part<'a>]) -> Result<(String, Value), String> {
+    let (key, rest, tail): (_, &'a str, _) = match tok {
+        [Part::Lit(lit), tail @ ..] => match lit.split_once('=') {
+            Some((k, v)) => (k.to_owned(), v, tail),
+            None => return Err(format!("expected key=value, got {lit:?}")),
+        },
+        [Part::Quoted(k), Part::Lit(lit), tail @ ..] if lit.starts_with('=') => {
+            (std::mem::take(k), &lit[1..], tail)
+        }
+        [Part::Quoted(k), ..] => return Err(format!("expected '=' after quoted key {k:?}")),
+        _ => return Err("empty attribute token".into()),
+    };
+    if key.is_empty() {
+        return Err("empty attribute key".into());
+    }
+    let value = match (rest.is_empty(), tail) {
+        // key=literal — typed parse.
+        (false, []) => parse_text_value(rest),
+        // key="…" — exactly one quoted segment, always a string.
+        (true, [Part::Quoted(s)]) => Value::Str(std::mem::take(s)),
+        (true, [Part::Quoted(_), ..]) => {
+            return Err(format!("trailing garbage after value of {key:?}"))
+        }
+        _ => {
+            return Err(format!(
+                "malformed value for {key:?}: expected a literal or one quoted string"
+            ))
         }
     };
-    while let Some(c) = chars.next() {
+    Ok((key, value))
+}
+
+/// Split a fixture line into `parts`, with a [`Part::End`] after each
+/// blank, unescaping double-quoted segments. Escapes: `\"`, `\\`, `\n`,
+/// `\t`, `\r`, `\0`, `\u{HEX}`. Literals are sliced only next to the
+/// ASCII delimiters `char_indices` reports, so never inside a multi-byte
+/// character.
+fn tokenize_line<'a>(line: &'a str, parts: &mut Vec<Part<'a>>) -> Result<(), String> {
+    parts.clear();
+    let push_lit = |parts: &mut Vec<Part<'a>>, lit: &'a str| {
+        if !lit.is_empty() {
+            parts.push(Part::Lit(lit));
+        }
+    };
+    let mut lit_start = 0;
+    let mut chars = line.char_indices();
+    while let Some((i, c)) = chars.next() {
         match c {
             ' ' | '\t' => {
-                flush_lit(&mut lit, &mut parts);
-                if !parts.is_empty() {
-                    tokens.push(Token(std::mem::take(&mut parts)));
-                }
+                push_lit(parts, &line[lit_start..i]);
+                parts.push(Part::End);
+                lit_start = i + 1;
             }
             '"' => {
-                flush_lit(&mut lit, &mut parts);
-                let mut q = String::new();
+                push_lit(parts, &line[lit_start..i]);
+                // Unescaped text is copied a run at a time.
+                let (mut q, mut run) = (String::new(), i + 1);
                 loop {
                     match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => q.push(unescape_char(&mut chars)?),
-                        Some(ch) => q.push(ch),
+                        Some((j, '"')) => {
+                            q.push_str(&line[run..j]);
+                            lit_start = j + 1;
+                            break;
+                        }
+                        Some((j, '\\')) => {
+                            q.push_str(&line[run..j]);
+                            q.push(unescape_char(&mut chars)?);
+                            run = chars.offset();
+                        }
+                        Some(_) => {}
                         None => return Err("unterminated string".into()),
                     }
                 }
                 parts.push(Part::Quoted(q));
             }
-            other => lit.push(other),
+            _ => {}
         }
     }
-    flush_lit(&mut lit, &mut parts);
-    if !parts.is_empty() {
-        tokens.push(Token(parts));
-    }
-    Ok(tokens)
+    push_lit(parts, &line[lit_start..]);
+    Ok(())
 }
 
-fn unescape_char(chars: &mut std::str::Chars<'_>) -> Result<char, String> {
-    match chars.next() {
+fn unescape_char(chars: &mut std::str::CharIndices<'_>) -> Result<char, String> {
+    let mut next = || chars.next().map(|(_, c)| c);
+    match next() {
         Some('"') => Ok('"'),
         Some('\\') => Ok('\\'),
         Some('n') => Ok('\n'),
@@ -336,12 +367,12 @@ fn unescape_char(chars: &mut std::str::Chars<'_>) -> Result<char, String> {
         Some('r') => Ok('\r'),
         Some('0') => Ok('\0'),
         Some('u') => {
-            if chars.next() != Some('{') {
+            if next() != Some('{') {
                 return Err("bad \\u escape: expected '{'".into());
             }
             let mut hex = String::new();
             loop {
-                match chars.next() {
+                match next() {
                     Some('}') => break,
                     Some(h) if h.is_ascii_hexdigit() && hex.len() < 6 => hex.push(h),
                     other => return Err(format!("bad \\u escape near {other:?}")),
@@ -495,7 +526,8 @@ mod tests {
         let mut g = Graph::new();
         let n = g.add_node_named("Person");
         let k = g.attr_key("name");
-        g.set_attr(n, k, Value::from("Ann \"The Graph\" Lee")).unwrap();
+        g.set_attr(n, k, Value::from("Ann \"The Graph\" Lee"))
+            .unwrap();
         let k2 = g.attr_key("bio");
         g.set_attr(n, k2, Value::from("line1\nline2")).unwrap();
         let doc = g.to_doc();
@@ -564,6 +596,39 @@ mod tests {
         // Quoted key without '='.
         let e = GraphDoc::from_text("node 0 P \"k\" 1\n").unwrap_err();
         assert!(e.to_string().contains("'='"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_attribute_keys_are_rejected() {
+        for line in [
+            "node 0 P x=1 x=2",
+            "node 0 P \"x\"=1 x=2",
+            "node 0 P x=\"a\" \"x\"=\"b\"",
+        ] {
+            let e = GraphDoc::from_text(&format!("node 1 Q\n{line}\n")).unwrap_err();
+            let msg = e.to_string();
+            assert!(
+                msg.contains("line 2") && msg.contains("duplicate attribute key \"x\""),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_tokens_on_edge_lines_are_rejected() {
+        for line in ["edge 0 r 1 junk more", "edge 0 r 1 x=1", "edge 0 r 1 \"q\""] {
+            let e = GraphDoc::from_text(&format!("node 0 P\nnode 1 Q\n{line}\n")).unwrap_err();
+            let msg = e.to_string();
+            assert!(
+                msg.contains("line 3") && msg.contains("after edge dst"),
+                "{msg}"
+            );
+        }
+        // Trailing blanks are not a token.
+        assert_eq!(
+            GraphDoc::from_text("edge 0 r 1 \t \n").unwrap().edges.len(),
+            1
+        );
     }
 
     #[test]

@@ -3,9 +3,120 @@
 //! and the edit-distance bounds must hold.
 
 use grepair_graph::{
-    ged_lower_bound, graph_edit_distance, EdgeId, EditCosts, Graph, GraphDoc, NodeId, Value,
+    ged_lower_bound, graph_edit_distance, EdgeDoc, EdgeId, EditCosts, Graph, GraphDoc, NodeDoc,
+    NodeId, Value,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// Characters the text format must quote, escape or pass through intact:
+/// both token separators, a blank it does not split on (U+00A0), quote,
+/// backslash, `=`, `#` (a comment when leading), control characters and
+/// multi-byte UTF-8.
+const ALPHABET: &[char] = &[
+    'a', 'Z', '0', '-', '.', ' ', '\t', '\u{a0}', '"', '\\', '=', '#', '\n', '\r', '\0', '\u{7}',
+    'é', '日', '🦀',
+];
+
+/// Strings over [`ALPHABET`] (the proptest shim has no string strategy).
+fn string_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    prop::collection::vec(0..ALPHABET.len(), len)
+        .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+/// Every value kind, weighted toward the edges of each domain.
+fn value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), any::<i64>()].prop_map(Value::Int),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(5e-324),
+            Just(1e300),
+            any::<f64>(),
+        ]
+        .prop_map(Value::Float),
+        any::<bool>().prop_map(Value::Bool),
+        string_strategy(0..6).prop_map(Value::Str),
+    ]
+}
+
+/// Documents with arbitrary (distinct) handles, names over [`ALPHABET`]
+/// and edges between existing handles. Keys are non-empty: the text
+/// format has no spelling for an empty key.
+fn doc_strategy() -> impl Strategy<Value = GraphDoc> {
+    let attrs = prop::collection::vec((string_strategy(1..5), value_strategy()), 0..5);
+    let nodes = prop::collection::vec((any::<u32>(), string_strategy(0..5), attrs), 0..8);
+    let edges = prop::collection::vec((any::<u8>(), string_strategy(0..5), any::<u8>()), 0..10);
+    (nodes, edges).prop_map(|(nodes, edges)| {
+        let mut seen = BTreeSet::new();
+        let nodes: Vec<NodeDoc> = nodes
+            .into_iter()
+            .filter(|(id, _, _)| seen.insert(*id))
+            .map(|(id, label, attrs)| NodeDoc {
+                id,
+                label,
+                attrs: attrs.into_iter().collect(),
+            })
+            .collect();
+        let edges = if nodes.is_empty() {
+            Vec::new()
+        } else {
+            let pick = |sel: u8| nodes[sel as usize % nodes.len()].id;
+            edges
+                .into_iter()
+                .map(|(s, label, d)| EdgeDoc {
+                    src: pick(s),
+                    dst: pick(d),
+                    label,
+                })
+                .collect()
+        };
+        GraphDoc { nodes, edges }
+    })
+}
+
+/// Fragments of (mostly) malformed fixture text: directives, numbers at
+/// and past the `u32` range, quotes, escapes, `=`, blanks and line breaks.
+const SOUP: &[&str] = &[
+    "node ",
+    "edge ",
+    "0",
+    "7 ",
+    "4294967295",
+    "4294967296",
+    "-1",
+    "=",
+    "\"",
+    "\\",
+    "\\u{",
+    "\\u{1F980}",
+    "\\u{d800}",
+    "}",
+    "x",
+    "\"k\"=",
+    "=\"v\"",
+    "1.5",
+    "true",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    "# c\n",
+];
+
+fn soup_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop_oneof![
+            (0..SOUP.len()).prop_map(|i| SOUP[i].to_owned()),
+            (0..ALPHABET.len()).prop_map(|i| ALPHABET[i].to_string()),
+        ],
+        0..40,
+    )
+    .prop_map(|frags| frags.concat())
+}
 
 /// A mutation in a random op sequence.
 #[derive(Clone, Debug)]
@@ -64,7 +175,8 @@ fn apply_ops(ops: &[Op]) -> Graph {
             }
             Op::AddEdge(a, b, l) => {
                 if let (Some(s), Some(d)) = (pick_node(&g, *a), pick_node(&g, *b)) {
-                    g.add_edge(s, d, labels[*l as usize % labels.len()]).unwrap();
+                    g.add_edge(s, d, labels[*l as usize % labels.len()])
+                        .unwrap();
                 }
             }
             Op::RemoveNode(n) => {
@@ -79,12 +191,14 @@ fn apply_ops(ops: &[Op]) -> Graph {
             }
             Op::RelabelNode(n, l) => {
                 if let Some(n) = pick_node(&g, *n) {
-                    g.set_node_label(n, labels[*l as usize % labels.len()]).unwrap();
+                    g.set_node_label(n, labels[*l as usize % labels.len()])
+                        .unwrap();
                 }
             }
             Op::RelabelEdge(e, l) => {
                 if let Some(e) = pick_edge(&g, *e) {
-                    g.set_edge_label(e, labels[*l as usize % labels.len()]).unwrap();
+                    g.set_edge_label(e, labels[*l as usize % labels.len()])
+                        .unwrap();
                 }
             }
             Op::SetAttr(n, k, v) => {
@@ -181,6 +295,42 @@ proptest! {
                 scanned.sort_unstable();
                 prop_assert_eq!(indexed, scanned);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The text format is lossless for every document it can spell, and
+    /// what it reads back builds a sound graph.
+    #[test]
+    fn text_round_trip(doc in doc_strategy()) {
+        let text = doc.to_text();
+        let back = GraphDoc::from_text(&text);
+        prop_assert!(back.is_ok(), "{:?}\n{text}", back);
+        let back = back.unwrap();
+        prop_assert_eq!(&back, &doc, "{text}");
+        let g = Graph::from_doc(&back).unwrap();
+        prop_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
+    }
+
+    /// Hostile text yields `Ok` or `Err`, never a panic — on its own and
+    /// spliced into valid text at any character boundary.
+    #[test]
+    fn text_parse_never_panics(
+        soup in soup_strategy(),
+        doc in doc_strategy(),
+        at in any::<usize>(),
+    ) {
+        if let Ok(d) = GraphDoc::from_text(&soup) {
+            let _ = Graph::from_doc(&d);
+        }
+        let mut text = doc.to_text();
+        let cuts: Vec<usize> = text.char_indices().map(|(i, _)| i).chain([text.len()]).collect();
+        text.insert_str(cuts[at % cuts.len()], &soup);
+        if let Ok(d) = GraphDoc::from_text(&text) {
+            let _ = Graph::from_doc(&d);
         }
     }
 }
