@@ -233,6 +233,11 @@ impl Graph {
     }
 
     /// Insert a node with attributes (any key order; sorted internally).
+    ///
+    /// A key given more than once keeps its **last** value, exactly as
+    /// [`Graph::add_node`] followed by one [`Graph::set_attr`] per pair
+    /// in order would — and as the durable store and its journal replay
+    /// do.
     pub fn add_node_with_attrs(
         &mut self,
         label: LabelId,
@@ -240,7 +245,9 @@ impl Graph {
     ) -> NodeId {
         self.ensure_label_tables(label);
         attrs.sort_by_key(|(k, _)| *k);
-        attrs.dedup_by_key(|(k, _)| *k);
+        if attrs.windows(2).any(|w| w[0].0 == w[1].0) {
+            keep_last_of_each_key(&mut attrs);
+        }
         let slot = NodeSlot {
             label,
             attrs,
@@ -1197,6 +1204,21 @@ impl Graph {
     }
 }
 
+/// Drop all but the last value of each key from key-sorted `attrs`. The
+/// sort was stable, so equal keys are still in argument order; moving
+/// each later duplicate into the slot `dedup_by` keeps makes it
+/// last-wins. Out of line: duplicate keys are rare.
+#[cold]
+fn keep_last_of_each_key(attrs: &mut Vec<(AttrKeyId, Value)>) {
+    attrs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1221,6 +1243,31 @@ mod tests {
         assert_eq!(g.nodes_with_label(person), &[a, b]);
         let city = g.try_label("City").unwrap();
         assert_eq!(g.nodes_with_label(city), &[c]);
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn repeated_attr_key_keeps_the_last_value() {
+        let mut g = Graph::new();
+        let p = g.label("P");
+        let (k, j) = (g.attr_key("k"), g.attr_key("j"));
+        let attrs = vec![
+            (k, Value::Int(1)),
+            (j, Value::from("x")),
+            (k, Value::Int(2)),
+            (k, Value::Int(3)),
+        ];
+        let built = g.add_node_with_attrs(p, attrs.clone());
+        assert_eq!(g.attr(built, k), Some(&Value::Int(3)));
+        assert_eq!(g.attr(built, j), Some(&Value::from("x")));
+        // Same result as one `set_attr` per pair, in order.
+        let stepwise = g.add_node(p);
+        for (key, v) in attrs {
+            g.set_attr(stepwise, key, v).unwrap();
+        }
+        assert_eq!(g.attrs(built), g.attrs(stepwise));
+        assert_eq!(g.nodes_with_attr(k, &Value::Int(3)).len(), 2);
+        assert!(g.nodes_with_attr(k, &Value::Int(1)).is_empty());
         g.check_invariants().unwrap();
     }
 

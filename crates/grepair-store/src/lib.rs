@@ -15,10 +15,12 @@
 //! ## Guarantees
 //!
 //! - **Prefix consistency.** The durable state is always the graph
-//!   produced by some prefix of the acknowledged mutation sequence. A
-//!   crash mid-append leaves a torn tail that recovery truncates at the
-//!   first bad checksum; it never panics on a partial record and never
-//!   applies a record it cannot validate.
+//!   produced by some prefix of the journaled mutation sequence that
+//!   contains every committed mutation (the journal buffers records;
+//!   `commit` writes and fsyncs them). A crash mid-write leaves a torn
+//!   tail that recovery truncates at the first bad checksum; it never
+//!   panics on a partial record and never applies a record it cannot
+//!   validate.
 //! - **Slot exactness.** Snapshots record tombstones and free-list
 //!   order ([`grepair_graph::SlotDump`]), so element ids — which the
 //!   engine's violation queues hold across mutations — are identical

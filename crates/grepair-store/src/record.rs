@@ -137,71 +137,109 @@ pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, DecodeError> {
     }
 }
 
+// One encoder per opcode. `Mutation::encode` and the store's mutators
+// both go through these, so a mutator can journal straight from its
+// borrowed arguments without building an owned `Mutation` first.
+
+pub(crate) fn encode_add_node(
+    w: &mut ByteWriter,
+    node: NodeId,
+    label: &str,
+    attrs: &[(String, Value)],
+) {
+    w.u8(OP_ADD_NODE);
+    w.u32(node.0);
+    w.str(label);
+    w.u32(attrs.len() as u32);
+    for (k, v) in attrs {
+        w.str(k);
+        encode_value(w, v);
+    }
+}
+
+pub(crate) fn encode_remove_node(w: &mut ByteWriter, node: NodeId) {
+    w.u8(OP_REMOVE_NODE);
+    w.u32(node.0);
+}
+
+pub(crate) fn encode_add_edge(
+    w: &mut ByteWriter,
+    edge: EdgeId,
+    src: NodeId,
+    dst: NodeId,
+    label: &str,
+) {
+    w.u8(OP_ADD_EDGE);
+    w.u32(edge.0);
+    w.u32(src.0);
+    w.u32(dst.0);
+    w.str(label);
+}
+
+pub(crate) fn encode_remove_edge(w: &mut ByteWriter, edge: EdgeId) {
+    w.u8(OP_REMOVE_EDGE);
+    w.u32(edge.0);
+}
+
+pub(crate) fn encode_set_node_label(w: &mut ByteWriter, node: NodeId, label: &str) {
+    w.u8(OP_SET_NODE_LABEL);
+    w.u32(node.0);
+    w.str(label);
+}
+
+pub(crate) fn encode_set_edge_label(w: &mut ByteWriter, edge: EdgeId, label: &str) {
+    w.u8(OP_SET_EDGE_LABEL);
+    w.u32(edge.0);
+    w.str(label);
+}
+
+pub(crate) fn encode_set_attr(w: &mut ByteWriter, node: NodeId, key: &str, value: &Value) {
+    w.u8(OP_SET_ATTR);
+    w.u32(node.0);
+    w.str(key);
+    encode_value(w, value);
+}
+
+pub(crate) fn encode_remove_attr(w: &mut ByteWriter, node: NodeId, key: &str) {
+    w.u8(OP_REMOVE_ATTR);
+    w.u32(node.0);
+    w.str(key);
+}
+
+pub(crate) fn encode_merge_nodes(
+    w: &mut ByteWriter,
+    keep: NodeId,
+    merged: NodeId,
+    dedup_parallel: bool,
+) {
+    w.u8(OP_MERGE_NODES);
+    w.u32(keep.0);
+    w.u32(merged.0);
+    w.u8(dedup_parallel as u8);
+}
+
 impl Mutation {
     /// Append the binary form to `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
         match self {
-            Mutation::AddNode { node, label, attrs } => {
-                w.u8(OP_ADD_NODE);
-                w.u32(node.0);
-                w.str(label);
-                w.u32(attrs.len() as u32);
-                for (k, v) in attrs {
-                    w.str(k);
-                    encode_value(w, v);
-                }
-            }
-            Mutation::RemoveNode { node } => {
-                w.u8(OP_REMOVE_NODE);
-                w.u32(node.0);
-            }
+            Mutation::AddNode { node, label, attrs } => encode_add_node(w, *node, label, attrs),
+            Mutation::RemoveNode { node } => encode_remove_node(w, *node),
             Mutation::AddEdge {
                 edge,
                 src,
                 dst,
                 label,
-            } => {
-                w.u8(OP_ADD_EDGE);
-                w.u32(edge.0);
-                w.u32(src.0);
-                w.u32(dst.0);
-                w.str(label);
-            }
-            Mutation::RemoveEdge { edge } => {
-                w.u8(OP_REMOVE_EDGE);
-                w.u32(edge.0);
-            }
-            Mutation::SetNodeLabel { node, label } => {
-                w.u8(OP_SET_NODE_LABEL);
-                w.u32(node.0);
-                w.str(label);
-            }
-            Mutation::SetEdgeLabel { edge, label } => {
-                w.u8(OP_SET_EDGE_LABEL);
-                w.u32(edge.0);
-                w.str(label);
-            }
-            Mutation::SetAttr { node, key, value } => {
-                w.u8(OP_SET_ATTR);
-                w.u32(node.0);
-                w.str(key);
-                encode_value(w, value);
-            }
-            Mutation::RemoveAttr { node, key } => {
-                w.u8(OP_REMOVE_ATTR);
-                w.u32(node.0);
-                w.str(key);
-            }
+            } => encode_add_edge(w, *edge, *src, *dst, label),
+            Mutation::RemoveEdge { edge } => encode_remove_edge(w, *edge),
+            Mutation::SetNodeLabel { node, label } => encode_set_node_label(w, *node, label),
+            Mutation::SetEdgeLabel { edge, label } => encode_set_edge_label(w, *edge, label),
+            Mutation::SetAttr { node, key, value } => encode_set_attr(w, *node, key, value),
+            Mutation::RemoveAttr { node, key } => encode_remove_attr(w, *node, key),
             Mutation::MergeNodes {
                 keep,
                 merged,
                 dedup_parallel,
-            } => {
-                w.u8(OP_MERGE_NODES);
-                w.u32(keep.0);
-                w.u32(merged.0);
-                w.u8(*dedup_parallel as u8);
-            }
+            } => encode_merge_nodes(w, *keep, *merged, *dedup_parallel),
         }
     }
 

@@ -26,9 +26,10 @@
 //! snapshots are slot-exact — so outstanding [`grepair_graph::NodeId`]s
 //! stay valid across compaction.
 
+use crate::codec::ByteWriter;
 use crate::error::{Result, StoreError};
 use crate::lock;
-use crate::record::Mutation;
+use crate::record::{self, Mutation};
 use crate::snapshot::{list_snapshots_in, read_snapshot_in, write_snapshot_in};
 use crate::vfs::{with_retry, StdFs, Vfs};
 #[cfg(feature = "parallel")]
@@ -206,6 +207,14 @@ impl StoreTelemetry {
 /// **by name** (interner numbering is process-local and therefore never
 /// journaled). Reads go through [`DurableGraph::graph`].
 ///
+/// A mutator's `Ok` means its record is in the journal: encoded into the
+/// active segment's buffer, which reaches the file in 64 KiB batches.
+/// [`DurableGraph::commit`] (and [`DurableGraph::compact`], and the
+/// commit ending [`DurableGraph::repair`]) writes the buffer and fsyncs;
+/// only that acknowledges durability. A crash may drop records journaled
+/// since the last commit — recovery then serves a shorter prefix, still
+/// containing every committed record.
+///
 /// Single-writer, enforced: create/open take a `LOCK` file in the
 /// directory (pid + boot id); a second writable open fails with
 /// [`StoreError::Locked`] while the holder lives, and locks left by
@@ -255,11 +264,12 @@ const DELTA_MAX_SHARE: usize = 4;
 /// Why a store refuses further work (see [`StoreError::Poisoned`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Poison {
-    /// A journal append failed: the in-memory graph may be ahead of the
-    /// log, so any further journaled record could reference state
-    /// replay cannot reproduce. Mutators refuse; the on-disk log stays
-    /// a valid replayable prefix, [`DurableGraph::commit`] may still
-    /// sync it, and reopening recovers it.
+    /// A journal append — or the write of buffered records — failed:
+    /// the in-memory graph may be ahead of the log, so any further
+    /// journaled record could reference state replay cannot reproduce.
+    /// Mutators refuse; the on-disk log stays a valid replayable prefix,
+    /// [`DurableGraph::commit`] may still sync it, and reopening
+    /// recovers it.
     Append,
     /// An fsync failed: the kernel may have dropped the dirty pages
     /// while clearing the error, so a later "successful" fsync could
@@ -637,7 +647,12 @@ impl<V: Vfs> DurableGraph<V> {
         };
         for (_, path) in list_segments_in(&self.vfs, &self.dir)? {
             st.segments += 1;
-            st.segment_bytes += self.vfs.file_len(&path)?;
+            // The active segment's tail may still be buffered.
+            st.segment_bytes += if path == self.writer.path() {
+                self.writer.len()
+            } else {
+                self.vfs.file_len(&path)?
+            };
         }
         for (_, path) in list_snapshots_in(&self.vfs, &self.dir)? {
             st.snapshots += 1;
@@ -683,7 +698,10 @@ impl<V: Vfs> DurableGraph<V> {
         }
     }
 
-    fn append(&mut self, m: &Mutation) -> Result<()> {
+    /// Journal the record `encode` writes (one of the `record`
+    /// encoders). `Ok` means the record is in the journal — buffered by
+    /// the segment writer; [`DurableGraph::commit`] puts it on disk.
+    fn append(&mut self, encode: impl FnOnce(&mut ByteWriter)) -> Result<()> {
         let seq = self.last_seq + 1;
         let append_started = obs::timer();
         match append_with_rotation(
@@ -692,7 +710,7 @@ impl<V: Vfs> DurableGraph<V> {
             &self.dir,
             self.config.segment_max_bytes,
             seq,
-            m,
+            encode,
         ) {
             Ok(written) => {
                 obs::record_since(&self.telemetry.append_ns, append_started);
@@ -713,19 +731,34 @@ impl<V: Vfs> DurableGraph<V> {
         }
     }
 
-    /// `fsync` the active segment — everything journaled so far is
-    /// durable once this returns.
+    /// Write the journal's buffered records to the active segment. A
+    /// failed write poisons like a failed append ([`Poison::Append`]):
+    /// records the mutators acknowledged are not in the file, and the
+    /// writer will not write after the torn bytes.
+    fn flush(&mut self) -> Result<()> {
+        self.writer.flush().inspect_err(|e| {
+            self.poison = Some(Poison::Append);
+            record_fault(format!("journal write failed; store poisoned: {e}"));
+        })
+    }
+
+    /// Write the journal's buffered records to the active segment, then
+    /// `fsync` it — everything journaled so far is durable once this
+    /// returns.
     ///
-    /// An fsync failure is final: the store poisons itself against any
-    /// further commit or mutation (see [`Poison::Fsync`] — retrying an
-    /// fsync after a failure can silently lose the very pages the first
-    /// call failed on). An [append](Poison::Append)-poisoned store may
-    /// still commit: syncing the valid journaled prefix is safe.
+    /// A failed write is an [append](Poison::Append) poison and is
+    /// returned before any fsync. An fsync failure is final: the store
+    /// poisons itself against any further commit or mutation (see
+    /// [`Poison::Fsync`] — retrying an fsync after a failure can
+    /// silently lose the very pages the first call failed on). An
+    /// append-poisoned store may still commit: syncing the valid
+    /// journaled prefix already in the file is safe.
     pub fn commit(&mut self) -> Result<()> {
         if self.poison == Some(Poison::Fsync) {
             return Err(StoreError::Poisoned);
         }
         let commit_started = obs::timer();
+        self.flush()?;
         if self.config.sync_on_commit {
             let fsync_started = obs::timer();
             if let Err(e) = self.writer.sync() {
@@ -760,11 +793,7 @@ impl<V: Vfs> DurableGraph<V> {
             let kk = self.graph.attr_key(k);
             self.graph.set_attr(node, kk, v.clone())?;
         }
-        self.append(&Mutation::AddNode {
-            node,
-            label: label.to_owned(),
-            attrs: attrs.to_vec(),
-        })?;
+        self.append(|w| record::encode_add_node(w, node, label, attrs))?;
         Ok(node)
     }
 
@@ -785,7 +814,7 @@ impl<V: Vfs> DurableGraph<V> {
         };
         let removed = self.graph.remove_node(node)?;
         self.touch(neighbours);
-        self.append(&Mutation::RemoveNode { node })?;
+        self.append(|w| record::encode_remove_node(w, node))?;
         Ok(removed)
     }
 
@@ -795,12 +824,7 @@ impl<V: Vfs> DurableGraph<V> {
         let l = self.graph.label(label);
         let edge = self.graph.add_edge(src, dst, l)?;
         self.touch([src, dst]);
-        self.append(&Mutation::AddEdge {
-            edge,
-            src,
-            dst,
-            label: label.to_owned(),
-        })?;
+        self.append(|w| record::encode_add_edge(w, edge, src, dst, label))?;
         Ok(edge)
     }
 
@@ -810,7 +834,7 @@ impl<V: Vfs> DurableGraph<V> {
         let ends = self.graph.edge(edge)?;
         self.graph.remove_edge(edge)?;
         self.touch([ends.src, ends.dst]);
-        self.append(&Mutation::RemoveEdge { edge })?;
+        self.append(|w| record::encode_remove_edge(w, edge))?;
         Ok(())
     }
 
@@ -821,10 +845,7 @@ impl<V: Vfs> DurableGraph<V> {
         let old = self.graph.set_node_label(node, l)?;
         self.touch([node]);
         let old = self.graph.label_name(old).to_owned();
-        self.append(&Mutation::SetNodeLabel {
-            node,
-            label: label.to_owned(),
-        })?;
+        self.append(|w| record::encode_set_node_label(w, node, label))?;
         Ok(old)
     }
 
@@ -835,10 +856,7 @@ impl<V: Vfs> DurableGraph<V> {
         let old = self.graph.set_edge_label(edge, l)?;
         self.touch_endpoints(edge);
         let old = self.graph.label_name(old).to_owned();
-        self.append(&Mutation::SetEdgeLabel {
-            edge,
-            label: label.to_owned(),
-        })?;
+        self.append(|w| record::encode_set_edge_label(w, edge, label))?;
         Ok(old)
     }
 
@@ -848,11 +866,7 @@ impl<V: Vfs> DurableGraph<V> {
         let k = self.graph.attr_key(key);
         let old = self.graph.set_attr(node, k, value.clone())?;
         self.touch([node]);
-        self.append(&Mutation::SetAttr {
-            node,
-            key: key.to_owned(),
-            value,
-        })?;
+        self.append(|w| record::encode_set_attr(w, node, key, &value))?;
         Ok(old)
     }
 
@@ -862,10 +876,7 @@ impl<V: Vfs> DurableGraph<V> {
         let k = self.graph.attr_key(key);
         let old = self.graph.remove_attr(node, k)?;
         self.touch([node]);
-        self.append(&Mutation::RemoveAttr {
-            node,
-            key: key.to_owned(),
-        })?;
+        self.append(|w| record::encode_remove_attr(w, node, key))?;
         Ok(old)
     }
 
@@ -882,11 +893,7 @@ impl<V: Vfs> DurableGraph<V> {
         for &e in &outcome.rewired {
             self.touch_endpoints(e);
         }
-        self.append(&Mutation::MergeNodes {
-            keep,
-            merged,
-            dedup_parallel,
-        })?;
+        self.append(|w| record::encode_merge_nodes(w, keep, merged, dedup_parallel))?;
         Ok(outcome)
     }
 
@@ -999,8 +1006,9 @@ impl<V: Vfs> DurableGraph<V> {
         self.ensure_writable()?;
         // Everything the snapshot will cover must be durable first: if
         // the snapshot landed but its covered records did not, a crash
-        // would recover *ahead* of the log. A failed fsync here poisons
-        // like one in commit (same fsyncgate hazard).
+        // would recover *ahead* of the log. A failed write or fsync here
+        // poisons like one in commit (same fsyncgate hazard).
+        self.flush()?;
         if let Err(e) = self.writer.sync() {
             self.poison = Some(Poison::Fsync);
             record_fault(format!("pre-snapshot fsync failed; store poisoned: {e}"));
@@ -1097,6 +1105,10 @@ impl<V: Vfs> DurableGraph<V> {
 
 impl<V: Vfs> Drop for DurableGraph<V> {
     fn drop(&mut self) {
+        // Hand buffered records to the OS (no fsync) while the lock is
+        // still held, so no write lands after another process may own
+        // the directory.
+        let _ = self.flush();
         if self.locked {
             lock::release(&self.vfs, &self.dir);
         }
@@ -1202,13 +1214,13 @@ fn append_with_rotation<V: Vfs>(
     dir: &Path,
     segment_max_bytes: u64,
     seq: u64,
-    m: &Mutation,
+    encode: impl FnOnce(&mut ByteWriter),
 ) -> Result<u64> {
     if writer.len() >= segment_max_bytes && !writer.is_empty() {
         writer.sync()?;
         *writer = SegmentWriter::create_in(vfs, dir, seq)?;
     }
-    writer.append(seq, m)
+    writer.append_encoded(seq, encode)
 }
 
 /// Round-buffering journal sink for [`DurableGraph::repair`]: applied
@@ -1256,7 +1268,7 @@ impl<V: Vfs> RepairSink for WalRoundSink<'_, V> {
                 self.dir,
                 self.segment_max_bytes,
                 seq,
-                &m,
+                |w| m.encode(w),
             ) {
                 Ok(written) => {
                     obs::record_since(&self.telemetry.append_ns, append_started);
@@ -1546,6 +1558,50 @@ mod tests {
         assert!(!s.is_poisoned());
         assert_eq!(s.graph().dump_slots(), durable);
         s.add_node("Q").unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_attr_key_is_last_wins_in_graph_store_and_replay() {
+        let dir = tmpdir("dupkey");
+        let attrs = [
+            ("k".to_owned(), Value::Int(1)),
+            ("k".to_owned(), Value::Int(2)),
+        ];
+        let mut g = Graph::new();
+        let p = g.label("P");
+        let keyed: Vec<_> = attrs
+            .iter()
+            .map(|(k, v)| (g.attr_key(k), v.clone()))
+            .collect();
+        let n = g.add_node_with_attrs(p, keyed);
+        let k = g.try_attr_key("k").unwrap();
+        assert_eq!(g.attr(n, k), Some(&Value::Int(2)));
+
+        let mut s = DurableGraph::create(&dir, StoreConfig::default()).unwrap();
+        s.add_node_with_attrs("P", &attrs).unwrap();
+        s.commit().unwrap();
+        assert_eq!(s.graph().to_doc(), g.to_doc(), "live store");
+        drop(s);
+        let s = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(s.graph().to_doc(), g.to_doc(), "reopened store");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn status_counts_buffered_records_in_the_active_segment() {
+        let dir = tmpdir("status-buffered");
+        let mut s = DurableGraph::create(&dir, StoreConfig::default()).unwrap();
+        populate(&mut s, 3);
+        let buffered = s.status().unwrap();
+        assert_eq!(buffered.segment_bytes, buffered.active_log_bytes);
+        assert!(buffered.active_log_bytes > SEGMENT_HEADER_LEN);
+        s.commit().unwrap();
+        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            buffered.segment_bytes
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

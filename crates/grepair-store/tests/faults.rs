@@ -12,10 +12,11 @@
 //! surfaces only as typed [`StoreError`]s.
 //!
 //! Around it: fsync failures must poison the store (fsyncgate),
-//! ENOSPC-torn appends must poison mutators while the valid prefix stays
-//! committable, transient interruptions must be retried away, the `LOCK`
-//! file must keep second writers out, and [`ReadOnlyStore`] must serve a
-//! prefix of a store too damaged for a writable open.
+//! failed or ENOSPC-torn journal writes must poison mutators while the
+//! valid prefix stays committable, transient interruptions must be
+//! retried away, the `LOCK` file must keep second writers out, and
+//! [`ReadOnlyStore`] must serve a prefix of a store too damaged for a
+//! writable open.
 
 use grepair_graph::{NodeId, SlotDump, Value};
 use grepair_store::{
@@ -234,21 +235,25 @@ fn failed_commit_fsync_poisons_against_retry() {
     s.graph().check_invariants().unwrap();
 }
 
-/// ENOSPC tearing an append mid-frame: the mutator reports a typed
-/// error and poisons further mutation, but committing the valid prefix
-/// — everything before the torn frame — stays allowed, and recovery
-/// discards the partial frame.
+/// ENOSPC tearing the write that flushes journaled records: the call
+/// that flushed (here `commit`) reports a typed error and poisons
+/// further mutation, but committing the valid prefix — everything
+/// before the torn write — stays allowed, and recovery discards the
+/// partial frame.
 #[test]
 fn enospc_torn_append_poisons_mutators_but_prefix_commits() {
     let vdir = PathBuf::from("/store");
     let fs = FaultyFs::new();
     let mut s = DurableGraph::create_on(fs.clone(), &vdir, small_config()).unwrap();
     s.add_node("P").unwrap();
+    s.commit().unwrap();
     let good_seq = s.last_seq();
     let durable = s.graph().dump_slots();
 
+    // Q is journaled in memory; the write that flushes it tears.
+    s.add_node("Q").unwrap();
     fs.inject_torn_write(0, 3, InjectedError::Enospc);
-    let err = s.add_node("Q").unwrap_err();
+    let err = s.commit().unwrap_err();
     match &err {
         StoreError::Io(e) => assert_eq!(e.raw_os_error(), Some(28), "{e}"),
         other => panic!("expected Io(ENOSPC), got {other}"),
@@ -267,6 +272,67 @@ fn enospc_torn_append_poisons_mutators_but_prefix_commits() {
         s.last_recovery().torn_tail_bytes > 0,
         "the partial ENOSPC frame is crash residue"
     );
+}
+
+/// Mutators buffer their records; the one whose record pushes the
+/// buffer past its flush threshold issues the write. When that write
+/// fails, the mutator reports it and the store is poisoned; committing
+/// the prefix already in the file stays allowed, the writer never
+/// writes again — not even when the store is dropped — and a reopen
+/// serves exactly the last commit.
+#[test]
+fn failed_buffer_flush_poisons_and_never_writes_again() {
+    let vdir = PathBuf::from("/store");
+    let fs = FaultyFs::new();
+    let config = StoreConfig {
+        segment_max_bytes: 1 << 30, // no rotation: only the buffer flushes
+        ..small_config()
+    };
+    let mut s = DurableGraph::create_on(fs.clone(), &vdir, config.clone()).unwrap();
+    s.add_node("P").unwrap();
+    s.commit().unwrap();
+    let committed_seq = s.last_seq();
+    let committed = s.graph().dump_slots();
+
+    let writes_before = fs.op_counts().writes;
+    fs.inject(FaultOp::Write, 0, InjectedError::Eio);
+    let bio = Value::from("x".repeat(4096));
+    let mut buffered = 0;
+    let err = loop {
+        match s.add_node_with_attrs("Q", &[("bio".to_owned(), bio.clone())]) {
+            Ok(_) => buffered += 1,
+            Err(e) => break e,
+        }
+        assert!(buffered < 1000, "the buffer never flushed");
+    };
+    assert!(
+        buffered > 1,
+        "several mutations were buffered first: {buffered}"
+    );
+    assert!(
+        matches!(&err, StoreError::Io(e) if e.raw_os_error() == Some(5)),
+        "{err}"
+    );
+    assert_eq!(
+        fs.op_counts().writes,
+        writes_before + 1,
+        "one write: the failed flush"
+    );
+    assert!(s.is_poisoned());
+    assert!(matches!(s.add_node("R"), Err(StoreError::Poisoned)));
+    assert!(matches!(s.compact(), Err(StoreError::Poisoned)));
+    s.commit().unwrap();
+    drop(s);
+    assert_eq!(
+        fs.op_counts().writes,
+        writes_before + 1,
+        "nothing written after the failed flush, drop included"
+    );
+
+    let s = DurableGraph::open_on(fs, &vdir, config).unwrap();
+    assert_eq!(s.last_seq(), committed_seq);
+    assert_eq!(s.graph().dump_slots(), committed);
+    assert_eq!(s.last_recovery().torn_tail_bytes, 0);
 }
 
 /// Transient `EINTR`-class failures on retryable operations (here: the

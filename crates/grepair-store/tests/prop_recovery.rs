@@ -268,11 +268,14 @@ proptest! {
             prop_assert_eq!(segs.len(), 1);
             segs.pop().unwrap().1
         };
-        let mut frame_ends: Vec<u64> = vec![std::fs::metadata(&seg_path).unwrap().len()];
+        // Frame ends from the writer's logical length: records reach the
+        // file only when the journal is flushed (at the latest by commit).
+        let active_len = |s: &DurableGraph| s.status().unwrap().active_log_bytes;
+        let mut frame_ends: Vec<u64> = vec![active_len(&s)];
         for op in &ops {
             if apply_op(&mut s, op) {
                 dumps.push(s.graph().dump_slots());
-                frame_ends.push(std::fs::metadata(&seg_path).unwrap().len());
+                frame_ends.push(active_len(&s));
             }
         }
         s.commit().unwrap();
