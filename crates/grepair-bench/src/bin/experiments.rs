@@ -6,7 +6,7 @@
 //! cargo run -p grepair-bench --release --bin experiments -- f1 f7 --csv
 //! ```
 //!
-//! Ids: `t1 t2 f1 f2 f3 f4 f5 f6 f7 f8` or `all`. `--quick` shrinks
+//! Ids: `t1 t2 f1 f2 f3 f4 f5 f6 f7` or `all`. `--quick` shrinks
 //! workloads to seconds-scale; `--csv` additionally prints CSV blocks.
 
 use grepair_eval::{run, Profile};
@@ -44,7 +44,7 @@ fn main() {
         }
     }
     if !any {
-        eprintln!("no experiment matched; ids: t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 all");
+        eprintln!("no experiment matched; ids: t1 t2 f1 f2 f3 f4 f5 f6 f7 all");
         std::process::exit(2);
     }
 }

@@ -1,7 +1,8 @@
 //! # grepair-bench
 //!
 //! Criterion benchmarks and the `experiments` binary that regenerates the
-//! reconstructed evaluation tables/figures (see `EXPERIMENTS.md`).
+//! reconstructed evaluation tables/figures (see the README's "Paper
+//! experiments" section).
 //!
 //! Shared fixtures for the benches live here so every bench measures the
 //! same workloads the experiment harness reports on.
@@ -13,28 +14,6 @@
 
 use grepair_gen::{generate_kg, inject_kg_noise, KgConfig, NoiseConfig};
 use grepair_graph::Graph;
-
-/// Warn that a parallel bench is running effectively single-threaded
-/// (timeshared workers on a too-small host), **once per invocation** no
-/// matter how many probes detect it — repeating the same warning per
-/// probed thread count buries the rest of the bench output. The warning
-/// is also recorded as a warn-level `bench.degraded_host` event in the
-/// metrics registry so machine consumers see it alongside the `degraded`
-/// metric.
-pub fn warn_degraded_host_once(workers: usize, cores: usize) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let msg = format!(
-            "parallel bench ran effectively single-threaded ({workers} \
-             worker(s) on {cores} core(s)) — serial/parallel comparisons \
-             are timeshared, not scaling measurements; speedups recorded \
-             with degraded = 1"
-        );
-        eprintln!("warning: {msg}");
-        grepair_obs::event(grepair_obs::Level::Warn, "bench.degraded_host", msg);
-        criterion::record_metric("degraded_host_warned", 1.0);
-    });
-}
 
 /// A dirty KG fixture at the given person count (10% mixed noise, fixed
 /// seeds — identical across benches).

@@ -67,9 +67,6 @@ fn validate(name: &str, text: &str) {
     for (k, v) in &parsed.metrics {
         assert!(v.is_finite(), "{name}: metric {k} = {v}");
     }
-    if parsed.bench == "par_matching" {
-        validate_par_matching(name, &parsed);
-    }
     if parsed.bench == "observability" {
         validate_observability(name, &parsed);
     }
@@ -79,52 +76,6 @@ fn validate(name: &str, text: &str) {
     if parsed.bench == "store_faults" {
         validate_store_faults(name, &parsed);
     }
-}
-
-/// Extra contract for the parallel-matching bench, introduced with the
-/// phantom-parallelism fix: the JSON must say how many cores the host
-/// had, how many workers actually ran, a speedup per probed thread
-/// count, and whether the comparison was degraded (effectively
-/// single-threaded) — so a 1-worker "speedup" can never again be
-/// committed as a scaling number without being flagged.
-fn validate_par_matching(name: &str, parsed: &BenchJson) {
-    for key in [
-        "host_cores",
-        "worker_threads",
-        "speedup_parallel",
-        "degraded",
-        "speedup_t1",
-        "speedup_t2",
-    ] {
-        assert!(
-            parsed.metrics.contains_key(key),
-            "{name}: par_matching must record metric {key}"
-        );
-    }
-    let workers = parsed.metrics["worker_threads"];
-    assert!(
-        workers >= 1.0 && workers.fract() == 0.0,
-        "{name}: worker_threads must be a positive integer, got {workers}"
-    );
-    let cores = parsed.metrics["host_cores"];
-    assert!(
-        cores >= 1.0 && cores.fract() == 0.0,
-        "{name}: host_cores must be a positive integer, got {cores}"
-    );
-    let at_workers = format!("speedup_t{}", workers as u64);
-    assert!(
-        parsed.metrics.contains_key(&at_workers),
-        "{name}: missing per-thread-count speedup {at_workers}"
-    );
-    let degraded = parsed.metrics["degraded"];
-    assert!(
-        degraded == 0.0 || degraded == 1.0,
-        "{name}: degraded must be 0 or 1, got {degraded}"
-    );
-    assert!(
-        degraded == 1.0 || (workers >= 2.0 && cores >= 2.0),
-        "{name}: a non-degraded run requires >= 2 workers on >= 2 cores"
-    );
 }
 
 /// Extra contract for the observability bench: the telemetry layer's
@@ -291,36 +242,6 @@ fn validator_rejects_malformed_results() {
         assert!(
             std::panic::catch_unwind(|| validate("BENCH_x.json", bad)).is_err(),
             "must reject: {bad}"
-        );
-    }
-}
-
-#[test]
-fn validator_enforces_par_matching_contract() {
-    let row = r#"[{"id":"a","median_ns":1.0,"iters_per_sec":2.0}]"#;
-    let ok = format!(
-        r#"{{"bench":"par_matching","smoke":true,"results":{row},"metrics":{{
-            "speedup_t1":0.9,"speedup_t2":1.8,"speedup_parallel":1.8,
-            "worker_threads":2.0,"host_cores":1.0,"degraded":1.0}}}}"#
-    );
-    validate("BENCH_par_matching.json", &ok);
-    for bad_metrics in [
-        // Missing worker_threads entirely (the phantom-parallelism bug
-        // would have been caught by exactly this).
-        r#""speedup_t1":0.9,"speedup_t2":1.8,"speedup_parallel":1.8,"host_cores":1.0,"degraded":1.0"#,
-        // Missing host cores.
-        r#""speedup_t1":0.9,"speedup_t2":1.8,"speedup_parallel":1.8,"worker_threads":2.0,"degraded":1.0"#,
-        // Missing the per-thread-count curve.
-        r#""speedup_parallel":1.8,"worker_threads":2.0,"host_cores":1.0,"degraded":1.0"#,
-        // Single-threaded comparison not flagged as degraded.
-        r#""speedup_t1":0.9,"speedup_t2":1.8,"speedup_parallel":1.8,"worker_threads":2.0,"host_cores":1.0,"degraded":0.0"#,
-    ] {
-        let text = format!(
-            r#"{{"bench":"par_matching","smoke":true,"results":{row},"metrics":{{{bad_metrics}}}}}"#
-        );
-        assert!(
-            std::panic::catch_unwind(|| validate("BENCH_par_matching.json", &text)).is_err(),
-            "must reject metrics: {bad_metrics}"
         );
     }
 }

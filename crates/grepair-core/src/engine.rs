@@ -35,7 +35,6 @@ use crate::rule::Grr;
 use grepair_graph::{EditCosts, Graph, NodeId};
 use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
 use grepair_obs as obs;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -68,8 +67,6 @@ pub struct EngineConfig {
     pub max_churn: u32,
     /// Edit-cost table for arbitration and accounting.
     pub costs: EditCosts,
-    /// Enumerate rule matches in parallel during full scans (F8).
-    pub parallel: bool,
     /// Run a final scan to count residual violations (see
     /// [`RepairReport::violations_remaining`]).
     pub verify_fixpoint: bool,
@@ -93,7 +90,6 @@ impl Default for EngineConfig {
             max_repairs: 0,
             max_churn: 16,
             costs: EditCosts::default(),
-            parallel: false,
             verify_fixpoint: true,
             stratify: true,
         }
@@ -806,52 +802,9 @@ impl RepairEngine {
         report
     }
 
-    /// All matches of every rule's pattern, computed by one
-    /// morsel-driven parallel sweep.
-    ///
-    /// This is the `RuleSet`-level parallel sweep: every rule's root
-    /// candidates are cut into fixed-size morsels and scheduled together
-    /// on one shared work queue
-    /// ([`grepair_match::Matcher::par_find_all_many`]), so workers steal
-    /// across rules *and* within a pattern — a skewed workload (one
-    /// dominant rule) still scales with cores. Results are indexed like
-    /// `rules.rules` and each inner vector is in the sequential
-    /// `find_all` emission order, so the sweep is a drop-in,
-    /// deterministic replacement for a serial scan. The same sweep backs
-    /// [`RepairEngine::repair`]'s full scans when
-    /// [`EngineConfig::parallel`] is set.
-    #[cfg(feature = "parallel")]
-    pub fn par_match_sweep(&self, g: &Graph, rules: &crate::ruleset::RuleSet) -> Vec<Vec<Match>> {
-        let matcher = Matcher::with_config(g, self.config.match_config).with_budget(&self.budget);
-        let refs: Vec<&Grr> = rules.rules.iter().collect();
-        Self::parallel_scan(&matcher, &refs)
-    }
-
-    /// Multi-rule parallel sweep; with the `parallel` feature all rules'
-    /// morsels share one work queue (stealing across rules and within a
-    /// pattern).
-    fn parallel_scan(matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
-        #[cfg(feature = "parallel")]
-        {
-            let patterns: Vec<&grepair_match::Pattern> =
-                rules.iter().map(|r| &r.pattern).collect();
-            matcher.par_find_all_many(&patterns)
-        }
-        #[cfg(not(feature = "parallel"))]
-        rules
-            .par_iter()
-            .map(|r| matcher.find_all(&r.pattern))
-            .collect()
-    }
-
-    /// One full multi-rule scan, honoring the `parallel` toggle. Results
-    /// are indexed like `rules`.
+    /// One full multi-rule scan. Results are indexed like `rules`.
     fn scan_matches(&self, matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
-        if self.config.parallel {
-            Self::parallel_scan(matcher, rules)
-        } else {
-            rules.iter().map(|r| matcher.find_all(&r.pattern)).collect()
-        }
+        rules.iter().map(|r| matcher.find_all(&r.pattern)).collect()
     }
 
     /// Whether this configuration's plans can consume cardinality
@@ -878,11 +831,7 @@ impl RepairEngine {
 
     fn count_violations_with(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> usize {
         let matcher = self.matcher(g, planner);
-        if self.config.parallel {
-            rules.par_iter().map(|r| matcher.count(&r.pattern)).sum()
-        } else {
-            rules.iter().map(|r| matcher.count(&r.pattern)).sum()
-        }
+        rules.iter().map(|r| matcher.count(&r.pattern)).sum()
     }
 
     /// Full scan: all violations of all rules, with cost estimates.
@@ -1367,30 +1316,6 @@ mod tests {
         .unwrap()
     }
 
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_match_sweep_agrees_with_serial_scan() {
-        let g = dirty_graph();
-        let rule_set = crate::ruleset::RuleSet::new("t", rules()).unwrap();
-        let engine = RepairEngine::default();
-        let par = engine.par_match_sweep(&g, &rule_set);
-        let matcher = Matcher::with_config(&g, engine.config().match_config);
-        let serial: Vec<Vec<Match>> = rule_set
-            .rules
-            .iter()
-            .map(|r| matcher.find_all(&r.pattern))
-            .collect();
-        assert_eq!(par, serial);
-
-        // A single-rule set exercises the matcher-level parallel path.
-        let single =
-            crate::ruleset::RuleSet::new("one", vec![rule_set.rules[0].clone()]).unwrap();
-        let par_one = engine.par_match_sweep(&g, &single);
-        assert_eq!(par_one, serial[0..1].to_vec());
-
-        assert!(engine.par_match_sweep(&g, &crate::ruleset::RuleSet::default()).is_empty());
-    }
-
     #[test]
     fn incremental_engine_repairs_all_classes() {
         let mut g = dirty_graph();
@@ -1711,22 +1636,6 @@ mod tests {
         assert_eq!(report.per_rule[1].repairs_applied, 1, "high priority wins");
         assert_eq!(report.per_rule[0].repairs_applied, 0);
         assert!(g.try_label("fineHigh").is_some());
-    }
-
-    #[test]
-    fn parallel_scan_equals_sequential() {
-        let rules = rules();
-        let mut g1 = dirty_graph();
-        let mut g2 = dirty_graph();
-        let seq = RepairEngine::default().repair(&mut g1, &rules);
-        let par = RepairEngine::new(EngineConfig {
-            parallel: true,
-            ..EngineConfig::default()
-        })
-        .repair(&mut g2, &rules);
-        assert_eq!(seq.repairs_applied, par.repairs_applied);
-        assert_eq!(g1.num_nodes(), g2.num_nodes());
-        assert_eq!(g1.num_edges(), g2.num_edges());
     }
 
     #[test]

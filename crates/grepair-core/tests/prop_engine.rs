@@ -114,34 +114,6 @@ proptest! {
         prop_assert_eq!(g1.num_edges(), g2.num_edges());
     }
 
-    /// The morsel-driven parallel sweep returns byte-identical match
-    /// sets (same matches, same order) to a serial per-rule scan across
-    /// thread counts {1, 2, 8} — all rules' morsels share one work
-    /// queue, so this also exercises cross-rule stealing.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_match_sweep_identical_across_thread_counts(
-        rg in graph_strategy(),
-        rules in rules_strategy(),
-    ) {
-        let g = build_graph(&rg);
-        let engine = RepairEngine::default();
-        let matcher = grepair_match::Matcher::with_config(&g, engine.config().match_config);
-        let serial: Vec<Vec<grepair_match::Match>> = rules
-            .rules
-            .iter()
-            .map(|r| matcher.find_all(&r.pattern))
-            .collect();
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let par = pool.install(|| engine.par_match_sweep(&g, &rules));
-            prop_assert_eq!(&par, &serial, "{} sweep threads", threads);
-        }
-    }
-
     /// Every generated rule passes the semantic effectiveness check.
     #[test]
     fn generated_rules_are_effective(rules in rules_strategy()) {

@@ -2,7 +2,7 @@
 //!
 //! On generated knowledge-graph scenarios with injected noise and
 //! (already dirty) social scenarios, every engine configuration — Naive,
-//! NaiveWithIndexes, Incremental, and the parallel sweep — must:
+//! NaiveWithIndexes and Incremental — must:
 //!
 //! - converge, and agree on the residual violation count as measured by
 //!   one canonical counter;
@@ -29,13 +29,6 @@ fn engine_matrix() -> Vec<(&'static str, EngineConfig)> {
         ("incremental", EngineConfig::default()),
         ("naive-indexed", EngineConfig::naive_with_indexes()),
         ("naive-full", EngineConfig::naive()),
-        (
-            "parallel-sweep",
-            EngineConfig {
-                parallel: true,
-                ..EngineConfig::default()
-            },
-        ),
     ]
 }
 

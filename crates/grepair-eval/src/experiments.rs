@@ -1,10 +1,10 @@
 //! The experiment harness: one function per reconstructed table/figure.
 //!
-//! Every entry of the per-experiment index in `DESIGN.md` §4 maps to one
-//! `exp_*` function here; the `experiments` binary in `grepair-bench`
-//! prints the same rows/series the paper reports, and `EXPERIMENTS.md`
-//! records the measured outcomes. Profiles control workload sizes so the
-//! full suite stays laptop-scale.
+//! Every experiment id (`t1`, `t2`, `f1`–`f7`) maps to one `exp_*`
+//! function here; the `experiments` binary in `grepair-bench` prints the
+//! same rows/series the paper reports (the README's "Paper experiments"
+//! section lists what each id measures). Profiles control workload sizes
+//! so the full suite stays laptop-scale.
 
 use crate::baselines::{delete_only_rules, random_repair};
 use crate::metrics::{evaluate_repair, RepairQuality};
@@ -34,8 +34,6 @@ pub struct Profile {
     pub noise_rates: Vec<f64>,
     /// Seeds averaged over in quality experiments.
     pub seeds: Vec<u64>,
-    /// Thread counts for F8.
-    pub threads: Vec<usize>,
 }
 
 impl Profile {
@@ -48,7 +46,6 @@ impl Profile {
             rule_points: vec![5, 10, 20],
             noise_rates: vec![0.05, 0.1],
             seeds: vec![1],
-            threads: vec![1, 2],
         }
     }
 
@@ -61,7 +58,6 @@ impl Profile {
             rule_points: vec![10, 20, 40, 80, 160],
             noise_rates: vec![0.02, 0.05, 0.10, 0.15, 0.20],
             seeds: vec![1, 2, 3],
-            threads: vec![1, 2, 4, 8],
         }
     }
 }
@@ -536,43 +532,6 @@ pub fn exp_cost(p: &Profile) -> Table {
     t
 }
 
-// ---------------------------------------------------------------------------
-// F8 — parallel scaling
-// ---------------------------------------------------------------------------
-
-/// F8: violation-scan speedup vs thread count on the large KG.
-pub fn exp_parallel(p: &Profile) -> Table {
-    let mut t = Table::new(
-        "f8",
-        "parallel scan speedup vs threads (large KG)",
-        &["threads", "scan time", "speedup"],
-    );
-    let (_, dirty, _) = dirty_kg(p.kg_sizes[2], 0.10, 1, None);
-    let mut rules = gold_kg_rules().rules;
-    rules.extend(synthetic_rules(*p.rule_points.last().unwrap_or(&20)).rules);
-    let mut base = Duration::ZERO;
-    for &threads in &p.threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        let engine = RepairEngine::new(EngineConfig {
-            parallel: true,
-            ..EngineConfig::default()
-        });
-        let (_, d) = pool.install(|| time(|| engine.count_violations(&dirty, &rules)));
-        if base.is_zero() {
-            base = d;
-        }
-        t.row(vec![
-            threads.to_string(),
-            ms(d),
-            format!("{:.2}×", base.as_secs_f64() / d.as_secs_f64().max(1e-9)),
-        ]);
-    }
-    t
-}
-
 /// An experiment entry point.
 type ExpFn = fn(&Profile) -> Table;
 
@@ -588,7 +547,6 @@ pub fn run(id: &str, p: &Profile) -> Vec<Table> {
         ("f5", exp_ablation_matching),
         ("f6", exp_ablation_incremental),
         ("f7", exp_cost),
-        ("f8", exp_parallel),
     ];
     all.iter()
         .filter(|(eid, _)| id == "all" || *eid == id)
@@ -608,7 +566,6 @@ mod tests {
             rule_points: vec![3, 6],
             noise_rates: vec![0.1],
             seeds: vec![1],
-            threads: vec![1, 2],
         }
     }
 
@@ -661,12 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn f7_f8_smoke() {
+    fn f7_smoke() {
         let p = tiny();
         let t7 = exp_cost(&p);
         assert_eq!(t7.rows.len(), 3);
-        let t8 = exp_parallel(&p);
-        assert_eq!(t8.rows.len(), 2);
     }
 
     #[test]

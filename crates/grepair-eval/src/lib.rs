@@ -2,8 +2,8 @@
 //!
 //! Evaluation substrate: repair-quality metrics, comparison baselines,
 //! and the experiment harness that regenerates every table and figure of
-//! the reconstructed ICDE 2018 evaluation (see `DESIGN.md` §4 and
-//! `EXPERIMENTS.md`).
+//! the reconstructed ICDE 2018 evaluation (the `experiments` binary in
+//! `grepair-bench`; see the README's "Paper experiments" section).
 //!
 //! - [`metrics`] — precision/recall/F1 over canonical triple-multiset
 //!   deltas (made-changes vs needed-changes).

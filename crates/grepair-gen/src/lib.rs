@@ -7,7 +7,8 @@
 //! These replace the artifacts this reproduction cannot ship — real KG
 //! dumps and manually annotated error sets — while exercising the same
 //! code paths (label/value indexes, matching, all seven repair
-//! operations); see DESIGN.md §2 for the substitution argument.
+//! operations); the README's "Paper experiments" section lists the
+//! experiments that run on them.
 //!
 //! - [`kg`] — clean knowledge-graph generator (Person/City/Country/
 //!   Company schema, power-law social layer).

@@ -274,10 +274,12 @@ fn into_string(tok: &mut [Part<'_>]) -> Option<String> {
 
 /// Split an attribute token into key and typed value. Accepted shapes:
 /// `key=value`, `key="…"`, `"…"=value`, `"…"="…"`; anything else is an
-/// error.
+/// error. The empty key is spelled quoted (`""=1`, as the writer emits
+/// it); a bare `=1` is rejected.
 fn key_value<'a>(tok: &mut [Part<'a>]) -> Result<(String, Value), String> {
     let (key, rest, tail): (_, &'a str, _) = match tok {
         [Part::Lit(lit), tail @ ..] => match lit.split_once('=') {
+            Some(("", _)) => return Err("empty attribute key".into()),
             Some((k, v)) => (k.to_owned(), v, tail),
             None => return Err(format!("expected key=value, got {lit:?}")),
         },
@@ -287,9 +289,6 @@ fn key_value<'a>(tok: &mut [Part<'a>]) -> Result<(String, Value), String> {
         [Part::Quoted(k), ..] => return Err(format!("expected '=' after quoted key {k:?}")),
         _ => return Err("empty attribute token".into()),
     };
-    if key.is_empty() {
-        return Err("empty attribute key".into());
-    }
     let value = match (rest.is_empty(), tail) {
         // key=literal — typed parse.
         (false, []) => parse_text_value(rest),
@@ -509,6 +508,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_attribute_key_round_trips() {
+        let mut g = Graph::new();
+        let n = g.add_node_named("P");
+        let k = g.attr_key("");
+        g.set_attr(n, k, Value::Int(1)).unwrap();
+        let doc = g.to_doc();
+
+        let text = doc.to_text();
+        assert!(text.contains(" \"\"=1"), "{text}");
+        assert_eq!(GraphDoc::from_text(&text).unwrap(), doc, "{text}");
+
+        let back = GraphDoc::from_json(&doc.to_json()).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(Graph::from_doc(&back).unwrap().to_doc(), doc);
+    }
+
+    #[test]
     fn text_parses_comments_and_types() {
         let text = "# fixture\nnode 0 P x=1 y=2.5 z=true w=\"hi\"\nnode 1 Q\nedge 0 r 1\n";
         let doc = GraphDoc::from_text(text).unwrap();
@@ -590,7 +606,7 @@ mod tests {
         // Garbage after a quoted value.
         let e = GraphDoc::from_text("node 0 P x=\"a\"b\n").unwrap_err();
         assert!(e.to_string().contains("x"), "{e}");
-        // Empty key.
+        // Empty key without quotes.
         let e = GraphDoc::from_text("node 0 P =1\n").unwrap_err();
         assert!(e.to_string().contains("key"), "{e}");
         // Quoted key without '='.

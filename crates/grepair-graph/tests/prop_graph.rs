@@ -44,10 +44,9 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 }
 
 /// Documents with arbitrary (distinct) handles, names over [`ALPHABET`]
-/// and edges between existing handles. Keys are non-empty: the text
-/// format has no spelling for an empty key.
+/// and edges between existing handles.
 fn doc_strategy() -> impl Strategy<Value = GraphDoc> {
-    let attrs = prop::collection::vec((string_strategy(1..5), value_strategy()), 0..5);
+    let attrs = prop::collection::vec((string_strategy(0..5), value_strategy()), 0..5);
     let nodes = prop::collection::vec((any::<u32>(), string_strategy(0..5), attrs), 0..8);
     let edges = prop::collection::vec((any::<u8>(), string_strategy(0..5), any::<u8>()), 0..10);
     (nodes, edges).prop_map(|(nodes, edges)| {

@@ -32,13 +32,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// Root candidates per morsel in the parallel sweep
-/// ([`Matcher::par_find_all_many`]): small enough that one skewed
-/// subtree pins only a sliver of the work, large enough that the
-/// shared-cursor claim is amortized over real search effort.
-#[cfg(feature = "parallel")]
-pub const MORSEL_ROOTS: usize = 128;
-
 /// Matcher feature toggles (all on by default; `naive()` turns all off).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MatchConfig {
@@ -60,8 +53,8 @@ pub struct MatchConfig {
     /// *before any match has been emitted*, abort the enumeration, patch
     /// the planner's statistics with the graph's current cardinalities,
     /// and re-plan once. Requires an attached [`Planner`] with
-    /// statistics; anchored (`find_touching`) and parallel searches
-    /// never adapt. Bounded to one re-plan per call, so worst-case work
+    /// statistics; anchored (`find_touching`) searches never adapt.
+    /// Bounded to one re-plan per call, so worst-case work
     /// stays within 2x of the non-adaptive search.
     pub adaptive_replan: bool,
     /// Observed-over-estimated frontier blow-up factor that triggers an
@@ -297,8 +290,7 @@ pub(crate) struct Compiled {
     /// Whether this plan may adaptively re-plan: the join order came
     /// from cardinality statistics (so the estimates are meaningful) and
     /// the search is a full scan, not anchored. Cleared on re-planned
-    /// compilations; parallel executions additionally never arm the
-    /// monitor at run time.
+    /// compilations.
     adaptive_capable: bool,
 }
 
@@ -467,188 +459,6 @@ impl<'g> Matcher<'g> {
         obs::record_since_named("match.find_all_ns", started);
         obs::counter("match.matches_found").add(out.len() as u64);
         out
-    }
-
-    /// All matches of `pattern`, enumerated in parallel.
-    ///
-    /// Delegates to [`Matcher::par_find_all_many`] with a single
-    /// pattern: the root-candidate set is cut into fixed-size morsels
-    /// claimed from a shared atomic cursor, so skewed subtree sizes
-    /// balance across workers. Returns exactly [`Matcher::find_all`]'s
-    /// match set in the same order.
-    #[cfg(feature = "parallel")]
-    pub fn par_find_all(&self, pattern: &Pattern) -> Vec<Match> {
-        self.par_find_all_many(&[pattern])
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// All matches of every pattern in `patterns`, enumerated by one
-    /// morsel-driven parallel sweep.
-    ///
-    /// Scheduling is morsel-driven (after Leis et al.'s HyPer
-    /// scheduler): each pattern's depth-0 root-candidate list is cut
-    /// into fixed-size morsels of [`MORSEL_ROOTS`] roots, and all
-    /// patterns' morsels feed a single shared atomic work queue.
-    /// Workers steal the next unclaimed morsel regardless of which
-    /// pattern it belongs to, so a sweep balances *across* patterns
-    /// (one expensive rule does not serialize behind the others) *and
-    /// within* a pattern (a skewed subtree only pins one morsel, not a
-    /// fixed per-thread range). Each worker keeps one pooled
-    /// [`SearchState`] for its whole run, re-shaping it only when it
-    /// picks up a morsel for a different pattern.
-    ///
-    /// Output is deterministic: every morsel writes to its own indexed
-    /// slot and slots are merged in morsel order, which is exactly the
-    /// per-pattern sequential DFS emission order — element `i` equals
-    /// `self.find_all(patterns[i])`, byte for byte.
-    #[cfg(feature = "parallel")]
-    pub fn par_find_all_many(&self, patterns: &[&Pattern]) -> Vec<Vec<Match>> {
-        use rayon::prelude::*;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        /// Per-pattern prep: either finished serially (no compile, or a
-        /// zero-variable plan) or staged for the morsel sweep.
-        enum Prep {
-            Done(Vec<Match>),
-            Scan { comp: Arc<Compiled>, roots: Vec<NodeId> },
-        }
-
-        let empty = TouchSet::default();
-        let preps: Vec<Prep> = patterns
-            .iter()
-            .map(|pattern| {
-                debug_assert!(pattern.validate().is_ok());
-                let Some(comp) = self.compiled(pattern, None, &empty) else {
-                    return Prep::Done(Vec::new());
-                };
-                if comp.plan.is_empty() {
-                    return Prep::Done(self.find_all(pattern));
-                }
-                let probe = self.acquire_state(comp.plan.len(), comp.edges.len());
-                let roots = self.candidates(&comp, &probe, 0, &empty);
-                self.release_state(probe);
-                Prep::Scan { comp, roots }
-            })
-            .collect();
-
-        let workers = rayon::current_num_threads();
-        if workers <= 1 {
-            return preps
-                .into_iter()
-                .zip(patterns)
-                .map(|(prep, pattern)| match prep {
-                    Prep::Done(out) => out,
-                    Prep::Scan { .. } => self.find_all(pattern),
-                })
-                .collect();
-        }
-
-        // The shared work list: (pattern, root range) descriptors in
-        // per-pattern root order, claimed via one atomic cursor.
-        struct Morsel {
-            pattern: usize,
-            lo: usize,
-            hi: usize,
-        }
-        let mut morsels: Vec<Morsel> = Vec::new();
-        for (pattern, prep) in preps.iter().enumerate() {
-            if let Prep::Scan { roots, .. } = prep {
-                let mut lo = 0;
-                while lo < roots.len() {
-                    let hi = (lo + MORSEL_ROOTS).min(roots.len());
-                    morsels.push(Morsel { pattern, lo, hi });
-                    lo = hi;
-                }
-            }
-        }
-
-        let slots: Vec<Mutex<Vec<Match>>> =
-            (0..morsels.len()).map(|_| Mutex::new(Vec::new())).collect();
-        let cursor = AtomicUsize::new(0);
-        let _span = obs::span("match.par_find_all_many", "match");
-        let morsel_hist = obs::histogram("match.morsel_drain_ns");
-        let preps_ref = &preps;
-        let morsels_ref = &morsels;
-        let slots_ref = &slots;
-        let cursor_ref = &cursor;
-        let empty_ref = &empty;
-        let morsel_hist_ref = &morsel_hist;
-        let n_workers = workers.min(morsels.len().max(1));
-        (0..n_workers).into_par_iter().for_each(|_| {
-            // One pooled backtracking state per worker, reused across
-            // morsels and re-shaped only on a pattern switch.
-            let mut held: Option<(usize, SearchState)> = None;
-            loop {
-                // Morsel-drain early exit: a tripped budget stops this
-                // worker from claiming further morsels (a full
-                // checkpoint here also promotes pending cancels and
-                // deadline expiry mid-sweep).
-                if let Some(b) = &self.budget {
-                    if b.checkpoint().is_some() {
-                        break;
-                    }
-                }
-                let m = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                if m >= morsels_ref.len() {
-                    break;
-                }
-                let Morsel { pattern, lo, hi } = morsels_ref[m];
-                let Prep::Scan { comp, roots } = &preps_ref[pattern] else {
-                    continue;
-                };
-                let mut st = match held.take() {
-                    Some((held_pat, mut st)) => {
-                        if held_pat != pattern {
-                            st.reset(comp.plan.len(), comp.edges.len());
-                        }
-                        st
-                    }
-                    None => self.acquire_state(comp.plan.len(), comp.edges.len()),
-                };
-                let drain_started = obs::timer();
-                let mut out = Vec::new();
-                self.run_roots(
-                    comp,
-                    &mut st,
-                    &roots[lo..hi],
-                    &mut |st| {
-                        out.push(st.to_match());
-                        true
-                    },
-                    empty_ref,
-                );
-                obs::record_since(morsel_hist_ref, drain_started);
-                *slots_ref[m].lock().expect("morsel slot poisoned") = out;
-                held = Some((pattern, st));
-            }
-            if let Some((_, st)) = held {
-                self.release_state(st);
-            }
-        });
-
-        // Deterministic merge: morsels were generated in (pattern,
-        // root-order) order, so appending slots in index order restores
-        // each pattern's sequential emission order.
-        let mut results: Vec<Vec<Match>> = preps
-            .into_iter()
-            .map(|prep| match prep {
-                Prep::Done(out) => out,
-                Prep::Scan { .. } => Vec::new(),
-            })
-            .collect();
-        let mut scan_matches = 0u64;
-        for (morsel, slot) in morsels.iter().zip(slots) {
-            let mut drained = slot.into_inner().expect("morsel slot poisoned");
-            scan_matches += drained.len() as u64;
-            results[morsel.pattern].append(&mut drained);
-        }
-        // Matches found on the morsel path; the serial fallback and
-        // `Prep::Done` paths already count through `find_all`, so the
-        // `match.matches_found` total is invariant across thread counts.
-        obs::counter("match.matches_found").add(scan_matches);
-        results
     }
 
     /// Up to `limit` matches.
@@ -1420,10 +1230,9 @@ impl<'g> Matcher<'g> {
         info
     }
 
-    /// The depth-0 binding loop over an explicit root-candidate list —
-    /// the one copy of the backtracking protocol shared by the
-    /// sequential entry point and each parallel chunk, so the two paths
-    /// cannot diverge.
+    /// The depth-0 binding loop over an explicit root-candidate list:
+    /// polls the budget once for the whole list, then binds each root
+    /// and descends into [`Matcher::step`].
     fn run_roots(
         &self,
         comp: &Compiled,

@@ -18,8 +18,8 @@
 //!   so a fixpoint loop issuing thousands of small `find_touching`
 //!   queries stops paying per-call allocations.
 //!
-//! The planner is `Sync`: full scans fan out over rayon workers and every
-//! worker shares the same cache and pool behind short-lived locks.
+//! The cache and the pool sit behind short-lived locks, so the planner
+//! is `Sync`.
 //!
 //! # One graph lineage per planner
 //!

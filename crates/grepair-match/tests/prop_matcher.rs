@@ -213,55 +213,6 @@ proptest! {
         prop_assert_eq!(touching.len(), expected.len());
     }
 
-    /// The parallel batch path returns exactly the sequential match set
-    /// — same matches, same order — and therefore also agrees with the
-    /// brute-force oracle.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn par_find_all_agrees_with_find_all_and_oracle(rg in graph_strategy(), rp in pattern_strategy()) {
-        let g = build_graph(&rg);
-        let p = build_pattern(&rp);
-        let m = Matcher::new(&g);
-        let seq = m.find_all(&p);
-        let par = m.par_find_all(&p);
-        prop_assert_eq!(&par, &seq, "parallel and sequential match sets differ");
-        let expected = node_sets(&oracle::brute_force_matches(&g, &p));
-        prop_assert_eq!(node_sets(&par), expected);
-    }
-
-    /// Morsel-driven parallel matching is byte-identical to the serial
-    /// matcher across thread counts {1, 2, 8}, also on tombstoned
-    /// graphs — both the single-pattern entry and the
-    /// multi-pattern sweep (which schedules all patterns' morsels on
-    /// one shared queue).
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn morsel_parallel_byte_identical_across_thread_counts(
-        rg in graph_strategy(),
-        rp in pattern_strategy(),
-        rp2 in pattern_strategy(),
-        kill_mask in any::<u8>(),
-    ) {
-        let mut g = build_graph(&rg);
-        punch_tombstones(&mut g, kill_mask);
-        let p = build_pattern(&rp);
-        let p2 = build_pattern(&rp2);
-        let m = Matcher::new(&g);
-        let seq = m.find_all(&p);
-        let seq2 = m.find_all(&p2);
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (par, many) =
-                pool.install(|| (m.par_find_all(&p), m.par_find_all_many(&[&p, &p2])));
-            prop_assert_eq!(&par, &seq, "single-pattern, {} threads", threads);
-            prop_assert_eq!(&many[0], &seq, "sweep slot 0, {} threads", threads);
-            prop_assert_eq!(&many[1], &seq2, "sweep slot 1, {} threads", threads);
-        }
-    }
-
     /// Statistics-driven (cost-based) plans enumerate exactly the match
     /// set of the declaration-order naive plan — the F5 ablation
     /// extended to the planner: join order is a pure performance choice.

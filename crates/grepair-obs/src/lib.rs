@@ -3,8 +3,8 @@
 //! The in-process observability substrate for the grepair stack: a
 //! structured tracing layer, a metrics registry, and the glue that turns
 //! both into stable machine-readable output. Hand-rolled and
-//! dependency-free (like every shim in this tree) so any crate — down to
-//! the rayon shim — can link it without cycles.
+//! dependency-free (like every shim in this tree) so any crate can link
+//! it without cycles.
 //!
 //! ## Tracing
 //!

@@ -32,8 +32,6 @@ use crate::lock;
 use crate::record::{self, Mutation};
 use crate::snapshot::{list_snapshots_in, read_snapshot_in, write_snapshot_in};
 use crate::vfs::{with_retry, StdFs, Vfs};
-#[cfg(feature = "parallel")]
-use crate::wal::SegmentContents;
 use crate::wal::{list_segments_in, read_segment_in, SegmentWriter, SEGMENT_HEADER_LEN};
 use grepair_core::{
     set_fingerprint, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairReport,
@@ -468,30 +466,6 @@ impl<V: Vfs> DurableGraph<V> {
         // Replay every record newer than the snapshot, in order.
         let segments = list_segments_in(vfs, dir)?;
 
-        // Decode-ahead: segments are self-delimiting (each frame carries
-        // its own length and checksum), so workers can decode all
-        // candidate segments concurrently. The replay loop below then
-        // consumes the pre-decoded results strictly in segment order,
-        // with the exact same skip / torn-tail / sequence-gap semantics
-        // as a serial read: a segment the loop decides to skip never has
-        // its decode result inspected, so a damaged fully-covered
-        // segment stays as harmless as it is serially.
-        // Under a budget the decode fan-out stops early: morsel claims
-        // are index-ordered, so a trip leaves a contiguous decoded
-        // prefix and the consume loop below hits its own checkpoint
-        // before ever needing a missing entry.
-        #[cfg(feature = "parallel")]
-        let mut decoded: Vec<Option<Result<SegmentContents>>> = {
-            let stop = || budget.is_tripped();
-            let mut v = rayon::par_pass_until(
-                segments.iter().collect::<Vec<_>>(),
-                &stop,
-                |(base, path)| Some(read_segment_in(vfs, path, Some(*base))),
-            );
-            v.resize_with(segments.len(), || None);
-            v
-        };
-
         let mut bytes_since_snapshot = 0u64;
         let mut next_seq = snap_seq + 1;
         let mut active: Option<(PathBuf, u64, u64)> = None; // path, base, valid_len
@@ -511,9 +485,6 @@ impl<V: Vfs> DurableGraph<V> {
                     continue;
                 }
             }
-            #[cfg(feature = "parallel")]
-            let contents = decoded[i].take().expect("each segment decoded once")?;
-            #[cfg(not(feature = "parallel"))]
             let contents = read_segment_in(vfs, path, Some(*base))?;
             stats.segments_read += 1;
             if contents.is_torn() {

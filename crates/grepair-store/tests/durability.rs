@@ -164,29 +164,6 @@ fn repeated_repair_cycles_stay_replayable_across_sessions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[cfg(feature = "parallel")]
-#[test]
-fn parallel_engine_repairs_are_journaled_identically() {
-    // The parallel scan changes discovery concurrency, not semantics;
-    // the journal must replay to the same state either way.
-    let dir = tmpdir("parallel");
-    let rules: RuleSet = gold_kg_rules();
-    let mut store =
-        DurableGraph::create_with(&dir, StoreConfig::default(), dirty_kg(60)).unwrap();
-    let engine = RepairEngine::new(EngineConfig {
-        parallel: true,
-        ..EngineConfig::default()
-    });
-    let report = store.repair(&engine, &rules.rules).unwrap();
-    assert!(report.converged);
-    let committed = store.graph().dump_slots();
-    drop(store);
-    let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.graph().dump_slots(), committed);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[cfg(not(feature = "parallel"))]
 #[test]
 fn naive_engine_repairs_are_journaled_identically() {
     let dir = tmpdir("naive");

@@ -1,5 +1,6 @@
 //! The reproduction contract as executable assertions: the qualitative
-//! *shapes* of the reconstructed evaluation must hold (see DESIGN.md §4).
+//! *shapes* of the reconstructed evaluation must hold (the tables the
+//! `experiments` binary prints; see the README's "Paper experiments").
 
 use grepair_core::{EngineConfig, RepairEngine};
 use grepair_eval::{delete_only_rules, evaluate_repair, random_repair};

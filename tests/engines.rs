@@ -29,13 +29,6 @@ fn all_engine_configs_converge_to_violation_free_graphs() {
         ("naive-indexed", EngineConfig::naive_with_indexes()),
         ("naive-full", EngineConfig::naive()),
         (
-            "incremental-parallel",
-            EngineConfig {
-                parallel: true,
-                ..EngineConfig::default()
-            },
-        ),
-        (
             "incremental-naive-matcher",
             EngineConfig {
                 mode: EngineMode::Incremental,

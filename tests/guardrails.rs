@@ -8,10 +8,7 @@
 //! same rules, no trip) records every committed round through a
 //! [`RepairSink`], so each cancelled run can be checked for
 //! committed-round-prefix equality by replaying rounds 0..k and
-//! comparing [`Graph::to_doc`] documents. A second property pins
-//! serial ≡ parallel under cancellation by flipping the cancel token
-//! from the sink at a round boundary — rounds are deterministic across
-//! thread counts, so both runs must stop on the identical prefix.
+//! comparing [`Graph::to_doc`] documents.
 
 use grepair_core::{
     AppliedOp, EngineConfig, EngineMode, Grr, RepairEngine, RepairOutcome, RepairSink,
@@ -214,33 +211,6 @@ proptest! {
         }
     }
 
-    /// Serial and parallel runs cancelled at the same round boundary
-    /// stop on the identical committed prefix with the same outcome.
-    #[test]
-    fn serial_equals_parallel_under_cancellation(case in case_strategy(), after in 1usize..6) {
-        let (g0, rules, config) = build_case(&case);
-        let run = |parallel: bool| {
-            let budget = Budget::unlimited();
-            let sink = CancelAfterRounds {
-                budget: budget.clone(),
-                remaining: after,
-            };
-            let mut g = g0.clone();
-            let report = RepairEngine::new(EngineConfig {
-                parallel,
-                ..config.clone()
-            })
-            .with_budget(&budget)
-            .repair_with_sink(&mut g, &rules, sink);
-            (g.to_doc(), report.outcome, report.ops.len())
-        };
-        let (doc_s, outcome_s, ops_s) = run(false);
-        let (doc_p, outcome_p, ops_p) = run(true);
-        prop_assert_eq!(outcome_s, outcome_p);
-        prop_assert_eq!(ops_s, ops_p);
-        prop_assert_eq!(doc_s, doc_p);
-    }
-
     /// A pre-expired test-clock deadline trips before any work: typed
     /// `Deadline` outcome, untouched graph, zero ops.
     #[test]
@@ -259,25 +229,6 @@ proptest! {
         prop_assert_eq!(report.ops.len(), 0);
         prop_assert_eq!(g.to_doc(), g0.to_doc());
         prop_assert_eq!(budget.tripped(), Some(TripReason::Deadline));
-    }
-}
-
-/// Sink that flips the budget's cancel flag after N committed rounds —
-/// deterministic across thread counts because rounds are.
-struct CancelAfterRounds {
-    budget: Budget,
-    remaining: usize,
-}
-
-impl RepairSink for CancelAfterRounds {
-    fn op(&mut self, _op: &AppliedOp) {}
-    fn round_committed(&mut self) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                self.budget.cancel();
-            }
-        }
     }
 }
 

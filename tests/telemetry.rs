@@ -1,7 +1,6 @@
 //! End-to-end telemetry: every layer of the stack contributes spans and
 //! histograms to a full `repair --store` run, and the counters the
-//! observability layer reports are *deterministic* — identical totals
-//! whether matching and WAL replay run on 1, 2, or 8 worker threads.
+//! observability layer reports agree with the reports they describe.
 //!
 //! Tracing state is process-global, so every test here serialises on one
 //! mutex and works in counter/histogram *deltas* (the registry is
@@ -385,57 +384,16 @@ fn committed_example_trace_is_valid_chrome_trace() {
     }
 }
 
-/// Counter totals and span well-formedness must not depend on how many
-/// workers the morsel-driven matcher fans out to.
-#[cfg(feature = "parallel")]
+/// WAL replay telemetry agrees with the recovery report: the
+/// `wal.records_replayed` counter moves by exactly `records_replayed`,
+/// and the recovery span is well-formed.
 #[test]
-fn par_matching_telemetry_invariant_across_thread_counts() {
-    use grepair_match::{Matcher, Pattern};
-
-    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let (mut g, refs) = generate_kg(&KgConfig::with_persons(300));
-    // The gold patterns match *violations* — noise makes them non-empty.
-    inject_kg_noise(&mut g, &refs, &NoiseConfig::default());
-    let rules = gold_kg_rules();
-    let patterns: Vec<&Pattern> = rules.rules.iter().map(|r| &r.pattern).collect();
-    let matcher = Matcher::new(&g);
-    let matches_found = grepair_obs::counter("match.matches_found");
-
-    let mut deltas: Vec<u64> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let before = matches_found.get();
-        let (results, events) = with_tracing(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| matcher.par_find_all_many(&patterns))
-        });
-        grepair_obs::spans_well_formed(&events)
-            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
-        let total: u64 = results.iter().map(|v| v.len() as u64).sum();
-        assert!(total > 0, "gold patterns must match something");
-        let delta = matches_found.get() - before;
-        assert_eq!(delta, total, "{threads} threads: counter vs matches");
-        deltas.push(delta);
-    }
-    assert!(
-        deltas.windows(2).all(|w| w[0] == w[1]),
-        "match.matches_found depends on thread count: {deltas:?}"
-    );
-}
-
-/// WAL replay telemetry is identical whether segment decode-ahead runs
-/// on 1, 2, or 8 workers: same records_replayed total, well-formed
-/// recovery spans.
-#[cfg(feature = "parallel")]
-#[test]
-fn wal_replay_telemetry_invariant_across_thread_counts() {
+fn wal_replay_telemetry_counts_every_replayed_record() {
     let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let dir = tmpdir("replay");
 
-    // Small segments force several files, so parallel decode-ahead has
-    // real fan-out.
+    // Small segments force several files, so replay crosses segment
+    // boundaries.
     let config = StoreConfig {
         segment_max_bytes: 4096,
         sync_on_commit: false,
@@ -455,30 +413,74 @@ fn wal_replay_telemetry_invariant_across_thread_counts() {
     assert!(expected >= 599, "test must generate a real log");
 
     let replayed_ctr = grepair_obs::counter("wal.records_replayed");
-    let mut deltas: Vec<u64> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let before = replayed_ctr.get();
-        let (store, events) = with_tracing(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| DurableGraph::open(&dir, config.clone()))
-                .unwrap()
-        });
-        assert_eq!(store.last_recovery().records_replayed, expected);
-        assert_eq!(store.graph().nodes().count(), 300, "{threads} threads");
-        assert!(
-            events
-                .iter()
-                .any(|e| e.ph == 'X' && e.name == "store.recovery"),
-            "{threads} threads: no recovery span"
-        );
-        grepair_obs::spans_well_formed(&events)
-            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
-        deltas.push(replayed_ctr.get() - before);
-    }
-    assert_eq!(deltas, vec![expected, expected, expected]);
+    let before = replayed_ctr.get();
+    let (store, events) = with_tracing(|| DurableGraph::open(&dir, config).unwrap());
+    assert_eq!(store.last_recovery().records_replayed, expected);
+    assert_eq!(store.graph().nodes().count(), 300);
+    assert!(
+        events
+            .iter()
+            .any(|e| e.ph == 'X' && e.name == "store.recovery"),
+        "no recovery span"
+    );
+    grepair_obs::spans_well_formed(&events).expect("recovery trace must nest");
+    assert_eq!(replayed_ctr.get() - before, expected);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every metric and span the README's taxonomy table names is emitted
+/// somewhere in the source: each backticked `layer.name` in the table
+/// must appear as the string literal `"layer.name"` under
+/// `crates/*/src`. A name deleted from the code must leave the table.
+#[test]
+fn readme_metric_table_names_are_emitted() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| Layer | Spans | Metrics"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(
+        !table.is_empty(),
+        "README lost its span/metric taxonomy table"
+    );
+    let names: Vec<&str> = table
+        .iter()
+        .flat_map(|row| row.split('`').skip(1).step_by(2))
+        .filter(|tok| {
+            tok.split_once('.').is_some_and(|(layer, name)| {
+                [layer, name].iter().all(|part| {
+                    !part.is_empty() && part.chars().all(|c| c.is_ascii_lowercase() || c == '_')
+                })
+            })
+        })
+        .collect();
+    assert!(names.len() >= 20, "too few names parsed: {names:?}");
+
+    let mut source = String::new();
+    let mut dirs: Vec<std::path::PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path().join("src"))
+        .collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).into_iter().flatten() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                source.push_str(&std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+    let missing: Vec<&&str> = names
+        .iter()
+        .filter(|n| !source.contains(&format!("\"{n}\"")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README names metrics no source emits: {missing:?}"
+    );
 }
