@@ -1707,8 +1707,8 @@ mod tests {
     }
 
     /// The attribute-cascade rule source shared by the scheduling and
-    /// plan-cache tests (the planner bench runs the same shape via
-    /// `grepair_bench::cascade_rules_dsl`).
+    /// plan-cache tests (the `e2e` benchmark's `cascade-rounds-inmem`
+    /// workload runs the same shape at 8 stages).
     fn cascade_src(stages: usize) -> String {
         let mut src = String::new();
         for i in 0..stages {

@@ -23,6 +23,7 @@ use grepair_store::{DurableGraph, Mutation, StoreConfig};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::mpsc;
 use std::time::Duration;
 
 // ---- deterministic fixtures -----------------------------------------------
@@ -376,6 +377,60 @@ fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
         assert_eq!(store.graph().to_doc(), done, "cancel at check {n}: resumed run");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cancel token flipped from another thread — what the CLI's SIGINT
+/// watcher does — stops a running repair at its next checkpoint, with a
+/// `Cancelled` outcome and a completed-round prefix left behind. The
+/// repair's first applied op hands control to the test thread, which
+/// flips the token before letting the repair go on, so the flip always
+/// lands mid-run.
+#[test]
+fn cancel_from_another_thread_stops_a_running_repair() {
+    let (g0, rules, config) = build_case(&Case {
+        substrate: 0,
+        seed: 11,
+        size: 200,
+        rule_mask: 0,
+        engine: 0,
+    });
+    let rec = RoundRecorder::default();
+    let reference =
+        RepairEngine::new(config.clone()).repair_with_sink(&mut g0.clone(), &rules, rec.clone());
+    assert!(
+        reference.rounds > 1,
+        "the flip must land before the last round"
+    );
+    let prefixes = prefix_docs(&g0, &rec.state.borrow().rounds);
+
+    let budget = Budget::unlimited();
+    let token = budget.token();
+    let (started, on_started) = mpsc::channel();
+    let (resume, on_resume) = mpsc::channel();
+    let (outcome, doc) = std::thread::scope(|s| {
+        let worker = s.spawn(move || {
+            let mut g = g0;
+            let mut handshake = Some((started, on_resume));
+            let report = RepairEngine::new(config)
+                .with_budget(&budget)
+                .repair_with_sink(&mut g, &rules, move |_: &AppliedOp| {
+                    if let Some((started, on_resume)) = handshake.take() {
+                        started.send(()).expect("test thread is waiting");
+                        on_resume.recv().expect("test thread resumes the repair");
+                    }
+                });
+            (report.outcome, g.to_doc())
+        });
+        on_started.recv().expect("the repair applies an op");
+        token.cancel();
+        resume.send(()).expect("worker is waiting");
+        worker.join().expect("a cancelled repair must not panic")
+    });
+    assert_eq!(outcome, RepairOutcome::Cancelled);
+    assert!(
+        prefixes.contains(&doc),
+        "the cancelled run left a torn round"
+    );
 }
 
 /// Non-convergence is typed, not silent: a round-limited run reports
