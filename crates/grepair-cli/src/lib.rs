@@ -78,7 +78,7 @@ impl Args {
     /// takes the next token as its value, and any other `--name` is a
     /// usage error — never silently an option that eats the next token.
     pub fn parse(tokens: &[String]) -> Result<Self, CliError> {
-        const SWITCHES: &[&str] = &["naive", "lint", "read-only"];
+        const SWITCHES: &[&str] = &["lint", "read-only"];
         const OPTIONS: &[&str] = &[
             "rules", "graph", "out", "store", "dir", "from", "report", "trace", "format",
             "timeout", "max-ops", "runs", "deny", "warn", "allow", "persons", "accounts",
@@ -242,7 +242,7 @@ pub fn cancel_active() {
 
 /// Exit code for a repair/check that stopped early: 130 (128+SIGINT)
 /// for cancellation, 5 for every other limit trip (deadline, op
-/// budget, round limit). `None` means the run completed.
+/// budget, repair cap). `None` means the run completed.
 fn outcome_exit_code(outcome: RepairOutcome) -> Option<i32> {
     match outcome {
         RepairOutcome::Completed => None,
@@ -256,7 +256,7 @@ fn explain_outcome(outcome: RepairOutcome) -> &'static str {
     match outcome {
         RepairOutcome::Completed => "ran to convergence",
         RepairOutcome::RoundLimit => {
-            "round limit exhausted before convergence (raise max_rounds or check rule termination; \
+            "repair cap reached before convergence (raise max_repairs or check rule termination; \
              residual violations remain)"
         }
         RepairOutcome::Deadline => {
@@ -433,9 +433,9 @@ commands:
   check         -r RULES (-g GRAPH | --store DIR [--read-only]) [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   explain       -r RULES (-g GRAPH | --store DIR [--read-only])
-  repair        -r RULES -g GRAPH -o OUT [--naive] [--report R] [--trace FILE]
+  repair        -r RULES -g GRAPH -o OUT [--report R] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
-  repair        -r RULES --store DIR [-o OUT] [--naive] [--report R] [--trace FILE]
+  repair        -r RULES --store DIR [-o OUT] [--report R] [--trace FILE]
   watch         -r RULES (-g GRAPH [-o OUT] | --store DIR) [--runs N] [--trace FILE]
                 [--timeout SECS] [--max-ops N]
   metrics       [-r RULES (-g GRAPH | --store DIR)] [--format json]
@@ -492,14 +492,15 @@ refusing.
 
 Runtime limits: --timeout SECS and --max-ops N (on check/repair/watch)
 attach a budget to the run — a deadline and an applied-op cap (for
-check, a candidate-match cap). Limits are observed cooperatively at
-round and scan boundaries: a tripped repair finishes nothing mid-round,
-commits the completed rounds (durably, with --store), prints a partial
-report with a typed outcome, and exits 5. SIGINT (^C) cancels the same
-way — finish round, commit, report, exit 130; a second ^C aborts
-immediately. A repair that exhausts max_rounds without converging
-reports outcome 'round-limit' and also exits 5, distinguishing a blown
-limit from residual violations under a completed fixpoint.
+check, a candidate-match cap). Limits are observed cooperatively
+between repairs and at scan boundaries: a tripped run finishes nothing
+mid-repair, commits the completed repairs (durably, with --store),
+prints a partial report with a typed outcome, and exits 5. SIGINT (^C)
+cancels the same way — finish the repair, commit, report, exit 130; a
+second ^C aborts immediately. A run stopped by the engine's repair cap
+(10 per graph element) before converging reports outcome 'round-limit'
+and also exits 5, distinguishing a blown limit from residual violations
+under a completed fixpoint.
 
 Observability: --trace FILE (on check/repair/watch) records spans from
 every layer — engine rounds, matching, planning, WAL writes —
@@ -919,13 +920,8 @@ fn cmd_repair(tokens: &[String]) -> CliResult {
     let (rules, spans) = load_rules_spanned(&rules_path)?;
     lint_preflight("repair", &rules_path, &rules, &spans, &args)?;
     let trace = trace_arg(&args);
-    let config = if args.has("naive") {
-        EngineConfig::naive_with_indexes()
-    } else {
-        EngineConfig::default()
-    };
     let budget = make_budget(&args, "repair", MaxOps::Ops)?;
-    let engine = RepairEngine::new(config).with_budget(&budget);
+    let engine = RepairEngine::default().with_budget(&budget);
 
     let mut out = String::new();
     let report = match (args.get(&["g", "graph"]), args.get(&["store"])) {

@@ -1,18 +1,23 @@
-//! The repair engines.
+//! The repair engine.
 //!
-//! Two engines share the same repair *semantics* and differ only in how
-//! violations are discovered — the paper's efficiency contribution is
-//! precisely this difference:
+//! One loop — a cost-ordered worklist — discovers and repairs violations:
+//! it seeds a violation queue from one scan, or from the nodes edited
+//! since the caller last saw the graph clean ([`RepairSeed::Touched`]),
+//! then after each applied repair re-matches **only** the rules the
+//! repair's operations can enable, **only** around its touched nodes
+//! ([`grepair_match::Matcher::find_touching`]). Work is proportional to
+//! the affected neighbourhood, not the graph. The rescan-every-round
+//! loop the paper compares against lives in `grepair-eval` as a
+//! baseline, not here.
 //!
-//! - [`EngineMode::Naive`] re-enumerates **all** matches of **all** rules
-//!   every round until a fixpoint. Cost per round is a full multi-pattern
-//!   subgraph-matching pass; rounds repeat as long as repairs cascade.
-//! - [`EngineMode::Incremental`] seeds a violation queue — from one full
-//!   scan, or from the nodes edited since the caller last saw the graph
-//!   clean ([`RepairSeed::Touched`]) — then after each applied repair
-//!   re-matches **only** patterns anchored in the repair's touched-node
-//!   delta ([`grepair_match::Matcher::find_touching`]). Work is
-//!   proportional to the affected neighborhood, not the graph.
+//! The schedule decides what one run of the loop covers:
+//!
+//! - **Cyclic rule sets** — the loop runs once over the whole set, under
+//!   the churn guard.
+//! - **Acyclic rule sets** (with [`EngineConfig::stratify`]) — the loop
+//!   runs once per topological stratum of the trigger graph, in order,
+//!   re-matching only the stratum's own rules and without the churn
+//!   guard: acyclicity proves the run terminates.
 //!
 //! Shared semantics:
 //!
@@ -24,9 +29,9 @@
 //!   tie-breaks), which implements the paper's best-repair selection: when
 //!   several rules can fix overlapping violations, the cheapest repair
 //!   lands first and the costlier alternatives revalidate away.
-//! - **Churn guard** — the same (rule, matched nodes) repair may be
-//!   applied at most [`EngineConfig::max_churn`] times, which bounds
-//!   runtime even for rule sets whose trigger graph is cyclic.
+//! - **Churn guard** — on cyclic sets the same (rule, matched nodes)
+//!   repair may be applied at most [`EngineConfig::max_churn`] times,
+//!   which bounds runtime even though the trigger graph has a cycle.
 
 use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
@@ -40,24 +45,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Violation-discovery strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Full re-scan every round (the efficiency baseline).
-    Naive,
-    /// Delta-driven incremental maintenance (the paper's efficient method).
-    Incremental,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Discovery strategy.
-    pub mode: EngineMode,
     /// Matcher optimization toggles (F5 ablation).
     pub match_config: MatchConfig,
-    /// Maximum full rounds (naive mode) before giving up.
-    pub max_rounds: usize,
     /// Hard cap on applied repairs (0 = derive `10·(|V|+|E|+1)` at run
     /// time) — a backstop for cyclic rule sets.
     pub max_repairs: usize,
@@ -72,21 +64,19 @@ pub struct EngineConfig {
     pub verify_fixpoint: bool,
     /// Analysis-driven stratified scheduling. When the rule set's trigger
     /// graph is acyclic ([`crate::analysis::stratify`]), rules are grouped
-    /// into topological strata and each stratum runs to fixpoint in order:
-    /// earlier strata are never revisited, and the churn guard is skipped
-    /// because the acyclic trigger graph *proves* the run terminates. The
-    /// schedule is cached per rule-set fingerprint, so repeated runs over
-    /// the same set skip the analysis. Cyclic sets fall back to the
-    /// configured [`EngineMode`] worklist unchanged.
+    /// into topological strata and the worklist runs once per stratum, in
+    /// order: earlier strata are never revisited, and the churn guard is
+    /// skipped because the acyclic trigger graph *proves* the run
+    /// terminates. The schedule is cached per rule-set fingerprint, so
+    /// repeated runs over the same set skip the analysis. Cyclic sets run
+    /// the worklist once over the whole set.
     pub stratify: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            mode: EngineMode::Incremental,
             match_config: MatchConfig::default(),
-            max_rounds: 64,
             max_repairs: 0,
             max_churn: 16,
             costs: EditCosts::default(),
@@ -97,20 +87,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The naive baseline: full re-scan rounds, unoptimized matcher.
+    /// The worklist over the unoptimized matcher ([`MatchConfig::naive`]).
     pub fn naive() -> Self {
         Self {
-            mode: EngineMode::Naive,
             match_config: MatchConfig::naive(),
-            ..Self::default()
-        }
-    }
-
-    /// Naive rounds but with the optimized matcher (isolates the
-    /// incremental-maintenance contribution, F6).
-    pub fn naive_with_indexes() -> Self {
-        Self {
-            mode: EngineMode::Naive,
             ..Self::default()
         }
     }
@@ -128,10 +108,11 @@ pub enum RepairSeed<'a> {
     /// set, [`Matcher::find_touching`] finds exactly those, and the run
     /// pops, applies and reports the same operations a
     /// [`RepairSeed::Full`] run would — the queue's order is total, so
-    /// equal violation sets give equal runs. Only the incremental
-    /// worklist consumes it:
-    /// stratified and [`EngineMode::Naive`] runs rescan every round by
-    /// construction and treat it as [`RepairSeed::Full`].
+    /// equal violation sets give equal runs. A stratified run seeds each
+    /// stratum from the matches touching the set grown so far (the seed
+    /// plus every node an earlier stratum's repairs touched): a match
+    /// that exists when its stratum starts either existed before the run
+    /// or was created by one of those repairs, so it touches that set.
     Touched(&'a TouchSet),
 }
 
@@ -144,17 +125,17 @@ pub enum RepairSeed<'a> {
 /// Guardrail trips ([`Deadline`](RepairOutcome::Deadline),
 /// [`Cancelled`](RepairOutcome::Cancelled),
 /// [`OpBudget`](RepairOutcome::OpBudget)) are **round-atomic**: the
-/// engine only observes its [`obs::Budget`] between rounds (and aborts
+/// engine only observes its [`obs::Budget`] between repairs (and aborts
 /// in-progress scans before applying anything), so the graph is always
-/// left equal to some completed prefix of the untripped run's rounds.
+/// left equal to some completed prefix of the untripped run's repairs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairOutcome {
     /// The run reached its natural fixpoint (or gave up on residual
     /// violations only noop/churn-guarded repairs could touch).
     #[default]
     Completed,
-    /// An engine iteration cap tripped: `max_rounds` exhausted or the
-    /// `max_repairs` backstop hit.
+    /// The [`EngineConfig::max_repairs`] backstop stopped a repair that
+    /// was still needed.
     RoundLimit,
     /// The budget deadline passed.
     Deadline,
@@ -210,17 +191,15 @@ impl From<obs::TripReason> for RepairOutcome {
 /// [`RepairSink::op`] fires for every applied operation as it lands, in
 /// application order. [`RepairSink::round_committed`] fires when the
 /// ops delivered since the previous boundary form one *completed* round
-/// (one full naive/stratified round, or one applied repair in
-/// incremental mode) — the unit of atomicity for durable journaling and
-/// graceful shutdown: a budget trip never leaves the graph between two
-/// boundaries. Plain `FnMut(&AppliedOp)` closures implement the trait
-/// with a no-op boundary, so op-only consumers are unaffected.
+/// — one applied repair, whatever the schedule — the unit of atomicity
+/// for durable journaling and graceful shutdown: a budget trip never
+/// leaves the graph between two boundaries. Plain `FnMut(&AppliedOp)`
+/// closures implement the trait with a no-op boundary, so op-only
+/// consumers are unaffected.
 pub trait RepairSink {
     /// One applied operation, as it lands.
     fn op(&mut self, op: &AppliedOp);
     /// The ops since the previous boundary form one committed round.
-    /// Also fired before an early `max_repairs` return, where the final
-    /// (possibly short) batch is the run's last round.
     fn round_committed(&mut self) {}
 }
 
@@ -241,10 +220,8 @@ pub struct RuleStats {
     pub repairs_applied: usize,
     /// Total edit cost of this rule's repairs.
     pub cost: f64,
-    /// Full scans that included this rule. Under the naive engine's
-    /// dirty-rule scheduling this stays below `RepairReport::rounds` for
-    /// rules untouched by the cascade; the incremental engine scans every
-    /// rule exactly once (the seed) — or not at all under
+    /// Full scans that included this rule: exactly one (its worklist's
+    /// seed, in its stratum under a stratified schedule), or none under
     /// [`RepairSeed::Touched`], where no sweep of the graph happens.
     pub scans: usize,
 }
@@ -252,7 +229,7 @@ pub struct RuleStats {
 /// Result of a repair run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RepairReport {
-    /// Full-scan rounds performed (naive) / 1 + re-scans (incremental).
+    /// Worklist runs: 1, or one per stratum under a stratified schedule.
     pub rounds: usize,
     /// Repairs applied (non-noop).
     pub repairs_applied: usize,
@@ -286,15 +263,15 @@ pub struct RepairReport {
     pub plan_replans: u64,
     /// Number of topological strata the run was scheduled into, when the
     /// trigger graph was acyclic and [`EngineConfig::stratify`] was on.
-    /// `0` means the configured worklist mode ran (stratification off or
-    /// the trigger graph cyclic).
+    /// `0` means one worklist ran over the whole set (stratification off
+    /// or the trigger graph cyclic).
     #[serde(default)]
     pub strata: usize,
     /// Wall-clock duration.
     #[serde(skip)]
     pub wall: Duration,
-    /// How the run ended: natural fixpoint, an engine iteration cap, or
-    /// a runtime guardrail trip. `violations_remaining` is only
+    /// How the run ended: natural fixpoint, the repair cap, or a runtime
+    /// guardrail trip. `violations_remaining` is only
     /// meaningful for [`RepairOutcome::Completed`] /
     /// [`RepairOutcome::RoundLimit`] — budget trips skip the final
     /// verification scan (it would itself be cut short).
@@ -344,12 +321,6 @@ struct Violation {
     m: Match,
     cost: f64,
     priority: i32,
-}
-
-impl Violation {
-    fn key(&self) -> (usize, &[NodeId]) {
-        (self.rule, &self.m.nodes)
-    }
 }
 
 /// Monotone map from `f64` into `u64`: IEEE-754 total order
@@ -524,10 +495,6 @@ impl TriggerIndex {
     /// Fill `out` with the rules any of `ops` can enable — ascending,
     /// without duplicates.
     fn enabled_by(&self, ops: &[AppliedOp], out: &mut Vec<usize>) {
-        fn sort_dedup(out: &mut Vec<usize>) {
-            out.sort_unstable();
-            out.dedup();
-        }
         out.clear();
         for op in ops {
             match op {
@@ -554,13 +521,9 @@ impl TriggerIndex {
                     return;
                 }
             }
-            // A whole round's ops arrive in one slice (naive, stratified):
-            // keep `out` at O(|Σ|) however many of them hit the same rules.
-            if out.len() > 4 * self.n_rules {
-                sort_dedup(out);
-            }
         }
-        sort_dedup(out);
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -589,8 +552,8 @@ impl RepairEngine {
     }
 
     /// Attach a runtime [`obs::Budget`] (deadline / cancel token /
-    /// op-match caps). The engine polls it between rounds and threads it
-    /// into every matcher scan; on a trip the run stops at a round
+    /// op-match caps). The engine polls it between repairs and threads it
+    /// into every matcher scan; on a trip the run stops at a repair
     /// boundary with a typed [`RepairReport::outcome`].
     #[must_use]
     pub fn with_budget(mut self, budget: &obs::Budget) -> Self {
@@ -699,16 +662,6 @@ impl RepairEngine {
         let hits0 = planner.cache_hit_count();
         let replans0 = planner.replan_count();
 
-        // Cardinality statistics steer join orders and the plan cache
-        // carries compiled patterns across fixpoint rounds (and, for a
-        // caller-owned planner, across runs). With `connected_order` off
-        // (the naive ablation) the cost model never reads statistics, so
-        // skip the refresh — the baseline must not pay for machinery it
-        // cannot use.
-        if self.wants_stats() {
-            planner.refresh_if_drifted(g);
-        }
-
         // Analysis-driven scheduling: an acyclic trigger graph yields a
         // topological stratification (cached per rule-set fingerprint)
         // under which the run provably terminates without churn guards.
@@ -717,49 +670,38 @@ impl RepairEngine {
         } else {
             None
         };
-        // Only the incremental worklist can start from a delta; every
-        // other schedule rescans per round and so starts from a scan.
         // A delta-seeded run grows its copy of the seed by every node a
         // repair touches — where any residual violation must lie.
         let mut delta = match seed {
-            RepairSeed::Touched(t)
-                if schedule.is_none() && self.config.mode == EngineMode::Incremental =>
-            {
+            RepairSeed::Touched(t) => {
                 tel.seed_delta.inc();
                 tel.seed_nodes.record(t.len() as u64);
                 Some(t.clone())
             }
-            _ => {
+            RepairSeed::Full => {
                 tel.seed_full.inc();
                 None
             }
         };
         // Trigger filter: only rules whose label-level preconditions the
-        // applied operations could have *enabled* are re-scanned or
-        // re-matched.
+        // applied operations could have *enabled* are re-matched.
         let triggers = TriggerIndex::new(rules);
-        match schedule {
+        // One worklist over the whole set, or one per stratum, in order.
+        let scopes: Vec<Option<&[usize]>> = match &schedule {
             Some(strata) => {
                 tel.strata.add(strata.len() as u64);
-                for stratum in strata.iter() {
-                    self.run_rounds(
-                        g, rules, Some(stratum), &triggers, &mut report, max_repairs, &mut sink,
-                        planner, &tel,
-                    );
-                    if report.outcome != RepairOutcome::Completed {
-                        break;
-                    }
-                }
+                strata.iter().map(|s| Some(s.as_slice())).collect()
             }
-            None => match self.config.mode {
-                EngineMode::Naive => self.run_rounds(
-                    g, rules, None, &triggers, &mut report, max_repairs, &mut sink, planner, &tel,
-                ),
-                EngineMode::Incremental => self.run_incremental(
-                    g, rules, delta.as_mut(), &triggers, &mut report, max_repairs, &mut sink,
-                    planner, &tel,
-                ),
-            },
+            None => vec![None],
+        };
+        for scope in scopes {
+            self.run_worklist(
+                g, rules, scope, delta.as_mut(), &triggers, &mut report, max_repairs, &mut sink,
+                planner, &tel,
+            );
+            if report.outcome != RepairOutcome::Completed {
+                break;
+            }
         }
         // The report's scheduling counters are read back from the run's
         // registry-backed telemetry (per-run children, so the values are
@@ -771,7 +713,7 @@ impl RepairEngine {
 
         if self.config.verify_fixpoint && !report.outcome.is_budget_trip() {
             report.violations_remaining = match &delta {
-                Some(closure) => self.matches_touching(g, rules, planner, closure).count(),
+                Some(closure) => self.matches_touching(g, rules, None, planner, closure).count(),
                 None => self.count_violations_with(g, rules, planner),
             };
             report.converged = report.violations_remaining == 0;
@@ -802,11 +744,6 @@ impl RepairEngine {
         report
     }
 
-    /// One full multi-rule scan. Results are indexed like `rules`.
-    fn scan_matches(&self, matcher: &Matcher<'_>, rules: &[&Grr]) -> Vec<Vec<Match>> {
-        rules.iter().map(|r| matcher.find_all(&r.pattern)).collect()
-    }
-
     /// Whether this configuration's plans can consume cardinality
     /// statistics at all (the cost model only runs under
     /// `connected_order`).
@@ -834,215 +771,60 @@ impl RepairEngine {
         rules.iter().map(|r| matcher.count(&r.pattern)).sum()
     }
 
-    /// Full scan: all violations of all rules, with cost estimates.
-    fn full_scan(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> Vec<Violation> {
-        self.full_scan_filtered(g, rules, None, planner)
+    /// The rule indices `scope` names (`None` = every rule), ascending.
+    fn rules_in<'a>(rules: &[Grr], scope: Option<&'a [usize]>) -> impl Iterator<Item = usize> + 'a {
+        let all = if scope.is_some() { 0 } else { rules.len() };
+        (0..all).chain(scope.unwrap_or_default().iter().copied())
     }
 
-    /// Every (rule index, match) whose match intersects `touched` — a
-    /// delta seed's discovery and its fixpoint check.
+    /// Every (rule index, match) of the rules in `scope` whose match
+    /// intersects `touched` — a delta seed's discovery and its fixpoint
+    /// check.
     fn matches_touching<'a>(
         &self,
         g: &'a Graph,
         rules: &'a [Grr],
+        scope: Option<&'a [usize]>,
         planner: &'a Planner,
         touched: &'a TouchSet,
     ) -> impl Iterator<Item = (usize, Match)> + 'a {
         let matcher = self.matcher(g, planner);
-        rules.iter().enumerate().flat_map(move |(ri, rule)| {
-            let found = matcher.find_touching(&rule.pattern, touched);
+        Self::rules_in(rules, scope).flat_map(move |ri| {
+            let found = matcher.find_touching(&rules[ri].pattern, touched);
             found.into_iter().map(move |m| (ri, m))
         })
     }
 
-    /// Full scan restricted to the rules marked in `dirty` (`None` = all
-    /// rules) — the naive engine's label-keyed worklist skips rules whose
-    /// match sets provably cannot have changed since their last scan.
-    fn full_scan_filtered(
-        &self,
-        g: &Graph,
-        rules: &[Grr],
-        dirty: Option<&[bool]>,
-        planner: &Planner,
-    ) -> Vec<Violation> {
-        let selected: Vec<usize> = match dirty {
-            None => (0..rules.len()).collect(),
-            Some(d) => (0..rules.len()).filter(|&i| d[i]).collect(),
-        };
-        let subset: Vec<&Grr> = selected.iter().map(|&i| &rules[i]).collect();
-        let per_rule = self.scan_matches(&self.matcher(g, planner), &subset);
-        let mut out = Vec::new();
-        for (k, ms) in per_rule.into_iter().enumerate() {
-            let ri = selected[k];
-            for m in ms {
-                out.push(self.violation(g, rules, ri, m));
-            }
-        }
-        out
-    }
-
-    /// The round loop of the two round-based schedules: scan the dirty
-    /// rules, apply the round's violations cheapest-first, work out which
-    /// rules the round's operations dirtied, repeat until none are.
-    ///
-    /// `stratum = None` is [`EngineMode::Naive`] over the whole rule set:
-    /// at most [`EngineConfig::max_rounds`] rounds, under the churn guard.
-    ///
-    /// `stratum = Some(rules)` drives one stratum of an acyclic schedule
-    /// to fixpoint ([`crate::analysis::stratify`]'s topological leveling:
-    /// no rule can enable a rule in its own or an earlier stratum, so the
-    /// caller runs the strata once each, in order, and never revisits
-    /// one). Only the stratum's rules are ever scanned, and neither the
-    /// round cap nor the churn guard applies — acyclicity *proves* that
-    /// every chain of enablements is finite, so the only repeat work is a
-    /// rule re-fixing partially repaired matches of its own pattern (e.g.
-    /// several parallel duplicate edges), which strictly shrinks the
-    /// match set. `max_repairs` stays as a backstop.
-    ///
-    /// Returns with [`RepairReport::outcome`] still
-    /// [`RepairOutcome::Completed`] exactly when the scope reached its
-    /// fixpoint (or only noop repairs remained).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rounds(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        stratum: Option<&[usize]>,
-        triggers: &TriggerIndex,
-        report: &mut RepairReport,
-        max_repairs: usize,
-        sink: &mut dyn RepairSink,
-        planner: &Planner,
-        tel: &EngineTelemetry,
-    ) {
-        let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
-        // Label-keyed dirty-rule worklist. A rule is rescanned in round
-        // k+1 only if (a) some round-k operation could have *enabled* a
-        // new match at the label level ([`TriggerIndex`] — the same
-        // sound over-approximation the incremental trigger filter uses),
-        // or (b) one of its own repairs left its match still valid
-        // (partial fixes like deleting one of several parallel witness
-        // edges, and ineffective noop rules). Every other rule's match
-        // set is provably unchanged: its round-k matches were all
-        // attempted and eliminated, and nothing could have created new
-        // ones.
-        let mut enabled = Vec::new();
-        let mut dirty = vec![stratum.is_none(); rules.len()];
-        for &ri in stratum.unwrap_or_default() {
-            dirty[ri] = true;
-        }
-        let max_rounds = match stratum {
-            None => self.config.max_rounds,
-            Some(_) => usize::MAX,
-        };
-        for _round in 0..max_rounds {
-            // Guardrail boundary: cancels/deadlines/caps are observed
-            // *between* rounds (and so between strata), so a trip always
-            // leaves the graph at a completed-round prefix.
-            if let Some(trip) = self.budget.checkpoint() {
-                report.outcome = trip.into();
-                return;
-            }
-            let _round_span = obs::span("engine.round", "engine");
-            // Repairs drift the distributions; re-snapshot statistics
-            // once the drift is large enough to matter. Small drifts keep
-            // the statistics epoch — and with it every cached plan.
-            if self.wants_stats() {
-                planner.refresh_if_drifted(g);
-            }
-            for (ri, d) in dirty.iter().enumerate() {
-                if *d {
-                    tel.rule_scans[ri].inc();
-                }
-            }
-            let mut violations = self.full_scan_filtered(g, rules, Some(&dirty), planner);
-            if self.budget.is_tripped() {
-                // Mid-scan trip: the scan (and so the round) is partial —
-                // abandon it without applying anything. Nothing of this
-                // round reached the graph or the sink.
-                report.outcome = self.budget.tripped().map(Into::into).unwrap_or_default();
-                return;
-            }
-            report.rounds += 1;
-            tel.rounds.inc();
-            if violations.is_empty() {
-                return;
-            }
-            for v in &violations {
-                report.per_rule[v.rule].matches_found += 1;
-            }
-            // Cheapest-first within the round (best-repair arbitration,
-            // identical to the worklist engine).
-            violations.sort_by(|a, b| a.cmp_key().cmp(&b.cmp_key()));
-            let round_ops_start = report.ops.len();
-            let mut next_dirty = vec![false; rules.len()];
-            let mut applied_any = false;
-            for mut v in violations {
-                if report.repairs_applied >= max_repairs {
-                    report.outcome = RepairOutcome::RoundLimit;
-                    if report.ops.len() > round_ops_start {
-                        sink.round_committed();
-                    }
-                    return;
-                }
-                if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                    continue;
-                }
-                if stratum.is_none() && !self.admit(&mut churn, &v) {
-                    continue;
-                }
-                if self.apply_one(g, rules, &v, report, sink, tel) {
-                    applied_any = true;
-                }
-                // Persisting match after its own repair: the rule must be
-                // rescanned even if no operation label-triggers it. `v` is
-                // owned and dead after this, so revalidate in place.
-                if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
-                    next_dirty[v.rule] = true;
-                }
-            }
-            sink.round_committed();
-            self.budget
-                .charge_ops((report.ops.len() - round_ops_start) as u64);
-            if !applied_any {
-                // Only noop repairs remain (ineffective rules): no
-                // further progress is possible.
-                return;
-            }
-            // Within a stratum no rule can label-enable another (that
-            // edge would have forced a later stratum), but the check
-            // keeps the scheduler honest if the approximation drifts.
-            triggers.enabled_by(&report.ops[round_ops_start..], &mut enabled);
-            for &ri in &enabled {
-                if stratum.is_none_or(|s| s.contains(&ri)) {
-                    next_dirty[ri] = true;
-                }
-            }
-            dirty = next_dirty;
-            if !dirty.iter().any(|&d| d) {
-                return;
-            }
-        }
-        report.outcome = RepairOutcome::RoundLimit;
-    }
-
-    /// The worklist loop. `delta` is the run's seed: `None` scans the
-    /// whole graph, `Some` matches only around those nodes (see
-    /// [`RepairSeed::Touched`]) and is grown by every node the run's
-    /// repairs touch.
+    /// The worklist loop, over the rules in `scope` (`None` = the whole,
+    /// cyclic set; `Some` = one stratum of an acyclic schedule). `delta`
+    /// is the run's seed: `None` scans the scope's rules, `Some` matches
+    /// them only around those nodes (see [`RepairSeed::Touched`]) and is
+    /// grown by every node the repairs touch.
     ///
     /// Each step pops the cheapest outstanding violation from the
     /// [`ArbitrationQueue`], revalidates and applies it, then asks the
     /// [`TriggerIndex`] which rules the applied operations can enable and
-    /// re-matches only those, only around the touched nodes. Neither
-    /// structure walks the rule set: what a repair costs depends on the
-    /// rules it enables, not on |Σ| (`engine.rematch_rules` records that
-    /// number per repair).
+    /// re-matches only those in scope, only around the touched nodes.
+    /// Neither structure walks the rule set: what a repair costs depends
+    /// on the rules it enables, not on |Σ| (`engine.rematch_rules`
+    /// records that number per repair).
+    ///
+    /// A stratum runs without the churn guard: [`crate::analysis::stratify`]
+    /// puts every rule a stratum's rules can enable in a later stratum,
+    /// so the caller runs each stratum once, in order, and the only
+    /// repeat work is a rule re-fixing a match its own repair left valid
+    /// (e.g. one of several parallel duplicate edges), which strictly
+    /// shrinks the match set. `max_repairs` stays as a backstop.
+    ///
+    /// Returns with [`RepairReport::outcome`] still
+    /// [`RepairOutcome::Completed`] exactly when the scope reached its
+    /// fixpoint (or only noop / churn-guarded repairs remained).
     #[allow(clippy::too_many_arguments)]
-    fn run_incremental(
+    fn run_worklist(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        scope: Option<&[usize]>,
         mut delta: Option<&mut TouchSet>,
         triggers: &TriggerIndex,
         report: &mut RepairReport,
@@ -1052,8 +834,15 @@ impl RepairEngine {
         tel: &EngineTelemetry,
     ) {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
-        report.rounds = 1;
+        report.rounds += 1;
         tel.rounds.inc();
+        // Repairs drift the statistics that steer join orders: each
+        // worklist re-snapshots them once the drift matters (small drifts
+        // keep the epoch, and with it every cached plan). The naive
+        // ablation's cost model never reads them, so it skips the refresh.
+        if self.wants_stats() {
+            planner.refresh_if_drifted(g);
+        }
         // After a repair only the rules its operations can enable are
         // re-matched — one index lookup per operation, so the
         // rule-dependency pruning keeps per-repair work independent of
@@ -1063,13 +852,18 @@ impl RepairEngine {
             let _seed_span = obs::span("engine.round", "engine");
             match delta.as_deref() {
                 None => {
-                    for scans in tel.rule_scans.iter() {
-                        scans.inc();
+                    let matcher = self.matcher(g, planner);
+                    let mut seed = Vec::new();
+                    for ri in Self::rules_in(rules, scope) {
+                        tel.rule_scans[ri].inc();
+                        for m in matcher.find_all(&rules[ri].pattern) {
+                            seed.push(self.violation(g, rules, ri, m));
+                        }
                     }
-                    self.full_scan(g, rules, planner)
+                    seed
                 }
                 Some(touched) => self
-                    .matches_touching(g, rules, planner, touched)
+                    .matches_touching(g, rules, scope, planner, touched)
                     .map(|(ri, m)| self.violation(g, rules, ri, m))
                     .collect(),
             }
@@ -1084,35 +878,36 @@ impl RepairEngine {
             report.per_rule[v.rule].matches_found += 1;
         }
         let mut queue = ArbitrationQueue::from_seed(seed);
-        let mut last_ops_start: usize;
         while let Some(mut v) = queue.pop() {
-            // Guardrail boundary: in incremental mode one applied repair
-            // (plus its cascade) is the atomic unit, so the budget is
-            // observed between pops only.
+            // Guardrail boundary: one applied repair (plus its cascade)
+            // is the atomic unit, so the budget is observed between pops
+            // only.
             if let Some(trip) = self.budget.checkpoint() {
                 report.outcome = trip.into();
-                return;
-            }
-            if report.repairs_applied >= max_repairs {
-                report.outcome = RepairOutcome::RoundLimit;
                 return;
             }
             if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                 continue;
             }
-            if !self.admit(&mut churn, &v) {
+            if scope.is_none() && !self.admit(&mut churn, &v) {
                 continue;
             }
-            last_ops_start = report.ops.len();
-            let Some(touched) = self.apply_one_touched(g, rules, &v, report, sink, tel) else {
+            // The backstop only stops a repair that is still needed: a
+            // run whose last needed repair lands on the cap, with stale
+            // entries still queued, completes.
+            if report.repairs_applied >= max_repairs {
+                report.outcome = RepairOutcome::RoundLimit;
+                return;
+            }
+            let ops_start = report.ops.len();
+            let Some(touched) = self.apply(g, rules, &v, report, sink, tel) else {
                 continue;
             };
             if let Some(delta) = delta.as_deref_mut() {
                 delta.extend(&touched);
             }
             sink.round_committed();
-            self.budget
-                .charge_ops((report.ops.len() - last_ops_start) as u64);
+            self.budget.charge_ops((report.ops.len() - ops_start) as u64);
             // A repair may not fully eliminate its own violation (e.g. it
             // deleted one of several parallel witness edges): revalidate
             // the very match just repaired and requeue it if it persists —
@@ -1120,12 +915,21 @@ impl RepairEngine {
             if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                 queue.push(self.violation(g, rules, v.rule, v.m));
             }
-            // Delta-driven discovery: only trigger-affected rules, only
-            // matches anchored in the delta. The planner's cache serves
-            // the per-anchor plans — compiled once per (pattern, anchor),
-            // not once per repair.
-            triggers.enabled_by(&report.ops[last_ops_start..], &mut enabled);
+            // Delta-driven discovery: only trigger-affected rules in
+            // scope, only matches anchored in the delta. Within a stratum
+            // no rule can label-enable another (that edge would have
+            // forced a later stratum), but the filter keeps the schedule
+            // honest if the approximation drifts. The planner's cache
+            // serves the per-anchor plans — compiled once per (pattern,
+            // anchor), not once per repair.
+            triggers.enabled_by(&report.ops[ops_start..], &mut enabled);
+            if let Some(stratum) = scope {
+                enabled.retain(|ri| stratum.binary_search(ri).is_ok());
+            }
             tel.rematch_rules.record(enabled.len() as u64);
+            if enabled.is_empty() {
+                continue;
+            }
             let matcher = self.matcher(g, planner);
             for &ri in &enabled {
                 for m in matcher.find_touching(&rules[ri].pattern, &touched) {
@@ -1150,7 +954,7 @@ impl RepairEngine {
     fn admit(&self, churn: &mut FxHashMap<u64, u32>, v: &Violation) -> bool {
         use std::hash::{Hash, Hasher};
         let mut h = rustc_hash::FxHasher::default();
-        v.key().hash(&mut h);
+        (v.rule, &v.m.nodes).hash(&mut h);
         let counter = churn.entry(h.finish()).or_insert(0);
         if *counter >= self.config.max_churn {
             return false;
@@ -1159,20 +963,8 @@ impl RepairEngine {
         true
     }
 
-    fn apply_one(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        v: &Violation,
-        report: &mut RepairReport,
-        sink: &mut dyn RepairSink,
-        tel: &EngineTelemetry,
-    ) -> bool {
-        self.apply_one_touched(g, rules, v, report, sink, tel).is_some()
-    }
-
     /// Apply; returns the touched set if the repair changed anything.
-    fn apply_one_touched(
+    fn apply(
         &self,
         g: &mut Graph,
         rules: &[Grr],
@@ -1413,29 +1205,6 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
-    #[test]
-    fn max_rounds_bounds_naive_engine() {
-        let mut g = Graph::new();
-        let n = g.add_node_named("P");
-        let k = g.attr_key("v");
-        g.set_attr(n, k, Value::Int(0)).unwrap();
-        let rules = parse_rules(
-            "rule up [conflict] match (x:P) where x.v == 0 repair set x.v = 1
-             rule down [conflict] match (x:P) where x.v == 1 repair set x.v = 0",
-        )
-        .unwrap();
-        let config = EngineConfig {
-            mode: EngineMode::Naive,
-            max_rounds: 3,
-            max_churn: u32::MAX,
-            ..EngineConfig::default()
-        };
-        let report = RepairEngine::new(config).repair(&mut g, &rules);
-        assert_eq!(report.rounds, 3);
-        assert!(!report.converged);
-        assert_eq!(report.outcome, RepairOutcome::RoundLimit);
-    }
-
     /// A few flagged nodes plus the single rule that clears the flag.
     fn flag_fixture() -> (Graph, Vec<Grr>) {
         let mut g = Graph::new();
@@ -1481,18 +1250,15 @@ mod tests {
             .with_test_clock(&clock)
             .with_deadline(std::time::Duration::from_millis(5));
         clock.advance(std::time::Duration::from_millis(10));
-        for mode in [EngineMode::Naive, EngineMode::Incremental] {
+        for config in [EngineConfig::naive(), EngineConfig::default()] {
             let mut g2 = g.clone();
             let fresh = obs::Budget::unlimited()
                 .with_test_clock(&clock)
                 .with_deadline(std::time::Duration::from_millis(5));
-            let report = RepairEngine::new(EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            })
-            .with_budget(&fresh)
-            .repair(&mut g2, &rules);
-            assert_eq!(report.outcome, RepairOutcome::Deadline, "mode {mode:?}");
+            let report = RepairEngine::new(config)
+                .with_budget(&fresh)
+                .repair(&mut g2, &rules);
+            assert_eq!(report.outcome, RepairOutcome::Deadline);
             assert!(report.ops.is_empty());
         }
         let report = RepairEngine::new(EngineConfig::default())
@@ -1503,8 +1269,8 @@ mod tests {
 
     #[test]
     fn op_budget_trips_after_committed_round() {
-        // Two independent violations repaired across rounds; op cap of 1 trips
-        // after the first committed round in incremental mode.
+        // Independent violations repaired one per round; an op cap of 1
+        // trips after the first committed round.
         let mut g = Graph::new();
         let k = g.attr_key("flag");
         for _ in 0..4 {
@@ -1515,12 +1281,9 @@ mod tests {
             parse_rules("rule f [conflict] match (x:P) where x.flag == 0 repair set x.flag = 1")
                 .unwrap();
         let budget = obs::Budget::unlimited().with_op_cap(1);
-        let report = RepairEngine::new(EngineConfig {
-            mode: EngineMode::Incremental,
-            ..EngineConfig::default()
-        })
-        .with_budget(&budget)
-        .repair(&mut g, &rules);
+        let report = RepairEngine::default()
+            .with_budget(&budget)
+            .repair(&mut g, &rules);
         assert_eq!(report.outcome, RepairOutcome::OpBudget);
         assert!(!report.ops.is_empty());
         assert!(report.ops.len() < 4, "should stop before fixing all nodes");
@@ -1542,41 +1305,25 @@ mod tests {
                 st.1.push(n);
             }
         }
-        let mut g = Graph::new();
-        let k = g.attr_key("flag");
-        for _ in 0..3 {
-            let n = g.add_node_named("P");
-            g.set_attr(n, k, Value::Int(0)).unwrap();
-        }
-        let rules =
-            parse_rules("rule f [conflict] match (x:P) where x.flag == 0 repair set x.flag = 1")
-                .unwrap();
-        let configs = [
-            (EngineMode::Naive, false),
-            (EngineMode::Naive, true),
-            (EngineMode::Incremental, false),
-        ];
-        for (mode, stratify) in configs {
-            let mut g2 = g.clone();
+        // The flag rule (one worklist over Σ) and a cascade (an acyclic
+        // set: one worklist per stratum).
+        let (g, rules) = flag_fixture();
+        let (cascade, chain) = (parse_rules(&cascade_src(2)).unwrap(), cascade_graph(3));
+        for (rules, base, stratify) in [(&rules, &g, false), (&cascade, &chain, true)] {
+            let mut g2 = base.clone();
             let rec = Recorder::default();
             let report = RepairEngine::new(EngineConfig {
-                mode,
                 stratify,
                 ..EngineConfig::default()
             })
-            .repair_with_sink(&mut g2, &rules, rec.clone());
-            assert_eq!(
-                report.outcome,
-                RepairOutcome::Completed,
-                "mode {mode:?}/stratify {stratify}"
-            );
+            .repair_with_sink(&mut g2, rules, rec.clone());
+            let ctx = format!("{} rules/stratify {stratify}", rules.len());
+            assert_eq!(report.outcome, RepairOutcome::Completed, "{ctx}");
             let st = rec.state.borrow();
-            assert_eq!(
-                st.0, 0,
-                "mode {mode:?}/stratify {stratify}: ops after final round_committed"
-            );
+            assert_eq!(st.0, 0, "{ctx}: ops after final round_committed");
+            assert_eq!(st.1.len(), report.repairs_applied, "{ctx}: one round per repair");
             let total: usize = st.1.iter().sum();
-            assert_eq!(total, report.ops.len(), "mode {mode:?}/stratify {stratify}");
+            assert_eq!(total, report.ops.len(), "{ctx}");
         }
     }
 
@@ -1734,65 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_dirty_scheduling_skips_clean_rules() {
-        // The attribute cascade dirties only the stage rules; the 20
-        // unrelated rules must be scanned exactly once (round 1) even
-        // though the naive engine runs many rounds.
-        let mut src = cascade_src(4);
-        for i in 0..20 {
-            src.push_str(&format!(
-                "rule unrelated{i} [conflict]
-                 match (x:Q)-[rel{i}]->(y:Q)
-                 where x.other{i} == 1
-                 repair delete edge (x)-[rel{i}]->(y)\n"
-            ));
-        }
-        let rules = parse_rules(&src).unwrap();
-        let mut g = cascade_graph(20);
-        // This test exercises the worklist scheduler specifically; the
-        // cascade's trigger graph is acyclic, so stratification (which
-        // finishes each stage in a single pass) must be disabled.
-        let config = EngineConfig {
-            stratify: false,
-            ..EngineConfig::naive()
-        };
-        let report = RepairEngine::new(config).repair(&mut g, &rules);
-        assert!(report.converged);
-        assert_eq!(report.repairs_applied, 4 * 20);
-        assert!(report.rounds > 1);
-        for s in report.per_rule.iter().filter(|s| s.name.starts_with("unrelated")) {
-            assert_eq!(s.scans, 1, "{} must only see the initial scan", s.name);
-            assert_eq!(s.matches_found, 0);
-        }
-        // The cascade stages themselves are rescanned across rounds.
-        assert!(report.per_rule[1].scans > 1, "stage1 must be rescanned");
-    }
-
-    #[test]
-    fn naive_dirty_scheduling_rescans_partial_fixes() {
-        // Deleting one of several parallel duplicate edges leaves the
-        // match valid: the rule must stay dirty until every duplicate is
-        // gone, even though DeleteEdge never label-enables the pattern.
-        let mut g = Graph::new();
-        let a = g.add_node_named("P");
-        let b = g.add_node_named("P");
-        for _ in 0..3 {
-            g.add_edge_named(a, b, "dup").unwrap();
-        }
-        let rules = parse_rules(
-            "rule drop_dup [redundancy]
-             match (x:P)-[dup]->(y:P)
-             repair delete edge (x)-[dup]->(y)",
-        )
-        .unwrap();
-        let report = RepairEngine::new(EngineConfig::naive()).repair(&mut g, &rules);
-        assert!(report.converged, "residual: {}", report.violations_remaining);
-        assert_eq!(report.repairs_applied, 3);
-        assert_eq!(g.num_edges(), 0);
-        assert!(report.per_rule[0].scans >= 3);
-    }
-
-    #[test]
     fn plan_cache_avoids_per_repair_compiles_incremental() {
         // Attribute cascade: every repair triggers a `find_touching` of
         // the next stage, but the (pattern, anchor) plan is compiled once
@@ -1815,39 +1503,6 @@ mod tests {
         assert!(
             report.plan_cache_hits > report.pattern_compiles,
             "80 repairs × re-matching must mostly hit the cache (compiles {}, hits {})",
-            report.pattern_compiles,
-            report.plan_cache_hits
-        );
-    }
-
-    #[test]
-    fn plan_cache_carries_naive_rounds() {
-        // Repeated naive rounds over a stable vocabulary: one compile,
-        // then every later round's scan reuses the plan. The graph is big
-        // enough that deleting one edge per round stays inside the
-        // statistics drift tolerance.
-        let mut g = Graph::new();
-        let nodes: Vec<_> = (0..200).map(|_| g.add_node_named("P")).collect();
-        for w in nodes.windows(2) {
-            g.add_edge_named(w[0], w[1], "knows").unwrap();
-        }
-        for _ in 0..3 {
-            g.add_edge_named(nodes[0], nodes[1], "dup").unwrap();
-        }
-        let rules = parse_rules(
-            "rule drop_dup [redundancy]
-             match (x:P)-[dup]->(y:P)
-             repair delete edge (x)-[dup]->(y)",
-        )
-        .unwrap();
-        let report =
-            RepairEngine::new(EngineConfig::naive_with_indexes()).repair(&mut g, &rules);
-        assert!(report.converged);
-        assert_eq!(report.repairs_applied, 3);
-        assert!(report.rounds >= 3, "one duplicate per round");
-        assert!(
-            report.plan_cache_hits >= report.rounds as u64 - 1,
-            "later rounds must reuse the round-1 plan (compiles {}, hits {})",
             report.pattern_compiles,
             report.plan_cache_hits
         );
@@ -1889,28 +1544,20 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
-    #[test]
-    fn delta_seed_runs_what_a_full_seed_runs_without_a_sweep() {
-        // The module's three-class rule set is cyclic (worklist). Clean
-        // the graph, then edit it: a person moves in, married to
-        // themselves, sharing an ssn with a resident.
-        let rules = rules();
-        let engine = RepairEngine::default();
-        let mut g = dirty_graph();
-        assert!(engine.repair(&mut g, &rules).converged);
-        let city = g.nodes_with_label(g.try_label("City").unwrap())[0];
-        let p = g.add_node_named("Person");
-        g.add_edge_named(p, city, "livesIn").unwrap();
-        g.add_edge_named(p, p, "marriedTo").unwrap();
-        let ssn = g.attr_key("ssn");
-        g.set_attr(p, ssn, Value::Int(42)).unwrap();
-        let touched: TouchSet = [p, city].into_iter().collect();
-
+    /// Repair `g` from a full seed and from `touched`: both runs must
+    /// apply the same ops to the same fixpoint and find the same matches,
+    /// the full run sweeping every rule once and the delta run none.
+    /// Returns the full run's report.
+    fn assert_delta_seed_runs_what_a_full_seed_runs(
+        g: &Graph,
+        rules: &[Grr],
+        touched: &TouchSet,
+    ) -> RepairReport {
         let run = |seed: RepairSeed<'_>| {
             let mut g = g.clone();
-            let report = engine.repair_with_planner_and_sink(
+            let report = RepairEngine::default().repair_with_planner_and_sink(
                 &mut g,
-                &rules,
+                rules,
                 &Planner::new(),
                 seed,
                 |_: &AppliedOp| {},
@@ -1918,8 +1565,7 @@ mod tests {
             (report, g.to_doc())
         };
         let (full, full_doc) = run(RepairSeed::Full);
-        let (delta, delta_doc) = run(RepairSeed::Touched(&touched));
-        assert!(full.repairs_applied >= 3);
+        let (delta, delta_doc) = run(RepairSeed::Touched(touched));
         assert_eq!(delta.ops, full.ops);
         assert_eq!(delta_doc, full_doc);
         assert!(delta.converged && delta.outcome == RepairOutcome::Completed);
@@ -1927,34 +1573,74 @@ mod tests {
             r.per_rule.iter().map(|s| s.matches_found).collect()
         };
         assert_eq!(found(&delta), found(&full));
+        assert_eq!(delta.strata, full.strata);
         assert!(full.per_rule.iter().all(|s| s.scans == 1));
         assert!(delta.per_rule.iter().all(|s| s.scans == 0), "no sweep");
+        full
     }
 
     #[test]
-    fn stratified_and_naive_runs_scan_whatever_the_seed() {
-        // An empty delta would find nothing; both schedules must ignore
-        // it and repair the whole (dirty) graph.
-        let nothing = TouchSet::default();
+    fn delta_seed_runs_what_a_full_seed_runs_without_a_sweep() {
+        // The module's three-class rule set is cyclic (worklist). Clean
+        // the graph, then edit it: a person moves in, married to
+        // themselves, sharing an ssn with a resident.
+        let rules = rules();
+        let mut g = dirty_graph();
+        assert!(RepairEngine::default().repair(&mut g, &rules).converged);
+        let city = g.nodes_with_label(g.try_label("City").unwrap())[0];
+        let p = g.add_node_named("Person");
+        g.add_edge_named(p, city, "livesIn").unwrap();
+        g.add_edge_named(p, p, "marriedTo").unwrap();
+        let ssn = g.attr_key("ssn");
+        g.set_attr(p, ssn, Value::Int(42)).unwrap();
+        let touched: TouchSet = [p, city].into_iter().collect();
+        let full = assert_delta_seed_runs_what_a_full_seed_runs(&g, &rules, &touched);
+        assert!(full.repairs_applied >= 3);
+    }
+
+    #[test]
+    fn delta_seed_runs_what_a_full_seed_runs_on_acyclic_sets() {
+        // The cascade is acyclic: each stratum seeds from the matches
+        // touching the delta grown so far. Clean the graph, then add
+        // fresh cascade starts; only they are in the seed.
         let rules = parse_rules(&cascade_src(3)).unwrap();
-        for config in [
-            EngineConfig::default(), // acyclic set: stratified
-            EngineConfig {
-                stratify: false,
-                ..EngineConfig::naive_with_indexes()
-            },
-        ] {
-            let mut g = cascade_graph(10);
-            let report = RepairEngine::new(config).repair_with_planner_and_sink(
-                &mut g,
-                &rules,
-                &Planner::new(),
-                RepairSeed::Touched(&nothing),
-                |_: &AppliedOp| {},
-            );
+        let mut g = cascade_graph(10);
+        assert!(RepairEngine::default().repair(&mut g, &rules).converged);
+        let a0 = g.attr_key("a0");
+        let touched: TouchSet = (0..4)
+            .map(|_| {
+                let n = g.add_node_named("T");
+                g.set_attr(n, a0, Value::Bool(true)).unwrap();
+                n
+            })
+            .collect();
+        let full = assert_delta_seed_runs_what_a_full_seed_runs(&g, &rules, &touched);
+        assert_eq!((full.strata, full.repairs_applied), (3, 3 * 4));
+    }
+
+    #[test]
+    fn repair_cap_on_the_last_needed_repair_completes() {
+        // Two rules fix the same missing attribute: once one lands the
+        // other's queued violation is stale. With the cap at one repair,
+        // the run still reached its fixpoint.
+        let rules = parse_rules(
+            "rule one [incompleteness] match (x:P) where missing(x.k) repair set x.k = 1
+             rule two [incompleteness] match (x:P) where missing(x.k) repair set x.k = 2",
+        )
+        .unwrap();
+        for stratify in [true, false] {
+            let mut g = Graph::new();
+            g.add_node_named("P");
+            let report = RepairEngine::new(EngineConfig {
+                max_repairs: 1,
+                stratify,
+                ..EngineConfig::default()
+            })
+            .repair(&mut g, &rules);
+            assert_eq!(report.strata, usize::from(stratify));
+            assert_eq!(report.repairs_applied, 1);
+            assert_eq!(report.outcome, RepairOutcome::Completed, "stratify {stratify}");
             assert!(report.converged);
-            assert_eq!(report.repairs_applied, 30);
-            assert!(report.per_rule.iter().all(|s| s.scans >= 1));
         }
     }
 
@@ -2312,8 +1998,7 @@ mod tests {
                     singles[(13 * i + 5) % n].clone(),
                 ]
             });
-            // The last slice is a whole round's worth without the leading
-            // `Merge`: it runs the mid-slice compaction.
+            // Then no op, every op, and every op but the leading `Merge`.
             let slices = singles
                 .iter()
                 .map(|op| vec![op.clone()])

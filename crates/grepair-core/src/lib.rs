@@ -14,8 +14,9 @@
 //! - the edit-distance repair cost model ([`cost`]);
 //! - static rule-set analyses: effectiveness, termination, consistency,
 //!   implication ([`analysis`]);
-//! - the naive and incremental repair engines with cost-based best-repair
-//!   arbitration ([`engine`]);
+//! - the repair engine: one cost-ordered worklist with cost-based
+//!   best-repair arbitration, run per stratum on acyclic rule sets
+//!   ([`engine`]);
 //! - rule-set containers and serialization ([`ruleset`]).
 //!
 //! ```
@@ -69,7 +70,7 @@ pub use apply::{apply_rule, revalidate, Applied, AppliedOp};
 pub use cost::{estimate_cost, op_cost};
 pub use dsl::{parse_rule, parse_rules, parse_rules_with_spans, ParseError, RuleSpan};
 pub use engine::{
-    EngineConfig, EngineMode, RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink,
+    EngineConfig, RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink,
     RuleStats,
 };
 // Re-exported so downstream crates (the store's repair hook, the CLI)

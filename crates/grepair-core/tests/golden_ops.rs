@@ -1,18 +1,16 @@
-//! Golden op sequences of the three engine schedules.
+//! Golden op sequences of the engine's two schedules.
 //!
-//! The arbitration queue, the round loop and the trigger filter decide
-//! *which* repair lands next and *which* matches are re-discovered, so any
-//! change to one of them that is not order-preserving moves these hashes:
-//! each covers every applied operation (ids included), in order, and each
-//! rule's `matches_found`. The worklist value was computed with one
+//! The arbitration queue and the trigger filter decide *which* repair
+//! lands next and *which* matches are re-discovered, so any change to one
+//! of them that is not order-preserving moves these hashes: each covers
+//! every applied operation (ids included), in order, and each rule's
+//! `matches_found`. The worklist value was computed with one
 //! `BinaryHeap<Violation>` as the queue and a linear walk over Σ as the
-//! filter; the stratified and naive values with one hand-written round
-//! loop per schedule. A faster queue or filter, or a shared round loop,
-//! must reproduce them bit for bit.
+//! filter; the stratified value with a round loop that scanned each
+//! stratum and applied its violations cheapest-first. The one worklist
+//! that now runs both schedules must reproduce them bit for bit.
 
-use grepair_core::{
-    parse_rules, EngineConfig, EngineMode, Grr, RepairEngine, RepairOutcome, RepairReport,
-};
+use grepair_core::{parse_rules, Grr, RepairEngine, RepairOutcome, RepairReport};
 use grepair_gen::{
     generate_kg, gold_kg_rules, inject_kg_noise, synthetic_rules, KgConfig, NoiseConfig,
 };
@@ -60,20 +58,6 @@ fn worklist_op_sequence_is_pinned() {
     let report = RepairEngine::default().repair(&mut g, &rules);
     assert_eq!(report.strata, 0, "the set is cyclic: the worklist must run");
     assert_eq!(digest(&report), (3240, 16_561_389_111_087_361_895));
-}
-
-#[test]
-fn naive_round_op_sequence_is_pinned() {
-    let (mut g, rules) = seeded_kg();
-    let config = EngineConfig {
-        mode: EngineMode::Naive,
-        stratify: true,
-        ..EngineConfig::default()
-    };
-    let report = RepairEngine::new(config).repair(&mut g, &rules);
-    assert_eq!(report.strata, 0, "the set is cyclic: naive rounds must run");
-    assert!(report.rounds > 1);
-    assert_eq!(digest(&report), (3240, 17_148_470_973_941_850_180));
 }
 
 #[test]

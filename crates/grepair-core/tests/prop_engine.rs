@@ -1,5 +1,5 @@
 //! Property tests for the repair engines: convergence, fixpoint
-//! stability, invariant preservation, and engine equivalence on random
+//! stability, invariant preservation, and matcher equivalence on random
 //! graphs and random (terminating) rule sets.
 
 use grepair_core::{
@@ -100,8 +100,9 @@ proptest! {
         prop_assert_eq!(again.repairs_applied, 0, "fixpoint must be stable");
     }
 
-    /// Both engines end with zero violations and identical graph sizes on
-    /// deletion/merge rule sets (confluent up to element identity).
+    /// The engine over the optimized and the unoptimized matcher ends with
+    /// zero violations and identical graph sizes on deletion/merge rule
+    /// sets (confluent up to element identity).
     #[test]
     fn engines_agree_on_fixpoint_shape(rg in graph_strategy(), rules in rules_strategy()) {
         let base = build_graph(&rg);

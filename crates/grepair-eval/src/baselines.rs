@@ -1,9 +1,14 @@
-//! Comparison baselines for the quality experiments (F1/F2/F7).
+//! Comparison baselines for the efficiency (F3/F4/F6) and quality
+//! (F1/F2/F7) experiments.
 //!
 //! Re-implementations of the repair strategies the paper compares
 //! against, run over the *same* violation detection (the GRR patterns) so
-//! the comparison isolates repair *semantics*:
+//! the comparison isolates repair *discovery* or *semantics*:
 //!
+//! - [`rescan_repair`] — the textbook rescan loop: the gold rules'
+//!   repairs, but every round re-matches every rule over the whole graph.
+//!   The efficiency baseline for the engine's worklist, and the reference
+//!   model its fixpoints are checked against.
 //! - [`delete_only_rules`] — constraint-cleaning style: every violation is
 //!   fixed by deleting a violating element (what GFD/key-based cleaners
 //!   do). Detects exactly what the gold rules detect but can never restore
@@ -12,9 +17,11 @@
 //! - [`random_repair`] — picks a uniformly random element of each
 //!   violation to delete; the sanity-check floor.
 
-use grepair_core::{apply_rule, revalidate, Action, AppliedOp, Grr, PatternEdgeRef, RuleSet};
+use grepair_core::{
+    apply_rule, estimate_cost, revalidate, Action, AppliedOp, Grr, PatternEdgeRef, RuleSet,
+};
 use grepair_graph::{EditCosts, Graph};
-use grepair_match::{Matcher, Var};
+use grepair_match::{Match, MatchConfig, Matcher, Planner, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,8 +58,82 @@ pub struct BaselineReport {
     pub ops: Vec<AppliedOp>,
     /// Number of repair steps.
     pub repairs_applied: usize,
+    /// Full scans of the rule set.
+    pub rounds: usize,
+    /// Violations the scans found (pre-revalidation).
+    pub matches_found: usize,
     /// Whether no violations remained at the end.
     pub converged: bool,
+}
+
+/// The textbook rescan loop: scan every rule over the whole graph, apply
+/// the round's violations cheapest-first (edit-cost estimate, then
+/// higher priority, then rule and node order), each revalidated against
+/// the graph the earlier ones left, then rescan. Stops when a scan finds
+/// nothing, a round applies nothing, or after `max_rounds` rounds.
+///
+/// The matcher runs with `cfg` and one planner whose statistics follow
+/// the graph across rounds, so `MatchConfig::default()` isolates what
+/// incremental discovery buys and `MatchConfig::naive()` is the
+/// unoptimised baseline.
+pub fn rescan_repair(
+    g: &mut Graph,
+    rules: &[Grr],
+    cfg: MatchConfig,
+    max_rounds: usize,
+) -> BaselineReport {
+    let costs = EditCosts::default();
+    let planner = Planner::new();
+    let mut report = BaselineReport::default();
+    for _ in 0..max_rounds {
+        if cfg.connected_order {
+            planner.refresh_if_drifted(g);
+        }
+        let mut violations: Vec<(f64, usize, Match)> =
+            scan(&Matcher::with_planner(g, cfg, &planner), rules)
+                .into_iter()
+                .map(|(ri, m)| (estimate_cost(g, &rules[ri], &m, &costs), ri, m))
+                .collect();
+        report.rounds += 1;
+        report.matches_found += violations.len();
+        if violations.is_empty() {
+            report.converged = true;
+            return report;
+        }
+        violations.sort_by(|(ca, ra, ma), (cb, rb, mb)| {
+            let (pa, pb) = (rules[*ra].priority, rules[*rb].priority);
+            ca.total_cmp(cb).then((pb, ra, &ma.nodes).cmp(&(pa, rb, &mb.nodes)))
+        });
+        let mut progressed = false;
+        for (_, ri, mut m) in violations {
+            if !revalidate(g, &rules[ri].pattern, &mut m) {
+                continue;
+            }
+            let applied = apply_rule(g, &rules[ri], &m, &costs)
+                .expect("a validated rule applies to a revalidated match");
+            if !applied.is_noop() {
+                report.repairs_applied += 1;
+                report.ops.extend(applied.ops);
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    report.converged = is_clean(&Matcher::with_planner(g, cfg, &planner), rules);
+    report
+}
+
+/// Every (rule index, match) `matcher` finds, rule by rule.
+fn scan(matcher: &Matcher<'_>, rules: &[Grr]) -> Vec<(usize, Match)> {
+    let found = rules.iter().enumerate().map(|(ri, r)| (ri, matcher.find_all(&r.pattern)));
+    found.flat_map(|(ri, ms)| ms.into_iter().map(move |m| (ri, m))).collect()
+}
+
+/// Whether no rule has a match.
+fn is_clean(matcher: &Matcher<'_>, rules: &[Grr]) -> bool {
+    rules.iter().all(|r| !matcher.exists(&r.pattern))
 }
 
 /// Random-deletion repair: per violation, delete a uniformly random
@@ -68,19 +149,9 @@ pub fn random_repair(
     let costs = EditCosts::default();
     for _ in 0..max_rounds {
         let mut progressed = false;
-        let violations: Vec<(usize, grepair_match::Match)> = {
-            let matcher = Matcher::new(g);
-            rules
-                .iter()
-                .enumerate()
-                .flat_map(|(ri, r)| {
-                    matcher
-                        .find_all(&r.pattern)
-                        .into_iter()
-                        .map(move |m| (ri, m))
-                })
-                .collect()
-        };
+        let violations = scan(&Matcher::new(g), rules);
+        report.rounds += 1;
+        report.matches_found += violations.len();
         if violations.is_empty() {
             report.converged = true;
             return report;
@@ -117,10 +188,7 @@ pub fn random_repair(
             break;
         }
     }
-    report.converged = {
-        let matcher = Matcher::new(g);
-        rules.iter().all(|r| !matcher.exists(&r.pattern))
-    };
+    report.converged = is_clean(&Matcher::new(g), rules);
     report
 }
 

@@ -6,7 +6,7 @@
 //! section lists what each id measures). Profiles control workload sizes
 //! so the full suite stays laptop-scale.
 
-use crate::baselines::{delete_only_rules, random_repair};
+use crate::baselines::{delete_only_rules, random_repair, rescan_repair};
 use crate::metrics::{evaluate_repair, RepairQuality};
 use crate::table::{f3, ms, Table};
 use grepair_core::{analyze, EngineConfig, RepairEngine, RuleSet};
@@ -25,7 +25,7 @@ pub struct Profile {
     pub kg_sizes: [usize; 3],
     /// Person counts of the |G| scaling sweep (F3).
     pub scale_points: Vec<usize>,
-    /// Largest size at which the naive engine still runs in F3/F4
+    /// Largest size at which the unoptimized rescan loop still runs in F3/F4
     /// (beyond it the harness reports `timeout`, like the paper's plots).
     pub naive_cutoff: usize,
     /// Rule counts for the |Σ| sweep (T2, F4).
@@ -299,7 +299,12 @@ pub fn exp_quality_class(p: &Profile) -> Table {
 // F3 / F4 — efficiency scaling
 // ---------------------------------------------------------------------------
 
-/// F3: repair wall-time vs |G|, optimized vs naive engines.
+/// Round cap of the [`rescan_repair`] baselines in F3/F4/F6.
+const RESCAN_ROUNDS: usize = 64;
+
+/// F3: repair wall-time vs |G|: the engine against the textbook rescan
+/// loop, over the optimized (`naive+idx`) and unoptimized (`naive`)
+/// matcher.
 pub fn exp_scale_graph(p: &Profile) -> Table {
     let mut t = Table::new(
         "f3",
@@ -320,13 +325,14 @@ pub fn exp_scale_graph(p: &Profile) -> Table {
 
         let mut g2 = dirty.clone();
         let (_, d_naive_idx) = time(|| {
-            RepairEngine::new(EngineConfig::naive_with_indexes()).repair(&mut g2, &gold.rules)
+            rescan_repair(&mut g2, &gold.rules, MatchConfig::default(), RESCAN_ROUNDS)
         });
 
         let naive_cell = if persons <= p.naive_cutoff {
             let mut g3 = dirty.clone();
-            let (_, d_naive) =
-                time(|| RepairEngine::new(EngineConfig::naive()).repair(&mut g3, &gold.rules));
+            let (_, d_naive) = time(|| {
+                rescan_repair(&mut g3, &gold.rules, MatchConfig::naive(), RESCAN_ROUNDS)
+            });
             ms(d_naive)
         } else {
             "timeout".into()
@@ -361,13 +367,12 @@ pub fn exp_scale_rules(p: &Profile) -> Table {
         let mut g1 = dirty.clone();
         let (_, d_inc) = time(|| RepairEngine::default().repair(&mut g1, &rules));
         let mut g2 = dirty.clone();
-        let (_, d_idx) = time(|| {
-            RepairEngine::new(EngineConfig::naive_with_indexes()).repair(&mut g2, &rules)
-        });
+        let (_, d_idx) =
+            time(|| rescan_repair(&mut g2, &rules, MatchConfig::default(), RESCAN_ROUNDS));
         let naive_cell = if n <= p.naive_cutoff.min(40) {
             let mut g3 = dirty.clone();
             let (_, d) =
-                time(|| RepairEngine::new(EngineConfig::naive()).repair(&mut g3, &rules));
+                time(|| rescan_repair(&mut g3, &rules, MatchConfig::naive(), RESCAN_ROUNDS));
             ms(d)
         } else {
             "timeout".into()
@@ -447,7 +452,8 @@ pub fn exp_ablation_matching(p: &Profile) -> Table {
     t
 }
 
-/// F6: incremental maintenance ablation (work per engine).
+/// F6: incremental maintenance ablation: the engine's work against the
+/// textbook rescan loop's on the same matcher.
 pub fn exp_ablation_incremental(p: &Profile) -> Table {
     let mut t = Table::new(
         "f6",
@@ -458,20 +464,18 @@ pub fn exp_ablation_incremental(p: &Profile) -> Table {
     );
     let (_, dirty, _) = dirty_kg(p.kg_sizes[1], 0.10, 1, None);
     let gold = gold_kg_rules();
-    for (name, cfg) in [
-        ("incremental", EngineConfig::default()),
-        ("full-rescan", EngineConfig::naive_with_indexes()),
+    let mut g = dirty.clone();
+    let (report, d) = time(|| RepairEngine::default().repair(&mut g, &gold.rules));
+    let examined = report.per_rule.iter().map(|s| s.matches_found).sum();
+    let mut g = dirty.clone();
+    let (rescan, d_rescan) =
+        time(|| rescan_repair(&mut g, &gold.rules, MatchConfig::default(), RESCAN_ROUNDS));
+    for (name, d, rounds, examined, repairs) in [
+        ("incremental", d, report.rounds, examined, report.repairs_applied),
+        ("full-rescan", d_rescan, rescan.rounds, rescan.matches_found, rescan.repairs_applied),
     ] {
-        let mut g = dirty.clone();
-        let (report, d) = time(|| RepairEngine::new(cfg).repair(&mut g, &gold.rules));
-        let examined: usize = report.per_rule.iter().map(|s| s.matches_found).sum();
-        t.row(vec![
-            name.into(),
-            ms(d),
-            report.rounds.to_string(),
-            examined.to_string(),
-            report.repairs_applied.to_string(),
-        ]);
+        let counts = [rounds, examined, repairs].map(|c: usize| c.to_string());
+        t.row([vec![name.into(), ms(d)], counts.to_vec()].concat());
     }
     t
 }

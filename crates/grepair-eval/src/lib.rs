@@ -7,7 +7,8 @@
 //!
 //! - [`metrics`] — precision/recall/F1 over canonical triple-multiset
 //!   deltas (made-changes vs needed-changes).
-//! - [`baselines`] — delete-only constraint cleaning and random repair.
+//! - [`baselines`] — the textbook rescan loop, delete-only constraint
+//!   cleaning and random repair.
 //! - [`experiments`] — one `exp_*` function per table/figure; run them
 //!   via `cargo run -p grepair-bench --release --bin experiments`.
 //! - [`table`] — aligned text/CSV table rendering.
@@ -22,7 +23,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod table;
 
-pub use baselines::{delete_only_rules, random_repair, BaselineReport};
+pub use baselines::{delete_only_rules, random_repair, rescan_repair, BaselineReport};
 pub use experiments::{run, Profile};
 pub use metrics::{evaluate_repair, CanonMap, RepairQuality};
 pub use table::Table;

@@ -1,75 +1,65 @@
-//! Cross-engine differential property suite.
+//! Differential property suite: the engine against the textbook rescan
+//! loop.
 //!
 //! On generated knowledge-graph scenarios with injected noise and
-//! (already dirty) social scenarios, every engine configuration — Naive,
-//! NaiveWithIndexes and Incremental — must:
+//! (already dirty) social scenarios, the engine over the optimized and
+//! the unoptimized matcher, and [`rescan_repair`] over both, must:
 //!
-//! - converge, and agree on the residual violation count as measured by
-//!   one canonical counter;
+//! - converge, by their own verdict and by one canonical counter's;
 //! - leave a structurally valid graph (`check_invariants`);
 //! - agree on the repaired graph's shape (node/edge counts — element ids
-//!   may differ between engines, the content may not).
+//!   may differ between loops, the content may not).
 //!
-//! Sizes are kept small because the fully naive engine (no indexes, no
+//! Sizes are kept small because the unoptimized matcher (no indexes, no
 //! join ordering) is intentionally exponential-ish; the point here is
 //! differential coverage, not throughput.
 
-use grepair_core::{EngineConfig, RepairEngine};
+use grepair_core::{EngineConfig, Grr, RepairEngine};
+use grepair_eval::rescan_repair;
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
     NoiseConfig, SocialConfig,
 };
 use grepair_graph::Graph;
-use grepair_core::Grr;
+use grepair_match::MatchConfig;
 use proptest::prelude::*;
 
-/// Every engine configuration under differential test, labelled.
-fn engine_matrix() -> Vec<(&'static str, EngineConfig)> {
-    vec![
-        ("incremental", EngineConfig::default()),
-        ("naive-indexed", EngineConfig::naive_with_indexes()),
-        ("naive-full", EngineConfig::naive()),
-    ]
-}
-
-/// Repair `base` under every configuration and cross-check the outcomes.
+/// Repair `base` with every loop and matcher and cross-check the outcomes.
 fn assert_engines_agree(base: &Graph, rules: &[Grr], ctx: &str) -> Result<(), TestCaseError> {
-    // One canonical counter for residuals, so engine-specific matcher
+    // One canonical counter for residuals, so a loop's matcher
     // configuration cannot mask a divergence.
     let canonical = RepairEngine::default();
     let mut outcomes = Vec::new();
-    for (name, cfg) in engine_matrix() {
-        let mut g = base.clone();
-        let report = RepairEngine::new(cfg).repair(&mut g, rules);
-        prop_assert!(
-            g.check_invariants().is_ok(),
-            "{ctx}/{name}: invariants broken: {:?}",
-            g.check_invariants()
-        );
-        let residual = canonical.count_violations(&g, rules);
-        prop_assert_eq!(
-            residual,
-            report.violations_remaining,
-            "{}/{}: engine's own residual count disagrees with canonical",
-            ctx,
-            name
-        );
-        prop_assert!(
-            report.converged,
-            "{ctx}/{name}: residual {residual} violations"
-        );
-        outcomes.push((name, residual, g.num_nodes(), g.num_edges()));
+    for (name, matcher) in [("", MatchConfig::default()), ("-naive", MatchConfig::naive())] {
+        let mut engine_g = base.clone();
+        let report = RepairEngine::new(EngineConfig {
+            match_config: matcher,
+            ..EngineConfig::default()
+        })
+        .repair(&mut engine_g, rules);
+        let mut rescan_g = base.clone();
+        let rescan = rescan_repair(&mut rescan_g, rules, matcher, 64);
+        for (loop_name, g, converged) in [
+            ("engine", &engine_g, report.converged),
+            ("rescan", &rescan_g, rescan.converged),
+        ] {
+            prop_assert!(
+                g.check_invariants().is_ok(),
+                "{ctx}/{loop_name}{name}: invariants broken: {:?}",
+                g.check_invariants()
+            );
+            let residual = canonical.count_violations(g, rules);
+            prop_assert!(
+                converged && residual == 0,
+                "{ctx}/{loop_name}{name}: residual {residual} violations"
+            );
+            outcomes.push((loop_name, name, g.num_nodes(), g.num_edges()));
+        }
     }
-    let (_, r0, n0, e0) = outcomes[0];
-    for (name, r, n, e) in &outcomes {
-        prop_assert_eq!(
-            (*r, *n, *e),
-            (r0, n0, e0),
-            "{}/{} diverged: {:?}",
-            ctx,
-            name,
-            outcomes
-        );
+    let (_, _, n0, e0) = outcomes[0];
+    for (loop_name, name, n, e) in &outcomes {
+        let diverged = format!("{ctx}/{loop_name}{name} diverged: {outcomes:?}");
+        prop_assert_eq!((*n, *e), (n0, e0), "{}", diverged);
     }
     Ok(())
 }

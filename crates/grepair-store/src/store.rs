@@ -1197,8 +1197,7 @@ fn append_with_rotation<V: Vfs>(
 /// Round-buffering journal sink for [`DurableGraph::repair`]: applied
 /// ops accumulate in memory and reach the WAL only at the engine's
 /// `round_committed` boundary, so the journal only ever holds whole
-/// rounds. The engine fires the boundary after every applied round
-/// (including the short final batch before a `max_repairs` return) and
+/// rounds. The engine fires the boundary after every applied repair and
 /// abandons a budget-tripped round *before* applying anything, so a
 /// cancelled durable repair recovers to exactly a committed-round
 /// prefix. The `Drop` flush is defense-in-depth: any op delivered

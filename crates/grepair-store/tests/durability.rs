@@ -165,17 +165,38 @@ fn repeated_repair_cycles_stay_replayable_across_sessions() {
 }
 
 #[test]
-fn naive_engine_repairs_are_journaled_identically() {
-    let dir = tmpdir("naive");
-    let rules: RuleSet = gold_kg_rules();
-    let mut store =
-        DurableGraph::create_with(&dir, StoreConfig::default(), dirty_kg(60)).unwrap();
-    let engine = RepairEngine::new(EngineConfig::naive_with_indexes());
-    let report = store.repair(&engine, &rules.rules).unwrap();
+fn stratified_repairs_are_journaled_identically() {
+    // An acyclic 3-stage attribute cascade runs one worklist per stratum,
+    // each applied repair its own committed round: the journal must hold
+    // exactly the in-memory run's ops and replay to the same slots.
+    let dir = tmpdir("stratified");
+    let rules = RuleSet::from_dsl(
+        "cascade",
+        "rule s0 [incompleteness] match (x:T) where has(x.a0), missing(x.a1) repair set x.a1 = 1
+         rule s1 [incompleteness] match (x:T) where has(x.a1), missing(x.a2) repair set x.a2 = 1
+         rule s2 [incompleteness] match (x:T) where has(x.a2), missing(x.a3) repair set x.a3 = 1",
+    )
+    .unwrap();
+    let mut g = grepair_graph::Graph::new();
+    let a0 = g.attr_key("a0");
+    for _ in 0..40 {
+        let n = g.add_node_named("T");
+        g.set_attr(n, a0, grepair_graph::Value::Int(1)).unwrap();
+    }
+    let mut in_memory = g.clone();
+    let expected = RepairEngine::default().repair(&mut in_memory, &rules.rules);
+
+    let mut store = DurableGraph::create_with(&dir, StoreConfig::default(), g).unwrap();
+    let report = store.repair(&RepairEngine::default(), &rules.rules).unwrap();
+    assert_eq!(report.strata, 3);
     assert!(report.converged);
+    assert_eq!(report.ops, expected.ops);
+    assert_eq!(store.last_seq(), report.ops.len() as u64);
     let committed = store.graph().dump_slots();
+    assert_eq!(committed, in_memory.dump_slots());
     drop(store);
     let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(store.last_recovery().records_replayed, report.ops.len() as u64);
     assert_eq!(store.graph().dump_slots(), committed);
     std::fs::remove_dir_all(&dir).ok();
 }

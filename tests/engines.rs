@@ -1,8 +1,10 @@
-//! Engine-equivalence and configuration integration tests: the naive and
-//! incremental engines must reach equivalent fixpoints; ablated matcher
-//! configurations must not change results, only speed.
+//! Engine-equivalence and configuration integration tests: the engine and
+//! the textbook rescan loop (`grepair_eval::rescan_repair`) must reach
+//! equivalent fixpoints; ablated matcher configurations must not change
+//! results, only speed.
 
-use grepair_core::{EngineConfig, EngineMode, RepairEngine};
+use grepair_core::{EngineConfig, RepairEngine};
+use grepair_eval::rescan_repair;
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 use grepair_graph::{Graph, GraphStats};
 use grepair_match::MatchConfig;
@@ -24,31 +26,28 @@ fn dirty(persons: usize, seed: u64) -> Graph {
 fn all_engine_configs_converge_to_violation_free_graphs() {
     let rules = gold_kg_rules();
     let base = dirty(300, 5);
-    let configs = vec![
-        ("incremental", EngineConfig::default()),
-        ("naive-indexed", EngineConfig::naive_with_indexes()),
-        ("naive-full", EngineConfig::naive()),
-        (
-            "incremental-naive-matcher",
-            EngineConfig {
-                mode: EngineMode::Incremental,
-                match_config: MatchConfig::naive(),
-                ..EngineConfig::default()
-            },
-        ),
-    ];
     let mut shapes = Vec::new();
-    for (name, cfg) in configs {
+    let mut record = |name: &'static str, g: &Graph, converged: bool| {
+        assert!(converged, "{name} did not converge");
+        g.check_invariants().unwrap();
+        let s = GraphStats::compute(g);
+        shapes.push((name, s.nodes, s.edges));
+    };
+    for (name, cfg) in [
+        ("incremental", EngineConfig::default()),
+        ("incremental-naive-matcher", EngineConfig::naive()),
+    ] {
         let mut g = base.clone();
         let report = RepairEngine::new(cfg).repair(&mut g, &rules.rules);
-        assert!(
-            report.converged,
-            "{name}: residual {}",
-            report.violations_remaining
-        );
-        g.check_invariants().unwrap();
-        let s = GraphStats::compute(&g);
-        shapes.push((name, s.nodes, s.edges));
+        record(name, &g, report.converged);
+    }
+    for (name, cfg) in [
+        ("rescan-indexed", MatchConfig::default()),
+        ("rescan-naive", MatchConfig::naive()),
+    ] {
+        let mut g = base.clone();
+        let report = rescan_repair(&mut g, &rules.rules, cfg, 64);
+        record(name, &g, report.converged);
     }
     // All engines must end at the same graph size (repairs are confluent
     // on this workload).
@@ -112,11 +111,11 @@ fn incremental_needs_one_scan_where_rescan_needs_rounds() {
     let mut g1 = base.clone();
     let inc = RepairEngine::default().repair(&mut g1, &rules.rules);
     let mut g2 = base.clone();
-    let naive = RepairEngine::new(EngineConfig::naive_with_indexes()).repair(&mut g2, &rules.rules);
+    let naive = rescan_repair(&mut g2, &rules.rules, MatchConfig::default(), 64);
 
     assert!(inc.converged && naive.converged);
     // The incremental engine performs exactly one full scan; all follow-up
-    // discovery is delta-anchored. The rescan engine needs at least one
+    // discovery is delta-anchored. The rescan loop needs at least one
     // repair round plus the empty fixpoint round.
     assert_eq!(inc.rounds, 1);
     assert!(naive.rounds >= 2, "rescan rounds: {}", naive.rounds);
@@ -126,7 +125,7 @@ fn incremental_needs_one_scan_where_rescan_needs_rounds() {
 }
 
 /// On cascading rule chains — where fixing one violation creates the next
-/// — the rescan engine pays a full multi-pattern scan per stage while the
+/// — the rescan loop pays a full multi-pattern scan per stage while the
 /// incremental engine only re-matches around the repaired node.
 #[test]
 fn cascading_chain_favours_incremental() {
@@ -150,8 +149,8 @@ fn cascading_chain_favours_incremental() {
     }
 
     // The chain's trigger graph is acyclic, so the default engine would
-    // run it stratified; this test compares the *worklist* schedulers
-    // specifically, so pin stratification off for both.
+    // run it stratified; pin stratification off to compare one worklist
+    // over the whole set with the rescan loop.
     let mut g1 = base.clone();
     let inc = RepairEngine::new(EngineConfig {
         stratify: false,
@@ -159,11 +158,7 @@ fn cascading_chain_favours_incremental() {
     })
     .repair(&mut g1, &rules.rules);
     let mut g2 = base.clone();
-    let naive = RepairEngine::new(EngineConfig {
-        stratify: false,
-        ..EngineConfig::naive_with_indexes()
-    })
-    .repair(&mut g2, &rules.rules);
+    let naive = rescan_repair(&mut g2, &rules.rules, MatchConfig::default(), 64);
 
     assert!(inc.converged && naive.converged);
     assert_eq!(inc.repairs_applied, STAGES * 50);
@@ -175,8 +170,8 @@ fn cascading_chain_favours_incremental() {
         naive.rounds
     );
 
-    // The stratified scheduler reaches the same fixpoint with one
-    // fixpoint pass per stage and no churn accounting at all.
+    // The stratified schedule reaches the same fixpoint with one worklist
+    // per stage and no churn accounting at all.
     let mut g3 = base.clone();
     let strat = RepairEngine::default().repair(&mut g3, &rules.rules);
     assert_eq!(strat.strata, STAGES);

@@ -484,3 +484,62 @@ fn readme_metric_table_names_are_emitted() {
         "README names metrics no source emits: {missing:?}"
     );
 }
+
+/// The runtime half of the taxonomy check: after a store ingest, a
+/// durable repair, an in-memory stratified repair and a `Watcher`
+/// update, every counter, gauge and histogram the registry holds is
+/// named in the README table — including whatever the other tests of
+/// this binary registered first. A name added to the code must enter
+/// the table.
+#[test]
+fn every_registered_metric_is_in_the_readme_table() {
+    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = tmpdir("registry");
+    let (mut g, refs) = generate_kg(&KgConfig::with_persons(60));
+    inject_kg_noise(&mut g, &refs, &NoiseConfig::default());
+    let rules = gold_kg_rules().rules;
+    let engine = RepairEngine::default();
+
+    let mut store = DurableGraph::create_with(&dir, StoreConfig::default(), g.clone()).unwrap();
+    let p = store.add_node("Person").unwrap();
+    let c = store.add_node("City").unwrap();
+    store.add_edge(p, c, "livesIn").unwrap();
+    assert!(store.repair(&engine, &rules).unwrap().converged);
+    drop(store);
+
+    let cascade = grepair_core::parse_rules(
+        "rule s0 [incompleteness] match (x:T) where has(x.a0), missing(x.a1) repair set x.a1 = 1
+         rule s1 [incompleteness] match (x:T) where has(x.a1), missing(x.a2) repair set x.a2 = 1",
+    )
+    .unwrap();
+    let mut chain = grepair_graph::Graph::new();
+    let (t, a0) = (chain.add_node_named("T"), chain.attr_key("a0"));
+    chain.set_attr(t, a0, grepair_graph::Value::Int(1)).unwrap();
+    assert_eq!(engine.repair(&mut chain, &cascade).strata, 2);
+
+    let mut watcher = grepair_core::Watcher::new(&g, rules);
+    let p = g.add_node_named("Person");
+    watcher.update(&g, &[p].into_iter().collect());
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let table: String = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| Layer | Spans | Metrics"))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    // One `    "name": …` line per counter, gauge and histogram.
+    let snapshot = grepair_obs::snapshot_json();
+    let names: Vec<&str> = snapshot
+        .lines()
+        .filter_map(|l| l.strip_prefix("    \""))
+        .filter_map(|l| l.split_once('"').map(|(name, _)| name))
+        .collect();
+    assert!(names.contains(&"engine.strata") && names.contains(&"wal.append_ns"), "{names:?}");
+    let undocumented: Vec<&&str> = names
+        .iter()
+        .filter(|name| !table.contains(&format!("`{name}`")))
+        .collect();
+    assert!(undocumented.is_empty(), "registered but not in the README table: {undocumented:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
