@@ -789,10 +789,9 @@ fn cmd_explain(tokens: &[String]) -> CliResult {
     }
     writeln!(
         out,
-        "\nplan cache: {} compiled, {} hits, {} adaptive re-plans",
+        "\nplan cache: {} compiled, {} hits",
         planner.compile_count(),
-        planner.cache_hit_count(),
-        planner.replan_count()
+        planner.cache_hit_count()
     )
     .unwrap();
     out.truncate(out.trim_end().len());
@@ -835,17 +834,12 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
     let print_run = |out: &mut String, i: usize, report: &grepair_core::RepairReport| {
         writeln!(
             out,
-            "run {}: {} repairs, residual {}, {} plans compiled, {} cache hits{}, outcome {}",
+            "run {}: {} repairs, residual {}, {} plans compiled, {} cache hits, outcome {}",
             i + 1,
             report.repairs_applied,
             report.violations_remaining,
             report.pattern_compiles,
             report.plan_cache_hits,
-            if report.plan_replans > 0 {
-                format!(", {} re-plans", report.plan_replans)
-            } else {
-                String::new()
-            },
             report.outcome
         )
         .unwrap();

@@ -257,9 +257,8 @@ pub struct RepairReport {
     /// Pattern compiles avoided by the plan cache — fixpoint rounds and
     /// `find_touching`'s per-anchor compiles hitting cached plans.
     pub plan_cache_hits: u64,
-    /// Adaptive re-plans triggered during the run (a scan's observed
-    /// frontier blew past its estimate and the matcher re-planned with
-    /// patched statistics).
+    /// Always 0: the matcher never re-plans during a scan. Kept only
+    /// because the `e2e` benchmark reads it as `plan.replans`.
     pub plan_replans: u64,
     /// Number of topological strata the run was scheduled into, when the
     /// trigger graph was acyclic and [`EngineConfig::stratify`] was on.
@@ -660,7 +659,6 @@ impl RepairEngine {
         // shows warm-cache behaviour per run.
         let compiles0 = planner.compile_count();
         let hits0 = planner.cache_hit_count();
-        let replans0 = planner.replan_count();
 
         // Analysis-driven scheduling: an acyclic trigger graph yields a
         // topological stratification (cached per rule-set fingerprint)
@@ -739,7 +737,6 @@ impl RepairEngine {
         );
         report.pattern_compiles = planner.compile_count() - compiles0;
         report.plan_cache_hits = planner.cache_hit_count() - hits0;
-        report.plan_replans = planner.replan_count() - replans0;
         report.wall = start.elapsed();
         report
     }

@@ -405,27 +405,6 @@ pub fn exp_ablation_matching(p: &Profile) -> Table {
     let configs: Vec<(&str, MatchConfig)> = vec![
         ("full", full),
         (
-            "-label-index",
-            MatchConfig {
-                use_label_index: false,
-                ..full
-            },
-        ),
-        (
-            "-signature",
-            MatchConfig {
-                use_signature: false,
-                ..full
-            },
-        ),
-        (
-            "-degree-filter",
-            MatchConfig {
-                use_degree_filter: false,
-                ..full
-            },
-        ),
-        (
             "-attr-index",
             MatchConfig {
                 use_attr_index: false,
@@ -439,7 +418,7 @@ pub fn exp_ablation_matching(p: &Profile) -> Table {
                 ..full
             },
         ),
-        ("naive (all off)", MatchConfig::naive()),
+        ("naive (both off)", MatchConfig::naive()),
     ];
     for (name, cfg) in configs {
         let engine = RepairEngine::new(EngineConfig {
@@ -613,7 +592,7 @@ mod tests {
     fn f5_f6_smoke() {
         let p = tiny();
         let t5 = exp_ablation_matching(&p);
-        assert_eq!(t5.rows.len(), 7);
+        assert_eq!(t5.rows.len(), 4);
         // All configs must agree on the violation count.
         let counts: Vec<&String> = t5.rows.iter().map(|r| &r[2]).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{t5}");

@@ -17,9 +17,9 @@
 //!
 //! Interner numbering is intentionally *not* dumped: labels and keys
 //! travel as strings and re-intern on restore. Numeric label ids are
-//! process-local derived state (they only feed index layout and
-//! signature mixing, never slot allocation), so two processes may
-//! legally disagree on them while agreeing on every slot.
+//! process-local derived state (they only feed index layout, never
+//! slot allocation), so two processes may legally disagree on them
+//! while agreeing on every slot.
 //!
 //! [`Graph::dump_slots`] and [`Graph::restore_slots`] live in
 //! [`crate::graph`] (they need private slot access); this module owns the

@@ -9,9 +9,8 @@
 //!    seven) maps to a constant number of slot updates plus incident-edge
 //!    work where unavoidable (node deletion, merge).
 //! 3. **Index support for matching** — a per-label node index (swap-remove
-//!    position-tracked, deterministic given the op history) and a 64-bit
-//!    neighbor-label signature per node, both maintained incrementally, are
-//!    what make the "efficient" repair engine fast.
+//!    position-tracked, deterministic given the op history), maintained
+//!    incrementally, is where the matcher takes its candidates.
 //!
 //! Adjacency is stored as per-node `Vec<EdgeId>` for both directions;
 //! removal swap-removes using per-edge back-pointers would add 16 bytes per
@@ -21,7 +20,7 @@
 
 use crate::dump::SlotDump;
 use crate::error::{GraphError, Result};
-use crate::ids::{AttrKeyId, Direction, EdgeId, LabelId, NodeId};
+use crate::ids::{AttrKeyId, EdgeId, LabelId, NodeId};
 use crate::interner::Interner;
 use crate::io::{EdgeDoc, GraphDoc, NodeDoc};
 use crate::stats::{CardinalityStats, StatsMaintenance};
@@ -59,8 +58,6 @@ struct NodeSlot {
     inc: Vec<EdgeId>,
     /// Position of this node inside `label_index[label]`, for O(1) removal.
     label_pos: u32,
-    /// Neighbor-label signature (see [`sig_bit`]).
-    sig: u64,
     alive: bool,
 }
 
@@ -70,27 +67,6 @@ struct EdgeSlot {
     dst: NodeId,
     label: LabelId,
     alive: bool,
-}
-
-/// Bit of the neighbor-label signature contributed by one incident edge.
-///
-/// The signature of a node ORs this bit over all incident edges. A pattern
-/// node requiring incident edges `{(dir_i, el_i, nl_i)}` can prune any
-/// candidate whose signature lacks one of the corresponding bits —
-/// a Bloom-style necessary condition with zero false negatives.
-#[inline]
-pub fn sig_bit(dir: Direction, edge_label: LabelId, neighbor_label: LabelId) -> u64 {
-    // Cheap mix; quality only affects pruning power, not correctness.
-    let d = match dir {
-        Direction::Out => 0x9e37_79b9_u64,
-        Direction::In => 0x85eb_ca6b_u64,
-    };
-    let x = d
-        .wrapping_mul(0x100_0000_01b3)
-        .wrapping_add(edge_label.0 as u64)
-        .wrapping_mul(0x100_0000_01b3)
-        .wrapping_add(neighbor_label.0 as u64);
-    1u64 << (x.wrapping_mul(0xff51_afd7_ed55_8ccd) >> 58)
 }
 
 /// Mutable directed labelled property graph.
@@ -254,7 +230,6 @@ impl Graph {
             out: Vec::new(),
             inc: Vec::new(),
             label_pos: 0,
-            sig: 0,
             alive: true,
         };
         let id = match self.free_nodes.pop() {
@@ -439,22 +414,6 @@ impl Graph {
         self.unindex_node(id, old);
         self.nodes[id.index()].label = label;
         self.index_node(id, label);
-        // The node's own signature doesn't involve its own label, but every
-        // neighbor's signature does.
-        let neighbors: Vec<NodeId> = self
-            .incident_edges(id)
-            .map(|e| {
-                let s = &self.edges[e.index()];
-                if s.src == id {
-                    s.dst
-                } else {
-                    s.src
-                }
-            })
-            .collect();
-        for nb in neighbors {
-            self.recompute_sig(nb);
-        }
         self.version += 1;
         self.sync_stats_version();
         Ok(old)
@@ -521,8 +480,6 @@ impl Graph {
         self.nodes[dst.index()].inc.push(id);
         let src_label = self.nodes[src.index()].label;
         let dst_label = self.nodes[dst.index()].label;
-        self.nodes[src.index()].sig |= sig_bit(Direction::Out, label, dst_label);
-        self.nodes[dst.index()].sig |= sig_bit(Direction::In, label, src_label);
         self.edge_label_counts[label.index()] += 1;
         self.n_edges += 1;
         if let Some(m) = self.stats.as_deref_mut() {
@@ -561,10 +518,6 @@ impl Graph {
         self.n_edges -= 1;
         if let Some(m) = self.stats.as_deref_mut() {
             m.stats.edge_delta(label, src_label, dst_label, -1);
-        }
-        self.recompute_sig(src);
-        if dst != src {
-            self.recompute_sig(dst);
         }
         self.version += 1;
         self.sync_stats_version();
@@ -606,29 +559,9 @@ impl Graph {
             m.stats.edge_delta(old, sl, dl, -1);
             m.stats.edge_delta(label, sl, dl, 1);
         }
-        self.recompute_sig(src);
-        if dst != src {
-            self.recompute_sig(dst);
-        }
         self.version += 1;
         self.sync_stats_version();
         Ok(old)
-    }
-
-    fn recompute_sig(&mut self, id: NodeId) {
-        if !self.contains_node(id) {
-            return;
-        }
-        let mut sig = 0u64;
-        for &e in &self.nodes[id.index()].out {
-            let s = &self.edges[e.index()];
-            sig |= sig_bit(Direction::Out, s.label, self.nodes[s.dst.index()].label);
-        }
-        for &e in &self.nodes[id.index()].inc {
-            let s = &self.edges[e.index()];
-            sig |= sig_bit(Direction::In, s.label, self.nodes[s.src.index()].label);
-        }
-        self.nodes[id.index()].sig = sig;
     }
 
     // ---- attributes --------------------------------------------------------
@@ -878,15 +811,10 @@ impl Graph {
             .filter(move |&e| self.edges[e.index()].dst == dst)
     }
 
-    /// Neighbor-label signature of a node (see [`sig_bit`]).
-    pub fn signature(&self, id: NodeId) -> u64 {
-        self.live_node(id).map(|n| n.sig).unwrap_or(0)
-    }
-
     /// Check internal invariants; used by tests and `debug_assert!` hooks.
     ///
     /// Verifies: adjacency symmetry, index membership/positions, live
-    /// counts, edge label counts, signature freshness.
+    /// counts, edge label counts.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut n_alive = 0usize;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -925,18 +853,6 @@ impl Graph {
             }
             if !n.attrs.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("{id}: attrs not strictly sorted"));
-            }
-            let mut sig = 0u64;
-            for &e in &n.out {
-                let s = &self.edges[e.index()];
-                sig |= sig_bit(Direction::Out, s.label, self.nodes[s.dst.index()].label);
-            }
-            for &e in &n.inc {
-                let s = &self.edges[e.index()];
-                sig |= sig_bit(Direction::In, s.label, self.nodes[s.src.index()].label);
-            }
-            if sig != n.sig {
-                return Err(format!("{id}: stale signature"));
             }
         }
         if n_alive != self.n_nodes {
@@ -1097,7 +1013,6 @@ impl Graph {
                 out: Vec::new(),
                 inc: Vec::new(),
                 label_pos: 0,
-                sig: 0,
                 alive: false,
             })
             .collect();
@@ -1194,10 +1109,6 @@ impl Graph {
             }
         }
 
-        let live: Vec<NodeId> = g.nodes().collect();
-        for id in live {
-            g.recompute_sig(id);
-        }
         g.version = dump.version;
         debug_assert!(g.check_invariants().is_ok());
         Ok(g)
@@ -1461,25 +1372,6 @@ mod tests {
             g.merge_nodes(a, a, true).unwrap_err(),
             GraphError::SelfMerge(a)
         );
-    }
-
-    #[test]
-    fn signature_prunes_correctly() {
-        let (mut g, a, b, c) = small();
-        let knows = g.label("knows");
-        let lives = g.label("livesIn");
-        g.add_edge(a, b, knows).unwrap();
-        g.add_edge(a, c, lives).unwrap();
-        let person = g.try_label("Person").unwrap();
-        let city = g.try_label("City").unwrap();
-        let need_knows = sig_bit(Direction::Out, knows, person);
-        let need_lives = sig_bit(Direction::Out, lives, city);
-        let sig = g.signature(a);
-        assert_eq!(sig & need_knows, need_knows);
-        assert_eq!(sig & need_lives, need_lives);
-        // b has an incoming knows from a Person.
-        let need_in = sig_bit(Direction::In, knows, person);
-        assert_eq!(g.signature(b) & need_in, need_in);
     }
 
     #[test]

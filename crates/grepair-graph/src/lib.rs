@@ -31,7 +31,7 @@
 //!
 //! ## Module map
 //!
-//! - [`graph`] — the storage itself, label indexes, neighbor signatures.
+//! - [`graph`] — the storage itself and its label indexes.
 //! - [`ids`] — `u32` newtype identifiers.
 //! - [`value`] — dynamic attribute values.
 //! - [`interner`] — label/attr-key interning.
@@ -60,7 +60,7 @@ mod value;
 pub use dump::SlotDump;
 pub use edit_distance::{ged_lower_bound, graph_edit_distance, EditCosts};
 pub use error::{GraphError, Result};
-pub use graph::{sig_bit, EdgeRef, Graph, MergeOutcome};
+pub use graph::{EdgeRef, Graph, MergeOutcome};
 pub use ids::{AttrKeyId, Direction, EdgeId, LabelId, NodeId};
 pub use interner::Interner;
 pub use io::{EdgeDoc, GraphDoc, NodeDoc};

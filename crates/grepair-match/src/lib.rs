@@ -7,12 +7,13 @@
 //! the paper's three inconsistency classes (incompleteness, conflicts,
 //! redundancy).
 //!
-//! [`Matcher`] enumerates injective matches; its optimizations (label
-//! index, connected join order, degree and neighbor-signature pruning) are
-//! individually switchable through [`MatchConfig`] so the F5 ablation can
-//! quantify each. [`Matcher::find_touching`] is the delta-driven entry
-//! point behind the incremental repair engine. [`oracle`] holds the
-//! brute-force reference implementation used by property tests.
+//! [`Matcher`] enumerates injective matches, taking candidates from the
+//! graph's label index; its two optimizations (connected join order,
+//! attribute-index equality joins) are individually switchable through
+//! [`MatchConfig`] so the F5 ablation can quantify each.
+//! [`Matcher::find_touching`] is the delta-driven entry point behind the
+//! incremental repair engine. [`oracle`] holds the brute-force reference
+//! implementation used by property tests.
 //!
 //! ```
 //! use grepair_graph::Graph;

@@ -1,19 +1,15 @@
 //! Subgraph-isomorphism matching of [`Pattern`]s over a [`Graph`].
 //!
-//! The matcher is a VF2-style backtracking search with the optimizations
-//! that carry the paper's "efficient" claim, each independently switchable
-//! via [`MatchConfig`] for the F5 ablation:
+//! The matcher is a VF2-style backtracking search. Candidates for a
+//! labelled variable come from the graph's per-label node index. Two
+//! optimizations carry the paper's "efficient" claim, each switchable via
+//! [`MatchConfig`] for the F5 ablation:
 //!
-//! - **label-index candidates** — initial candidates come from the graph's
-//!   per-label node index instead of a full node scan;
 //! - **connected join order** — pattern variables are ordered by estimated
 //!   candidate count, preferring variables adjacent to the matched prefix,
 //!   so extension candidates come from adjacency lists;
-//! - **degree filter** — a candidate needs at least the pattern node's
-//!   positive in/out degree;
-//! - **signature filter** — the 64-bit neighbor-label signature
-//!   ([`grepair_graph::sig_bit`]) must cover the pattern node's required
-//!   bits (a Bloom-style necessary condition).
+//! - **attribute-index joins** — an equality join against a bound variable
+//!   takes its candidates from the graph's (key, value) index.
 //!
 //! Negative edges and attribute constraints are verified as early as their
 //! variables are bound. Matches are injective. [`Matcher::find_touching`]
@@ -25,68 +21,40 @@ use crate::pattern::{CmpOp, Constraint, Pattern, Rhs, Var};
 use crate::plan::Planner;
 use grepair_obs as obs;
 use grepair_graph::{
-    sig_bit, AttrKeyId, CardinalityStats, Direction, EdgeId, Graph, LabelId, NodeId, Value,
+    AttrKeyId, CardinalityStats, Direction, EdgeId, Graph, LabelId, NodeId, Value,
 };
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// Matcher feature toggles (all on by default; `naive()` turns all off).
+/// Matcher feature toggles (both on by default; `naive()` turns both off).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MatchConfig {
-    /// Use the per-label node index for initial candidates.
-    pub use_label_index: bool,
-    /// Use neighbor-label signatures for candidate pruning.
-    pub use_signature: bool,
-    /// Use in/out degree lower bounds for candidate pruning.
-    pub use_degree_filter: bool,
     /// Order the join by selectivity and connectivity (off = declaration
-    /// order, candidates by scan).
+    /// order, candidates from the label index).
     pub connected_order: bool,
     /// Use the graph's (key, value) index to anchor equality joins
     /// (`x.k == y.k2` with one side bound) — turns pairwise dedup patterns
     /// from O(|V|²) into O(|V|·bucket).
     pub use_attr_index: bool,
-    /// Adaptive re-planning: when a statistics-based plan's observed
-    /// frontier exceeds its estimate by [`MatchConfig::adaptive_factor`]
-    /// *before any match has been emitted*, abort the enumeration, patch
-    /// the planner's statistics with the graph's current cardinalities,
-    /// and re-plan once. Requires an attached [`Planner`] with
-    /// statistics; anchored (`find_touching`) searches never adapt.
-    /// Bounded to one re-plan per call, so worst-case work
-    /// stays within 2x of the non-adaptive search.
-    pub adaptive_replan: bool,
-    /// Observed-over-estimated frontier blow-up factor that triggers an
-    /// adaptive re-plan.
-    pub adaptive_factor: f64,
 }
 
 impl Default for MatchConfig {
     fn default() -> Self {
         Self {
-            use_label_index: true,
-            use_signature: true,
-            use_degree_filter: true,
             connected_order: true,
             use_attr_index: true,
-            adaptive_replan: true,
-            adaptive_factor: 64.0,
         }
     }
 }
 
 impl MatchConfig {
-    /// All optimizations disabled — the naive baseline engine.
+    /// Both optimizations disabled — the naive baseline engine.
     pub fn naive() -> Self {
         Self {
-            use_label_index: false,
-            use_signature: false,
-            use_degree_filter: false,
             connected_order: false,
             use_attr_index: false,
-            adaptive_replan: false,
-            adaptive_factor: 64.0,
         }
     }
 }
@@ -170,7 +138,7 @@ pub enum PlanAccess {
     Anchor,
     /// Initial candidates from the per-label node index.
     LabelIndex,
-    /// Initial candidates from a full node scan.
+    /// Initial candidates from a full node scan (unlabelled variable).
     Scan,
     /// Candidates extended along a positive edge from a bound neighbor's
     /// adjacency list.
@@ -208,9 +176,9 @@ pub struct PlanStep {
     /// Like `estimate`, but for candidates *generated* before
     /// accept-filtering: range-constraint selectivity and the root's
     /// lookahead discount are excluded (those prune after generation).
-    /// This is the adaptive monitor's per-step yardstick — comparing
-    /// observed raw candidates against a post-filter estimate would
-    /// flag every selective predicate as a blow-up.
+    /// This is the yardstick of the `plan.step_obs_vs_est_pct` histogram
+    /// — comparing observed raw candidates against a post-filter
+    /// estimate would flag every selective predicate as a miss.
     pub raw_estimate: f64,
 }
 
@@ -260,11 +228,6 @@ pub(crate) struct Compiled {
     plan: Vec<usize>,
     /// plan position of each var.
     pos: Vec<usize>,
-    /// Required signature bits per var (from positive incident edges with
-    /// fully known labels).
-    req_sig: Vec<u64>,
-    min_out: Vec<usize>,
-    min_in: Vec<usize>,
     /// For each plan step: positive pattern-edge indices whose second
     /// endpoint is bound at this step.
     edge_checks: Vec<Vec<usize>>,
@@ -279,35 +242,12 @@ pub(crate) struct Compiled {
     forbid_touched: Vec<bool>,
     /// Per-step planner expectations (indexed like `plan`), for `explain`.
     steps: Vec<PlanStep>,
-    /// Cumulative estimated *accepted* frontier per plan position
-    /// (running product of the step estimates) — feeds the re-plan's
-    /// observed-multiplier computation.
-    est_rows: Vec<f64>,
     /// Expected candidates *generated* per plan position (accepted rows
-    /// entering the step × the step's raw generation estimate) — what
-    /// the adaptive monitor compares observed candidate totals against.
+    /// entering the step × the step's raw generation estimate), the
+    /// yardstick of `plan.step_obs_vs_est_pct`. Empty unless the join
+    /// order came from cardinality statistics and the search is a full
+    /// scan: only then are the estimates meaningful.
     est_gen: Vec<f64>,
-    /// Whether this plan may adaptively re-plan: the join order came
-    /// from cardinality statistics (so the estimates are meaningful) and
-    /// the search is a full scan, not anchored. Cleared on re-planned
-    /// compilations.
-    adaptive_capable: bool,
-}
-
-/// Minimum observed frontier (candidates generated at one plan
-/// position) before the adaptive monitor may trip, on top of the
-/// relative [`MatchConfig::adaptive_factor`]. The estimates price
-/// *accepted* rows while the monitor counts *generated* candidates, so
-/// on small scans the ratio alone is noisy — a re-plan only ever pays
-/// for itself when the blow-up is large in absolute terms too.
-const ADAPTIVE_MIN_FRONTIER: f64 = 1024.0;
-
-/// What an adaptively aborted run observed, for the re-plan.
-struct ReplanInfo {
-    /// Plan position whose frontier blew past its estimate.
-    depth: usize,
-    /// Candidates generated per plan position up to the abort.
-    gen: Vec<u64>,
 }
 
 /// Pattern matcher over a single [`Graph`].
@@ -412,11 +352,7 @@ impl<'g> Matcher<'g> {
 
     /// The matcher configuration packed into a cache-key byte.
     pub(crate) fn config_bits(&self) -> u8 {
-        (self.cfg.use_label_index as u8)
-            | (self.cfg.use_signature as u8) << 1
-            | (self.cfg.use_degree_filter as u8) << 2
-            | (self.cfg.connected_order as u8) << 3
-            | (self.cfg.use_attr_index as u8) << 4
+        (self.cfg.connected_order as u8) | (self.cfg.use_attr_index as u8) << 1
     }
 
     /// Compile via the planner's cache when one is attached.
@@ -504,74 +440,12 @@ impl<'g> Matcher<'g> {
 
     /// Internal enumeration over borrowed search states: callers that
     /// only count or probe never pay for `Match` allocations.
-    ///
-    /// This is also where adaptive re-planning lives: a statistics-based
-    /// plan whose observed frontier blows past its estimate (by
-    /// [`MatchConfig::adaptive_factor`]) aborts *before emitting
-    /// anything*, patches the planner's statistics with the graph's
-    /// current cardinalities, and restarts once under a fresh plan. Every
-    /// plan enumerates the identical match set, and the abort precedes
-    /// the first emission, so callers observe exactly one complete,
-    /// duplicate-free enumeration either way.
     fn for_each_state(&self, pattern: &Pattern, f: &mut dyn FnMut(&SearchState) -> bool) {
         debug_assert!(pattern.validate().is_ok());
         let empty = TouchSet::default();
-        let Some(comp) = self.compiled(pattern, None, &empty) else {
-            return;
-        };
-        let adapt = self.cfg.adaptive_replan && comp.adaptive_capable && self.planner.is_some();
-        let Some(info) = self.run(&comp, f, &empty, adapt) else {
-            return;
-        };
-        match self.replan(pattern, &comp, &info, &empty) {
-            Some(new_comp) => {
-                self.run(&new_comp, f, &empty, false);
-            }
-            // Statistics unavailable for a re-plan: finish under the
-            // original plan, monitoring disarmed.
-            None => {
-                self.run(&comp, f, &empty, false);
-            }
+        if let Some(comp) = self.compiled(pattern, None, &empty) {
+            self.run(&comp, f, &empty);
         }
-    }
-
-    /// Build the one-shot replacement plan after an adaptive abort:
-    /// patch the planner's statistics to the graph's current truth (other
-    /// patterns' cached plans are deliberately left warm, see
-    /// [`Planner::patch_stats`]), fold the observed frontier multiplier
-    /// of the blown step in as a floor, recompile with adaptation
-    /// disarmed, and install the corrected plan over the blown one in
-    /// the cache. Returns `None` — finish under the original plan —
-    /// when neither fresher statistics nor an observation are available,
-    /// since recompiling would reproduce the same plan.
-    fn replan(
-        &self,
-        pattern: &Pattern,
-        comp: &Compiled,
-        info: &ReplanInfo,
-        touched: &TouchSet,
-    ) -> Option<Arc<Compiled>> {
-        let planner = self.planner?;
-        let patched = planner.patch_stats(self.g);
-        let mut overrides = FxHashMap::default();
-        if info.depth > 0 {
-            // Estimated rows entering the blown step vs. candidates it
-            // actually generated ⇒ observed per-row multiplier.
-            let rows_in = comp.est_rows[info.depth - 1].max(1.0);
-            overrides.insert(comp.plan[info.depth], info.gen[info.depth] as f64 / rows_in);
-        }
-        if !patched && overrides.is_empty() {
-            return None;
-        }
-        planner.note_replan();
-        planner.note_compile();
-        let stats = planner.stats()?;
-        let mut c =
-            self.compile_with(pattern, None, touched, Some(&stats), Some(&overrides))?;
-        c.adaptive_capable = false;
-        let c = Arc::new(c);
-        planner.store_plan(self, pattern, None, c.clone());
-        Some(c)
     }
 
     /// Enumerate matches whose image intersects `touched`, without
@@ -600,7 +474,6 @@ impl<'g> Matcher<'g> {
                     true
                 },
                 touched,
-                false,
             );
         }
         out
@@ -658,22 +531,6 @@ impl<'g> Matcher<'g> {
         pattern: &Pattern,
         anchor_var: Option<usize>,
         touched: &TouchSet,
-    ) -> Option<Compiled> {
-        let stats = self.planner.and_then(|p| p.stats());
-        self.compile_with(pattern, anchor_var, touched, stats.as_deref(), None)
-    }
-
-    /// [`Matcher::compile`] with explicit statistics and observed-fanout
-    /// overrides — the adaptive re-plan path, which must not read the
-    /// planner's (possibly just-retired) snapshot and must fold in what
-    /// the aborted run actually observed.
-    fn compile_with(
-        &self,
-        pattern: &Pattern,
-        anchor_var: Option<usize>,
-        touched: &TouchSet,
-        stats: Option<&CardinalityStats>,
-        overrides: Option<&FxHashMap<usize, f64>>,
     ) -> Option<Compiled> {
         let g = self.g;
         let n = pattern.num_vars();
@@ -748,58 +605,18 @@ impl<'g> Matcher<'g> {
             })
             .collect();
 
-        // Degree lower bounds and required signature bits. Pattern edges
-        // have "exists" semantics, so duplicates (and any-label edges
-        // beside labelled ones on the same variable pair) can share one
-        // witness edge — only distinct obligations count toward degree.
-        let mut min_out = vec![0usize; n];
-        let mut min_in = vec![0usize; n];
-        {
-            let mut labeled: FxHashSet<(usize, usize, u32)> = FxHashSet::default();
-            let mut pair_has_labeled: FxHashSet<(usize, usize)> = FxHashSet::default();
-            let mut any_pairs: FxHashSet<(usize, usize)> = FxHashSet::default();
-            for e in &edges {
-                match e.label {
-                    LabelReq::Is(l) => {
-                        if labeled.insert((e.src, e.dst, l.0)) {
-                            min_out[e.src] += 1;
-                            min_in[e.dst] += 1;
-                        }
-                        pair_has_labeled.insert((e.src, e.dst));
-                    }
-                    _ => {
-                        any_pairs.insert((e.src, e.dst));
-                    }
-                }
-            }
-            for (s, d) in any_pairs {
-                if !pair_has_labeled.contains(&(s, d)) {
-                    min_out[s] += 1;
-                    min_in[d] += 1;
-                }
-            }
-        }
-        let mut req_sig = vec![0u64; n];
-        for e in &edges {
-            if let LabelReq::Is(el) = e.label {
-                if let LabelReq::Is(nl) = labels[e.dst] {
-                    req_sig[e.src] |= sig_bit(Direction::Out, el, nl);
-                }
-                if let LabelReq::Is(nl) = labels[e.src] {
-                    req_sig[e.dst] |= sig_bit(Direction::In, el, nl);
-                }
-            }
-        }
-
         // Plan: join order. With planner statistics, a cost model over
         // estimated extension fan-outs; otherwise the greedy
         // candidate-count order.
-        let stats_based = stats.is_some() && self.cfg.connected_order;
-        let (plan, steps) = match stats {
-            Some(stats) if self.cfg.connected_order => self.order_plan_cost(
-                n, &labels, &edges, &constraints, anchor_var, touched, stats, overrides,
+        let stats = self
+            .planner
+            .and_then(|p| p.stats())
+            .filter(|_| self.cfg.connected_order);
+        let (plan, steps) = match stats.as_deref() {
+            Some(stats) => self.order_plan_cost(
+                n, &labels, &edges, &constraints, anchor_var, touched, stats,
             ),
-            _ => self.order_plan_greedy(n, &labels, &edges, anchor_var, touched),
+            None => self.order_plan_greedy(n, &labels, &edges, anchor_var, touched),
         };
         let mut pos = vec![0usize; n];
         for (i, &v) in plan.iter().enumerate() {
@@ -830,19 +647,17 @@ impl<'g> Matcher<'g> {
             }
         }
 
-        // Expected cumulative frontiers per plan position: the accepted
-        // rows are the running product of step estimates (root estimate
-        // is absolute, later estimates are per-row multipliers — or
-        // absolute candidate counts for cartesian steps, which also
-        // multiply per partial row); the generated candidates at step d
-        // are the rows entering it times its raw generation estimate.
-        let mut est_rows = Vec::with_capacity(n);
-        let mut est_gen = Vec::with_capacity(n);
-        let mut rows = 1.0f64;
-        for s in &steps {
-            est_gen.push(rows * s.raw_estimate.max(0.0));
-            rows *= s.estimate.max(0.0);
-            est_rows.push(rows);
+        // Expected generated candidates per plan position: the rows
+        // entering step d (running product of the earlier step estimates
+        // — root estimate absolute, later ones per-row multipliers) times
+        // its raw generation estimate.
+        let mut est_gen = Vec::new();
+        if stats.is_some() && anchor_var.is_none() {
+            let mut rows = 1.0f64;
+            for s in &steps {
+                est_gen.push(rows * s.raw_estimate.max(0.0));
+                rows *= s.estimate.max(0.0);
+            }
         }
 
         Some(Compiled {
@@ -852,18 +667,13 @@ impl<'g> Matcher<'g> {
             constraints,
             plan,
             pos,
-            req_sig,
-            min_out,
-            min_in,
             edge_checks,
             neg_checks,
             con_checks,
             anchor_var,
             forbid_touched,
             steps,
-            est_rows,
             est_gen,
-            adaptive_capable: stats_based && anchor_var.is_none(),
         })
     }
 
@@ -893,8 +703,8 @@ impl<'g> Matcher<'g> {
                 base
             }
         };
-        let root_access = |v: usize| match (self.cfg.use_label_index, labels[v]) {
-            (true, LabelReq::Is(_)) => PlanAccess::LabelIndex,
+        let root_access = |v: usize| match labels[v] {
+            LabelReq::Is(_) => PlanAccess::LabelIndex,
             _ => PlanAccess::Scan,
         };
         let mut plan: Vec<usize> = Vec::with_capacity(n);
@@ -979,11 +789,6 @@ impl<'g> Matcher<'g> {
     /// Ties break on variable index; every input is a deterministic
     /// function of (pattern, statistics snapshot), so plans are stable
     /// and cacheable.
-    ///
-    /// `overrides` (adaptive re-plan only) carries per-variable observed
-    /// frontier multipliers from an aborted run; a non-root step's
-    /// estimate is raised to at least the observed value, so the new
-    /// order routes around the step that blew up.
     #[allow(clippy::too_many_arguments)]
     fn order_plan_cost(
         &self,
@@ -994,7 +799,6 @@ impl<'g> Matcher<'g> {
         anchor_var: Option<usize>,
         touched: &TouchSet,
         stats: &CardinalityStats,
-        overrides: Option<&FxHashMap<usize, f64>>,
     ) -> (Vec<usize>, Vec<PlanStep>) {
         // Per-variable selectivity of its constant range constraints
         // (`<`, `<=`, `>`, `>=` against a numeric constant); 1.0 when
@@ -1036,8 +840,8 @@ impl<'g> Matcher<'g> {
             LabelReq::Unsatisfiable => 0.0,
             _ => stats.label_count(lbl(v)) as f64,
         };
-        let root_access = |v: usize| match (self.cfg.use_label_index, labels[v]) {
-            (true, LabelReq::Is(_)) => PlanAccess::LabelIndex,
+        let root_access = |v: usize| match labels[v] {
+            LabelReq::Is(_) => PlanAccess::LabelIndex,
             _ => PlanAccess::Scan,
         };
         // Cheapest extension fan-out for binding v given the placed set.
@@ -1139,17 +943,11 @@ impl<'g> Matcher<'g> {
                     (label_count(v), label_count(v), root_access(v))
                 };
                 // Generation happens before the range filter prunes, so
-                // the monitor's yardstick keeps the undiscounted value.
-                let mut raw = shown;
+                // the observed-vs-estimated yardstick keeps the
+                // undiscounted value.
+                let raw = shown;
                 cost *= range_sel[v];
                 shown *= range_sel[v];
-                if !plan.is_empty() {
-                    if let Some(&obs) = overrides.and_then(|o| o.get(&v)) {
-                        cost = cost.max(obs);
-                        shown = shown.max(obs);
-                        raw = raw.max(obs);
-                    }
-                }
                 let better = match &best {
                     None => true,
                     Some((bc, ..)) => cost.total_cmp(bc) == std::cmp::Ordering::Less,
@@ -1173,46 +971,32 @@ impl<'g> Matcher<'g> {
 
     // ---- search ------------------------------------------------------------
 
-    /// Execute a compiled plan. Returns `Some` when the adaptive monitor
-    /// aborted the search for a re-plan (only possible with `adapt` set,
-    /// and only before the first emission); `None` means the enumeration
-    /// ran to completion (or an emit callback stopped it).
+    /// Execute a compiled plan to completion (or until an emit callback
+    /// or the budget stops it).
     fn run(
         &self,
         comp: &Compiled,
         emit: &mut dyn FnMut(&SearchState) -> bool,
         touched: &TouchSet,
-        adapt: bool,
-    ) -> Option<ReplanInfo> {
+    ) {
         let mut st = self.acquire_state(comp.plan.len(), comp.edges.len());
-        st.adapt = adapt && comp.adaptive_capable;
+        // Per-step candidate counts feed the estimated-vs-observed
+        // histogram; counted only while tracing, so the untraced search
+        // stays free of the bookkeeping.
+        st.trace = !comp.est_gen.is_empty() && obs::tracing_enabled();
         if comp.plan.is_empty() {
             // Zero-variable pattern: `step` emits the single empty match.
             self.step(comp, &mut st, 0, emit, touched);
         } else {
             let roots = self.candidates(comp, &st, 0, touched);
-            let mut root_blowup = false;
-            if st.adapt {
-                // Root frontier check: a stale label count can be off by
-                // orders of magnitude too.
+            if st.trace {
                 st.gen[0] = roots.len() as u64;
-                root_blowup = st.gen[0] as f64
-                    > (self.cfg.adaptive_factor * comp.est_gen[0].max(1.0))
-                        .max(ADAPTIVE_MIN_FRONTIER);
-                if root_blowup {
-                    st.replan_at = Some(0);
-                }
             }
-            if !root_blowup {
-                self.run_roots(comp, &mut st, &roots, emit, touched);
-            }
+            self.run_roots(comp, &mut st, &roots, emit, touched);
         }
-        // Per-plan-step estimated-vs-observed cardinality, as a percent
-        // ratio (100 = spot-on). Only meaningful while the adaptive
-        // monitor was tracking frontiers, and only sampled when tracing
-        // is on — the frontier loop must stay free of registry traffic
-        // in the default configuration.
-        if st.adapt && obs::tracing_enabled() {
+        // Per-plan-step observed-vs-estimated generated candidates, as a
+        // percent ratio (100 = spot-on).
+        if st.trace {
             let h = obs::histogram("plan.step_obs_vs_est_pct");
             for (depth, &generated) in st.gen.iter().enumerate() {
                 if generated == 0 {
@@ -1222,12 +1006,7 @@ impl<'g> Matcher<'g> {
                 h.record((generated as f64 / est * 100.0) as u64);
             }
         }
-        let info = st.replan_at.take().map(|depth| ReplanInfo {
-            depth,
-            gen: std::mem::take(&mut st.gen),
-        });
         self.release_state(st);
-        info
     }
 
     /// The depth-0 binding loop over an explicit root-candidate list:
@@ -1274,7 +1053,6 @@ impl<'g> Matcher<'g> {
             return;
         }
         if depth == comp.plan.len() {
-            st.emitted = true;
             if !emit(st) {
                 st.stopped = true;
             }
@@ -1287,20 +1065,8 @@ impl<'g> Matcher<'g> {
             st.stopped = true;
             return;
         }
-        // Adaptive frontier monitor: once the candidates generated at
-        // this plan position exceed the estimate by the configured
-        // factor — and nothing has been emitted yet, so a restart cannot
-        // duplicate output — abort for a re-plan.
-        if st.adapt && !st.emitted {
+        if st.trace {
             st.gen[depth] += candidates.len() as u64;
-            if st.gen[depth] as f64
-                > (self.cfg.adaptive_factor * comp.est_gen[depth].max(1.0))
-                    .max(ADAPTIVE_MIN_FRONTIER)
-            {
-                st.replan_at = Some(depth);
-                st.stopped = true;
-                return;
-            }
         }
         for cand in candidates {
             if st.stopped {
@@ -1405,9 +1171,10 @@ impl<'g> Matcher<'g> {
             }
         }
 
-        // Fall back to label index or full scan.
-        match (self.cfg.use_label_index, comp.labels[v]) {
-            (true, LabelReq::Is(l)) => {
+        // Fall back to the label index, or a full scan for an unlabelled
+        // variable.
+        match comp.labels[v] {
+            LabelReq::Is(l) => {
                 let mut c = g.nodes_with_label(l).to_vec();
                 c.sort_unstable();
                 c
@@ -1439,17 +1206,6 @@ impl<'g> Matcher<'g> {
             }
         } else if !g.contains_node(cand) {
             return false;
-        }
-        if self.cfg.use_degree_filter
-            && (g.out_degree(cand) < comp.min_out[v] || g.in_degree(cand) < comp.min_in[v])
-        {
-            return false;
-        }
-        if self.cfg.use_signature {
-            let req = comp.req_sig[v];
-            if g.signature(cand) & req != req {
-                return false;
-            }
         }
         // Positive edges whose both endpoints are now bound.
         for &ei in &comp.edge_checks[depth] {
@@ -1582,18 +1338,12 @@ pub(crate) struct SearchState {
     used: FxHashSet<NodeId>,
     witness: Vec<EdgeId>,
     stopped: bool,
-    /// Adaptive monitoring armed for this run (serial, unanchored,
-    /// statistics-based, not already a re-planned rerun).
-    adapt: bool,
-    /// Candidates generated so far per plan position, compared against
-    /// `Compiled::est_rows` by the adaptive monitor.
+    /// Whether `gen` is counted in this run (tracing on, statistics-based
+    /// full scan).
+    trace: bool,
+    /// Candidates generated per plan position, compared against
+    /// `Compiled::est_gen` for `plan.step_obs_vs_est_pct`.
     gen: Vec<u64>,
-    /// Whether any match has been emitted — re-planning is only safe
-    /// before the first emission (a restart would replay side effects).
-    emitted: bool,
-    /// Set when the monitor aborts the search: plan position whose
-    /// observed frontier blew past its estimate.
-    replan_at: Option<usize>,
     /// Candidate-batch counter for the amortized budget poll.
     budget_tick: u32,
     /// Frontier rows generated since the last full budget checkpoint —
@@ -1610,11 +1360,9 @@ impl SearchState {
         self.witness.resize(n_edges, EdgeId(u32::MAX));
         self.used.clear();
         self.stopped = false;
-        self.adapt = false;
+        self.trace = false;
         self.gen.clear();
         self.gen.resize(n_vars, 0);
-        self.emitted = false;
-        self.replan_at = None;
         self.budget_tick = 0;
         self.frontier_acc = 0;
     }
@@ -1942,199 +1690,6 @@ mod tests {
         pb.no_in_edge(kk, None);
         let p = pb.build().unwrap();
         assert!(Matcher::new(&g).find_all(&p).is_empty());
-    }
-
-    #[test]
-    fn adaptive_replan_triggers_on_stale_stats_and_agrees() {
-        use crate::plan::Planner;
-        // Ring of `cold` edges plus one `hot` edge; statistics snapshot
-        // taken here, so the planner prices `hot` extensions at ~1/n.
-        let mut g = Graph::new();
-        let p = g.label("P");
-        let cold = g.label("cold");
-        let hot = g.label("hot");
-        let n = 50;
-        let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(p)).collect();
-        for i in 0..n {
-            g.add_edge(nodes[i], nodes[(i + 1) % n], cold).unwrap();
-        }
-        let lone_hot = g.add_edge(nodes[0], nodes[1], hot).unwrap();
-
-        let planner = Planner::new();
-        planner.refresh_stats(&g);
-
-        // Now invalidate the estimate: drop the lone hot edge and fan
-        // 60 hot edges out of every ring node into fresh sink nodes that
-        // carry no cold edge — the hot frontier explodes 3000x while the
-        // match set collapses to zero (no sink can complete the cold
-        // step), so nothing is emitted before the monitor trips.
-        g.remove_edge(lone_hot).unwrap();
-        let sinks: Vec<NodeId> = (0..60).map(|_| g.add_node(p)).collect();
-        for &src in &nodes {
-            for &sink in &sinks {
-                g.add_edge(src, sink, hot).unwrap();
-            }
-        }
-
-        let mut b = Pattern::builder();
-        let a = b.node("a", Some("P"));
-        let bb = b.node("b", Some("P"));
-        let c = b.node("c", Some("P"));
-        b.edge(a, bb, "hot");
-        b.edge(bb, c, "cold");
-        let pat = b.build().unwrap();
-
-        let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-        let adaptive = m.find_all(&pat);
-        assert_eq!(
-            planner.replan_count(),
-            1,
-            "the blown hot frontier must trigger exactly one re-plan"
-        );
-        // The re-plan refreshed the planner's statistics to the current
-        // graph.
-        assert_eq!(planner.stats().unwrap().version, g.version());
-        let plain = Matcher::new(&g).find_all(&pat);
-        let key = |ms: &[Match]| {
-            let mut v: Vec<Vec<NodeId>> = ms.iter().map(|m| m.nodes.clone()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(key(&adaptive), key(&plain), "re-plan must not change results");
-
-        // With fresh statistics the very next call plans correctly and
-        // must not re-plan again.
-        assert_eq!(m.count(&pat), plain.len());
-        assert_eq!(planner.replan_count(), 1);
-    }
-
-    #[test]
-    fn selective_range_predicates_do_not_trigger_spurious_replans() {
-        use crate::plan::Planner;
-        // Regression: the monitor must compare observed *generated*
-        // candidates against pre-filter estimates. A 1%-selective range
-        // predicate discounts the accepted-rows estimate 100x, but the
-        // label index still generates every candidate — with perfectly
-        // fresh statistics that must never read as a blow-up.
-        let mut g = Graph::new();
-        let age = g.attr_key("age");
-        for i in 0..5_000 {
-            let n = g.add_node_named("P");
-            g.set_attr(n, age, Value::Int(i % 100)).unwrap();
-        }
-        let planner = Planner::new();
-        planner.refresh_stats(&g);
-        let mut b = Pattern::builder();
-        let x = b.node("x", Some("P"));
-        b.attr_cmp(x, "age", CmpOp::Lt, 1i64);
-        let pat = b.build().unwrap();
-        let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-        for _ in 0..3 {
-            assert_eq!(m.count(&pat), 50);
-        }
-        assert_eq!(
-            planner.replan_count(),
-            0,
-            "fresh statistics + selective filter must not re-plan"
-        );
-    }
-
-    #[test]
-    fn adaptive_replan_keeps_other_patterns_warm() {
-        use crate::plan::Planner;
-        // Re-planning one blown pattern must not evict the other
-        // patterns' cached plans (no epoch bump on a stats patch), and
-        // the corrected plan replaces the blown one in the cache.
-        let mut g = Graph::new();
-        let p = g.label("P");
-        let cold = g.label("cold");
-        let hot = g.label("hot");
-        let nodes: Vec<NodeId> = (0..50).map(|_| g.add_node(p)).collect();
-        for i in 0..50 {
-            g.add_edge(nodes[i], nodes[(i + 1) % 50], cold).unwrap();
-        }
-        let lone_hot = g.add_edge(nodes[0], nodes[1], hot).unwrap();
-        let planner = Planner::new();
-        planner.refresh_stats(&g);
-
-        // Warm an unrelated pattern before the blow-up.
-        let mut b = Pattern::builder();
-        let x = b.node("x", Some("P"));
-        let y = b.node("y", Some("P"));
-        b.edge(x, y, "cold");
-        let other = b.build().unwrap();
-        {
-            let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-            assert_eq!(m.count(&other), 50);
-        }
-
-        g.remove_edge(lone_hot).unwrap();
-        let sinks: Vec<NodeId> = (0..60).map(|_| g.add_node(p)).collect();
-        for &src in &nodes {
-            for &sink in &sinks {
-                g.add_edge(src, sink, hot).unwrap();
-            }
-        }
-        let mut b = Pattern::builder();
-        let a = b.node("a", Some("P"));
-        let bb = b.node("b", Some("P"));
-        let c = b.node("c", Some("P"));
-        b.edge(a, bb, "hot");
-        b.edge(bb, c, "cold");
-        let blown = b.build().unwrap();
-
-        let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-        assert!(m.find_all(&blown).is_empty());
-        assert_eq!(planner.replan_count(), 1);
-
-        // The unrelated pattern's plan survived the patch: serving it
-        // again is a pure cache hit.
-        let compiles = planner.compile_count();
-        assert_eq!(m.count(&other), 50);
-        assert_eq!(
-            planner.compile_count(),
-            compiles,
-            "the stats patch must not evict unrelated warm plans"
-        );
-        // And the corrected plan replaced the blown one: no further
-        // re-plans, no recompiles.
-        assert!(m.find_all(&blown).is_empty());
-        assert_eq!(planner.replan_count(), 1);
-        assert_eq!(planner.compile_count(), compiles);
-    }
-
-    #[test]
-    fn adaptive_replan_disabled_for_anchored_and_naive_searches() {
-        use crate::plan::Planner;
-        let mut g = Graph::new();
-        let p = g.label("P");
-        let r = g.label("r");
-        let a = g.add_node(p);
-        let planner = Planner::new();
-        planner.refresh_stats(&g);
-        // Blow up the graph after the snapshot.
-        let more: Vec<NodeId> = (0..200).map(|_| g.add_node(p)).collect();
-        for &m in &more {
-            g.add_edge(a, m, r).unwrap();
-        }
-        let mut b = Pattern::builder();
-        let x = b.node("x", Some("P"));
-        let y = b.node("y", Some("P"));
-        b.edge(x, y, "r");
-        let pat = b.build().unwrap();
-
-        // Anchored search: never adapts, still exact.
-        let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-        let touched: TouchSet = [a].into_iter().collect();
-        assert_eq!(m.find_touching(&pat, &touched).len(), 200);
-        // Adaptation switched off: the stale plan runs to completion.
-        let cfg = MatchConfig {
-            adaptive_replan: false,
-            ..MatchConfig::default()
-        };
-        let m = Matcher::with_planner(&g, cfg, &planner);
-        assert_eq!(m.find_all(&pat).len(), 200);
-        assert_eq!(planner.replan_count(), 0);
     }
 
     #[test]

@@ -118,22 +118,9 @@ impl std::fmt::Display for StatsSource {
 #[derive(Default)]
 struct StatsSlot {
     stats: Option<Arc<CardinalityStats>>,
-    /// Bumped on every *refresh*; part of every plan-cache key.
-    /// [`Planner::patch_stats`] deliberately installs a snapshot
-    /// without bumping it, so stats installs and epoch bumps are not
-    /// 1:1 — the epoch tracks cache retirements, not snapshot changes.
+    /// Bumped on every refresh; part of every plan-cache key.
     epoch: u64,
     source: Option<StatsSource>,
-}
-
-/// Obtain a statistics snapshot for `g`: adopt the write-path–maintained
-/// one when present, recompute otherwise — the one acquisition policy
-/// shared by refreshes and adaptive patches.
-fn snapshot_from(g: &Graph) -> (CardinalityStats, StatsSource) {
-    match g.maintained_stats() {
-        Some(ms) => (ms.clone(), StatsSource::Maintained),
-        None => (CardinalityStats::compute(g), StatsSource::Computed),
-    }
 }
 
 /// Relative node/edge-count drift of `g` against a statistics snapshot
@@ -156,7 +143,6 @@ pub struct Planner {
     /// propagates into the process-wide metrics registry.
     compiles: obs::Counter,
     hits: obs::Counter,
-    replans: obs::Counter,
     /// Latency of cache-miss compiles (recorded only while telemetry is
     /// enabled).
     compile_ns: Arc<obs::Histogram>,
@@ -170,7 +156,6 @@ impl Default for Planner {
             stats: Mutex::default(),
             compiles: obs::counter("planner.pattern_compiles").child(),
             hits: obs::counter("planner.plan_cache_hits").child(),
-            replans: obs::counter("planner.plan_replans").child(),
             compile_ns: obs::histogram("plan.compile_ns"),
             pool: Mutex::default(),
         }
@@ -231,70 +216,14 @@ impl Planner {
         true
     }
 
+    /// Adopt the write-path–maintained snapshot when `g` keeps one,
+    /// recompute otherwise.
     fn install_from(&self, g: &Graph) {
-        let (stats, source) = snapshot_from(g);
+        let (stats, source) = match g.maintained_stats() {
+            Some(ms) => (ms.clone(), StatsSource::Maintained),
+            None => (CardinalityStats::compute(g), StatsSource::Computed),
+        };
         self.install_stats(stats, source);
-    }
-
-    /// Update the statistics snapshot to `g`'s current truth **without**
-    /// bumping the epoch or touching the plan cache — the adaptive
-    /// re-plan path. An epoch bump would retire every cached plan, but
-    /// by the cache-validity design stale statistics only ever affect
-    /// plan *order*: the other patterns' warm plans are still correct
-    /// and keeping them is the whole point of always-warm planning. The
-    /// one blown pattern's cache entry is replaced separately via
-    /// [`Planner::store_plan`]; the next epoch bump (a drift refresh)
-    /// re-derives everything from one consistent snapshot again.
-    ///
-    /// Returns whether the snapshot actually changed.
-    pub(crate) fn patch_stats(&self, g: &Graph) -> bool {
-        {
-            let slot = self.stats.lock().unwrap();
-            if let Some(s) = &slot.stats {
-                if s.version == g.version() {
-                    return false;
-                }
-            }
-        }
-        let (stats, source) = snapshot_from(g);
-        let mut slot = self.stats.lock().unwrap();
-        slot.stats = Some(Arc::new(stats));
-        slot.source = Some(source);
-        true
-    }
-
-    /// The cache key for `(pattern, anchor)` under `m`'s graph and
-    /// configuration — the one construction shared by lookup
-    /// ([`Planner::compiled`]) and replacement ([`Planner::store_plan`]).
-    fn plan_key(
-        &self,
-        m: &Matcher<'_>,
-        pattern: &Pattern,
-        anchor: Option<usize>,
-    ) -> PlanKey {
-        PlanKey {
-            fingerprint: pattern.fingerprint(),
-            anchor: anchor.unwrap_or(usize::MAX),
-            labels: m.graph().labels().len(),
-            attr_keys: m.graph().attr_keys().len(),
-            stats_epoch: self.stats.lock().unwrap().epoch,
-            cfg: m.config_bits(),
-        }
-    }
-
-    /// Replace the cached plan for `(pattern, anchor)` under `m`'s graph
-    /// and configuration — the adaptive re-plan installs its corrected
-    /// plan here so subsequent calls use it directly instead of
-    /// re-tripping the monitor on the old one.
-    pub(crate) fn store_plan(
-        &self,
-        m: &Matcher<'_>,
-        pattern: &Pattern,
-        anchor: Option<usize>,
-        comp: Arc<Compiled>,
-    ) {
-        let key = self.plan_key(m, pattern, anchor);
-        self.cache.lock().unwrap().insert(key, Some(comp));
     }
 
     fn install_stats(&self, stats: CardinalityStats, source: StatsSource) {
@@ -341,24 +270,6 @@ impl Planner {
         self.hits.get()
     }
 
-    /// Adaptive re-plans triggered through this planner (a matcher
-    /// observed a frontier blowing past its estimate, aborted, and
-    /// re-planned with patched statistics).
-    pub fn replan_count(&self) -> u64 {
-        self.replans.get()
-    }
-
-    pub(crate) fn note_replan(&self) {
-        self.replans.inc();
-    }
-
-    /// Count a compile that happened outside [`Planner::compiled`] (the
-    /// adaptive re-plan path) so [`Planner::compile_count`] reflects all
-    /// real compilation work.
-    pub(crate) fn note_compile(&self) {
-        self.compiles.inc();
-    }
-
     /// Cached-or-fresh compile of `pattern` for `m`'s graph and
     /// configuration. `None` is cached too — a pattern unmatchable under
     /// the current vocabulary stays unmatchable until the vocabulary
@@ -370,7 +281,14 @@ impl Planner {
         anchor: Option<usize>,
         touched: &TouchSet,
     ) -> Option<Arc<Compiled>> {
-        let key = self.plan_key(m, pattern, anchor);
+        let key = PlanKey {
+            fingerprint: pattern.fingerprint(),
+            anchor: anchor.unwrap_or(usize::MAX),
+            labels: m.graph().labels().len(),
+            attr_keys: m.graph().attr_keys().len(),
+            stats_epoch: self.stats.lock().unwrap().epoch,
+            cfg: m.config_bits(),
+        };
         if let Some(found) = self.cache.lock().unwrap().get(&key) {
             self.hits.inc();
             return found.clone();

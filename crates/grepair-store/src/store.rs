@@ -391,7 +391,7 @@ impl<V: Vfs> DurableGraph<V> {
             return Err(StoreError::NotAStore(dir.to_path_buf()));
         }
         lock::acquire(&vfs, dir)?;
-        match Self::recover(&vfs, dir, &config, budget) {
+        match Self::recover(&vfs, dir, budget) {
             Ok((graph, writer, stats, last_seq, snap_seq, bytes_since_snapshot)) => {
                 let s = Self {
                     vfs,
@@ -427,10 +427,8 @@ impl<V: Vfs> DurableGraph<V> {
     fn recover(
         vfs: &V,
         dir: &Path,
-        config: &StoreConfig,
         budget: &obs::Budget,
     ) -> Result<(Graph, SegmentWriter<V>, RecoveryStats, u64, u64, u64)> {
-        let _ = config;
         let start = Instant::now();
         let _span = obs::span("store.recovery", "store");
         let recovery_started = obs::timer();

@@ -65,18 +65,6 @@ fn ablated_matchers_find_identical_violations() {
     let configs = [
         full,
         MatchConfig {
-            use_label_index: false,
-            ..full
-        },
-        MatchConfig {
-            use_signature: false,
-            ..full
-        },
-        MatchConfig {
-            use_degree_filter: false,
-            ..full
-        },
-        MatchConfig {
             use_attr_index: false,
             ..full
         },
