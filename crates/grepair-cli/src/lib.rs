@@ -25,15 +25,17 @@
 #![warn(rust_2018_idioms)]
 
 use grepair_core::{
-    analyze, lint_rules, parse_rules_with_spans, rule_to_dsl, EngineConfig,
-    LintCode, LintPolicy, Planner, RepairEngine, RepairOutcome, RuleSet, RuleSpan, Severity,
+    analyze, lint_rules, parse_rules_with_spans, rule_to_dsl, AppliedOp, LintCode, LintPolicy,
+    Planner, RepairEngine, RepairOutcome, RepairSeed, RuleSet, RuleSpan, Severity,
 };
 use grepair_gen::{
     generate_kg, generate_social, inject_kg_noise, KgConfig, NoiseConfig, SocialConfig,
 };
 use grepair_graph::{Graph, GraphDoc, GraphStats};
 use grepair_mine::{mine_all, MinerConfig};
-use grepair_store::{fsck, DurableGraph, FsckVerdict, StdFs, StoreConfig, Vfs, VfsFile};
+use grepair_store::{
+    fsck, DurableGraph, FsckVerdict, ReadOnlyStore, StdFs, StoreConfig, Vfs, VfsFile,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
@@ -256,8 +258,8 @@ fn explain_outcome(outcome: RepairOutcome) -> &'static str {
     match outcome {
         RepairOutcome::Completed => "ran to convergence",
         RepairOutcome::RoundLimit => {
-            "repair cap reached before convergence (raise max_repairs or check rule termination; \
-             residual violations remain)"
+            "repair cap of 10·(|V|+|E|+1) repairs reached before convergence; residual \
+             violations remain (run `grepair lint` for the rule set's termination findings)"
         }
         RepairOutcome::Deadline => {
             "deadline exceeded; stopped at a round boundary (the graph holds the completed rounds)"
@@ -651,7 +653,7 @@ fn store_graph(dir: &str, read_only: bool, header: &mut String) -> Result<Graph,
         writeln!(header, "{}", recovery_summary(&store)).unwrap();
         return Ok(store.into_graph());
     }
-    let ro = DurableGraph::open_read_only(Path::new(dir))
+    let ro = ReadOnlyStore::open(Path::new(dir))
         .map_err(|e| CliError::io(format!("cannot open store {dir} read-only: {e}")))?;
     writeln!(
         header,
@@ -809,7 +811,7 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
     let runs = args.get_usize(&["runs"], 2)?.max(1);
     let trace = trace_arg(&args);
     let budget = make_budget(&args, "watch", MaxOps::Ops)?;
-    let engine = RepairEngine::new(EngineConfig::default()).with_budget(&budget);
+    let engine = RepairEngine::default().with_budget(&budget);
     let mut out = String::new();
     let mut final_outcome = RepairOutcome::Completed;
     // Per-update metrics: global counters sampled around each run so the
@@ -852,7 +854,9 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
             let planner = Planner::new();
             for i in 0..runs {
                 let (r0, m0, d0) = (rounds_ctr.get(), matches_ctr.get(), delta_ctr.get());
-                let report = engine.repair_with_planner(&mut g, &rules.rules, &planner);
+                let sink = |_: &AppliedOp| {};
+                let report =
+                    engine.repair_with(&mut g, &rules.rules, &planner, RepairSeed::Full, sink);
                 print_run(&mut out, i, &report);
                 print_metrics(&mut out, r0, m0, d0);
                 final_outcome = report.outcome;
@@ -2005,6 +2009,35 @@ repair set x.seen = true
         assert!(err.message.contains("stopped:"), "{}", err.message);
         // The partial (committed-prefix) graph was still exported.
         assert!(out_path.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repair_cap_trip_exits_5_and_names_the_derived_cap() {
+        // A rule that inserts a node its own pattern matches never
+        // converges; on one node the derived cap 10·(1+0+1) stops it.
+        let dir = tmpdir();
+        let (graph, rules) = (dir.join("grow.json"), dir.join("grow.grr"));
+        let mut g = Graph::new();
+        g.add_node_named("P");
+        save_graph(&g, graph.to_str().unwrap()).unwrap();
+        let grow = "rule grow [incompleteness] match (x:P) repair insert node (y:P)";
+        std::fs::write(&rules, grow).unwrap();
+        let out_path = dir.join("grown.json");
+        let err = dispatch(&toks(&[
+            "repair", "-r", rules.to_str().unwrap(), "-g", graph.to_str().unwrap(),
+            "-o", out_path.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, 5, "{}", err.message);
+        for text in [
+            "applied 20 repairs",
+            "outcome: round-limit",
+            "stopped: repair cap of 10·(|V|+|E|+1) repairs reached before convergence",
+            "`grepair lint`",
+        ] {
+            assert!(err.message.contains(text), "{text}: {}", err.message);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

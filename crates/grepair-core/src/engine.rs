@@ -10,12 +10,13 @@
 //! loop the paper compares against lives in `grepair-eval` as a
 //! baseline, not here.
 //!
-//! The schedule decides what one run of the loop covers:
+//! The rule set alone fixes what one run of the loop covers — there is
+//! no configuration of the schedule:
 //!
 //! - **Cyclic rule sets** — the loop runs once over the whole set, under
 //!   the churn guard.
-//! - **Acyclic rule sets** (with [`EngineConfig::stratify`]) — the loop
-//!   runs once per topological stratum of the trigger graph, in order,
+//! - **Acyclic rule sets** — the loop runs once per topological stratum
+//!   of the trigger graph ([`crate::analysis::stratify`]), in order,
 //!   re-matching only the stratum's own rules and without the churn
 //!   guard: acyclicity proves the run terminates.
 //!
@@ -30,8 +31,15 @@
 //!   several rules can fix overlapping violations, the cheapest repair
 //!   lands first and the costlier alternatives revalidate away.
 //! - **Churn guard** — on cyclic sets the same (rule, matched nodes)
-//!   repair may be applied at most [`EngineConfig::max_churn`] times,
-//!   which bounds runtime even though the trigger graph has a cycle.
+//!   repair may be applied at most 16 times, which bounds runtime even
+//!   though the trigger graph has a cycle.
+//! - **Repair cap** — a run applies at most `10·(|V|+|E|+1)` repairs
+//!   (sizes at the start of the run), a backstop that ends a run the
+//!   churn guard cannot bound — e.g. a rule that keeps inserting nodes —
+//!   with [`RepairOutcome::RoundLimit`].
+//! - **Verification** — every run that no budget trip cut short ends
+//!   with a scan for residual violations
+//!   ([`RepairReport::violations_remaining`]).
 
 use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
@@ -45,56 +53,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Engine configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Matcher optimization toggles (F5 ablation).
-    pub match_config: MatchConfig,
-    /// Hard cap on applied repairs (0 = derive `10·(|V|+|E|+1)` at run
-    /// time) — a backstop for cyclic rule sets.
-    pub max_repairs: usize,
-    /// How many times the identical (rule, nodes) repair may be applied.
-    /// Values > 1 allow legitimate re-application (e.g. deleting several
-    /// parallel duplicate edges) while still bounding oscillation.
-    pub max_churn: u32,
-    /// Edit-cost table for arbitration and accounting.
-    pub costs: EditCosts,
-    /// Run a final scan to count residual violations (see
-    /// [`RepairReport::violations_remaining`]).
-    pub verify_fixpoint: bool,
-    /// Analysis-driven stratified scheduling. When the rule set's trigger
-    /// graph is acyclic ([`crate::analysis::stratify`]), rules are grouped
-    /// into topological strata and the worklist runs once per stratum, in
-    /// order: earlier strata are never revisited, and the churn guard is
-    /// skipped because the acyclic trigger graph *proves* the run
-    /// terminates. The schedule is cached per rule-set fingerprint, so
-    /// repeated runs over the same set skip the analysis. Cyclic sets run
-    /// the worklist once over the whole set.
-    pub stratify: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            match_config: MatchConfig::default(),
-            max_repairs: 0,
-            max_churn: 16,
-            costs: EditCosts::default(),
-            verify_fixpoint: true,
-            stratify: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The worklist over the unoptimized matcher ([`MatchConfig::naive`]).
-    pub fn naive() -> Self {
-        Self {
-            match_config: MatchConfig::naive(),
-            ..Self::default()
-        }
-    }
-}
+/// How many times the identical (rule, matched nodes) repair may be
+/// applied in one worklist over a cyclic set. More than one allows
+/// legitimate re-application (e.g. deleting several parallel duplicate
+/// edges) while still bounding oscillation.
+const MAX_CHURN: u32 = 16;
 
 /// Where a repair run looks for its first violations.
 #[derive(Clone, Copy, Debug)]
@@ -134,8 +97,8 @@ pub enum RepairOutcome {
     /// violations only noop/churn-guarded repairs could touch).
     #[default]
     Completed,
-    /// The [`EngineConfig::max_repairs`] backstop stopped a repair that
-    /// was still needed.
+    /// The `10·(|V|+|E|+1)` repair cap stopped a repair that was still
+    /// needed.
     RoundLimit,
     /// The budget deadline passed.
     Deadline,
@@ -242,7 +205,7 @@ pub struct RepairReport {
     pub total_cost: f64,
     /// `true` if the run ended with no detectable violations.
     pub converged: bool,
-    /// Residual violations (only counted when `verify_fixpoint`). After
+    /// Residual violations, counted by the final verification scan. After
     /// a [`RepairSeed::Touched`] run this counts the matches touching the
     /// seed or any node a repair of the run touched, which under the
     /// seed's contract is every match in the graph: one that avoids all
@@ -261,9 +224,8 @@ pub struct RepairReport {
     /// because the `e2e` benchmark reads it as `plan.replans`.
     pub plan_replans: u64,
     /// Number of topological strata the run was scheduled into, when the
-    /// trigger graph was acyclic and [`EngineConfig::stratify`] was on.
-    /// `0` means one worklist ran over the whole set (stratification off
-    /// or the trigger graph cyclic).
+    /// trigger graph was acyclic. `0` means one worklist ran over the
+    /// whole, cyclic set.
     #[serde(default)]
     pub strata: usize,
     /// Wall-clock duration.
@@ -531,21 +493,22 @@ impl TriggerIndex {
 /// are *sticky*: once tripped it stops every later run too, so attach a
 /// fresh budget per logical request.
 pub struct RepairEngine {
-    config: EngineConfig,
+    match_config: MatchConfig,
     budget: obs::Budget,
 }
 
 impl Default for RepairEngine {
     fn default() -> Self {
-        Self::new(EngineConfig::default())
+        Self::new(MatchConfig::default())
     }
 }
 
 impl RepairEngine {
-    /// Engine with the given configuration and an unlimited budget.
-    pub fn new(config: EngineConfig) -> Self {
+    /// Engine whose scans use `match_config` (the F5 ablation's knob),
+    /// with an unlimited budget.
+    pub fn new(match_config: MatchConfig) -> Self {
         Self {
-            config,
+            match_config,
             budget: obs::Budget::unlimited(),
         }
     }
@@ -560,74 +523,25 @@ impl RepairEngine {
         self
     }
 
-    /// The attached budget (unlimited unless [`RepairEngine::with_budget`]
-    /// was used).
-    pub fn budget(&self) -> &obs::Budget {
-        &self.budget
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Repair `g` with `rules` until fixpoint (or a guard trips).
     pub fn repair(&self, g: &mut Graph, rules: &[Grr]) -> RepairReport {
-        self.repair_with_sink(g, rules, |_: &AppliedOp| {})
-    }
-
-    /// Like [`RepairEngine::repair`], but invokes `sink` with every
-    /// applied operation *as it lands*, in application order.
-    ///
-    /// This is the durability hook: a store wraps the graph, passes a
-    /// sink that journals each op to its write-ahead log, and the repair
-    /// run becomes replayable — the sink sees exactly the ops that
-    /// mutated the graph (no-ops are never reported), before the next
-    /// violation is attempted. The ops also still accumulate in
-    /// [`RepairReport::ops`].
-    ///
-    /// `sink` is any [`RepairSink`]; a plain `FnMut(&AppliedOp)` closure
-    /// works unchanged (round boundaries become no-ops).
-    pub fn repair_with_sink(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        sink: impl RepairSink,
-    ) -> RepairReport {
-        let planner = Planner::new();
-        self.repair_with_planner_and_sink(g, rules, &planner, RepairSeed::Full, sink)
-    }
-
-    /// Repair with a **caller-owned, long-lived [`Planner`]** — the
-    /// always-warm entry point. The planner carries its statistics
-    /// snapshot, compiled-plan cache and pooled search buffers across
-    /// repair runs, so a watch loop or a store's repair hook pays
-    /// pattern compilation once and then runs every later repair
-    /// entirely from cache (visible as
-    /// [`RepairReport::plan_cache_hits`] with zero
-    /// [`RepairReport::pattern_compiles`]).
-    ///
-    /// The planner must be dedicated to `g`'s lineage — see
-    /// [`grepair_match::plan`]. Statistics are refreshed through
-    /// [`Planner::refresh_if_drifted`]: within the drift tolerance the
-    /// warmed plans survive; beyond it the refresh adopts the graph's
-    /// write-path–maintained statistics when [`Graph::maintain_stats`]
-    /// is on, or recomputes otherwise.
-    pub fn repair_with_planner(
-        &self,
-        g: &mut Graph,
-        rules: &[Grr],
-        planner: &Planner,
-    ) -> RepairReport {
         let sink = |_: &AppliedOp| {};
-        self.repair_with_planner_and_sink(g, rules, planner, RepairSeed::Full, sink)
+        self.repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink)
     }
 
-    /// [`RepairEngine::repair_with_planner`] + the op sink of
-    /// [`RepairEngine::repair_with_sink`] + the [`RepairSeed`] — the
-    /// full-control entry point durable stores use. The other three
-    /// entry points pass [`RepairSeed::Full`].
-    pub fn repair_with_planner_and_sink(
+    /// [`RepairEngine::repair`] with a caller-owned [`Planner`], a
+    /// [`RepairSeed`] and an op sink — the entry point of durable stores
+    /// and watch loops.
+    ///
+    /// A long-lived `planner` (dedicated to `g`'s lineage, see
+    /// [`grepair_match::plan`]) keeps its statistics, compiled plans and
+    /// search buffers across runs: later runs plan from cache
+    /// ([`RepairReport::plan_cache_hits`] with zero
+    /// [`RepairReport::pattern_compiles`]). `sink` sees every applied
+    /// operation as it lands, in application order, never a no-op — a
+    /// store journals them, so the run is replayable; a plain
+    /// `FnMut(&AppliedOp)` closure is a sink without round boundaries.
+    pub fn repair_with(
         &self,
         g: &mut Graph,
         rules: &[Grr],
@@ -648,11 +562,7 @@ impl RepairEngine {
                 .collect(),
             ..RepairReport::default()
         };
-        let max_repairs = if self.config.max_repairs == 0 {
-            10 * (g.num_nodes() + g.num_edges() + 1)
-        } else {
-            self.config.max_repairs
-        };
+        let max_repairs = 10 * (g.num_nodes() + g.num_edges() + 1);
 
         // Planner counters are cumulative for the planner's lifetime;
         // the report captures this run's deltas so a reused planner
@@ -663,11 +573,7 @@ impl RepairEngine {
         // Analysis-driven scheduling: an acyclic trigger graph yields a
         // topological stratification (cached per rule-set fingerprint)
         // under which the run provably terminates without churn guards.
-        let schedule = if self.config.stratify {
-            cached_schedule(rules)
-        } else {
-            None
-        };
+        let schedule = cached_schedule(rules);
         // A delta-seeded run grows its copy of the seed by every node a
         // repair touches — where any residual violation must lie.
         let mut delta = match seed {
@@ -709,7 +615,7 @@ impl RepairEngine {
             stats.scans = scans.get() as usize;
         }
 
-        if self.config.verify_fixpoint && !report.outcome.is_budget_trip() {
+        if !report.outcome.is_budget_trip() {
             report.violations_remaining = match &delta {
                 Some(closure) => self.matches_touching(g, rules, None, planner, closure).count(),
                 None => self.count_violations_with(g, rules, planner),
@@ -741,11 +647,11 @@ impl RepairEngine {
         report
     }
 
-    /// Whether this configuration's plans can consume cardinality
+    /// Whether this engine's plans can consume cardinality
     /// statistics at all (the cost model only runs under
     /// `connected_order`).
     fn wants_stats(&self) -> bool {
-        self.config.match_config.connected_order
+        self.match_config.connected_order
     }
 
     /// Count current violations without repairing.
@@ -760,7 +666,7 @@ impl RepairEngine {
     /// The matcher every scan and re-match of a run goes through: this
     /// engine's configuration, the run's planner, the attached budget.
     fn matcher<'a>(&self, g: &'a Graph, planner: &'a Planner) -> Matcher<'a> {
-        Matcher::with_planner(g, self.config.match_config, planner).with_budget(&self.budget)
+        Matcher::with_planner(g, self.match_config, planner).with_budget(&self.budget)
     }
 
     fn count_violations_with(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> usize {
@@ -941,7 +847,7 @@ impl RepairEngine {
     fn violation(&self, g: &Graph, rules: &[Grr], ri: usize, m: Match) -> Violation {
         Violation {
             rule: ri,
-            cost: estimate_cost(g, &rules[ri], &m, &self.config.costs),
+            cost: estimate_cost(g, &rules[ri], &m, &EditCosts::default()),
             m,
             priority: rules[ri].priority,
         }
@@ -953,7 +859,7 @@ impl RepairEngine {
         let mut h = rustc_hash::FxHasher::default();
         (v.rule, &v.m.nodes).hash(&mut h);
         let counter = churn.entry(h.finish()).or_insert(0);
-        if *counter >= self.config.max_churn {
+        if *counter >= MAX_CHURN {
             return false;
         }
         *counter += 1;
@@ -971,7 +877,7 @@ impl RepairEngine {
         tel: &EngineTelemetry,
     ) -> Option<TouchSet> {
         let repair_started = obs::timer();
-        let applied: Applied = apply_rule(g, &rules[v.rule], &v.m, &self.config.costs)
+        let applied: Applied = apply_rule(g, &rules[v.rule], &v.m, &EditCosts::default())
             .expect("validated rule on revalidated match cannot fail");
         obs::record_since(&tel.rule_repair_ns, repair_started);
         if applied.is_noop() {
@@ -994,7 +900,7 @@ impl RepairEngine {
 /// set's fingerprint ([`crate::analysis::set_fingerprint`]); repeated
 /// runs over the same set — a watch loop, a store's repair hook — skip
 /// the trigger-graph analysis entirely. A cached `None` records "the
-/// trigger graph is cyclic: use the configured worklist".
+/// trigger graph is cyclic: run one worklist over the whole set".
 fn cached_schedule(rules: &[Grr]) -> Option<std::sync::Arc<Vec<Vec<usize>>>> {
     use std::sync::{Arc, Mutex, OnceLock};
     type Cache = Mutex<FxHashMap<u64, Option<Arc<Vec<Vec<usize>>>>>>;
@@ -1126,19 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_engine_reaches_same_fixpoint() {
-        let rules = rules();
-        let mut g1 = dirty_graph();
-        let mut g2 = dirty_graph();
-        let r1 = RepairEngine::new(EngineConfig::naive()).repair(&mut g1, &rules);
-        let r2 = RepairEngine::default().repair(&mut g2, &rules);
-        assert!(r1.converged && r2.converged);
-        // Same final shape (not necessarily identical ids).
-        assert_eq!(g1.num_nodes(), g2.num_nodes());
-        assert_eq!(g1.num_edges(), g2.num_edges());
-    }
-
-    #[test]
     fn repair_is_idempotent() {
         let mut g = dirty_graph();
         let rules = rules();
@@ -1181,8 +1074,13 @@ mod tests {
 
     #[test]
     fn churn_guard_stops_oscillation() {
-        // Two rules that flip an attribute forever.
+        // Two rules that flip an attribute forever: the trigger graph is a
+        // 2-cycle, so the stratified scheduler declines and the
+        // churn-guarded worklist runs. Two bystander nodes lift the repair
+        // cap (10·(3+0+1) = 40) above the guard's 2 × 16.
         let mut g = Graph::new();
+        g.add_node_named("Q");
+        g.add_node_named("Q");
         let n = g.add_node_named("P");
         let k = g.attr_key("v");
         g.set_attr(n, k, Value::Int(0)).unwrap();
@@ -1191,14 +1089,15 @@ mod tests {
              rule down [conflict] match (x:P) where x.v == 1 repair set x.v = 0",
         )
         .unwrap();
-        let config = EngineConfig {
-            max_churn: 4,
-            verify_fixpoint: true,
-            ..EngineConfig::default()
-        };
-        let report = RepairEngine::new(config).repair(&mut g, &rules);
+        let report = RepairEngine::default().repair(&mut g, &rules);
+        assert_eq!(report.strata, 0, "the flip-flop is cyclic");
         assert!(!report.converged, "oscillation cannot converge");
-        assert!(report.repairs_applied <= 8, "churn guard must bound work");
+        assert_eq!(report.outcome, RepairOutcome::Completed);
+        assert_eq!(
+            report.repairs_applied,
+            2 * MAX_CHURN as usize,
+            "the churn guard must stop each rule after MAX_CHURN repairs"
+        );
         g.check_invariants().unwrap();
     }
 
@@ -1219,7 +1118,7 @@ mod tests {
     #[test]
     fn converged_run_reports_completed_outcome() {
         let (mut g, rules) = flag_fixture();
-        let report = RepairEngine::new(EngineConfig::default()).repair(&mut g, &rules);
+        let report = RepairEngine::default().repair(&mut g, &rules);
         assert!(report.converged);
         assert_eq!(report.outcome, RepairOutcome::Completed);
         assert!(!report.outcome.is_budget_trip());
@@ -1231,7 +1130,7 @@ mod tests {
         let before = g.to_doc();
         let budget = obs::Budget::unlimited();
         budget.cancel();
-        let report = RepairEngine::new(EngineConfig::default())
+        let report = RepairEngine::default()
             .with_budget(&budget)
             .repair(&mut g, &rules);
         assert_eq!(report.outcome, RepairOutcome::Cancelled);
@@ -1247,18 +1146,18 @@ mod tests {
             .with_test_clock(&clock)
             .with_deadline(std::time::Duration::from_millis(5));
         clock.advance(std::time::Duration::from_millis(10));
-        for config in [EngineConfig::naive(), EngineConfig::default()] {
+        for match_config in [MatchConfig::naive(), MatchConfig::default()] {
             let mut g2 = g.clone();
             let fresh = obs::Budget::unlimited()
                 .with_test_clock(&clock)
                 .with_deadline(std::time::Duration::from_millis(5));
-            let report = RepairEngine::new(config)
+            let report = RepairEngine::new(match_config)
                 .with_budget(&fresh)
                 .repair(&mut g2, &rules);
             assert_eq!(report.outcome, RepairOutcome::Deadline);
             assert!(report.ops.is_empty());
         }
-        let report = RepairEngine::new(EngineConfig::default())
+        let report = RepairEngine::default()
             .with_budget(&budget)
             .repair(&mut g, &rules);
         assert_eq!(report.outcome, RepairOutcome::Deadline);
@@ -1302,19 +1201,17 @@ mod tests {
                 st.1.push(n);
             }
         }
-        // The flag rule (one worklist over Σ) and a cascade (an acyclic
-        // set: one worklist per stratum).
-        let (g, rules) = flag_fixture();
+        // The three-class set (cyclic: one worklist over Σ) and a
+        // cascade (acyclic: one worklist per stratum).
         let (cascade, chain) = (parse_rules(&cascade_src(2)).unwrap(), cascade_graph(3));
-        for (rules, base, stratify) in [(&rules, &g, false), (&cascade, &chain, true)] {
+        for (rules, base, strata) in [(&rules(), &dirty_graph(), 0), (&cascade, &chain, 2)] {
             let mut g2 = base.clone();
             let rec = Recorder::default();
-            let report = RepairEngine::new(EngineConfig {
-                stratify,
-                ..EngineConfig::default()
-            })
-            .repair_with_sink(&mut g2, rules, rec.clone());
-            let ctx = format!("{} rules/stratify {stratify}", rules.len());
+            let (planner, full) = (Planner::new(), RepairSeed::Full);
+            let report =
+                RepairEngine::default().repair_with(&mut g2, rules, &planner, full, rec.clone());
+            let ctx = format!("{} rules/{strata} strata", rules.len());
+            assert_eq!(report.strata, strata, "{ctx}");
             assert_eq!(report.outcome, RepairOutcome::Completed, "{ctx}");
             let st = rec.state.borrow();
             assert_eq!(st.0, 0, "{ctx}: ops after final round_committed");
@@ -1384,16 +1281,21 @@ mod tests {
 
     #[test]
     fn sink_sees_every_applied_op_in_order() {
-        for config in [EngineConfig::default(), EngineConfig::naive()] {
+        let mut shapes = Vec::new();
+        for match_config in [MatchConfig::default(), MatchConfig::naive()] {
             let mut g = dirty_graph();
             let mut seen: Vec<AppliedOp> = Vec::new();
-            let report = RepairEngine::new(config).repair_with_sink(&mut g, &rules(), |op: &AppliedOp| {
-                seen.push(op.clone())
-            });
+            let sink = |op: &AppliedOp| seen.push(op.clone());
+            let (planner, full) = (Planner::new(), RepairSeed::Full);
+            let report =
+                RepairEngine::new(match_config).repair_with(&mut g, &rules(), &planner, full, sink);
             assert!(report.converged);
             assert_eq!(seen, report.ops, "sink must mirror the op log exactly");
             assert!(!seen.is_empty());
+            shapes.push((g.num_nodes(), g.num_edges()));
         }
+        // Both matchers reach the same fixpoint shape (ids may differ).
+        assert_eq!(shapes[0], shapes[1]);
     }
 
     #[test]
@@ -1466,6 +1368,19 @@ mod tests {
         src
     }
 
+    /// The cascade plus a rule closing its trigger graph into a cycle:
+    /// `back` is enabled by the last stage and enables the first, but
+    /// never matches while every node keeps `a0`. The set runs as one
+    /// worklist over Σ, to the cascade's fixpoint.
+    fn cyclic_cascade_src(stages: usize) -> String {
+        cascade_src(stages)
+            + &format!(
+                "rule back [incompleteness]
+                 match (x:T) where has(x.a{stages}), missing(x.a0)
+                 repair set x.a0 = true\n"
+            )
+    }
+
     /// `n` T-nodes carrying only `a0` — the cascade's starting line.
     fn cascade_graph(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -1483,17 +1398,14 @@ mod tests {
         // the next stage, but the (pattern, anchor) plan is compiled once
         // and then served from the cache — SetAttr ops never drift the
         // node/edge counts, so the statistics epoch stays put.
-        let rules = parse_rules(&cascade_src(4)).unwrap();
-        let mut g = cascade_graph(20);
-        // Pin the incremental worklist: `find_touching`'s per-anchor plan
-        // reuse is exactly what this test measures, and the acyclic
-        // cascade would otherwise run stratified (no per-repair
+        // The cyclic cascade runs one worklist over Σ: `find_touching`'s
+        // per-anchor plan reuse is exactly what this test measures, and
+        // the plain cascade would run stratified (no per-repair
         // re-matching at all).
-        let config = EngineConfig {
-            stratify: false,
-            ..EngineConfig::default()
-        };
-        let report = RepairEngine::new(config).repair(&mut g, &rules);
+        let rules = parse_rules(&cyclic_cascade_src(4)).unwrap();
+        let mut g = cascade_graph(20);
+        let report = RepairEngine::default().repair(&mut g, &rules);
+        assert_eq!(report.strata, 0);
         assert!(report.converged);
         assert_eq!(report.repairs_applied, 80);
         assert!(report.pattern_compiles > 0);
@@ -1511,22 +1423,23 @@ mod tests {
         // run's scans must be served entirely from the warmed plan
         // cache, and the report counters must be per-run deltas rather
         // than planner-lifetime totals.
-        let rules = parse_rules(&cascade_src(3)).unwrap();
+        // The cyclic cascade: the hit/compile arithmetic below assumes the
+        // worklist's per-anchor plans, not stratified scans.
+        let rules = parse_rules(&cyclic_cascade_src(3)).unwrap();
         let mut g = cascade_graph(10);
         g.maintain_stats(true);
-        // Worklist mode: the hit/compile arithmetic below assumes the
-        // incremental engine's per-anchor plans, not stratified scans.
-        let engine = RepairEngine::new(EngineConfig {
-            stratify: false,
-            ..EngineConfig::default()
-        });
+        let engine = RepairEngine::default();
         let planner = Planner::new();
-        let r1 = engine.repair_with_planner(&mut g, &rules, &planner);
+        let run = |g: &mut Graph| {
+            engine.repair_with(g, &rules, &planner, RepairSeed::Full, |_: &AppliedOp| {})
+        };
+        let r1 = run(&mut g);
+        assert_eq!(r1.strata, 0);
         assert!(r1.converged);
         assert_eq!(r1.repairs_applied, 30);
         assert!(r1.pattern_compiles > 0);
 
-        let r2 = engine.repair_with_planner(&mut g, &rules, &planner);
+        let r2 = run(&mut g);
         assert!(r2.converged);
         assert_eq!(r2.repairs_applied, 0, "already at fixpoint");
         assert_eq!(
@@ -1552,7 +1465,7 @@ mod tests {
     ) -> RepairReport {
         let run = |seed: RepairSeed<'_>| {
             let mut g = g.clone();
-            let report = RepairEngine::default().repair_with_planner_and_sink(
+            let report = RepairEngine::default().repair_with(
                 &mut g,
                 rules,
                 &Planner::new(),
@@ -1617,35 +1530,40 @@ mod tests {
 
     #[test]
     fn repair_cap_on_the_last_needed_repair_completes() {
-        // Two rules fix the same missing attribute: once one lands the
-        // other's queued violation is stale. With the cap at one repair,
-        // the run still reached its fixpoint.
-        let rules = parse_rules(
-            "rule one [incompleteness] match (x:P) where missing(x.k) repair set x.k = 1
-             rule two [incompleteness] match (x:P) where missing(x.k) repair set x.k = 2",
-        )
-        .unwrap();
-        for stratify in [true, false] {
-            let mut g = Graph::new();
-            g.add_node_named("P");
-            let report = RepairEngine::new(EngineConfig {
-                max_repairs: 1,
-                stratify,
-                ..EngineConfig::default()
-            })
-            .repair(&mut g, &rules);
-            assert_eq!(report.strata, usize::from(stratify));
-            assert_eq!(report.repairs_applied, 1);
-            assert_eq!(report.outcome, RepairOutcome::Completed, "stratify {stratify}");
-            assert!(report.converged);
+        // One T node, no edges: the derived cap is 10·(1+0+1) = 20
+        // repairs. A 20-stage cascade needs exactly 20, the last of which
+        // two rules can make: once one lands, the other's queued
+        // violation is stale, and the run has still reached its
+        // fixpoint. A 21st stage needs one repair too many.
+        let dup = "rule dup [incompleteness]
+             match (x:T) where has(x.a19), missing(x.a20)
+             repair set x.a20 = 2\n";
+        for (stages, outcome) in [
+            (20, RepairOutcome::Completed),
+            (21, RepairOutcome::RoundLimit),
+        ] {
+            for (src, strata) in [
+                (cascade_src(stages), stages),
+                (cyclic_cascade_src(stages), 0),
+            ] {
+                let rules = parse_rules(&(src + dup)).unwrap();
+                let mut g = cascade_graph(1);
+                let report = RepairEngine::default().repair(&mut g, &rules);
+                let ctx = format!("{stages} stages/{strata} strata");
+                assert_eq!(report.strata, strata, "{ctx}");
+                assert_eq!(report.repairs_applied, 20, "{ctx}");
+                assert_eq!(report.outcome, outcome, "{ctx}");
+                let converged = outcome == RepairOutcome::Completed;
+                assert_eq!(report.converged, converged, "{ctx}");
+            }
         }
     }
 
     #[test]
     fn stratified_scheduling_used_on_acyclic_sets() {
-        // The attribute cascade's trigger graph is a chain: the default
-        // engine must run it stratified (one stratum per stage) and reach
-        // the same fixpoint as the worklist engines.
+        // The attribute cascade's trigger graph is a chain: the engine
+        // must run it stratified (one stratum per stage) and reach the
+        // cascade's fixpoint.
         let rules = parse_rules(&cascade_src(4)).unwrap();
         let mut g = cascade_graph(20);
         let report = RepairEngine::default().repair(&mut g, &rules);
@@ -1653,43 +1571,12 @@ mod tests {
         assert!(report.converged);
         assert_eq!(report.repairs_applied, 80);
 
-        let mut g2 = cascade_graph(20);
-        let worklist = RepairEngine::new(EngineConfig {
-            stratify: false,
-            ..EngineConfig::default()
-        })
-        .repair(&mut g2, &rules);
-        assert_eq!(worklist.strata, 0);
-        assert_eq!(report.repairs_applied, worklist.repairs_applied);
-        assert_eq!(
-            report.violations_remaining,
-            worklist.violations_remaining
-        );
-        assert_eq!(g.to_doc(), g2.to_doc(), "fixpoints must match");
-    }
-
-    #[test]
-    fn stratified_falls_back_on_cyclic_sets() {
-        // The up/down oscillator's trigger graph is a 2-cycle: the
-        // stratified scheduler must decline and the churn-guarded
-        // worklist must run instead.
-        let rules = parse_rules(
-            "rule up [conflict]
-             match (x:P) where x.v == 0
-             repair set x.v = 1
-
-             rule down [conflict]
-             match (x:P) where x.v == 1
-             repair set x.v = 0",
-        )
-        .unwrap();
-        let mut g = Graph::new();
-        let v = g.attr_key("v");
-        let n = g.add_node_named("P");
-        g.set_attr(n, v, Value::Int(0)).unwrap();
-        let report = RepairEngine::default().repair(&mut g, &rules);
-        assert_eq!(report.strata, 0, "cyclic sets must use the worklist");
-        assert!(report.repairs_applied > 0);
+        // The cascade's closed-form fixpoint: every node carries every
+        // stage's attribute.
+        for i in 0..=4 {
+            let (key, set) = (g.try_attr_key(&format!("a{i}")).unwrap(), Value::Bool(true));
+            assert!(g.nodes().all(|n| g.attr(n, key) == Some(&set)), "a{i}");
+        }
     }
 
     #[test]

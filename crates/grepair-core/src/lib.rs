@@ -69,10 +69,7 @@ pub use lint::{lint_rules, Finding, LintCode, LintPolicy, LintReport, Severity};
 pub use apply::{apply_rule, revalidate, Applied, AppliedOp};
 pub use cost::{estimate_cost, op_cost};
 pub use dsl::{parse_rule, parse_rules, parse_rules_with_spans, ParseError, RuleSpan};
-pub use engine::{
-    EngineConfig, RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink,
-    RuleStats,
-};
+pub use engine::{RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink, RuleStats};
 // Re-exported so downstream crates (the store's repair hook, the CLI)
 // can hold a long-lived planner and a repair seed without depending on
 // grepair-match directly.

@@ -2,10 +2,9 @@
 //! stability, invariant preservation, and matcher equivalence on random
 //! graphs and random (terminating) rule sets.
 
-use grepair_core::{
-    check_effectiveness, Effectiveness, EngineConfig, RepairEngine, RuleSet,
-};
+use grepair_core::{check_effectiveness, Effectiveness, RepairEngine, RuleSet};
 use grepair_graph::{Graph, NodeId, Value};
+use grepair_match::MatchConfig;
 use proptest::prelude::*;
 
 const NODE_LABELS: [&str; 3] = ["P", "Q", "R"];
@@ -109,7 +108,7 @@ proptest! {
         let mut g1 = base.clone();
         let r1 = RepairEngine::default().repair(&mut g1, &rules.rules);
         let mut g2 = base.clone();
-        let r2 = RepairEngine::new(EngineConfig::naive()).repair(&mut g2, &rules.rules);
+        let r2 = RepairEngine::new(MatchConfig::naive()).repair(&mut g2, &rules.rules);
         prop_assert!(r1.converged && r2.converged);
         prop_assert_eq!(g1.num_nodes(), g2.num_nodes());
         prop_assert_eq!(g1.num_edges(), g2.num_edges());

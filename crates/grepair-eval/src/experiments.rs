@@ -9,7 +9,7 @@
 use crate::baselines::{delete_only_rules, random_repair, rescan_repair};
 use crate::metrics::{evaluate_repair, RepairQuality};
 use crate::table::{f3, ms, Table};
-use grepair_core::{analyze, EngineConfig, RepairEngine, RuleSet};
+use grepair_core::{analyze, RepairEngine, RuleSet};
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, synthetic_rules, ErrorClass,
     KgConfig, NoiseConfig, SocialConfig,
@@ -421,10 +421,7 @@ pub fn exp_ablation_matching(p: &Profile) -> Table {
         ("naive (both off)", MatchConfig::naive()),
     ];
     for (name, cfg) in configs {
-        let engine = RepairEngine::new(EngineConfig {
-            match_config: cfg,
-            ..EngineConfig::default()
-        });
+        let engine = RepairEngine::new(cfg);
         let (count, d) = time(|| engine.count_violations(&dirty, &gold.rules));
         t.row(vec![name.into(), ms(d), count.to_string()]);
     }

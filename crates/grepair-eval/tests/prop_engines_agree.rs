@@ -14,7 +14,7 @@
 //! join ordering) is intentionally exponential-ish; the point here is
 //! differential coverage, not throughput.
 
-use grepair_core::{EngineConfig, Grr, RepairEngine};
+use grepair_core::{Grr, RepairEngine};
 use grepair_eval::rescan_repair;
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
@@ -32,11 +32,7 @@ fn assert_engines_agree(base: &Graph, rules: &[Grr], ctx: &str) -> Result<(), Te
     let mut outcomes = Vec::new();
     for (name, matcher) in [("", MatchConfig::default()), ("-naive", MatchConfig::naive())] {
         let mut engine_g = base.clone();
-        let report = RepairEngine::new(EngineConfig {
-            match_config: matcher,
-            ..EngineConfig::default()
-        })
-        .repair(&mut engine_g, rules);
+        let report = RepairEngine::new(matcher).repair(&mut engine_g, rules);
         let mut rescan_g = base.clone();
         let rescan = rescan_repair(&mut rescan_g, rules, matcher, 64);
         for (loop_name, g, converged) in [

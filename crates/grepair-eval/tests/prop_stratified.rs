@@ -1,21 +1,21 @@
-//! Stratified-scheduling property suite.
+//! Stratified-scheduling property suite: the engine against the
+//! textbook rescan loop on acyclic rule sets.
 //!
 //! On randomly generated *acyclic* cascade rule sets over KG and social
 //! substrates:
 //!
-//! - the analysis must prove the trigger graph acyclic and the default
-//!   engine must schedule the run into topological strata;
+//! - the analysis must prove the trigger graph acyclic and the engine
+//!   must schedule the run into one topological stratum per layer;
 //! - the run must terminate and converge even though the stratified path
 //!   carries no churn guard at all;
-//! - a worklist run with `max_churn: 1` — where a single churn-guard trip
-//!   would suppress a repair — must reach the identical fixpoint, which
-//!   certifies that acyclic sets terminate with **zero** guard trips;
-//! - stratified and worklist residuals and repaired documents must match
-//!   exactly.
+//! - its repaired document must equal the one [`rescan_repair`] — which
+//!   has no schedule and no guard, only rounds of full scans — reaches.
 
-use grepair_core::{stratify, trigger_graph, EngineConfig, RepairEngine, RuleSet};
+use grepair_core::{stratify, trigger_graph, RepairEngine, RuleSet};
+use grepair_eval::rescan_repair;
 use grepair_gen::{generate_kg, generate_social, KgConfig, SocialConfig};
 use grepair_graph::Graph;
+use grepair_match::MatchConfig;
 use proptest::prelude::*;
 
 /// Deterministically derive a layered cascade rule set from `seed`:
@@ -59,8 +59,8 @@ fn cascade_rules(label: &str, stages: usize, seed: u64) -> RuleSet {
     RuleSet::from_dsl("cascade", &src).expect("cascade DSL must parse")
 }
 
-/// The stratified run must terminate churn-free and agree exactly with a
-/// worklist run whose churn guard is wound down to a hair trigger.
+/// The stratified run must terminate churn-free and reach the rescan
+/// loop's fixpoint.
 fn assert_stratified_agrees(base: &Graph, rules: &RuleSet, stages: usize, ctx: &str) -> Result<(), TestCaseError> {
     let strata = stratify(&trigger_graph(&rules.rules));
     prop_assert!(strata.is_some(), "{ctx}: cascade must be acyclic");
@@ -71,28 +71,13 @@ fn assert_stratified_agrees(base: &Graph, rules: &RuleSet, stages: usize, ctx: &
     prop_assert_eq!(strat.strata, stages, "{}: stratified path must run", ctx);
     prop_assert!(strat.converged, "{ctx}: residual {}", strat.violations_remaining);
 
-    // max_churn: 1 means a single guard trip would suppress a repair and
-    // break the fixpoint equality below — so equality certifies that the
-    // run needed zero trips.
     let mut g2 = base.clone();
-    let work = RepairEngine::new(EngineConfig {
-        stratify: false,
-        max_churn: 1,
-        ..EngineConfig::default()
-    })
-    .repair(&mut g2, &rules.rules);
-    prop_assert!(work.converged, "{ctx}: worklist residual {}", work.violations_remaining);
-    prop_assert_eq!(work.strata, 0, "{}: pinned-off run must not stratify", ctx);
+    let rescan = rescan_repair(&mut g2, &rules.rules, MatchConfig::default(), 64);
+    prop_assert!(rescan.converged, "{ctx}: the rescan loop did not converge");
     prop_assert_eq!(
         strat.repairs_applied,
-        work.repairs_applied,
-        "{}: zero churn trips implies equal repair counts",
-        ctx
-    );
-    prop_assert_eq!(
-        strat.violations_remaining,
-        work.violations_remaining,
-        "{}: residuals diverged",
+        rescan.repairs_applied,
+        "{}: repair counts diverged",
         ctx
     );
     prop_assert_eq!(g1.to_doc(), g2.to_doc(), "{}: fixpoints diverged", ctx);

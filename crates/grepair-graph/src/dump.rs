@@ -1,10 +1,11 @@
-//! Exact slot-level dumps of a [`Graph`], for durable snapshots.
+//! Exact slot-level dumps of a [`Graph`](crate::Graph), for durable
+//! snapshots.
 //!
 //! [`crate::GraphDoc`] deliberately renumbers: doc handles are dense and
 //! tombstoned slots disappear, which is right for interchange but wrong
 //! for a durable store whose write-ahead log references *concrete*
-//! [`NodeId`]/[`EdgeId`] slots. A [`SlotDump`] is the GraphDoc-derived
-//! superset that closes the gap:
+//! [`NodeId`](crate::NodeId)/[`EdgeId`](crate::EdgeId) slots. A
+//! [`SlotDump`] is the GraphDoc-derived superset that closes the gap:
 //!
 //! - the embedded [`GraphDoc`] uses **raw slot ids as handles** (so holes
 //!   are allowed) and lists edges in **edge-id order**, with
@@ -21,7 +22,8 @@
 //! slot allocation), so two processes may legally disagree on them
 //! while agreeing on every slot.
 //!
-//! [`Graph::dump_slots`] and [`Graph::restore_slots`] live in
+//! [`Graph::dump_slots`](crate::Graph::dump_slots) and
+//! [`Graph::restore_slots`](crate::Graph::restore_slots) live in
 //! [`crate::graph`] (they need private slot access); this module owns the
 //! document type and its validation-focused tests.
 

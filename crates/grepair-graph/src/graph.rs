@@ -116,8 +116,7 @@ impl Graph {
     ///
     /// The sustained overhead is a handful of hash-map updates per
     /// mutation (bounded by the touched element's incident edges for
-    /// relabels); the `stats_maintenance` bench pins it below 2x the
-    /// raw mutation cost.
+    /// relabels).
     pub fn maintain_stats(&mut self, on: bool) {
         self.stats = if on {
             Some(Box::new(StatsMaintenance::build(self)))

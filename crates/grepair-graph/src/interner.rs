@@ -1,10 +1,11 @@
 //! String interner for labels and attribute keys.
 //!
-//! Graph elements reference labels by [`LabelId`]/[`AttrKeyId`]; all string
-//! comparisons on hot paths thus reduce to `u32` equality. The interner is
-//! append-only: ids are dense, stable, and never recycled, so they can be
-//! used directly as indexes into side tables (label indexes, per-label
-//! statistics).
+//! Graph elements reference labels by
+//! [`LabelId`](crate::LabelId)/[`AttrKeyId`](crate::AttrKeyId); all
+//! string comparisons on hot paths thus reduce to `u32` equality. The
+//! interner is append-only: ids are dense, stable, and never recycled, so
+//! they can be used directly as indexes into side tables (label indexes,
+//! per-label statistics).
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};

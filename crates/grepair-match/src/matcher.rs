@@ -24,12 +24,11 @@ use grepair_graph::{
     AttrKeyId, CardinalityStats, Direction, EdgeId, Graph, LabelId, NodeId, Value,
 };
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Matcher feature toggles (both on by default; `naive()` turns both off).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MatchConfig {
     /// Order the join by selectivity and connectivity (off = declaration
     /// order, candidates from the label index).

@@ -8,8 +8,8 @@
 //! single process; this crate is the layer that makes applied repairs
 //! survive it. The central type is [`DurableGraph`]: a
 //! [`grepair_graph::Graph`] wrapper that journals every mutation —
-//! including every repair the engine applies, via
-//! [`grepair_core::RepairEngine::repair_with_sink`] — before
+//! including every repair the engine applies, via the op sink of
+//! [`grepair_core::RepairEngine::repair_with`] — before
 //! acknowledging it.
 //!
 //! ## Guarantees
@@ -78,7 +78,7 @@
 //! - [`vfs`] — the storage backend trait, [`StdFs`], retry policy, and
 //!   the fault-injection backend (tests / `fault-injection` feature).
 //! - [`lock`] — the `LOCK` file and staleness detection.
-//! - [`fsck`] — dry-run recovery and health reporting.
+//! - [`fsck`](mod@fsck) — dry-run recovery and health reporting.
 //! - [`error`] — [`StoreError`].
 
 #![forbid(unsafe_code)]

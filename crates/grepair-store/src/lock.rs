@@ -24,7 +24,7 @@ use std::path::Path;
 pub const LOCK_FILE_NAME: &str = "LOCK";
 
 /// What the `LOCK` file says about the store's writer, as reported by
-/// [`crate::fsck`].
+/// [`crate::fsck()`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LockStatus {
     /// No lock file.

@@ -302,26 +302,6 @@ impl DurableGraph<StdFs> {
         Self::open_on(StdFs, dir, config)
     }
 
-    /// [`DurableGraph::open`] under a runtime [`obs::Budget`] — see
-    /// [`DurableGraph::open_on_with_budget`].
-    pub fn open_with_budget(
-        dir: &Path,
-        config: StoreConfig,
-        budget: &obs::Budget,
-    ) -> Result<Self> {
-        Self::open_on_with_budget(StdFs, dir, config, budget)
-    }
-
-    /// Open `dir` if it holds a store, otherwise create one.
-    pub fn open_or_create(dir: &Path, config: StoreConfig) -> Result<Self> {
-        Self::open_or_create_on(StdFs, dir, config)
-    }
-
-    /// Open the store read-only and degradation-tolerant — see
-    /// [`ReadOnlyStore::open`].
-    pub fn open_read_only(dir: &Path) -> Result<ReadOnlyStore> {
-        ReadOnlyStore::open(dir)
-    }
 }
 
 impl<V: Vfs> DurableGraph<V> {
@@ -559,15 +539,6 @@ impl<V: Vfs> DurableGraph<V> {
         // the recovered state) so the replay loop itself stays lean.
         graph.maintain_stats(true);
         Ok((graph, writer, stats, last_seq, snap_seq, bytes_since_snapshot))
-    }
-
-    /// [`DurableGraph::open_or_create`] against an explicit backend.
-    pub fn open_or_create_on(vfs: V, dir: &Path, config: StoreConfig) -> Result<Self> {
-        if vfs.is_dir(dir) && dir_has_store_in(&vfs, dir)? {
-            Self::open_on(vfs, dir, config)
-        } else {
-            Self::create_on(vfs, dir, config)
-        }
     }
 
     /// The wrapped graph (all reads go through here).
@@ -897,8 +868,8 @@ impl<V: Vfs> DurableGraph<V> {
     /// memory only and is dropped by anything that leaves the graph
     /// unverified: a reopen (the first repair after
     /// [`DurableGraph::open`] is a full scan), a repair that trips its
-    /// budget, leaves residual violations, fails to journal or runs with
-    /// `verify_fixpoint` off, a repair of a different rule set, and a
+    /// budget, leaves residual violations or fails to journal, a repair
+    /// of a different rule set, and a
     /// delta grown past a quarter of the live nodes (a scan is cheaper
     /// then).
     /// [`DurableGraph::compact`] keeps it. Applied operations, allocated
@@ -946,7 +917,7 @@ impl<V: Vfs> DurableGraph<V> {
             pending: Vec::new(),
             io_err: &mut io_err,
         };
-        let report = engine.repair_with_planner_and_sink(graph, rules, planner, seed, sink);
+        let report = engine.repair_with(graph, rules, planner, seed, sink);
         if let Some(e) = io_err {
             self.poison = Some(Poison::Append);
             record_fault(format!("repair journaling failed; store poisoned: {e}"));
@@ -1449,9 +1420,6 @@ mod tests {
             DurableGraph::open(&empty, StoreConfig::default()),
             Err(StoreError::NotAStore(_))
         ));
-        // open_or_create covers both.
-        assert!(DurableGraph::open_or_create(&dir, StoreConfig::default()).is_ok());
-        assert!(DurableGraph::open_or_create(&empty, StoreConfig::default()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&empty).ok();
     }

@@ -1,6 +1,6 @@
 //! Storage-backend abstraction: every file operation the store performs
 //! goes through a [`Vfs`], so the durability logic can be exercised
-//! against a deterministic fault-injecting backend ([`FaultyFs`]) while
+//! against a deterministic fault-injecting backend (`FaultyFs`) while
 //! production runs on the zero-cost passthrough [`StdFs`].
 //!
 //! The trait surface is exactly the operations the store needs — create,
@@ -41,7 +41,7 @@ pub trait VfsFile: Send {
 
 /// The file operations the store performs, as a swappable backend.
 ///
-/// Production uses [`StdFs`]; tests use [`FaultyFs`]. Static dispatch
+/// Production uses [`StdFs`]; tests use `FaultyFs`. Static dispatch
 /// throughout — [`crate::DurableGraph`] defaults its backend parameter
 /// to `StdFs`, so the production build pays no indirection.
 pub trait Vfs: Send + Sync {

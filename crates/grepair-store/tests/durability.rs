@@ -6,9 +6,9 @@
 //! exactly the last durably committed state — all applied repairs
 //! intact, the torn garbage discarded.
 
-use grepair_core::{EngineConfig, RepairEngine, RepairOutcome, RuleSet};
+use grepair_core::{RepairEngine, RepairOutcome, RuleSet};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
-use grepair_store::{DurableGraph, StoreConfig};
+use grepair_store::{DurableGraph, StdFs, StoreConfig};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -240,7 +240,7 @@ fn store_planner_stays_warm_across_repairs() {
     // runs: the second run must plan entirely from cache.
     let dir = tmpdir("warm-planner");
     let rules: RuleSet = gold_kg_rules();
-    let engine = RepairEngine::new(EngineConfig::default());
+    let engine = RepairEngine::default();
     let mut store =
         DurableGraph::create_with(&dir, StoreConfig::default(), dirty_kg(80)).unwrap();
     let r1 = store.repair(&engine, &rules.rules).unwrap();
@@ -349,7 +349,7 @@ fn interrupted_recovery_is_side_effect_free() {
     // A pre-cancelled budget trips at the first segment boundary.
     let cancelled = grepair_obs::Budget::unlimited();
     cancelled.cancel();
-    match DurableGraph::open_with_budget(&dir, StoreConfig::default(), &cancelled) {
+    match DurableGraph::open_on_with_budget(StdFs, &dir, StoreConfig::default(), &cancelled) {
         Err(grepair_store::StoreError::Interrupted(reason)) => {
             assert_eq!(reason, grepair_obs::TripReason::Cancelled);
         }

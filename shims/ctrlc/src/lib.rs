@@ -10,7 +10,7 @@
 //! `CancelToken`, and the application winds down at its own pace.
 //!
 //! Unsafe is confined to the two `extern "C"` calls in
-//! [`install_handler`]; everything above them is safe Rust. On
+//! `sys::install_handler`; everything above them is safe Rust. On
 //! non-unix targets [`set_handler`] is a no-op that still spawns the
 //! watcher (the flag simply never fires).
 

@@ -277,7 +277,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -3,7 +3,7 @@
 //! equivalent fixpoints; ablated matcher configurations must not change
 //! results, only speed.
 
-use grepair_core::{EngineConfig, RepairEngine};
+use grepair_core::RepairEngine;
 use grepair_eval::rescan_repair;
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 use grepair_graph::{Graph, GraphStats};
@@ -34,8 +34,8 @@ fn all_engine_configs_converge_to_violation_free_graphs() {
         shapes.push((name, s.nodes, s.edges));
     };
     for (name, cfg) in [
-        ("incremental", EngineConfig::default()),
-        ("incremental-naive-matcher", EngineConfig::naive()),
+        ("incremental", MatchConfig::default()),
+        ("incremental-naive-matcher", MatchConfig::naive()),
     ] {
         let mut g = base.clone();
         let report = RepairEngine::new(cfg).repair(&mut g, &rules.rules);
@@ -76,13 +76,7 @@ fn ablated_matchers_find_identical_violations() {
     ];
     let counts: Vec<usize> = configs
         .iter()
-        .map(|cfg| {
-            RepairEngine::new(EngineConfig {
-                match_config: *cfg,
-                ..EngineConfig::default()
-            })
-            .count_violations(&g, &rules.rules)
-        })
+        .map(|cfg| RepairEngine::new(*cfg).count_violations(&g, &rules.rules))
         .collect();
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
@@ -114,7 +108,7 @@ fn incremental_needs_one_scan_where_rescan_needs_rounds() {
 
 /// On cascading rule chains — where fixing one violation creates the next
 /// — the rescan loop pays a full multi-pattern scan per stage while the
-/// incremental engine only re-matches around the repaired node.
+/// engine runs one worklist per stratum of the acyclic chain.
 #[test]
 fn cascading_chain_favours_incremental() {
     const STAGES: usize = 8;
@@ -136,36 +130,24 @@ fn cascading_chain_favours_incremental() {
         base.set_attr(n, a0, grepair_graph::Value::Bool(true)).unwrap();
     }
 
-    // The chain's trigger graph is acyclic, so the default engine would
-    // run it stratified; pin stratification off to compare one worklist
-    // over the whole set with the rescan loop.
     let mut g1 = base.clone();
-    let inc = RepairEngine::new(EngineConfig {
-        stratify: false,
-        ..EngineConfig::default()
-    })
-    .repair(&mut g1, &rules.rules);
+    let strat = RepairEngine::default().repair(&mut g1, &rules.rules);
     let mut g2 = base.clone();
     let naive = rescan_repair(&mut g2, &rules.rules, MatchConfig::default(), 64);
 
-    assert!(inc.converged && naive.converged);
-    assert_eq!(inc.repairs_applied, STAGES * 50);
+    assert!(strat.converged && naive.converged);
+    assert_eq!(strat.strata, STAGES);
+    assert_eq!(strat.rounds, STAGES, "one worklist per stratum");
+    assert_eq!(strat.repairs_applied, STAGES * 50);
     assert_eq!(naive.repairs_applied, STAGES * 50);
-    assert_eq!(inc.rounds, 1);
     assert!(
-        naive.rounds >= 2,
-        "chain must force multiple rescan rounds, got {}",
+        naive.rounds > STAGES,
+        "chain must force a rescan round per stage plus the empty one, got {}",
         naive.rounds
     );
-
-    // The stratified schedule reaches the same fixpoint with one worklist
-    // per stage and no churn accounting at all.
-    let mut g3 = base.clone();
-    let strat = RepairEngine::default().repair(&mut g3, &rules.rules);
-    assert_eq!(strat.strata, STAGES);
-    assert!(strat.converged);
-    assert_eq!(strat.repairs_applied, STAGES * 50);
-    assert_eq!(g3.to_doc(), g1.to_doc(), "fixpoints must match");
+    // Every stage's rule is scanned once, in its own stratum.
+    assert!(strat.per_rule.iter().all(|s| s.scans == 1));
+    assert_eq!(g1.to_doc(), g2.to_doc(), "fixpoints must match");
 }
 
 #[test]

@@ -10,12 +10,15 @@
 //! committed-round-prefix equality by replaying rounds 0..k and
 //! comparing [`Graph::to_doc`] documents.
 
-use grepair_core::{AppliedOp, EngineConfig, Grr, RepairEngine, RepairOutcome, RepairSink};
+use grepair_core::{
+    parse_rules, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairSeed, RepairSink,
+};
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
     NoiseConfig, SocialConfig,
 };
 use grepair_graph::{Graph, GraphDoc};
+use grepair_match::MatchConfig;
 use grepair_obs::{Budget, TestClock, TripReason};
 use grepair_store::{DurableGraph, Mutation, StoreConfig};
 use proptest::prelude::*;
@@ -26,8 +29,8 @@ use std::time::Duration;
 
 // ---- deterministic fixtures -----------------------------------------------
 
-/// One randomized scenario: a dirty substrate, a rule subset, an
-/// engine configuration.
+/// One randomized scenario: a dirty substrate, a rule subset, a
+/// matcher configuration.
 #[derive(Clone, Debug)]
 struct Case {
     /// 0 = noisy KG, 1 = social network (dirty by construction).
@@ -36,8 +39,8 @@ struct Case {
     size: usize,
     /// Bit i keeps rule i (mod rule count); 0 keeps the full set.
     rule_mask: u8,
-    /// 0 = naive, 1 = naive+stratified, 2 = incremental.
-    engine: u8,
+    /// 0 = naive matcher, 1 = default matcher.
+    matcher: u8,
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {
@@ -48,16 +51,16 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         any::<u8>(),
         any::<u8>(),
     )
-        .prop_map(|(substrate, seed, size, rule_mask, engine)| Case {
+        .prop_map(|(substrate, seed, size, rule_mask, matcher)| Case {
             substrate: substrate % 2,
             seed,
             size,
             rule_mask,
-            engine: engine % 3,
+            matcher: matcher % 2,
         })
 }
 
-fn build_case(c: &Case) -> (Graph, Vec<Grr>, EngineConfig) {
+fn build_case(c: &Case) -> (Graph, Vec<Grr>, MatchConfig) {
     let g = if c.substrate == 0 {
         let (mut g, refs) = generate_kg(&KgConfig {
             seed: c.seed,
@@ -93,13 +96,9 @@ fn build_case(c: &Case) -> (Graph, Vec<Grr>, EngineConfig) {
         .map(|(_, r)| r.clone())
         .collect();
     let rules = if picked.is_empty() { full } else { picked };
-    let config = match c.engine {
-        0 => EngineConfig {
-            stratify: false,
-            ..EngineConfig::naive()
-        },
-        1 => EngineConfig::naive(),
-        _ => EngineConfig::default(),
+    let config = match c.matcher {
+        0 => MatchConfig::naive(),
+        _ => MatchConfig::default(),
     };
     (g, rules, config)
 }
@@ -176,9 +175,9 @@ proptest! {
         let reference = Budget::unlimited();
         let rec = RoundRecorder::default();
         let mut g_ref = g0.clone();
-        let ref_report = RepairEngine::new(config.clone())
+        let ref_report = RepairEngine::new(config)
             .with_budget(&reference)
-            .repair_with_sink(&mut g_ref, &rules, rec.clone());
+            .repair_with(&mut g_ref, &rules, &Planner::new(), RepairSeed::Full, rec.clone());
         prop_assert!(
             !ref_report.outcome.is_budget_trip(),
             "unlimited budget must not trip: {:?}", ref_report.outcome
@@ -191,9 +190,7 @@ proptest! {
         for n in cancel_points(reference.checks()) {
             let budget = Budget::unlimited().cancel_at_check(n);
             let mut g = g0.clone();
-            let report = RepairEngine::new(config.clone())
-                .with_budget(&budget)
-                .repair_with_sink(&mut g, &rules, |_: &AppliedOp| {});
+            let report = RepairEngine::new(config).with_budget(&budget).repair(&mut g, &rules);
             prop_assert!(
                 matches!(report.outcome, RepairOutcome::Cancelled | RepairOutcome::Completed
                          | RepairOutcome::RoundLimit),
@@ -333,7 +330,8 @@ fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
     let mut store = delta_fixture(&clean, &dir);
     let rec = RoundRecorder::default();
     let dirty = store.graph().clone();
-    RepairEngine::default().repair_with_sink(&mut dirty.clone(), &rules, rec.clone());
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    RepairEngine::default().repair_with(&mut dirty.clone(), &rules, &planner, full, rec.clone());
     let prefixes = prefix_docs(&dirty, &rec.state.borrow().rounds);
     let unlimited = Budget::unlimited();
     let untripped = store
@@ -390,10 +388,11 @@ fn cancel_from_another_thread_stops_a_running_repair() {
         seed: 11,
         size: 200,
         rule_mask: 0,
-        engine: 0,
+        matcher: 0,
     });
     let rec = RoundRecorder::default();
-    RepairEngine::new(config.clone()).repair_with_sink(&mut g0.clone(), &rules, rec.clone());
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    RepairEngine::new(config).repair_with(&mut g0.clone(), &rules, &planner, full, rec.clone());
     assert!(
         rec.state.borrow().rounds.len() > 1,
         "the flip must land before the last round"
@@ -408,14 +407,19 @@ fn cancel_from_another_thread_stops_a_running_repair() {
         let worker = s.spawn(move || {
             let mut g = g0;
             let mut handshake = Some((started, on_resume));
-            let report = RepairEngine::new(config)
-                .with_budget(&budget)
-                .repair_with_sink(&mut g, &rules, move |_: &AppliedOp| {
-                    if let Some((started, on_resume)) = handshake.take() {
-                        started.send(()).expect("test thread is waiting");
-                        on_resume.recv().expect("test thread resumes the repair");
-                    }
-                });
+            let sink = move |_: &AppliedOp| {
+                if let Some((started, on_resume)) = handshake.take() {
+                    started.send(()).expect("test thread is waiting");
+                    on_resume.recv().expect("test thread resumes the repair");
+                }
+            };
+            let report = RepairEngine::new(config).with_budget(&budget).repair_with(
+                &mut g,
+                &rules,
+                &Planner::new(),
+                RepairSeed::Full,
+                sink,
+            );
             (report.outcome, g.to_doc())
         });
         on_started.recv().expect("the repair applies an op");
@@ -430,32 +434,32 @@ fn cancel_from_another_thread_stops_a_running_repair() {
     );
 }
 
-/// Non-convergence is typed, not silent: a round-limited run reports
-/// `RoundLimit` while a converged run with residuals-free fixpoint
-/// reports `Completed` — the two `converged = false` causes are
-/// distinguishable.
+/// Non-convergence is typed, not silent: a run the derived repair cap
+/// stops reports `RoundLimit`, while a run that ends on residual
+/// violations no repair can fix reports `Completed` — the two
+/// `converged = false` causes are distinguishable.
 #[test]
 fn round_limit_outcome_is_distinguishable_from_residuals() {
-    let (mut g, refs) = generate_kg(&KgConfig::with_persons(80));
-    inject_kg_noise(
-        &mut g,
-        &refs,
-        &NoiseConfig {
-            rate: 0.1,
-            seed: 3,
-            ..NoiseConfig::default()
-        },
-    );
-    let rules = gold_kg_rules();
-    let limited = RepairEngine::new(EngineConfig {
-        max_repairs: 1,
-        stratify: false,
-        ..EngineConfig::default()
-    })
-    .repair(&mut g.clone(), &rules.rules);
+    // Every repair inserts a fresh P its own pattern matches: on one node
+    // the cap 10·(|V|+|E|+1) = 20 ends the run.
+    let grow =
+        parse_rules("rule grow [incompleteness] match (x:P) repair insert node (y:P)").unwrap();
+    let mut g = Graph::new();
+    g.add_node_named("P");
+    let limited = RepairEngine::default().repair(&mut g, &grow);
     assert_eq!(limited.outcome, RepairOutcome::RoundLimit);
+    assert_eq!(limited.repairs_applied, 20);
     assert!(!limited.converged);
 
-    let full = RepairEngine::default().repair(&mut g, &rules.rules);
-    assert_eq!(full.outcome, RepairOutcome::Completed);
+    // The attribute lands once, yet the match persists: a residual.
+    let stuck =
+        parse_rules("rule stuck [conflict] match (x:P)-[r]->(y:P) repair set x.seen = true")
+            .unwrap();
+    let mut g = Graph::new();
+    let (a, b) = (g.add_node_named("P"), g.add_node_named("P"));
+    g.add_edge_named(a, b, "r").unwrap();
+    let residual = RepairEngine::default().repair(&mut g, &stuck);
+    assert_eq!(residual.outcome, RepairOutcome::Completed);
+    assert_eq!(residual.violations_remaining, 1);
+    assert!(!residual.converged);
 }

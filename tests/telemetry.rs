@@ -6,7 +6,7 @@
 //! mutex and works in counter/histogram *deltas* (the registry is
 //! cumulative and shared with whatever ran before).
 
-use grepair_core::{EngineConfig, RepairEngine};
+use grepair_core::RepairEngine;
 use grepair_gen::{
     generate_kg, gold_kg_rules, inject_kg_noise, synthetic_rules, KgConfig, NoiseConfig,
 };
@@ -249,7 +249,7 @@ fn tripped_deadline_run_contributes_limit_counters_and_outcome_instant() {
     let trips = grepair_obs::counter("limit.deadline_trips");
     let trips_before = trips.get();
     let (report, events) = with_tracing(|| {
-        RepairEngine::new(EngineConfig::default())
+        RepairEngine::default()
             .with_budget(&budget)
             .repair(&mut g, &rules.rules)
     });
