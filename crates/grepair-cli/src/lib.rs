@@ -258,8 +258,10 @@ fn explain_outcome(outcome: RepairOutcome) -> &'static str {
     match outcome {
         RepairOutcome::Completed => "ran to convergence",
         RepairOutcome::RoundLimit => {
-            "repair cap of 10·(|V|+|E|+1) repairs reached before convergence; residual \
-             violations remain (run `grepair lint` for the rule set's termination findings)"
+            "repair cap of 10·(|V|+|E|+1) repairs reached before convergence on a rule set \
+             with a trigger cycle or a rule whose repair leaves its own match standing; \
+             residual violations remain (run `grepair lint` for the rule set's termination \
+             and effectiveness findings)"
         }
         RepairOutcome::Deadline => {
             "deadline exceeded; stopped at a round boundary (the graph holds the completed rounds)"
@@ -499,10 +501,11 @@ between repairs and at scan boundaries: a tripped run finishes nothing
 mid-repair, commits the completed repairs (durably, with --store),
 prints a partial report with a typed outcome, and exits 5. SIGINT (^C)
 cancels the same way — finish the repair, commit, report, exit 130; a
-second ^C aborts immediately. A run stopped by the engine's repair cap
-(10 per graph element) before converging reports outcome 'round-limit'
-and also exits 5, distinguishing a blown limit from residual violations
-under a completed fixpoint.
+second ^C aborts immediately. A run that the engine's repair cap (10 per
+graph element) stops before converging — possible only with a cyclic
+trigger graph or a rule whose repair leaves its own match standing —
+reports outcome 'round-limit' and also exits 5, distinguishing a blown
+limit from residual violations under a completed fixpoint.
 
 Observability: --trace FILE (on check/repair/watch) records spans from
 every layer — engine rounds, matching, planning, WAL writes —

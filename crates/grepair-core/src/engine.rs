@@ -18,7 +18,7 @@
 //! - **Acyclic rule sets** — the loop runs once per topological stratum
 //!   of the trigger graph ([`crate::analysis::stratify`]), in order,
 //!   re-matching only the stratum's own rules and without the churn
-//!   guard: acyclicity proves the run terminates.
+//!   guard: acyclicity proves that the seed and cascade work ends.
 //!
 //! Shared semantics:
 //!
@@ -33,10 +33,14 @@
 //! - **Churn guard** — on cyclic sets the same (rule, matched nodes)
 //!   repair may be applied at most 16 times, which bounds runtime even
 //!   though the trigger graph has a cycle.
-//! - **Repair cap** — a run applies at most `10·(|V|+|E|+1)` repairs
-//!   (sizes at the start of the run), a backstop that ends a run the
-//!   churn guard cannot bound — e.g. a rule that keeps inserting nodes —
-//!   with [`RepairOutcome::RoundLimit`].
+//! - **Repair cap** — a run over a cyclic set applies at most
+//!   `10·(|V|+|E|+1)` repairs (sizes at the start of the run), a
+//!   backstop that ends a run the churn guard cannot bound — e.g. a rule
+//!   that keeps inserting nodes — with [`RepairOutcome::RoundLimit`]. A
+//!   stratum's seed and cascade work is not capped: it reaches its
+//!   fixpoint however many repairs that takes. Only the requeues of
+//!   matches a repair left standing, the one thing acyclicity does not
+//!   bound, count against the cap, per stratum.
 //! - **Verification** — every run that no budget trip cut short ends
 //!   with a scan for residual violations
 //!   ([`RepairReport::violations_remaining`]).
@@ -98,7 +102,8 @@ pub enum RepairOutcome {
     #[default]
     Completed,
     /// The `10·(|V|+|E|+1)` repair cap stopped a repair that was still
-    /// needed.
+    /// needed: on a cyclic rule set, or in a stratum whose rule keeps
+    /// re-fixing a match its own repair leaves standing.
     RoundLimit,
     /// The budget deadline passed.
     Deadline,
@@ -255,6 +260,7 @@ struct EngineTelemetry {
     seed_full: std::sync::Arc<obs::Counter>,
     seed_delta: std::sync::Arc<obs::Counter>,
     seed_nodes: std::sync::Arc<obs::Histogram>,
+    stratum_rematches: std::sync::Arc<obs::Counter>,
 }
 
 impl EngineTelemetry {
@@ -271,6 +277,7 @@ impl EngineTelemetry {
             seed_full: obs::counter("engine.seed_full"),
             seed_delta: obs::counter("engine.seed_delta"),
             seed_nodes: obs::histogram("engine.seed_nodes"),
+            stratum_rematches: obs::counter("engine.stratum_rematches"),
         }
     }
 }
@@ -430,19 +437,23 @@ struct TriggerIndex {
     needs_attr: TriggerClass,
     /// Rules with any negative-edge precondition, ascending.
     any_neg_edge: Vec<usize>,
-    n_rules: usize,
+    /// Rules a merge can enable, ascending: those with any positive-edge,
+    /// negative-edge or attribute-value precondition. A merge rewires
+    /// edges of unknown labels, drops parallels and copies attributes of
+    /// unknown keys — the effects `trigger_graph` gives it.
+    merge_enables: Vec<usize>,
 }
 
 impl TriggerIndex {
     fn new(rules: &[Grr]) -> Self {
-        let mut ix = TriggerIndex {
-            n_rules: rules.len(),
-            ..TriggerIndex::default()
-        };
+        let mut ix = TriggerIndex::default();
         for (ri, rule) in rules.iter().enumerate() {
             let pre = preconditions_of(rule);
             if !pre.neg_edge.is_empty() {
                 ix.any_neg_edge.push(ri);
+            }
+            if !(pre.pos_edge.is_empty() && pre.neg_edge.is_empty() && pre.needs_attr.is_empty()) {
+                ix.merge_enables.push(ri);
             }
             ix.pos_edge.add(ri, pre.pos_edge);
             ix.node_label.add(ri, pre.node_label);
@@ -474,13 +485,7 @@ impl TriggerIndex {
                     self.pos_edge.overlapping(to, out);
                     self.neg_edge.overlapping(from, out);
                 }
-                // Merges rewire edges of arbitrary labels and union
-                // attributes: conservatively affects everything.
-                AppliedOp::Merge { .. } => {
-                    out.clear();
-                    out.extend(0..self.n_rules);
-                    return;
-                }
+                AppliedOp::Merge { .. } => out.extend_from_slice(&self.merge_enables),
             }
         }
         out.sort_unstable();
@@ -714,10 +719,15 @@ impl RepairEngine {
     ///
     /// A stratum runs without the churn guard: [`crate::analysis::stratify`]
     /// puts every rule a stratum's rules can enable in a later stratum,
-    /// so the caller runs each stratum once, in order, and the only
-    /// repeat work is a rule re-fixing a match its own repair left valid
-    /// (e.g. one of several parallel duplicate edges), which strictly
-    /// shrinks the match set. `max_repairs` stays as a backstop.
+    /// so the caller runs each stratum once, in order, and its queue is
+    /// its seed plus the requeues of matches a repair left standing (e.g.
+    /// one of several parallel duplicate edges). An effective rule's
+    /// requeues shrink its match; a rule whose repair never falsifies its
+    /// own match requeues forever, so the stratum's requeues, and only
+    /// they, count against `max_repairs`. A re-match that finds a match
+    /// in the stratum means the trigger graph missed an edge: it is
+    /// counted (`engine.stratum_rematches`), asserted against in debug
+    /// builds, and puts the whole stratum back under `max_repairs`.
     ///
     /// Returns with [`RepairReport::outcome`] still
     /// [`RepairOutcome::Completed`] exactly when the scope reached its
@@ -737,6 +747,10 @@ impl RepairEngine {
         tel: &EngineTelemetry,
     ) {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
+        // Requeues of a stratum, capped at `max_repairs`.
+        let mut requeues = 0;
+        // Set once a stratum re-match falsifies the stratum's proof.
+        let mut unsound = false;
         report.rounds += 1;
         tel.rounds.inc();
         // Repairs drift the statistics that steer join orders: each
@@ -797,8 +811,9 @@ impl RepairEngine {
             }
             // The backstop only stops a repair that is still needed: a
             // run whose last needed repair lands on the cap, with stale
-            // entries still queued, completes.
-            if report.repairs_applied >= max_repairs {
+            // entries still queued, completes. A stratum is capped here
+            // only once a re-match has falsified its termination proof.
+            if (scope.is_none() || unsound) && report.repairs_applied >= max_repairs {
                 report.outcome = RepairOutcome::RoundLimit;
                 return;
             }
@@ -815,7 +830,17 @@ impl RepairEngine {
             // deleted one of several parallel witness edges): revalidate
             // the very match just repaired and requeue it if it persists —
             // the trigger filter below only covers *newly created* matches.
+            // On a cyclic set the churn guard bounds these; in a stratum
+            // the cap does, for a rule whose repair never falsifies its
+            // own match.
             if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
+                if scope.is_some() {
+                    if requeues == max_repairs {
+                        report.outcome = RepairOutcome::RoundLimit;
+                        return;
+                    }
+                    requeues += 1;
+                }
                 queue.push(self.violation(g, rules, v.rule, v.m));
             }
             // Delta-driven discovery: only trigger-affected rules in
@@ -835,7 +860,20 @@ impl RepairEngine {
             }
             let matcher = self.matcher(g, planner);
             for &ri in &enabled {
-                for m in matcher.find_touching(&rules[ri].pattern, &touched) {
+                let found = matcher.find_touching(&rules[ri].pattern, &touched);
+                // The trigger graph put every rule this repair can enable
+                // in a later stratum: a match found here means it missed
+                // an edge.
+                if scope.is_some() && !found.is_empty() {
+                    tel.stratum_rematches.add(found.len() as u64);
+                    unsound = true;
+                    debug_assert!(
+                        false,
+                        "trigger graph missed an edge: rule `{}` re-matched in its own stratum",
+                        rules[ri].name
+                    );
+                }
+                for m in found {
                     report.per_rule[ri].matches_found += 1;
                     queue.push(self.violation(g, rules, ri, m));
                 }
@@ -1534,28 +1572,31 @@ mod tests {
         // repairs. A 20-stage cascade needs exactly 20, the last of which
         // two rules can make: once one lands, the other's queued
         // violation is stale, and the run has still reached its
-        // fixpoint. A 21st stage needs one repair too many.
+        // fixpoint. A 21st stage needs one repair too many — for the
+        // cyclic set only: the stratified run caps only requeues, needs
+        // none here, and converges.
         let dup = "rule dup [incompleteness]
              match (x:T) where has(x.a19), missing(x.a20)
              repair set x.a20 = 2\n";
-        for (stages, outcome) in [
-            (20, RepairOutcome::Completed),
-            (21, RepairOutcome::RoundLimit),
+        for (stages, strata, repairs, outcome) in [
+            (20, 20, 20, RepairOutcome::Completed),
+            (20, 0, 20, RepairOutcome::Completed),
+            (21, 21, 21, RepairOutcome::Completed),
+            (21, 0, 20, RepairOutcome::RoundLimit),
         ] {
-            for (src, strata) in [
-                (cascade_src(stages), stages),
-                (cyclic_cascade_src(stages), 0),
-            ] {
-                let rules = parse_rules(&(src + dup)).unwrap();
-                let mut g = cascade_graph(1);
-                let report = RepairEngine::default().repair(&mut g, &rules);
-                let ctx = format!("{stages} stages/{strata} strata");
-                assert_eq!(report.strata, strata, "{ctx}");
-                assert_eq!(report.repairs_applied, 20, "{ctx}");
-                assert_eq!(report.outcome, outcome, "{ctx}");
-                let converged = outcome == RepairOutcome::Completed;
-                assert_eq!(report.converged, converged, "{ctx}");
-            }
+            let src = match strata {
+                0 => cyclic_cascade_src(stages),
+                _ => cascade_src(stages),
+            };
+            let rules = parse_rules(&(src + dup)).unwrap();
+            let mut g = cascade_graph(1);
+            let report = RepairEngine::default().repair(&mut g, &rules);
+            let ctx = format!("{stages} stages/{strata} strata");
+            assert_eq!(report.strata, strata, "{ctx}");
+            assert_eq!(report.repairs_applied, repairs, "{ctx}");
+            assert_eq!(report.outcome, outcome, "{ctx}");
+            let converged = outcome == RepairOutcome::Completed;
+            assert_eq!(report.converged, converged, "{ctx}");
         }
     }
 
@@ -1582,26 +1623,30 @@ mod tests {
     #[test]
     fn stratified_handles_partial_fixes_without_churn_guard() {
         // Parallel duplicate edges: each repair deletes one witness and
-        // the match persists until all three are gone. The stratified
+        // the match persists until all of them are gone. The stratified
         // path has no churn guard, so this exercises its own
-        // persisting-match rescan loop.
-        let mut g = Graph::new();
-        let a = g.add_node_named("P");
-        let b = g.add_node_named("P");
-        for _ in 0..3 {
-            g.add_edge_named(a, b, "dup").unwrap();
-        }
+        // persisting-match requeue loop — past `MAX_CHURN` repairs of the
+        // one match with 20 edges.
         let rules = parse_rules(
             "rule drop_dup [redundancy]
              match (x:P)-[dup]->(y:P)
              repair delete edge (x)-[dup]->(y)",
         )
         .unwrap();
-        let report = RepairEngine::default().repair(&mut g, &rules);
-        assert_eq!(report.strata, 1);
-        assert!(report.converged);
-        assert_eq!(report.repairs_applied, 3);
-        assert_eq!(g.num_edges(), 0);
+        for dups in [3, 20] {
+            let mut g = Graph::new();
+            let a = g.add_node_named("P");
+            let b = g.add_node_named("P");
+            for _ in 0..dups {
+                g.add_edge_named(a, b, "dup").unwrap();
+            }
+            let report = RepairEngine::default().repair(&mut g, &rules);
+            assert_eq!(report.strata, 1);
+            assert_eq!(report.outcome, RepairOutcome::Completed, "{dups} dups");
+            assert!(report.converged, "{dups} dups");
+            assert_eq!(report.repairs_applied, dups);
+            assert_eq!(g.num_edges(), 0);
+        }
     }
 
     #[test]
@@ -1625,6 +1670,39 @@ mod tests {
         assert_eq!(report.repairs_applied, 1, "the attribute set lands once");
         assert!(!report.converged, "the match legitimately persists");
         assert_eq!(report.violations_remaining, 1);
+    }
+
+    #[test]
+    fn stratified_requeues_are_capped() {
+        // `grow` inserts a Q node no pattern of the set matches, so
+        // `stratify` proves the set terminating, yet its repair never
+        // falsifies its own match. The stratum's requeues count against
+        // the cap, 10·(1+0+1) = 20: the seed's repair plus 20 requeued.
+        let grow =
+            parse_rules("rule grow [incompleteness] match (x:P) repair insert node (y:Q)").unwrap();
+        let mut g = Graph::new();
+        g.add_node_named("P");
+        let report = RepairEngine::default().repair(&mut g, &grow);
+        assert_eq!(report.strata, 1);
+        assert_eq!(report.outcome, RepairOutcome::RoundLimit);
+        assert_eq!(report.repairs_applied, 21);
+        assert!(!report.converged);
+        assert_eq!(report.violations_remaining, 1);
+
+        // A merge re-finds matches already queued in its own stratum.
+        // That is no trigger-graph miss: debug builds must not assert.
+        let merge = parse_rules(
+            "rule m [redundancy] match (x:P), (y:P) where missing(x.k) repair merge y into x",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        for _ in 0..4 {
+            g.add_node_named("P");
+        }
+        let report = RepairEngine::default().repair(&mut g, &merge);
+        assert_eq!(report.strata, 1);
+        assert!(report.converged);
+        assert_eq!(g.num_nodes(), 1);
     }
 
     #[test]

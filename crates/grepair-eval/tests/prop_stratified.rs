@@ -7,14 +7,16 @@
 //! - the analysis must prove the trigger graph acyclic and the engine
 //!   must schedule the run into one topological stratum per layer;
 //! - the run must terminate and converge even though the stratified path
-//!   carries no churn guard at all;
+//!   carries no churn guard and does not cap its seed and cascade work,
+//!   also past the depth at which the cyclic worklist's `10·(|V|+|E|+1)`
+//!   cap would stop it;
 //! - its repaired document must equal the one [`rescan_repair`] — which
 //!   has no schedule and no guard, only rounds of full scans — reaches.
 
 use grepair_core::{stratify, trigger_graph, RepairEngine, RuleSet};
 use grepair_eval::rescan_repair;
 use grepair_gen::{generate_kg, generate_social, KgConfig, SocialConfig};
-use grepair_graph::Graph;
+use grepair_graph::{Graph, Value};
 use grepair_match::MatchConfig;
 use proptest::prelude::*;
 
@@ -91,7 +93,7 @@ proptest! {
     #[test]
     fn stratified_terminates_churn_free_on_kg(
         persons in 6usize..24,
-        stages in 2usize..5,
+        stages in 2usize..14,
         seed in 0u64..1_000,
     ) {
         let (g, _) = generate_kg(&KgConfig {
@@ -107,7 +109,7 @@ proptest! {
     #[test]
     fn stratified_terminates_churn_free_on_social(
         accounts in 6usize..20,
-        stages in 2usize..5,
+        stages in 2usize..14,
         seed in 0u64..1_000,
     ) {
         let (g, _) = generate_social(&SocialConfig {
@@ -118,4 +120,44 @@ proptest! {
         let rules = cascade_rules("Account", stages, seed);
         assert_stratified_agrees(&g, &rules, stages, &format!("social-{accounts}a-{stages}s"))?;
     }
+}
+
+/// A 12-stage attribute cascade over 20k isolated nodes needs 240,000
+/// repairs, more than the `10·(|V|+|E|+1)` = 200,010 cap of a cyclic
+/// worklist on the same graph. The stratified run caps only requeues: it must
+/// end `Completed` at the rescan loop's fixpoint.
+#[test]
+fn deep_cascade_past_the_repair_cap_reaches_the_rescan_fixpoint() {
+    const STAGES: usize = 12;
+    const NODES: usize = 20_000;
+    let src: String = (0..STAGES)
+        .map(|i| {
+            format!(
+                "rule stage{i} [incompleteness]
+                 match (x:T) where has(x.a{i}), missing(x.a{next})
+                 repair set x.a{next} = true\n",
+                next = i + 1
+            )
+        })
+        .collect();
+    let rules = RuleSet::from_dsl("deep-cascade", &src).unwrap();
+    let mut base = Graph::new();
+    let a0 = base.attr_key("a0");
+    for _ in 0..NODES {
+        let n = base.add_node_named("T");
+        base.set_attr(n, a0, Value::Bool(true)).unwrap();
+    }
+
+    let mut g1 = base.clone();
+    let strat = RepairEngine::default().repair(&mut g1, &rules.rules);
+    assert_eq!(strat.strata, STAGES);
+    assert_eq!(strat.outcome, grepair_core::RepairOutcome::Completed);
+    assert!(strat.converged, "residual {}", strat.violations_remaining);
+    assert_eq!(strat.repairs_applied, STAGES * NODES);
+
+    let mut g2 = base;
+    let rescan = rescan_repair(&mut g2, &rules.rules, MatchConfig::default(), STAGES + 2);
+    assert!(rescan.converged);
+    assert_eq!(rescan.repairs_applied, STAGES * NODES);
+    assert_eq!(g1.to_doc(), g2.to_doc(), "fixpoints diverged");
 }

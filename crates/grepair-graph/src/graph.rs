@@ -25,6 +25,8 @@ use crate::interner::Interner;
 use crate::io::{EdgeDoc, GraphDoc, NodeDoc};
 use crate::stats::{CardinalityStats, StatsMaintenance};
 use crate::value::Value;
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::OnceLock;
 
 /// Read-only view of an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +71,77 @@ struct EdgeSlot {
     alive: bool,
 }
 
+/// One attribute key's value index: value → live nodes carrying it.
+/// Buckets are removed when they empty, so an index always equals a
+/// fresh build from the nodes.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct KeyIndex {
+    buckets: FxHashMap<Value, FxHashSet<NodeId>>,
+    /// Total (node, value) entries over all buckets.
+    entries: u64,
+}
+
+impl KeyIndex {
+    fn insert(&mut self, id: NodeId, value: &Value) {
+        let inserted = match self.buckets.get_mut(value) {
+            Some(bucket) => bucket.insert(id),
+            None => self.buckets.entry(value.clone()).or_default().insert(id),
+        };
+        self.entries += inserted as u64;
+    }
+
+    fn remove(&mut self, id: NodeId, value: &Value) {
+        let Some(bucket) = self.buckets.get_mut(value) else {
+            return;
+        };
+        if bucket.remove(&id) {
+            self.entries -= 1;
+            if bucket.is_empty() {
+                self.buckets.remove(value);
+            }
+        }
+    }
+}
+
+/// Record that node `id` gained `key = value`: in the key's value index
+/// if it is built, and in maintained statistics. A free function over
+/// the two fields so callers can pass a value borrowed from a node slot.
+fn index_attr(
+    value_index: &mut [OnceLock<KeyIndex>],
+    stats: Option<&mut StatsMaintenance>,
+    id: NodeId,
+    key: AttrKeyId,
+    value: &Value,
+) {
+    if let Some(ix) = value_index[key.index()].get_mut() {
+        ix.insert(id, value);
+    }
+    if let Some(m) = stats {
+        m.attr_insert(key, value);
+    }
+}
+
+/// Record that node `id` lost `key = value` (see [`index_attr`]).
+fn unindex_attr(
+    value_index: &mut [OnceLock<KeyIndex>],
+    stats: Option<&mut StatsMaintenance>,
+    id: NodeId,
+    key: AttrKeyId,
+    value: &Value,
+) {
+    if let Some(ix) = value_index[key.index()].get_mut() {
+        ix.remove(id, value);
+    }
+    if let Some(m) = stats {
+        m.attr_remove(key, value);
+    }
+}
+
 /// Mutable directed labelled property graph.
+///
+/// `Send + Sync + Clone` (asserted at compile time below): lookups that
+/// build a value index go through a `OnceLock`, so a `&Graph` can be
+/// shared across threads.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     nodes: Vec<NodeSlot>,
@@ -82,10 +154,13 @@ pub struct Graph {
     label_index: Vec<Vec<NodeId>>,
     /// Per label: number of live edges carrying it.
     edge_label_counts: Vec<u64>,
-    /// Value index: (key, value) → nodes carrying exactly that attribute.
-    /// Powers equi-join candidate retrieval in the matcher (redundancy
-    /// rules like "same ssn ⇒ same person" would otherwise be O(|V|²)).
-    attr_index: rustc_hash::FxHashMap<(AttrKeyId, Value), rustc_hash::FxHashSet<NodeId>>,
+    /// Value index per attribute key, indexed by [`AttrKeyId`]: value →
+    /// nodes carrying exactly that attribute. Powers equi-join candidate
+    /// retrieval in the matcher (redundancy rules like "same ssn ⇒ same
+    /// person" would otherwise be O(|V|²)). A key's index is built by
+    /// the first lookup on that key and maintained by every write after
+    /// it; writes to a key nobody has looked up touch no index.
+    value_index: Vec<OnceLock<KeyIndex>>,
     n_nodes: usize,
     n_edges: usize,
     version: u64,
@@ -95,6 +170,11 @@ pub struct Graph {
     /// fresh statistics without an `O(V + E)` recompute.
     stats: Option<Box<StatsMaintenance>>,
 }
+
+const _: () = {
+    const fn send_sync_clone<T: Send + Sync + Clone>() {}
+    send_sync_clone::<Graph>();
+};
 
 impl Graph {
     /// New empty graph.
@@ -163,7 +243,11 @@ impl Graph {
 
     /// Intern an attribute key.
     pub fn attr_key(&mut self, name: &str) -> AttrKeyId {
-        AttrKeyId(self.attr_keys.intern(name))
+        let id = AttrKeyId(self.attr_keys.intern(name));
+        if self.value_index.len() <= id.index() {
+            self.value_index.resize_with(id.index() + 1, OnceLock::new);
+        }
+        id
     }
 
     /// Look up an attribute key without interning.
@@ -223,6 +307,13 @@ impl Graph {
         if attrs.windows(2).any(|w| w[0].0 == w[1].0) {
             keep_last_of_each_key(&mut attrs);
         }
+        let id = self
+            .free_nodes
+            .pop()
+            .unwrap_or_else(|| NodeId::from_index(self.nodes.len()));
+        for (k, v) in &attrs {
+            index_attr(&mut self.value_index, self.stats.as_deref_mut(), id, *k, v);
+        }
         let slot = NodeSlot {
             label,
             attrs,
@@ -231,22 +322,11 @@ impl Graph {
             label_pos: 0,
             alive: true,
         };
-        let id = match self.free_nodes.pop() {
-            Some(id) => {
-                self.nodes[id.index()] = slot;
-                id
-            }
-            None => {
-                let id = NodeId::from_index(self.nodes.len());
-                self.nodes.push(slot);
-                id
-            }
-        };
-        self.index_node(id, label);
-        for i in 0..self.nodes[id.index()].attrs.len() {
-            let (k, v) = self.nodes[id.index()].attrs[i].clone();
-            self.index_attr(id, k, v);
+        match self.nodes.get_mut(id.index()) {
+            Some(dead) => *dead = slot,
+            None => self.nodes.push(slot),
         }
+        self.index_node(id, label);
         self.n_nodes += 1;
         if let Some(m) = self.stats.as_deref_mut() {
             m.stats.node_delta(label, 1);
@@ -256,71 +336,48 @@ impl Graph {
         id
     }
 
-    fn index_attr(&mut self, id: NodeId, key: AttrKeyId, value: Value) {
-        // Kind/number are extracted up front so the value can move into
-        // the index key without a clone, maintained statistics or not.
-        let kind = crate::stats::kind_index(&value);
-        let num = value.as_number();
-        let (new_bucket, inserted) = {
-            let bucket = self.attr_index.entry((key, value)).or_default();
-            let new_bucket = bucket.is_empty();
-            (new_bucket, bucket.insert(id))
-        };
-        if inserted {
-            if let Some(m) = self.stats.as_deref_mut() {
-                m.attr_insert(key, kind, num, new_bucket);
-            }
-        }
+    /// `key`'s value index, built by this call if it is the first
+    /// lookup on `key`: one pass over the live nodes. `None` for a key
+    /// this graph never interned.
+    fn key_index(&self, key: AttrKeyId) -> Option<&KeyIndex> {
+        let cell = self.value_index.get(key.index())?;
+        Some(cell.get_or_init(|| self.build_key_index(key)))
     }
 
-    fn unindex_attr(&mut self, id: NodeId, key: AttrKeyId, value: &Value) {
-        // Temporary clone of the key tuple; buckets are removed when empty
-        // so the index never accumulates tombstones.
-        let Some(bucket) = self.attr_index.get_mut(&(key, value.clone())) else {
-            return;
-        };
-        if !bucket.remove(&id) {
-            return;
+    fn build_key_index(&self, key: AttrKeyId) -> KeyIndex {
+        let mut ix = KeyIndex::default();
+        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
+            if let Ok(pos) = n.attrs.binary_search_by_key(&key, |(k, _)| *k) {
+                ix.insert(NodeId::from_index(i), &n.attrs[pos].1);
+            }
         }
-        let emptied = bucket.is_empty();
-        if emptied {
-            self.attr_index.remove(&(key, value.clone()));
-        }
-        if let Some(s) = self.stats.as_deref_mut() {
-            s.attr_remove(key, value, emptied);
-        }
+        ix
     }
 
     /// Live nodes whose attribute `key` equals `value` (unordered).
     pub fn nodes_with_attr(&self, key: AttrKeyId, value: &Value) -> Vec<NodeId> {
-        self.attr_index
-            .get(&(key, value.clone()))
+        self.key_index(key)
+            .and_then(|ix| ix.buckets.get(value))
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
 
     /// Count of live nodes whose attribute `key` equals `value`.
     pub fn count_nodes_with_attr(&self, key: AttrKeyId, value: &Value) -> usize {
-        self.attr_index
-            .get(&(key, value.clone()))
-            .map(|s| s.len())
-            .unwrap_or(0)
+        self.key_index(key)
+            .and_then(|ix| ix.buckets.get(value))
+            .map_or(0, |s| s.len())
     }
 
-    /// Per-key summary of the attribute value index: `key → (distinct
-    /// values, total entries)`. One pass over the index buckets —
-    /// `O(distinct (key, value) pairs)`, not `O(|V|)` — this is the raw
-    /// input behind [`crate::CardinalityStats`]'s equality-join
-    /// selectivity (`entries / distinct ≈ expected bucket size`).
-    pub fn attr_bucket_stats(&self) -> rustc_hash::FxHashMap<AttrKeyId, (u64, u64)> {
-        let mut out: rustc_hash::FxHashMap<AttrKeyId, (u64, u64)> =
-            rustc_hash::FxHashMap::default();
-        for ((key, _), bucket) in &self.attr_index {
-            let e = out.entry(*key).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += bucket.len() as u64;
+    /// Expected size of one equality bucket of attribute `key`
+    /// (`entries / distinct values` in its value index); 0 when no live
+    /// node carries `key`. The planner's equality-join selectivity —
+    /// read from the index the join itself will probe.
+    pub fn avg_bucket(&self, key: AttrKeyId) -> f64 {
+        match self.key_index(key) {
+            Some(ix) if !ix.buckets.is_empty() => ix.entries as f64 / ix.buckets.len() as f64,
+            _ => 0.0,
         }
-        out
     }
 
     fn index_node(&mut self, id: NodeId, label: LabelId) {
@@ -360,7 +417,7 @@ impl Graph {
         self.unindex_node(id, label);
         let attrs = std::mem::take(&mut self.nodes[id.index()].attrs);
         for (k, v) in &attrs {
-            self.unindex_attr(id, *k, v);
+            unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), id, *k, v);
         }
         self.nodes[id.index()].alive = false;
         self.free_nodes.push(id);
@@ -584,17 +641,17 @@ impl Graph {
         self.live_node(node)?;
         self.version += 1;
         let attrs = &mut self.nodes[node.index()].attrs;
-        let old = match attrs.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value.clone())),
+        let (i, old) = match attrs.binary_search_by_key(&key, |(k, _)| *k) {
+            Ok(i) => (i, Some(std::mem::replace(&mut attrs[i].1, value))),
             Err(i) => {
-                attrs.insert(i, (key, value.clone()));
-                None
+                attrs.insert(i, (key, value));
+                (i, None)
             }
         };
         if let Some(old_v) = &old {
-            self.unindex_attr(node, key, old_v);
+            unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, old_v);
         }
-        self.index_attr(node, key, value);
+        index_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, &attrs[i].1);
         self.sync_stats_version();
         Ok(old)
     }
@@ -607,7 +664,7 @@ impl Graph {
             Ok(i) => {
                 self.version += 1;
                 let (_, v) = attrs.remove(i);
-                self.unindex_attr(node, key, &v);
+                unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, &v);
                 self.sync_stats_version();
                 Ok(Some(v))
             }
@@ -813,7 +870,7 @@ impl Graph {
     /// Check internal invariants; used by tests and `debug_assert!` hooks.
     ///
     /// Verifies: adjacency symmetry, index membership/positions, live
-    /// counts, edge label counts.
+    /// counts, edge label counts, every built value index.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut n_alive = 0usize;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -890,29 +947,16 @@ impl Graph {
         if label_counts != self.edge_label_counts {
             return Err("edge label counts stale".into());
         }
-        // Attr index: every live (node, key, value) present; no extras.
-        let mut attr_total = 0usize;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.alive {
+        // Every built value index equals a fresh build from the nodes,
+        // its entry count included.
+        for (k, cell) in self.value_index.iter().enumerate() {
+            let Some(ix) = cell.get() else {
                 continue;
+            };
+            let key = AttrKeyId::from_index(k);
+            if *ix != self.build_key_index(key) {
+                return Err(format!("value index of {key:?} diverged from a scan"));
             }
-            let id = NodeId::from_index(i);
-            attr_total += n.attrs.len();
-            for (k, v) in &n.attrs {
-                let in_index = self
-                    .attr_index
-                    .get(&(*k, v.clone()))
-                    .is_some_and(|b| b.contains(&id));
-                if !in_index {
-                    return Err(format!("{id}: attr {k:?} missing from value index"));
-                }
-            }
-        }
-        let index_total: usize = self.attr_index.values().map(|b| b.len()).sum();
-        if index_total != attr_total {
-            return Err(format!(
-                "value index has {index_total} entries, graph has {attr_total} attrs"
-            ));
         }
         // Maintained statistics must equal a fresh full recompute — the
         // differential oracle for the write-path deltas.
@@ -1040,9 +1084,8 @@ impl Graph {
                 .collect();
             attrs.sort_by_key(|(k, _)| *k);
             let id = NodeId(nd.id);
-            for (k, v) in &attrs {
-                g.index_attr(id, *k, v.clone());
-            }
+            // A fresh graph has no value index built and no maintained
+            // statistics, so the attributes need no indexing here.
             g.nodes[i].label = label;
             g.nodes[i].attrs = attrs;
             g.nodes[i].alive = true;
@@ -1403,6 +1446,27 @@ mod tests {
         assert!(g.nodes_with_attr(ssn, &Value::Int(8)).is_empty());
         g.remove_node(a).unwrap();
         assert!(g.nodes_with_attr(ssn, &Value::Int(7)).is_empty());
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn value_index_is_built_per_key_on_first_lookup() {
+        let (mut g, a, b, _) = small();
+        let (ssn, name) = (g.attr_key("ssn"), g.attr_key("name"));
+        let built = |g: &Graph| -> Vec<bool> {
+            g.value_index.iter().map(|ix| ix.get().is_some()).collect()
+        };
+        g.set_attr(a, ssn, Value::Int(7)).unwrap();
+        g.set_attr(b, name, Value::from("Bo")).unwrap();
+        assert_eq!(built(&g), [false, false], "writes build nothing");
+        assert_eq!(g.count_nodes_with_attr(ssn, &Value::Int(7)), 1);
+        assert_eq!(built(&g), [true, false], "one lookup builds its key only");
+        // From now on writes to `ssn` maintain its index; `name` stays
+        // unbuilt.
+        g.set_attr(b, ssn, Value::Int(7)).unwrap();
+        g.set_attr(a, name, Value::from("Al")).unwrap();
+        assert_eq!(built(&g), [true, false]);
+        assert_eq!(g.count_nodes_with_attr(ssn, &Value::Int(7)), 2);
         g.check_invariants().unwrap();
     }
 

@@ -105,7 +105,7 @@ fn num_order_decode(e: u64) -> f64 {
 /// Tag index into the per-key value-kind counters (`Value::Str` = 0,
 /// `Int` = 1, `Float` = 2, `Bool` = 3).
 #[inline]
-pub(crate) fn kind_index(v: &Value) -> usize {
+fn kind_index(v: &Value) -> usize {
     match v {
         Value::Str(_) => 0,
         Value::Int(_) => 1,
@@ -114,7 +114,7 @@ pub(crate) fn kind_index(v: &Value) -> usize {
     }
 }
 
-/// Per-attr-key summary of one indexed attribute bucket population.
+/// Per-attr-key summary of the attribute's entries over live nodes.
 ///
 /// Deliberately **vocabulary-sized**: only counters and the encoded
 /// min/max live here, never a per-value distribution — snapshots are
@@ -124,9 +124,7 @@ pub(crate) fn kind_index(v: &Value) -> usize {
 /// [`StatsMaintenance`], which stays on the graph and is never cloned.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct AttrStats {
-    /// Distinct values in the value index.
-    distinct: u64,
-    /// Total entries (node × key pairs) in the value index.
+    /// Total entries (node × key pairs).
     entries: u64,
     /// Entries per value kind, indexed by [`kind_index`].
     kinds: [u64; 4],
@@ -146,9 +144,6 @@ struct AttrStats {
 ///   dst-label)`, plus the `(edge, src, *)` / `(edge, *, dst)` / `(edge,
 ///   *, *)` marginals, which turn into extension fan-out estimates
 ///   (`triples / |src-label|`);
-/// - **attribute buckets** — per attr key, distinct values and total
-///   entries in the value index; `entries / distinct` estimates the
-///   candidate set of an equality join;
 /// - **range summaries** — per attr key, value-kind counts and the full
 ///   numeric value distribution (min/max via its extremes), feeding
 ///   [`CardinalityStats::range_selectivity`]'s linear-interpolation
@@ -226,9 +221,6 @@ impl CardinalityStats {
             edges: g.num_edges() as u64,
             ..CardinalityStats::default()
         };
-        for (k, (distinct, _)) in g.attr_bucket_stats() {
-            s.attrs.entry(k.0).or_default().distinct = distinct;
-        }
         for n in g.nodes() {
             let l = g.node_label(n).expect("live node has a label");
             *s.label_nodes.entry(l.0).or_insert(0) += 1;
@@ -288,23 +280,17 @@ impl CardinalityStats {
         bump(&mut self.in_deg, dst.0, d);
     }
 
-    /// A `(key, value)` entry joined the value index; `kind` is the
-    /// value's [`kind_index`] (passed pre-computed so the caller can
-    /// move the value into the index without cloning). `new_bucket`
-    /// marks the first entry of a previously absent value. Numeric
-    /// min/max is *not* updated here — [`StatsMaintenance`] owns the
-    /// distribution and pushes fresh extremes via
-    /// [`CardinalityStats::set_numeric_range`].
-    pub(crate) fn attr_insert(&mut self, key: AttrKeyId, kind: usize, new_bucket: bool) {
+    /// A node gained attribute `key = value`. Numeric min/max is *not*
+    /// updated here — [`StatsMaintenance`] owns the distribution and
+    /// pushes fresh extremes via [`CardinalityStats::set_numeric_range`].
+    pub(crate) fn attr_insert(&mut self, key: AttrKeyId, value: &Value) {
         let a = self.attrs.entry(key.0).or_default();
         a.entries += 1;
-        a.distinct += new_bucket as u64;
-        a.kinds[kind] += 1;
+        a.kinds[kind_index(value)] += 1;
     }
 
-    /// A `(key, value)` entry left the value index. `emptied_bucket`
-    /// marks the last entry of its value.
-    pub(crate) fn attr_remove(&mut self, key: AttrKeyId, value: &Value, emptied_bucket: bool) {
+    /// A node lost attribute `key = value`.
+    pub(crate) fn attr_remove(&mut self, key: AttrKeyId, value: &Value) {
         let std::collections::hash_map::Entry::Occupied(mut e) = self.attrs.entry(key.0)
         else {
             debug_assert!(false, "attr_remove for untracked key");
@@ -312,7 +298,6 @@ impl CardinalityStats {
         };
         let a = e.get_mut();
         a.entries -= 1;
-        a.distinct -= emptied_bucket as u64;
         a.kinds[kind_index(value)] -= 1;
         if a.entries == 0 {
             e.remove();
@@ -384,17 +369,8 @@ impl CardinalityStats {
         numer as f64 / denom
     }
 
-    /// Expected size of one equality bucket of attribute `key`
-    /// (`total entries / distinct values`); 0 when the key is unindexed.
-    pub fn avg_bucket(&self, key: AttrKeyId) -> f64 {
-        match self.attrs.get(&key.0) {
-            Some(a) if a.distinct > 0 => a.entries as f64 / a.distinct as f64,
-            _ => 0.0,
-        }
-    }
-
     /// Entries of attribute `key` per value kind, in
-    /// `[str, int, float, bool]` order; `None` when the key is unindexed.
+    /// `[str, int, float, bool]` order; `None` when no node carries it.
     pub fn value_kinds(&self, key: AttrKeyId) -> Option<[u64; 4]> {
         self.attrs.get(&key.0).map(|a| a.kinds)
     }
@@ -406,7 +382,7 @@ impl CardinalityStats {
         Some((num_order_decode(lo), num_order_decode(hi)))
     }
 
-    /// Estimated fraction of `key`'s indexed entries satisfying a
+    /// Estimated fraction of `key`'s entries satisfying a
     /// numeric range predicate against `bound`: `less = true` for
     /// `< / <=`, `false` for `> / >=`. Linear interpolation between the
     /// observed min and max (equi-width assumption), scaled by the
@@ -438,10 +414,9 @@ impl CardinalityStats {
 /// values, which is what makes min/max exact under *removal* (dropping
 /// the current minimum just exposes the next map key).
 ///
-/// The distribution is `O(distinct numeric values)` — the same order as
-/// the graph's own value index — but it stays here on the graph and is
-/// never part of the snapshot planners clone; the snapshot only carries
-/// the current extremes.
+/// The distribution is `O(distinct numeric values)`, but it stays here
+/// on the graph and is never part of the snapshot planners clone; the
+/// snapshot only carries the current extremes.
 #[derive(Clone, Debug)]
 pub(crate) struct StatsMaintenance {
     /// The maintained snapshot ([`Graph::maintained_stats`] hands out a
@@ -476,18 +451,10 @@ impl StatsMaintenance {
         Some((*m.keys().next()?, *m.keys().next_back()?))
     }
 
-    /// A `(key, value)` entry joined the value index; `kind`/`num` are
-    /// the value's [`kind_index`] / [`Value::as_number`], pre-computed
-    /// so the caller can move the value into the index without cloning.
-    pub(crate) fn attr_insert(
-        &mut self,
-        key: AttrKeyId,
-        kind: usize,
-        num: Option<f64>,
-        new_bucket: bool,
-    ) {
-        self.stats.attr_insert(key, kind, new_bucket);
-        if let Some(x) = num {
+    /// A node gained attribute `key = value`.
+    pub(crate) fn attr_insert(&mut self, key: AttrKeyId, value: &Value) {
+        self.stats.attr_insert(key, value);
+        if let Some(x) = value.as_number() {
             let m = self.numeric.entry(key.0).or_default();
             *m.entry(num_order_encode(x)).or_insert(0) += 1;
             let range = Self::extremes(m);
@@ -495,9 +462,9 @@ impl StatsMaintenance {
         }
     }
 
-    /// A `(key, value)` entry left the value index.
-    pub(crate) fn attr_remove(&mut self, key: AttrKeyId, value: &Value, emptied_bucket: bool) {
-        self.stats.attr_remove(key, value, emptied_bucket);
+    /// A node lost attribute `key = value`.
+    pub(crate) fn attr_remove(&mut self, key: AttrKeyId, value: &Value) {
+        self.stats.attr_remove(key, value);
         if let Some(x) = value.as_number() {
             let std::collections::hash_map::Entry::Occupied(mut e) =
                 self.numeric.entry(key.0)
@@ -591,8 +558,8 @@ mod tests {
         // 3 out-edges total over 2 nodes.
         assert!((s.extension_fanout(None, Some(p), None, Direction::Out) - 1.5).abs() < 1e-9);
         // ssn has 2 distinct values over 3 entries.
-        assert!((s.avg_bucket(ssn) - 1.5).abs() < 1e-9);
-        assert_eq!(s.avg_bucket(AttrKeyId(99)), 0.0);
+        assert!((g.avg_bucket(ssn) - 1.5).abs() < 1e-9);
+        assert_eq!(g.avg_bucket(AttrKeyId(99)), 0.0);
     }
 
     #[test]
@@ -603,12 +570,12 @@ mod tests {
         let k = g.attr_key("k");
         g.set_attr(a, k, crate::Value::Int(1)).unwrap();
         g.set_attr(b, k, crate::Value::Int(2)).unwrap();
-        assert_eq!(g.attr_bucket_stats().get(&k), Some(&(2, 2)));
+        assert_eq!(g.avg_bucket(k), 1.0);
         g.set_attr(b, k, crate::Value::Int(1)).unwrap();
-        assert_eq!(g.attr_bucket_stats().get(&k), Some(&(1, 2)));
+        assert_eq!(g.avg_bucket(k), 2.0);
         g.remove_node(a).unwrap();
         g.remove_node(b).unwrap();
-        assert!(g.attr_bucket_stats().is_empty());
+        assert_eq!(g.avg_bucket(k), 0.0);
     }
 
     #[test]

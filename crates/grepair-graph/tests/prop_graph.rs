@@ -149,6 +149,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// every op targets a plausible element when one exists.
 fn apply_ops(ops: &[Op]) -> Graph {
     let mut g = Graph::new();
+    apply_ops_to(&mut g, ops);
+    g
+}
+
+/// [`apply_ops`] continued on an existing graph (interning the same
+/// labels and keys is idempotent).
+fn apply_ops_to(g: &mut Graph, ops: &[Op]) {
     let labels: Vec<_> = (0..4).map(|i| g.label(&format!("L{i}"))).collect();
     let keys: Vec<_> = (0..3).map(|i| g.attr_key(&format!("k{i}"))).collect();
     let pick_node = |g: &Graph, sel: u8| -> Option<NodeId> {
@@ -173,46 +180,46 @@ fn apply_ops(ops: &[Op]) -> Graph {
                 g.add_node(labels[*l as usize % labels.len()]);
             }
             Op::AddEdge(a, b, l) => {
-                if let (Some(s), Some(d)) = (pick_node(&g, *a), pick_node(&g, *b)) {
+                if let (Some(s), Some(d)) = (pick_node(g, *a), pick_node(g, *b)) {
                     g.add_edge(s, d, labels[*l as usize % labels.len()])
                         .unwrap();
                 }
             }
             Op::RemoveNode(n) => {
-                if let Some(n) = pick_node(&g, *n) {
+                if let Some(n) = pick_node(g, *n) {
                     g.remove_node(n).unwrap();
                 }
             }
             Op::RemoveEdge(e) => {
-                if let Some(e) = pick_edge(&g, *e) {
+                if let Some(e) = pick_edge(g, *e) {
                     g.remove_edge(e).unwrap();
                 }
             }
             Op::RelabelNode(n, l) => {
-                if let Some(n) = pick_node(&g, *n) {
+                if let Some(n) = pick_node(g, *n) {
                     g.set_node_label(n, labels[*l as usize % labels.len()])
                         .unwrap();
                 }
             }
             Op::RelabelEdge(e, l) => {
-                if let Some(e) = pick_edge(&g, *e) {
+                if let Some(e) = pick_edge(g, *e) {
                     g.set_edge_label(e, labels[*l as usize % labels.len()])
                         .unwrap();
                 }
             }
             Op::SetAttr(n, k, v) => {
-                if let Some(n) = pick_node(&g, *n) {
+                if let Some(n) = pick_node(g, *n) {
                     g.set_attr(n, keys[*k as usize % keys.len()], Value::Int(*v % 8))
                         .unwrap();
                 }
             }
             Op::RemoveAttr(n, k) => {
-                if let Some(n) = pick_node(&g, *n) {
+                if let Some(n) = pick_node(g, *n) {
                     g.remove_attr(n, keys[*k as usize % keys.len()]).unwrap();
                 }
             }
             Op::Merge(a, b) => {
-                if let (Some(keep), Some(merged)) = (pick_node(&g, *a), pick_node(&g, *b)) {
+                if let (Some(keep), Some(merged)) = (pick_node(g, *a), pick_node(g, *b)) {
                     if keep != merged {
                         g.merge_nodes(keep, merged, true).unwrap();
                     }
@@ -220,7 +227,6 @@ fn apply_ops(ops: &[Op]) -> Graph {
             }
         }
     }
-    g
 }
 
 proptest! {
@@ -277,22 +283,42 @@ proptest! {
         prop_assert!(lb <= d_ab + 1e-9, "lb {lb} > exact {d_ab}");
     }
 
-    /// The attribute value index agrees with a full scan.
+    /// The attribute value index agrees with a full scan — also where
+    /// it was built mid-sequence. At a random point a lookup builds the
+    /// indexes of a random subset of the keys; the rest of the sequence
+    /// (removals, merges, overwrites) must keep them exact, in the graph
+    /// and in a clone taken right after the build.
     #[test]
-    fn attr_index_agrees_with_scan(ops in prop::collection::vec(op_strategy(), 0..60)) {
-        let g = apply_ops(&ops);
-        let Some(key) = g.try_attr_key("k0") else { return Ok(()); };
-        for v in 0..8i64 {
-            for sign in [1i64, -1] {
-                let val = Value::Int(v * sign);
-                let mut indexed = g.nodes_with_attr(key, &val);
-                indexed.sort_unstable();
-                let mut scanned: Vec<_> = g
-                    .nodes()
-                    .filter(|&n| g.attr(n, key) == Some(&val))
-                    .collect();
-                scanned.sort_unstable();
-                prop_assert_eq!(indexed, scanned);
+    fn attr_index_agrees_with_scan(
+        ops in prop::collection::vec(op_strategy(), 0..60),
+        split in 0usize..61,
+        built in 0u8..8,
+    ) {
+        let (head, tail) = ops.split_at(split.min(ops.len()));
+        let mut g = apply_ops(head);
+        let keys: Vec<_> = (0..3).map(|i| g.try_attr_key(&format!("k{i}")).unwrap()).collect();
+        for (i, &key) in keys.iter().enumerate() {
+            if built >> i & 1 == 1 {
+                g.count_nodes_with_attr(key, &Value::Int(0));
+            }
+        }
+        let mut copy = g.clone();
+        apply_ops_to(&mut g, tail);
+        apply_ops_to(&mut copy, tail);
+        for g in [&g, &copy] {
+            prop_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
+            for &key in &keys {
+                for v in -7..8i64 {
+                    let val = Value::Int(v);
+                    let mut indexed = g.nodes_with_attr(key, &val);
+                    indexed.sort_unstable();
+                    let mut scanned: Vec<_> = g
+                        .nodes()
+                        .filter(|&n| g.attr(n, key) == Some(&val))
+                        .collect();
+                    scanned.sort_unstable();
+                    prop_assert_eq!(indexed, scanned);
+                }
             }
         }
     }

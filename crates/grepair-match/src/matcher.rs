@@ -888,7 +888,7 @@ impl<'g> Matcher<'g> {
                     continue;
                 };
                 return Some(match cand_key {
-                    KeyReq::Is(k) => stats.avg_bucket(k),
+                    KeyReq::Is(k) => self.g.avg_bucket(k),
                     KeyReq::Unknown => 0.0,
                 });
             }
