@@ -633,8 +633,8 @@ fn open_store(dir: &str) -> Result<DurableGraph, CliError> {
 fn recovery_summary(store: &DurableGraph) -> String {
     let r = store.last_recovery();
     let mut out = format!(
-        "opened store: snapshot seq {}, {} records replayed in {:?}",
-        r.snapshot_seq, r.records_replayed, r.wall
+        "opened store in {:?}: snapshot seq {} loaded in {:?}, {} records replayed in {:?}",
+        r.wall, r.snapshot_seq, r.snapshot_load, r.records_replayed, r.replay
     );
     if r.torn_tail_bytes > 0 {
         write!(out, " (truncated {} torn tail bytes)", r.torn_tail_bytes).unwrap();
@@ -1560,6 +1560,63 @@ mod tests {
         assert_eq!(totals(&out), 0, "{out}");
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_open_reports_snapshot_load_and_replay_separately() {
+        let dir = tmpdir();
+        let dirty = dir.join("dirty-times.json");
+        let store_dir = dir.join("times.store");
+        let rules = dir.join("rules-times.grr");
+        dispatch(&toks(&[
+            "gen", "kg", "--persons", "60", "--noise", "0.1",
+            "-o", dirty.to_str().unwrap(),
+        ]))
+        .unwrap();
+        std::fs::write(&rules, grepair_gen::catalog::GOLD_KG_DSL).unwrap();
+        dispatch(&toks(&[
+            "store", "init", "-d", store_dir.to_str().unwrap(),
+            "--from", dirty.to_str().unwrap(),
+        ]))
+        .unwrap();
+        dispatch(&toks(&[
+            "repair", "-r", rules.to_str().unwrap(), "--store", store_dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let status = || {
+            let out = dispatch(&toks(&["store", "status", "-d", store_dir.to_str().unwrap()]))
+                .unwrap();
+            let summary = out
+                .lines()
+                .find(|l| l.starts_with("opened store in "))
+                .unwrap_or_else(|| panic!("no open summary in {out}"))
+                .to_owned();
+            let last_seq: u64 = out
+                .split_whitespace()
+                .find_map(|w| w.strip_prefix("last_seq="))
+                .and_then(|n| n.parse().ok())
+                .unwrap();
+            (summary, last_seq)
+        };
+
+        // The genesis snapshot, then every record the repair journaled.
+        let (summary, last_seq) = status();
+        assert!(last_seq > 0, "the repair journaled nothing");
+        assert!(summary.contains("snapshot seq 0 loaded in "), "{summary}");
+        assert!(
+            summary.contains(&format!(", {last_seq} records replayed in ")),
+            "{summary}"
+        );
+
+        // After compaction the snapshot covers the whole log.
+        dispatch(&toks(&["store", "compact", "-d", store_dir.to_str().unwrap()])).unwrap();
+        let (summary, _) = status();
+        assert!(
+            summary.contains(&format!("snapshot seq {last_seq} loaded in ")),
+            "{summary}"
+        );
+        assert!(summary.contains(", 0 records replayed in "), "{summary}");
+        std::fs::remove_dir_all(&store_dir).ok();
     }
 
     #[test]

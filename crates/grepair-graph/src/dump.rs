@@ -1,5 +1,5 @@
-//! Exact slot-level dumps of a [`Graph`](crate::Graph), for durable
-//! snapshots.
+//! Exact slot-level images of a [`Graph`](crate::Graph): the
+//! in-memory form tests compare graphs by.
 //!
 //! [`crate::GraphDoc`] deliberately renumbers: doc handles are dense and
 //! tombstoned slots disappear, which is right for interchange but wrong
@@ -16,16 +16,22 @@
 //!   snapshot-then-replay-log recovery byte-exact;
 //! - total slot counts pin the tombstone population.
 //!
-//! Interner numbering is intentionally *not* dumped: labels and keys
-//! travel as strings and re-intern on restore. Numeric label ids are
-//! process-local derived state (they only feed index layout, never
-//! slot allocation), so two processes may legally disagree on them
+//! Interner numbering is intentionally *not* part of the image: labels
+//! and keys travel as strings and re-intern on restore. Numeric label
+//! ids are process-local derived state (they only feed index layout,
+//! never slot allocation), so two processes may legally disagree on them
 //! while agreeing on every slot.
 //!
-//! [`Graph::dump_slots`](crate::Graph::dump_slots) and
-//! [`Graph::restore_slots`](crate::Graph::restore_slots) live in
-//! [`crate::graph`] (they need private slot access); this module owns the
-//! document type and its validation-focused tests.
+//! Durable snapshots carry the same image but never build a `SlotDump`:
+//! the store encodes it straight from the graph's slots
+//! ([`Graph::node_slots`](crate::Graph::node_slots),
+//! [`Graph::free_node_slots`](crate::Graph::free_node_slots), …) and
+//! decodes it through [`SlotLoader`](crate::SlotLoader), the one
+//! validating loader that [`Graph::restore_slots`](crate::Graph::restore_slots)
+//! also feeds. [`Graph::dump_slots`](crate::Graph::dump_slots), the
+//! loader and `restore_slots` live in [`crate::graph`] (they need
+//! private slot access); this module owns the image type and its
+//! validation-focused tests.
 
 use crate::io::GraphDoc;
 use serde::{Deserialize, Serialize};

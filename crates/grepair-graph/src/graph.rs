@@ -1013,22 +1013,50 @@ impl Graph {
         }
     }
 
+    /// Total node slots, live and tombstoned.
+    pub fn node_slots(&self) -> u32 {
+        self.nodes.len() as u32
+    }
+
+    /// Total edge slots, live and tombstoned.
+    pub fn edge_slots(&self) -> u32 {
+        self.edges.len() as u32
+    }
+
+    /// The node free list, in stack order: the last entry is the slot
+    /// the next node insertion reuses.
+    pub fn free_node_slots(&self) -> &[NodeId] {
+        &self.free_nodes
+    }
+
+    /// The edge free list, in stack order (see
+    /// [`Graph::free_node_slots`]).
+    pub fn free_edge_slots(&self) -> &[EdgeId] {
+        &self.free_edges
+    }
+
     /// Rebuild a graph from a [`SlotDump`], placing every element at its
     /// recorded slot and restoring the free lists verbatim, so subsequent
     /// mutations allocate exactly the ids the dumped graph would have.
     ///
-    /// The dump is fully validated first (every slot accounted for exactly
-    /// once, endpoints live, handles in range); inconsistencies yield
-    /// [`GraphError::Parse`], never a panic — dumps arrive from disk.
+    /// A thin feed of the dump into a [`SlotLoader`], which validates
+    /// every slot; inconsistencies yield [`GraphError::Parse`], never a
+    /// panic.
     pub fn restore_slots(dump: &SlotDump) -> Result<Self> {
-        let corrupt = |msg: String| GraphError::Parse(format!("slot dump: {msg}"));
-        let n_slots = dump.node_slots as usize;
-        let e_slots = dump.edge_slots as usize;
-        if dump.doc.nodes.len() + dump.free_nodes.len() != n_slots {
+        let corrupt = |msg: String| GraphError::Parse(format!("slot image: {msg}"));
+        // Checked before the loader allocates its placeholders, so the
+        // slot counts a dump claims are bounded by what it holds.
+        if dump.doc.nodes.len() + dump.free_nodes.len() != dump.node_slots as usize
+            || dump.doc.edges.len() + dump.free_edges.len() != dump.edge_slots as usize
+        {
             return Err(corrupt(format!(
-                "{} live + {} free node slots != {n_slots} total",
+                "{} + {} node and {} + {} edge entries for {} and {} slots",
                 dump.doc.nodes.len(),
-                dump.free_nodes.len()
+                dump.free_nodes.len(),
+                dump.doc.edges.len(),
+                dump.free_edges.len(),
+                dump.node_slots,
+                dump.edge_slots
             )));
         }
         if dump.doc.edges.len() != dump.edge_ids.len() {
@@ -1038,18 +1066,49 @@ impl Graph {
                 dump.edge_ids.len()
             )));
         }
-        if dump.doc.edges.len() + dump.free_edges.len() != e_slots {
-            return Err(corrupt(format!(
-                "{} live + {} free edge slots != {e_slots} total",
-                dump.doc.edges.len(),
-                dump.free_edges.len()
-            )));
+        let mut loader = SlotLoader::new(dump.node_slots, dump.edge_slots);
+        for nd in &dump.doc.nodes {
+            let attrs = nd.attrs.iter().map(|(k, v)| (k.as_str(), v.clone()));
+            loader.node(nd.id, &nd.label, attrs)?;
         }
+        for (ed, &eid) in dump.doc.edges.iter().zip(&dump.edge_ids) {
+            loader.edge(eid, ed.src, ed.dst, &ed.label)?;
+        }
+        loader.finish(
+            dump.free_nodes.iter().map(|&f| NodeId(f)).collect(),
+            dump.free_edges.iter().map(|&f| EdgeId(f)).collect(),
+            dump.version,
+        )
+    }
+}
 
+/// Builds a [`Graph`] slot by slot from an exact slot image: the one
+/// validating path behind [`Graph::restore_slots`] and the durable
+/// store's snapshot decoder, which feeds it straight from the file.
+///
+/// Place every live node with [`SlotLoader::node`] before the edges
+/// that reference it ([`SlotLoader::edge`]), then hand the free lists
+/// to [`SlotLoader::finish`]. Each call validates what it places (ids
+/// in range, no slot placed twice, edge endpoints live) and `finish`
+/// checks that every slot is live or free exactly once, so a
+/// subsequent mutation allocates exactly the ids the imaged graph
+/// would have. Inconsistencies yield [`GraphError::Parse`], never a
+/// panic: slot images arrive from disk.
+///
+/// Labels and keys are interned in the order they are fed.
+#[derive(Debug)]
+pub struct SlotLoader {
+    g: Graph,
+}
+
+impl SlotLoader {
+    /// A loader for `node_slots` node and `edge_slots` edge slots, all
+    /// tombstoned until placed. This allocates one placeholder per slot:
+    /// bound the counts by the size of their source before calling it.
+    pub fn new(node_slots: u32, edge_slots: u32) -> Self {
         let mut g = Graph::new();
-        // Dead placeholders; every slot is either resurrected below or
-        // listed free. The placeholder label id is never read while dead.
-        g.nodes = (0..n_slots)
+        // The placeholder label id is never read while a slot is dead.
+        g.nodes = (0..node_slots)
             .map(|_| NodeSlot {
                 label: LabelId(0),
                 attrs: Vec::new(),
@@ -1059,7 +1118,7 @@ impl Graph {
                 alive: false,
             })
             .collect();
-        g.edges = (0..e_slots)
+        g.edges = (0..edge_slots)
             .map(|_| EdgeSlot {
                 src: NodeId(0),
                 dst: NodeId(0),
@@ -1067,91 +1126,133 @@ impl Graph {
                 alive: false,
             })
             .collect();
+        Self { g }
+    }
 
-        for nd in &dump.doc.nodes {
-            let i = nd.id as usize;
-            if i >= n_slots {
-                return Err(corrupt(format!("node handle {} out of range", nd.id)));
+    fn corrupt(msg: String) -> GraphError {
+        GraphError::Parse(format!("slot image: {msg}"))
+    }
+
+    /// Place live node `id` with its label and attributes (any key
+    /// order; a repeated key keeps its last value).
+    pub fn node<'s>(
+        &mut self,
+        id: u32,
+        label: &str,
+        attrs: impl IntoIterator<Item = (&'s str, Value)>,
+    ) -> Result<()> {
+        let g = &mut self.g;
+        let i = id as usize;
+        match g.nodes.get(i) {
+            None => return Err(Self::corrupt(format!("node handle {id} out of range"))),
+            Some(slot) if slot.alive => {
+                return Err(Self::corrupt(format!("duplicate node handle {id}")))
             }
-            if g.nodes[i].alive {
-                return Err(corrupt(format!("duplicate node handle {}", nd.id)));
-            }
-            let label = g.label(&nd.label);
-            let mut attrs: Vec<(AttrKeyId, Value)> = nd
-                .attrs
-                .iter()
-                .map(|(k, v)| (g.attr_key(k), v.clone()))
-                .collect();
-            attrs.sort_by_key(|(k, _)| *k);
-            let id = NodeId(nd.id);
-            // A fresh graph has no value index built and no maintained
-            // statistics, so the attributes need no indexing here.
-            g.nodes[i].label = label;
-            g.nodes[i].attrs = attrs;
-            g.nodes[i].alive = true;
-            g.index_node(id, label);
-            g.n_nodes += 1;
+            Some(_) => {}
         }
-        for &f in &dump.free_nodes {
-            match g.nodes.get(f as usize) {
-                None => return Err(corrupt(format!("free node {f} out of range"))),
-                Some(slot) if slot.alive => {
-                    return Err(corrupt(format!("free node {f} is live")))
-                }
-                Some(_) => g.free_nodes.push(NodeId(f)),
-            }
+        let label = g.label(label);
+        let mut attrs: Vec<(AttrKeyId, Value)> =
+            attrs.into_iter().map(|(k, v)| (g.attr_key(k), v)).collect();
+        attrs.sort_by_key(|(k, _)| *k);
+        if attrs.windows(2).any(|w| w[0].0 == w[1].0) {
+            keep_last_of_each_key(&mut attrs);
         }
-        // live + free == total and no double-live/double-free implies every
-        // slot is accounted for exactly once — unless the free list itself
+        // A fresh graph has no value index built and no maintained
+        // statistics, so the attributes need no indexing here.
+        let slot = &mut g.nodes[i];
+        slot.label = label;
+        slot.attrs = attrs;
+        slot.alive = true;
+        g.index_node(NodeId(id), label);
+        g.n_nodes += 1;
+        Ok(())
+    }
+
+    /// Place live edge `id` from `src` to `dst`; both must be placed
+    /// live nodes.
+    pub fn edge(&mut self, id: u32, src: u32, dst: u32, label: &str) -> Result<()> {
+        let g = &mut self.g;
+        let i = id as usize;
+        match g.edges.get(i) {
+            None => return Err(Self::corrupt(format!("edge id {id} out of range"))),
+            Some(slot) if slot.alive => {
+                return Err(Self::corrupt(format!("duplicate edge id {id}")))
+            }
+            Some(_) => {}
+        }
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        if !g.contains_node(src) || !g.contains_node(dst) {
+            return Err(Self::corrupt(format!("edge {id} endpoint not live")));
+        }
+        let label = g.label(label);
+        g.edges[i] = EdgeSlot {
+            src,
+            dst,
+            label,
+            alive: true,
+        };
+        g.nodes[src.index()].out.push(EdgeId(id));
+        g.nodes[dst.index()].inc.push(EdgeId(id));
+        g.edge_label_counts[label.index()] += 1;
+        g.n_edges += 1;
+        Ok(())
+    }
+
+    /// Install the free lists (verbatim stack order) and the mutation
+    /// version counter, and check that every slot is accounted for
+    /// exactly once.
+    pub fn finish(
+        self,
+        free_nodes: Vec<NodeId>,
+        free_edges: Vec<EdgeId>,
+        version: u64,
+    ) -> Result<Graph> {
+        let mut g = self.g;
+        let corrupt = Self::corrupt;
+        if g.n_nodes + free_nodes.len() != g.nodes.len() {
+            return Err(corrupt(format!(
+                "{} live + {} free node slots != {} total",
+                g.n_nodes,
+                free_nodes.len(),
+                g.nodes.len()
+            )));
+        }
+        if g.n_edges + free_edges.len() != g.edges.len() {
+            return Err(corrupt(format!(
+                "{} live + {} free edge slots != {} total",
+                g.n_edges,
+                free_edges.len(),
+                g.edges.len()
+            )));
+        }
+        // live + free == total and no double-live/double-free implies
+        // every slot is accounted for exactly once — unless a free list
         // repeats an id, which the count check alone misses.
-        let mut seen = vec![false; n_slots];
-        for n in &g.free_nodes {
-            if std::mem::replace(&mut seen[n.index()], true) {
-                return Err(corrupt(format!("free node {n} listed twice")));
-            }
-        }
-
-        for (ed, &eid) in dump.doc.edges.iter().zip(&dump.edge_ids) {
-            let i = eid as usize;
-            if i >= e_slots {
-                return Err(corrupt(format!("edge id {eid} out of range")));
-            }
-            if g.edges[i].alive {
-                return Err(corrupt(format!("duplicate edge id {eid}")));
-            }
-            let (src, dst) = (NodeId(ed.src), NodeId(ed.dst));
-            if !g.contains_node(src) || !g.contains_node(dst) {
-                return Err(corrupt(format!("edge {eid} endpoint not live")));
-            }
-            let label = g.label(&ed.label);
-            g.edges[i] = EdgeSlot {
-                src,
-                dst,
-                label,
-                alive: true,
-            };
-            g.nodes[src.index()].out.push(EdgeId(eid));
-            g.nodes[dst.index()].inc.push(EdgeId(eid));
-            g.edge_label_counts[label.index()] += 1;
-            g.n_edges += 1;
-        }
-        for &f in &dump.free_edges {
-            match g.edges.get(f as usize) {
-                None => return Err(corrupt(format!("free edge {f} out of range"))),
-                Some(slot) if slot.alive => {
-                    return Err(corrupt(format!("free edge {f} is live")))
+        let mut seen = vec![false; g.nodes.len()];
+        for &f in &free_nodes {
+            match g.nodes.get(f.index()) {
+                None => return Err(corrupt(format!("free node {f} out of range"))),
+                Some(slot) if slot.alive => return Err(corrupt(format!("free node {f} is live"))),
+                Some(_) if std::mem::replace(&mut seen[f.index()], true) => {
+                    return Err(corrupt(format!("free node {f} listed twice")))
                 }
-                Some(_) => g.free_edges.push(EdgeId(f)),
+                Some(_) => {}
             }
         }
-        let mut seen = vec![false; e_slots];
-        for e in &g.free_edges {
-            if std::mem::replace(&mut seen[e.index()], true) {
-                return Err(corrupt(format!("free edge {e} listed twice")));
+        let mut seen = vec![false; g.edges.len()];
+        for &f in &free_edges {
+            match g.edges.get(f.index()) {
+                None => return Err(corrupt(format!("free edge {f} out of range"))),
+                Some(slot) if slot.alive => return Err(corrupt(format!("free edge {f} is live"))),
+                Some(_) if std::mem::replace(&mut seen[f.index()], true) => {
+                    return Err(corrupt(format!("free edge {f} listed twice")))
+                }
+                Some(_) => {}
             }
         }
-
-        g.version = dump.version;
+        g.free_nodes = free_nodes;
+        g.free_edges = free_edges;
+        g.version = version;
         debug_assert!(g.check_invariants().is_ok());
         Ok(g)
     }

@@ -31,15 +31,17 @@
 //!
 //! ## Module map
 //!
-//! - [`graph`] — the storage itself and its label indexes.
+//! - [`graph`] — the storage itself, its label indexes and the
+//!   [`SlotLoader`] that rebuilds it from a slot image.
 //! - [`ids`] — `u32` newtype identifiers.
 //! - [`value`] — dynamic attribute values.
 //! - [`interner`] — label/attr-key interning.
 //! - [`edit_distance`] — graph edit distance (cost table + exact small-graph
 //!   solver + lower bound), backing the paper's "best repair" selection.
 //! - [`io`] — portable JSON / plain-text documents.
-//! - [`dump`] — exact slot-level dumps (tombstones and free lists
-//!   included), the document form behind durable-store snapshots.
+//! - [`dump`] — exact slot-level images (tombstones and free lists
+//!   included), the form tests compare graphs by; durable snapshots
+//!   load through [`SlotLoader`].
 //! - [`stats`] — dataset statistics (T1 table).
 
 #![forbid(unsafe_code)]
@@ -60,7 +62,7 @@ mod value;
 pub use dump::SlotDump;
 pub use edit_distance::{ged_lower_bound, graph_edit_distance, EditCosts};
 pub use error::{GraphError, Result};
-pub use graph::{EdgeRef, Graph, MergeOutcome};
+pub use graph::{EdgeRef, Graph, MergeOutcome, SlotLoader};
 pub use ids::{AttrKeyId, Direction, EdgeId, LabelId, NodeId};
 pub use interner::Interner;
 pub use io::{EdgeDoc, GraphDoc, NodeDoc};

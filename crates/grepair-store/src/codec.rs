@@ -173,12 +173,12 @@ impl<'a> ByteReader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, DecodeError> {
+    /// Read a length-prefixed UTF-8 string, borrowed from the input:
+    /// checked, not copied.
+    pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| DecodeError(format!("invalid utf-8 string: {e}")))
+        std::str::from_utf8(bytes).map_err(|e| DecodeError(format!("invalid utf-8 string: {e}")))
     }
 }
 
@@ -241,8 +241,8 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.str().unwrap(), "héllo wörld");
-        assert_eq!(r.str().unwrap(), "");
+        assert_eq!(r.str_ref().unwrap(), "héllo wörld");
+        assert_eq!(r.str_ref().unwrap(), "");
         assert_eq!(r.remaining(), 0);
     }
 
@@ -253,14 +253,14 @@ mod tests {
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(r.str().is_err(), "cut at {cut} must fail");
+            assert!(r.str_ref().is_err(), "cut at {cut} must fail");
         }
         // A string length pointing past the end fails cleanly.
         let mut w = ByteWriter::new();
         w.u32(1_000_000);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(r.str().is_err());
+        assert!(r.str_ref().is_err());
     }
 
     #[test]
@@ -269,6 +269,6 @@ mod tests {
         w.u32(2);
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(ByteReader::new(&bytes).str().is_err());
+        assert!(ByteReader::new(&bytes).str_ref().is_err());
     }
 }

@@ -279,15 +279,7 @@ pub(crate) fn fsck_with_graph_in<V: Vfs>(vfs: &V, dir: &Path) -> Result<(FsckRep
     let mut found_usable = false;
     for (seq, path) in list_snapshots_in(vfs, dir)?.into_iter().rev() {
         let bytes = vfs.file_len(&path).unwrap_or(0);
-        let outcome = read_snapshot_in(vfs, &path).and_then(|(s, dump)| {
-            Graph::restore_slots(&dump).map(|g| (s, g)).map_err(|e| {
-                StoreError::Corrupt {
-                    path: path.clone(),
-                    detail: e.to_string(),
-                }
-            })
-        });
-        let row = match outcome {
+        let row = match read_snapshot_in(vfs, &path) {
             Ok((s, g)) if !found_usable => {
                 found_usable = true;
                 report.usable_snapshot_seq = s;

@@ -22,10 +22,16 @@
 //!   panics on a partial record and never applies a record it cannot
 //!   validate.
 //! - **Slot exactness.** Snapshots record tombstones and free-list
-//!   order ([`grepair_graph::SlotDump`]), so element ids — which the
-//!   engine's violation queues hold across mutations — are identical
-//!   after recovery, and log records referencing concrete ids replay
-//!   byte-exactly on top of any snapshot.
+//!   order, so element ids — which the engine's violation queues hold
+//!   across mutations — are identical after recovery, and log records
+//!   referencing concrete ids replay byte-exactly on top of any
+//!   snapshot. A snapshot is encoded straight from the graph's slots
+//!   and loads through [`grepair_graph::SlotLoader`], the graph's one
+//!   validating slot loader.
+//! - **Recovery at the cost of the bytes.** Replay scans each segment
+//!   frame by frame and applies each record as it is decoded: names are
+//!   borrowed from the file buffer and values move into the graph, so no
+//!   owned record or segment-wide record list is built.
 //! - **Fail-closed validation.** Every record and snapshot is covered
 //!   by a CRC-32; damage outside the torn tail refuses recovery with a
 //!   precise [`StoreError`] instead of serving a graph with holes.
@@ -71,9 +77,12 @@
 //!
 //! - [`store`] — [`DurableGraph`], recovery, compaction, introspection,
 //!   [`ReadOnlyStore`].
-//! - [`wal`] — segment files, framing, torn-tail detection.
-//! - [`snapshot`] — binary snapshot files.
-//! - [`record`] — the journaled [`Mutation`] vocabulary and codec.
+//! - [`wal`] — segment files, framing, the frame scanner recovery
+//!   applies through, torn-tail detection.
+//! - [`snapshot`] — binary snapshot files, encoded from and decoded
+//!   into a [`grepair_graph::Graph`] directly.
+//! - [`record`] — the journaled [`Mutation`] vocabulary, its codec and
+//!   the borrowed form recovery decodes and applies.
 //! - [`codec`] — byte-level encoding and the CRC-32.
 //! - [`vfs`] — the storage backend trait, [`StdFs`], retry policy, and
 //!   the fault-injection backend (tests / `fault-injection` feature).

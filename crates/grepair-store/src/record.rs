@@ -8,6 +8,12 @@
 //! log is still deterministic ([`StoreError::ReplayDivergence`]
 //! otherwise) instead of silently rebuilding a different graph.
 //!
+//! Recovery never builds a [`Mutation`]: it decodes each record into a
+//! `MutationRef`, whose names borrow the record bytes and whose values
+//! are moved into the graph by `MutationRef::apply`. That decoder and
+//! that apply routine are the only ones — the owned [`Mutation`] decodes
+//! and applies through them too.
+//!
 //! Replay calls exactly the live-path method sequence (`AddNode` =
 //! `add_node` + one `set_attr` per attribute, `MergeNodes` =
 //! `merge_nodes`, …), which — combined with the graph's canonical
@@ -129,7 +135,7 @@ pub fn encode_value(w: &mut ByteWriter, v: &Value) {
 /// Decode a [`Value`].
 pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, DecodeError> {
     match r.u8()? {
-        0 => Ok(Value::Str(r.str()?)),
+        0 => Ok(Value::Str(r.str_ref()?.to_owned())),
         1 => Ok(Value::Int(r.i64()?)),
         2 => Ok(Value::Float(f64::from_bits(r.u64()?))),
         3 => Ok(Value::Bool(r.u8()? != 0)),
@@ -243,59 +249,53 @@ impl Mutation {
         }
     }
 
-    /// Decode one mutation from `r`.
+    /// Decode one mutation from `r` (through the decoder recovery uses).
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            OP_ADD_NODE => {
-                let node = NodeId(r.u32()?);
-                let label = r.str()?;
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(DecodeError(format!("attr count {n} exceeds payload")));
-                }
-                let mut attrs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = r.str()?;
-                    let v = decode_value(r)?;
-                    attrs.push((k, v));
-                }
-                Ok(Mutation::AddNode { node, label, attrs })
+        MutationRef::decode(r).map(MutationRef::into_owned)
+    }
+
+    /// This mutation as a `MutationRef`: names borrowed, values cloned.
+    fn view(&self) -> MutationRef<'_> {
+        match self {
+            Mutation::AddNode { node, label, attrs } => MutationRef::AddNode {
+                node: *node,
+                label,
+                attrs: attrs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect(),
+            },
+            Mutation::RemoveNode { node } => MutationRef::RemoveNode { node: *node },
+            Mutation::AddEdge {
+                edge,
+                src,
+                dst,
+                label,
+            } => MutationRef::AddEdge {
+                edge: *edge,
+                src: *src,
+                dst: *dst,
+                label,
+            },
+            Mutation::RemoveEdge { edge } => MutationRef::RemoveEdge { edge: *edge },
+            Mutation::SetNodeLabel { node, label } => {
+                MutationRef::SetNodeLabel { node: *node, label }
             }
-            OP_REMOVE_NODE => Ok(Mutation::RemoveNode {
-                node: NodeId(r.u32()?),
-            }),
-            OP_ADD_EDGE => Ok(Mutation::AddEdge {
-                edge: EdgeId(r.u32()?),
-                src: NodeId(r.u32()?),
-                dst: NodeId(r.u32()?),
-                label: r.str()?,
-            }),
-            OP_REMOVE_EDGE => Ok(Mutation::RemoveEdge {
-                edge: EdgeId(r.u32()?),
-            }),
-            OP_SET_NODE_LABEL => Ok(Mutation::SetNodeLabel {
-                node: NodeId(r.u32()?),
-                label: r.str()?,
-            }),
-            OP_SET_EDGE_LABEL => Ok(Mutation::SetEdgeLabel {
-                edge: EdgeId(r.u32()?),
-                label: r.str()?,
-            }),
-            OP_SET_ATTR => Ok(Mutation::SetAttr {
-                node: NodeId(r.u32()?),
-                key: r.str()?,
-                value: decode_value(r)?,
-            }),
-            OP_REMOVE_ATTR => Ok(Mutation::RemoveAttr {
-                node: NodeId(r.u32()?),
-                key: r.str()?,
-            }),
-            OP_MERGE_NODES => Ok(Mutation::MergeNodes {
-                keep: NodeId(r.u32()?),
-                merged: NodeId(r.u32()?),
-                dedup_parallel: r.u8()? != 0,
-            }),
-            t => Err(DecodeError(format!("unknown mutation opcode {t}"))),
+            Mutation::SetEdgeLabel { edge, label } => {
+                MutationRef::SetEdgeLabel { edge: *edge, label }
+            }
+            Mutation::SetAttr { node, key, value } => MutationRef::SetAttr {
+                node: *node,
+                key,
+                value: value.clone(),
+            },
+            Mutation::RemoveAttr { node, key } => MutationRef::RemoveAttr { node: *node, key },
+            Mutation::MergeNodes {
+                keep,
+                merged,
+                dedup_parallel,
+            } => MutationRef::MergeNodes {
+                keep: *keep,
+                merged: *merged,
+                dedup_parallel: *dedup_parallel,
+            },
         }
     }
 
@@ -351,76 +351,238 @@ impl Mutation {
         }
     }
 
-    /// Re-apply this mutation to `g` during recovery.
+    /// Re-apply this mutation to `g` (through the apply routine recovery
+    /// uses).
+    pub fn apply(&self, g: &mut Graph) -> Result<()> {
+        self.view().apply(g)
+    }
+}
+
+/// One journaled mutation as recovery decodes it: label and key names
+/// borrow the record bytes, values are owned. The variants mirror
+/// [`Mutation`]'s field for field.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum MutationRef<'a> {
+    AddNode {
+        node: NodeId,
+        label: &'a str,
+        attrs: Vec<(&'a str, Value)>,
+    },
+    RemoveNode {
+        node: NodeId,
+    },
+    AddEdge {
+        edge: EdgeId,
+        src: NodeId,
+        dst: NodeId,
+        label: &'a str,
+    },
+    RemoveEdge {
+        edge: EdgeId,
+    },
+    SetNodeLabel {
+        node: NodeId,
+        label: &'a str,
+    },
+    SetEdgeLabel {
+        edge: EdgeId,
+        label: &'a str,
+    },
+    SetAttr {
+        node: NodeId,
+        key: &'a str,
+        value: Value,
+    },
+    RemoveAttr {
+        node: NodeId,
+        key: &'a str,
+    },
+    MergeNodes {
+        keep: NodeId,
+        merged: NodeId,
+        dedup_parallel: bool,
+    },
+}
+
+impl<'a> MutationRef<'a> {
+    /// Decode one record body from `r`: the one wire decoder. Names are
+    /// borrowed from `r`'s buffer; only string values allocate.
+    pub fn decode(r: &mut ByteReader<'a>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            OP_ADD_NODE => {
+                let node = NodeId(r.u32()?);
+                let label = r.str_ref()?;
+                let n = r.u32()? as usize;
+                if n > r.remaining() {
+                    return Err(DecodeError(format!("attr count {n} exceeds payload")));
+                }
+                let mut attrs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let k = r.str_ref()?;
+                    let v = decode_value(r)?;
+                    attrs.push((k, v));
+                }
+                Ok(MutationRef::AddNode { node, label, attrs })
+            }
+            OP_REMOVE_NODE => Ok(MutationRef::RemoveNode {
+                node: NodeId(r.u32()?),
+            }),
+            OP_ADD_EDGE => Ok(MutationRef::AddEdge {
+                edge: EdgeId(r.u32()?),
+                src: NodeId(r.u32()?),
+                dst: NodeId(r.u32()?),
+                label: r.str_ref()?,
+            }),
+            OP_REMOVE_EDGE => Ok(MutationRef::RemoveEdge {
+                edge: EdgeId(r.u32()?),
+            }),
+            OP_SET_NODE_LABEL => Ok(MutationRef::SetNodeLabel {
+                node: NodeId(r.u32()?),
+                label: r.str_ref()?,
+            }),
+            OP_SET_EDGE_LABEL => Ok(MutationRef::SetEdgeLabel {
+                edge: EdgeId(r.u32()?),
+                label: r.str_ref()?,
+            }),
+            OP_SET_ATTR => Ok(MutationRef::SetAttr {
+                node: NodeId(r.u32()?),
+                key: r.str_ref()?,
+                value: decode_value(r)?,
+            }),
+            OP_REMOVE_ATTR => Ok(MutationRef::RemoveAttr {
+                node: NodeId(r.u32()?),
+                key: r.str_ref()?,
+            }),
+            OP_MERGE_NODES => Ok(MutationRef::MergeNodes {
+                keep: NodeId(r.u32()?),
+                merged: NodeId(r.u32()?),
+                dedup_parallel: r.u8()? != 0,
+            }),
+            t => Err(DecodeError(format!("unknown mutation opcode {t}"))),
+        }
+    }
+
+    /// The owned form.
+    pub fn into_owned(self) -> Mutation {
+        match self {
+            MutationRef::AddNode { node, label, attrs } => Mutation::AddNode {
+                node,
+                label: label.to_owned(),
+                attrs: attrs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+            },
+            MutationRef::RemoveNode { node } => Mutation::RemoveNode { node },
+            MutationRef::AddEdge {
+                edge,
+                src,
+                dst,
+                label,
+            } => Mutation::AddEdge {
+                edge,
+                src,
+                dst,
+                label: label.to_owned(),
+            },
+            MutationRef::RemoveEdge { edge } => Mutation::RemoveEdge { edge },
+            MutationRef::SetNodeLabel { node, label } => Mutation::SetNodeLabel {
+                node,
+                label: label.to_owned(),
+            },
+            MutationRef::SetEdgeLabel { edge, label } => Mutation::SetEdgeLabel {
+                edge,
+                label: label.to_owned(),
+            },
+            MutationRef::SetAttr { node, key, value } => Mutation::SetAttr {
+                node,
+                key: key.to_owned(),
+                value,
+            },
+            MutationRef::RemoveAttr { node, key } => Mutation::RemoveAttr {
+                node,
+                key: key.to_owned(),
+            },
+            MutationRef::MergeNodes {
+                keep,
+                merged,
+                dedup_parallel,
+            } => Mutation::MergeNodes {
+                keep,
+                merged,
+                dedup_parallel,
+            },
+        }
+    }
+
+    /// Re-apply this mutation to `g` during recovery — the one apply
+    /// routine. Values move into the graph.
     ///
     /// Graph-level failures and id divergence become errors (`seq` is
     /// interpolated into the message by the caller); they indicate a
     /// damaged log, never a normal condition — the live path validated
     /// every op before journaling it.
-    pub fn apply(&self, g: &mut Graph) -> Result<()> {
+    pub fn apply(self, g: &mut Graph) -> Result<()> {
         let diverged = |detail: String| {
             Err(StoreError::ReplayDivergence { seq: 0, detail })
         };
         match self {
-            Mutation::AddNode { node, label, attrs } => {
+            MutationRef::AddNode { node, label, attrs } => {
                 let l = g.label(label);
                 let got = g.add_node(l);
-                if got != *node {
+                if got != node {
                     return diverged(format!("AddNode allocated {got}, journal says {node}"));
                 }
                 for (k, v) in attrs {
                     let kk = g.attr_key(k);
-                    g.set_attr(got, kk, v.clone())?;
+                    g.set_attr(got, kk, v)?;
                 }
                 Ok(())
             }
-            Mutation::RemoveNode { node } => {
-                g.remove_node(*node)?;
+            MutationRef::RemoveNode { node } => {
+                g.remove_node(node)?;
                 Ok(())
             }
-            Mutation::AddEdge {
+            MutationRef::AddEdge {
                 edge,
                 src,
                 dst,
                 label,
             } => {
                 let l = g.label(label);
-                let got = g.add_edge(*src, *dst, l)?;
-                if got != *edge {
+                let got = g.add_edge(src, dst, l)?;
+                if got != edge {
                     return diverged(format!("AddEdge allocated {got}, journal says {edge}"));
                 }
                 Ok(())
             }
-            Mutation::RemoveEdge { edge } => {
-                g.remove_edge(*edge)?;
+            MutationRef::RemoveEdge { edge } => {
+                g.remove_edge(edge)?;
                 Ok(())
             }
-            Mutation::SetNodeLabel { node, label } => {
+            MutationRef::SetNodeLabel { node, label } => {
                 let l = g.label(label);
-                g.set_node_label(*node, l)?;
+                g.set_node_label(node, l)?;
                 Ok(())
             }
-            Mutation::SetEdgeLabel { edge, label } => {
+            MutationRef::SetEdgeLabel { edge, label } => {
                 let l = g.label(label);
-                g.set_edge_label(*edge, l)?;
+                g.set_edge_label(edge, l)?;
                 Ok(())
             }
-            Mutation::SetAttr { node, key, value } => {
+            MutationRef::SetAttr { node, key, value } => {
                 let k = g.attr_key(key);
-                g.set_attr(*node, k, value.clone())?;
+                g.set_attr(node, k, value)?;
                 Ok(())
             }
-            Mutation::RemoveAttr { node, key } => {
+            MutationRef::RemoveAttr { node, key } => {
                 let k = g.attr_key(key);
-                g.remove_attr(*node, k)?;
+                g.remove_attr(node, k)?;
                 Ok(())
             }
-            Mutation::MergeNodes {
+            MutationRef::MergeNodes {
                 keep,
                 merged,
                 dedup_parallel,
             } => {
-                g.merge_nodes(*keep, *merged, *dedup_parallel)?;
+                g.merge_nodes(keep, merged, dedup_parallel)?;
                 Ok(())
             }
         }

@@ -32,7 +32,7 @@ use crate::lock;
 use crate::record::{self, Mutation};
 use crate::snapshot::{list_snapshots_in, read_snapshot_in, write_snapshot_in};
 use crate::vfs::{with_retry, StdFs, Vfs};
-use crate::wal::{list_segments_in, read_segment_in, SegmentWriter, SEGMENT_HEADER_LEN};
+use crate::wal::{list_segments_in, scan_segment, SegmentWriter, SEGMENT_HEADER_LEN};
 use grepair_core::{
     set_fingerprint, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairReport,
     RepairSeed, RepairSink, TouchSet,
@@ -102,7 +102,13 @@ pub struct RecoveryStats {
     pub torn_tail_bytes: u64,
     /// Segment files read.
     pub segments_read: usize,
-    /// Wall-clock time of the whole open.
+    /// Time spent loading the newest loadable snapshot, damaged ones
+    /// skipped on the way included.
+    pub snapshot_load: Duration,
+    /// Time spent reading, checking and replaying the log segments.
+    pub replay: Duration,
+    /// Wall-clock time of the whole open: snapshot load, replay, the
+    /// statistics rebuild and reopening the active segment.
     pub wall: Duration,
 }
 
@@ -338,7 +344,7 @@ impl<V: Vfs> DurableGraph<V> {
     /// [`DurableGraph::create_with`] against an explicit backend.
     pub fn create_with_on(vfs: V, dir: &Path, config: StoreConfig, mut graph: Graph) -> Result<Self> {
         let mut s = Self::create_on(vfs, dir, config)?;
-        write_snapshot_in(&s.vfs, &s.dir, 0, &graph.dump_slots())?;
+        write_snapshot_in(&s.vfs, &s.dir, 0, &graph)?;
         graph.maintain_stats(true);
         s.graph = graph;
         Ok(s)
@@ -419,14 +425,7 @@ impl<V: Vfs> DurableGraph<V> {
         let mut snap_seq = 0u64;
         let snapshots = list_snapshots_in(vfs, dir)?;
         for (seq, path) in snapshots.iter().rev() {
-            match read_snapshot_in(vfs, path).and_then(|(s, dump)| {
-                Graph::restore_slots(&dump)
-                    .map(|g| (s, g))
-                    .map_err(|e| StoreError::Corrupt {
-                        path: path.clone(),
-                        detail: e.to_string(),
-                    })
-            }) {
+            match read_snapshot_in(vfs, path) {
                 Ok((s, g)) => {
                     debug_assert_eq!(s, *seq);
                     graph = g;
@@ -440,8 +439,11 @@ impl<V: Vfs> DurableGraph<V> {
             }
         }
         stats.snapshot_seq = snap_seq;
+        stats.snapshot_load = start.elapsed();
 
-        // Replay every record newer than the snapshot, in order.
+        // Replay every record newer than the snapshot, in order, each
+        // applied as the scan decodes it.
+        let replay_started = Instant::now();
         let segments = list_segments_in(vfs, dir)?;
 
         let mut bytes_since_snapshot = 0u64;
@@ -463,59 +465,55 @@ impl<V: Vfs> DurableGraph<V> {
                     continue;
                 }
             }
-            let contents = read_segment_in(vfs, path, Some(*base))?;
-            stats.segments_read += 1;
-            if contents.is_torn() {
-                if !is_last {
+            let bytes = with_retry("wal.read", || vfs.read(path))?;
+            let scan = scan_segment(path, &bytes, Some(*base), false, |seq, m, frame_len| {
+                if seq < next_seq {
+                    return Ok(()); // covered by the snapshot
+                }
+                if seq != next_seq {
                     return Err(StoreError::Corrupt {
                         path: path.clone(),
-                        detail: format!(
-                            "{} torn bytes in a non-active segment",
-                            contents.torn_bytes
-                        ),
+                        detail: format!("sequence gap: expected {next_seq}, found {seq}"),
                     });
                 }
-                stats.torn_tail_bytes = contents.torn_bytes;
-                record_fault(format!(
-                    "truncating {} torn tail bytes from {}",
-                    contents.torn_bytes,
-                    path.display()
-                ));
-            }
-            for rec in &contents.records {
-                if rec.seq < next_seq {
-                    continue; // covered by the snapshot
-                }
-                if rec.seq != next_seq {
-                    return Err(StoreError::Corrupt {
-                        path: path.clone(),
-                        detail: format!(
-                            "sequence gap: expected {next_seq}, found {}",
-                            rec.seq
-                        ),
-                    });
-                }
-                rec.mutation.apply(&mut graph).map_err(|e| match e {
+                m.apply(&mut graph).map_err(|e| match e {
                     StoreError::ReplayDivergence { detail, .. } => {
-                        StoreError::ReplayDivergence {
-                            seq: rec.seq,
-                            detail,
-                        }
+                        StoreError::ReplayDivergence { seq, detail }
                     }
                     StoreError::Graph(g) => StoreError::ReplayDivergence {
-                        seq: rec.seq,
+                        seq,
                         detail: format!("graph rejected journaled op: {g}"),
                     },
                     other => other,
                 })?;
                 stats.records_replayed += 1;
-                bytes_since_snapshot += rec.frame_len;
+                bytes_since_snapshot += frame_len;
                 next_seq += 1;
+                Ok(())
+            })?;
+            stats.segments_read += 1;
+            if scan.is_torn() {
+                if !is_last {
+                    return Err(StoreError::Corrupt {
+                        path: path.clone(),
+                        detail: format!("{} torn bytes in a non-active segment", scan.torn_bytes),
+                    });
+                }
+                stats.torn_tail_bytes = scan.torn_bytes;
+                record_fault(format!(
+                    "truncating {} torn tail bytes from {}",
+                    scan.torn_bytes,
+                    path.display()
+                ));
+            }
+            if let Some(e) = scan.visit_error {
+                return Err(e);
             }
             if is_last {
-                active = Some((path.clone(), *base, contents.valid_len));
+                active = Some((path.clone(), *base, scan.valid_len));
             }
         }
+        stats.replay = replay_started.elapsed();
         let last_seq = next_seq - 1;
 
         // Reopen (or recreate) the active segment for appending,
@@ -532,12 +530,12 @@ impl<V: Vfs> DurableGraph<V> {
             None => SegmentWriter::create_in(vfs, dir, last_seq + 1)?,
         };
 
-        stats.wall = start.elapsed();
-        obs::record_since_named("store.recovery_ns", recovery_started);
-        obs::counter("wal.records_replayed").add(stats.records_replayed);
         // Statistics maintenance starts *after* replay (one compute over
         // the recovered state) so the replay loop itself stays lean.
         graph.maintain_stats(true);
+        stats.wall = start.elapsed();
+        obs::record_since_named("store.recovery_ns", recovery_started);
+        obs::counter("wal.records_replayed").add(stats.records_replayed);
         Ok((graph, writer, stats, last_seq, snap_seq, bytes_since_snapshot))
     }
 
@@ -954,7 +952,7 @@ impl<V: Vfs> DurableGraph<V> {
             record_fault(format!("pre-snapshot fsync failed; store poisoned: {e}"));
             return Err(e);
         }
-        write_snapshot_in(&self.vfs, &self.dir, self.last_seq, &self.graph.dump_slots())?;
+        write_snapshot_in(&self.vfs, &self.dir, self.last_seq, &self.graph)?;
         let mut stats = CompactionStats {
             snapshot_seq: self.last_seq,
             ..CompactionStats::default()

@@ -26,7 +26,7 @@
 
 use crate::codec::{crc32, ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
-use crate::record::Mutation;
+use crate::record::{Mutation, MutationRef};
 use crate::vfs::{with_retry, StdFs, Vfs, VfsFile};
 use grepair_obs as obs;
 use std::path::{Path, PathBuf};
@@ -289,13 +289,15 @@ impl SegmentContents {
     }
 }
 
-/// Read a segment, stopping cleanly at the first invalid frame.
+/// Read a segment, stopping cleanly at the first invalid frame: the
+/// frame scanner recovery applies through, with every record collected
+/// into an owned [`WalRecord`].
 ///
 /// Returns [`StoreError::Corrupt`] only for header-level damage (bad
-/// magic, unsupported version, base mismatch with the file name) or for
+/// magic, unsupported version, base mismatch with the file name), for
 /// a CRC-*valid* record that fails to decode — both mean the file is not
-/// what we wrote, not that a write was interrupted. A decode error for
-/// `expected_base` of `None` skips the name cross-check.
+/// what we wrote, not that a write was interrupted — or for mid-log
+/// damage. An `expected_base` of `None` skips the name cross-check.
 pub fn read_segment(path: &Path, expected_base: Option<u64>) -> Result<SegmentContents> {
     read_segment_in(&StdFs, path, expected_base)
 }
@@ -307,7 +309,7 @@ pub fn read_segment_in<V: Vfs>(
     expected_base: Option<u64>,
 ) -> Result<SegmentContents> {
     let bytes = with_retry("wal.read", || vfs.read(path))?;
-    parse_segment(path, &bytes, expected_base, false)
+    collect_segment(path, &bytes, expected_base, false)
 }
 
 /// Lenient variant for degraded reads and `fsck`: mid-log damage does
@@ -320,15 +322,76 @@ pub fn read_segment_prefix_in<V: Vfs>(
     expected_base: Option<u64>,
 ) -> Result<SegmentContents> {
     let bytes = with_retry("wal.read", || vfs.read(path))?;
-    parse_segment(path, &bytes, expected_base, true)
+    collect_segment(path, &bytes, expected_base, true)
 }
 
-fn parse_segment(
+fn collect_segment(
     path: &Path,
     bytes: &[u8],
     expected_base: Option<u64>,
     lenient: bool,
 ) -> Result<SegmentContents> {
+    let mut records = Vec::new();
+    let scan = scan_segment(path, bytes, expected_base, lenient, |seq, m, frame_len| {
+        records.push(WalRecord {
+            seq,
+            mutation: m.into_owned(),
+            frame_len,
+        });
+        Ok(())
+    })?;
+    Ok(SegmentContents {
+        base_seq: scan.base_seq,
+        records,
+        valid_len: scan.valid_len,
+        torn_bytes: scan.torn_bytes,
+        mid_log_damage: scan.mid_log_damage,
+    })
+}
+
+/// What [`scan_segment`] found in one segment file.
+#[derive(Debug)]
+pub(crate) struct SegmentScan {
+    /// Base sequence from the header.
+    pub base_seq: u64,
+    /// Byte offset of the first invalid frame (file length if clean).
+    pub valid_len: u64,
+    /// Bytes past `valid_len` — the torn tail.
+    pub torn_bytes: u64,
+    /// See [`SegmentContents::mid_log_damage`].
+    pub mid_log_damage: bool,
+    /// The first error the visitor returned. The visitor is not called
+    /// again after it, but the rest of the segment is still CRC- and
+    /// decode-checked, so damage there takes precedence; the caller
+    /// decides where this error ranks against its own checks.
+    pub visit_error: Option<StoreError>,
+}
+
+impl SegmentScan {
+    /// Whether the file ended with a torn frame.
+    pub fn is_torn(&self) -> bool {
+        self.torn_bytes > 0
+    }
+}
+
+/// The one frame scanner: walk `bytes` frame by frame up to the first
+/// invalid frame, and hand each CRC-valid record to `visit` as it is
+/// decoded — its sequence number, the record (names borrowed from
+/// `bytes`) and its frame size. Nothing is collected; recovery applies
+/// each record inside `visit`.
+///
+/// Errors (all [`StoreError::Corrupt`]): header-level damage, a
+/// CRC-valid record that fails to decode, and — unless `lenient` —
+/// mid-log damage (see [`SegmentContents::mid_log_damage`]). A sub-header
+/// file is a torn file with zero records. A visitor error is latched in
+/// [`SegmentScan::visit_error`] instead.
+pub(crate) fn scan_segment<'a>(
+    path: &Path,
+    bytes: &'a [u8],
+    expected_base: Option<u64>,
+    lenient: bool,
+    mut visit: impl FnMut(u64, MutationRef<'a>, u64) -> Result<()>,
+) -> Result<SegmentScan> {
     let corrupt = |detail: String| StoreError::Corrupt {
         path: path.to_path_buf(),
         detail,
@@ -336,12 +399,12 @@ fn parse_segment(
     if bytes.len() < SEGMENT_HEADER_LEN as usize {
         // A crash can tear even the header of a freshly rotated segment;
         // that is a torn file with zero records, not corruption.
-        return Ok(SegmentContents {
+        return Ok(SegmentScan {
             base_seq: expected_base.unwrap_or(0),
-            records: Vec::new(),
             valid_len: 0,
             torn_bytes: bytes.len() as u64,
             mid_log_damage: false,
+            visit_error: None,
         });
     }
     if bytes[..8] != SEGMENT_MAGIC {
@@ -360,26 +423,14 @@ fn parse_segment(
         }
     }
 
-    let mut records = Vec::new();
+    let mut visit_error = None;
     let mut pos = SEGMENT_HEADER_LEN as usize;
-    loop {
-        if bytes.len() - pos < 8 {
-            break; // incomplete frame header: torn
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_RECORD_LEN || bytes.len() - pos - 8 < len as usize {
-            break; // frame longer than the file: torn
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            break; // checksum failure: torn
-        }
+    while let Some(payload) = frame_at(bytes, pos) {
         let mut r = ByteReader::new(payload);
         let seq = r
             .u64()
             .map_err(|e| corrupt(format!("checksummed record too short: {e}")))?;
-        let mutation = Mutation::decode(&mut r)
+        let mutation = MutationRef::decode(&mut r)
             .map_err(|e| corrupt(format!("record seq {seq} undecodable: {e}")))?;
         if r.remaining() != 0 {
             return Err(corrupt(format!(
@@ -387,12 +438,11 @@ fn parse_segment(
                 r.remaining()
             )));
         }
-        records.push(WalRecord {
-            seq,
-            mutation,
-            frame_len: 8 + len as u64,
-        });
-        pos += 8 + len as usize;
+        let frame_len = 8 + payload.len() as u64;
+        if visit_error.is_none() {
+            visit_error = visit(seq, mutation, frame_len).err();
+        }
+        pos += frame_len as usize;
     }
     // Torn-vs-corrupt: a crash tears the *tail* — nothing meaningful can
     // follow the partial frame. If a byte-complete, checksum-valid,
@@ -407,13 +457,29 @@ fn parse_segment(
             "invalid frame at offset {pos} with valid frames after it (mid-segment corruption)"
         )));
     }
-    Ok(SegmentContents {
+    Ok(SegmentScan {
         base_seq,
-        records,
         valid_len: pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
         mid_log_damage,
+        visit_error,
     })
+}
+
+/// The payload of the frame starting at `pos`, if a complete frame with
+/// a matching checksum starts there.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<&[u8]> {
+    if bytes.len() - pos < 8 {
+        return None; // incomplete frame header: torn
+    }
+    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+    if len > MAX_RECORD_LEN || bytes.len() - pos - 8 < len as usize {
+        return None; // frame longer than the file: torn
+    }
+    let payload = &bytes[pos + 8..pos + 8 + len as usize];
+    // A checksum failure reads as torn.
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// Whether any byte offset in `tail` starts a complete, CRC-valid,
@@ -424,22 +490,12 @@ fn contains_valid_frame(tail: &[u8]) -> bool {
     if tail.len() < 8 {
         return false;
     }
-    for o in 0..tail.len() - 8 {
-        let len = u32::from_le_bytes(tail[o..o + 4].try_into().unwrap()) as usize;
-        if len > MAX_RECORD_LEN as usize || tail.len() - o - 8 < len {
-            continue;
-        }
-        let crc = u32::from_le_bytes(tail[o + 4..o + 8].try_into().unwrap());
-        let payload = &tail[o + 8..o + 8 + len];
-        if crc32(payload) != crc {
-            continue;
-        }
-        let mut r = ByteReader::new(payload);
-        if r.u64().is_ok() && Mutation::decode(&mut r).is_ok() && r.remaining() == 0 {
-            return true;
-        }
-    }
-    false
+    (0..tail.len() - 8).any(|o| {
+        frame_at(tail, o).is_some_and(|payload| {
+            let mut r = ByteReader::new(payload);
+            r.u64().is_ok() && MutationRef::decode(&mut r).is_ok() && r.remaining() == 0
+        })
+    })
 }
 
 /// Sorted `(base_seq, path)` list of the segment files in `dir`.
@@ -773,6 +829,111 @@ mod tests {
             std::fs::write(&probe, &bytes).unwrap();
             let _ = read_segment(&probe, Some(2));
             let _ = read_segment(&probe, None);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// One record of every opcode, for mutation fuzzing.
+    fn one_of_each() -> Vec<Mutation> {
+        use grepair_graph::{EdgeId, Value};
+        vec![
+            Mutation::AddNode {
+                node: NodeId(3),
+                label: "P".into(),
+                attrs: vec![
+                    ("s".into(), Value::from("x")),
+                    ("i".into(), Value::Int(-1)),
+                    ("f".into(), Value::Float(0.5)),
+                    ("b".into(), Value::Bool(true)),
+                ],
+            },
+            Mutation::RemoveNode { node: NodeId(1) },
+            Mutation::AddEdge {
+                edge: EdgeId(2),
+                src: NodeId(0),
+                dst: NodeId(1),
+                label: "r".into(),
+            },
+            Mutation::RemoveEdge { edge: EdgeId(0) },
+            Mutation::SetNodeLabel {
+                node: NodeId(0),
+                label: "Q".into(),
+            },
+            Mutation::SetEdgeLabel {
+                edge: EdgeId(1),
+                label: "s".into(),
+            },
+            Mutation::SetAttr {
+                node: NodeId(2),
+                key: "k".into(),
+                value: Value::from("v"),
+            },
+            Mutation::RemoveAttr {
+                node: NodeId(0),
+                key: "s".into(),
+            },
+            Mutation::MergeNodes {
+                keep: NodeId(0),
+                merged: NodeId(2),
+                dedup_parallel: true,
+            },
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The record decoder and apply routine themselves, past the
+        /// checksum: arbitrary payload bytes, and a valid record of any
+        /// opcode cut short with random bytes overwritten, each framed
+        /// with a correct length and CRC behind a valid header, read back
+        /// `Ok` or a typed `Err`. What reads back replays onto a small
+        /// graph without a panic.
+        #[test]
+        fn crc_valid_frames_never_panic_the_decoder(
+            soup in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+            which in 0usize..9,
+            cut in proptest::prelude::any::<u16>(),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<u16>(), proptest::prelude::any::<u8>()),
+                0..4,
+            ),
+        ) {
+            let dir = tmpdir("frame");
+            let probe = dir.join(segment_file_name(1));
+            let mut valid = ByteWriter::new();
+            valid.u64(1);
+            one_of_each()[which].encode(&mut valid);
+            let mut mutated = valid.into_bytes();
+            mutated.truncate(cut as usize % (mutated.len() + 1));
+            for &(at, byte) in &edits {
+                if !mutated.is_empty() {
+                    let i = at as usize % mutated.len();
+                    mutated[i] = byte;
+                }
+            }
+            for payload in [&soup, &mutated] {
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&SEGMENT_MAGIC);
+                bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+                bytes.extend_from_slice(&1u64.to_le_bytes());
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+                bytes.extend_from_slice(payload);
+                std::fs::write(&probe, &bytes).unwrap();
+                if let Ok(c) = read_segment(&probe, Some(1)) {
+                    let mut g = grepair_graph::Graph::new();
+                    let a = g.add_node_named("P");
+                    let b = g.add_node_named("Q");
+                    let c2 = g.add_node_named("P");
+                    g.add_edge_named(a, b, "r").unwrap();
+                    g.add_edge_named(b, c2, "r").unwrap();
+                    for rec in &c.records {
+                        let _ = rec.mutation.apply(&mut g);
+                    }
+                    g.check_invariants().unwrap();
+                }
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }

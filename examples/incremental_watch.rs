@@ -99,9 +99,9 @@ fn main() {
     let mut store = DurableGraph::open(&dir, config).expect("recover store");
     let r = store.last_recovery();
     println!(
-        "recovered from snapshot seq {} + {} replayed records in {:?} \
+        "recovered from snapshot seq {} (loaded in {:?}) + {} records replayed in {:?} \
          (truncated {} torn bytes)",
-        r.snapshot_seq, r.records_replayed, r.wall, r.torn_tail_bytes
+        r.snapshot_seq, r.snapshot_load, r.records_replayed, r.replay, r.torn_tail_bytes
     );
     assert_eq!(store.graph().dump_slots(), committed, "exact committed state");
     assert_eq!(store.last_seq(), committed_seq);
