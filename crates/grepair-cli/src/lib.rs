@@ -315,7 +315,7 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 
 /// The atomic-write core, over a swappable [`Vfs`] backend: temp file
 /// in the target's directory, `fdatasync`, rename over the target,
-/// temp cleanup on any failure. [`write_atomic`] (every CLI file
+/// temp cleanup on any failure. `write_atomic` (every CLI file
 /// output and the `--trace` export) runs this over [`StdFs`] after
 /// resolving symlinks and diverting non-regular targets; the
 /// fault-injection tests drive the *same code* over a `FaultyFs` that
@@ -464,13 +464,12 @@ severities (last flag wins), --format json emits machine output.
 check/repair/watch accept --lint to run the same pre-flight and refuse
 deny-level rule sets before touching the graph.
 
-`explain` prints, per rule, the join plan the cost-based planner chooses
-against the given graph's cardinality statistics: variable order, the
-expected candidate access path per step (label-index / extend /
-attr-join / scan), the cardinality estimate, and the accumulated cost —
-plus the statistics epoch, whether they were maintained on the write
-path or recomputed, drift since the last refresh, and plan-cache
-compile/hit counters.
+`explain` prints, per rule, the join plan the matcher runs against the
+given graph: variable order (greedy by candidate count, preferring
+variables adjacent to the matched prefix), the expected candidate access
+path per step (label-index / extend / scan), the candidate count, and the
+accumulated cost bound — plus the graph's size and version, and
+plan-cache compile/hit counters.
 
 `watch` runs N repair passes (default 2) through one long-lived
 planner, printing per-run plan-cache counters — run 2 onwards should
@@ -698,12 +697,9 @@ fn cmd_check(tokens: &[String]) -> CliResult {
             ))
         }
     };
-    // One warm planner for the whole check: statistics-driven join
-    // orders (adopted free when the graph maintains them — store-backed
-    // graphs do), plans compiled once even when several rules share a
-    // pattern shape.
+    // One warm planner for the whole check: plans compiled once even
+    // when several rules share a pattern shape.
     let planner = Planner::new();
-    planner.refresh_stats(&g);
     let budget = make_budget(&args, "check", MaxOps::Matches)?;
     let cfg = grepair_match::MatchConfig::default();
     let matcher = grepair_match::Matcher::with_planner(&g, cfg, &planner).with_budget(&budget);
@@ -749,20 +745,12 @@ fn cmd_explain(tokens: &[String]) -> CliResult {
         }
     };
     let planner = Planner::new();
-    planner.refresh_stats(&g);
-    let stats = planner.stats().expect("stats just refreshed");
-    let source = planner
-        .stats_source()
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| "none".to_owned());
     writeln!(
         out,
-        "statistics: |V|={} |E|={} (version {}, epoch {}, {source}, drift {:.1}%)",
-        stats.nodes,
-        stats.edges,
-        stats.version,
-        planner.stats_epoch(),
-        planner.drift(&g).unwrap_or(0.0) * 100.0
+        "graph: |V|={} |E|={} (version {})",
+        g.num_nodes(),
+        g.num_edges(),
+        g.version()
     )
     .unwrap();
     let matcher =
@@ -1350,10 +1338,8 @@ mod tests {
             "explain", "-r", rules.to_str().unwrap(), "-g", dirty.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains("statistics: |V|="), "{out}");
-        assert!(out.contains("epoch 1"), "{out}");
-        assert!(out.contains("recomputed"), "{out}");
-        assert!(out.contains("drift 0.0%"), "{out}");
+        assert!(out.contains("graph: |V|="), "{out}");
+        assert!(out.contains("(version "), "{out}");
         assert!(out.contains("plan cache:"), "{out}");
         assert!(out.contains("rule add_citizenship"), "{out}");
         assert!(out.contains("estimated cost"), "{out}");

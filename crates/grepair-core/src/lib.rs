@@ -73,7 +73,7 @@ pub use engine::{RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSi
 // Re-exported so downstream crates (the store's repair hook, the CLI)
 // can hold a long-lived planner and a repair seed without depending on
 // grepair-match directly.
-pub use grepair_match::{Planner, StatsSource, TouchSet};
+pub use grepair_match::{Planner, TouchSet};
 pub use printer::{rule_to_dsl, ruleset_to_dsl};
 pub use watch::{LiveViolation, Watcher};
 pub use rule::{Action, Category, Grr, PatternEdgeRef, RuleError, Target, ValueSource};

@@ -30,10 +30,7 @@ pub struct LiveViolation {
 ///
 /// The watcher *does* own a long-lived [`Planner`]: every update matches
 /// through one warm plan cache, so the steady-state cost of watching is
-/// delta re-matching alone — no per-call pattern
-/// compilation, no statistics recompute (statistics refresh through the
-/// drift gate, adopting the graph's maintained snapshot when
-/// [`Graph::maintain_stats`] is on).
+/// delta re-matching alone, with no per-call pattern compilation.
 pub struct Watcher {
     rules: Vec<Grr>,
     /// Key: (rule, nodes) → violation. Deduplicates across updates.
@@ -50,7 +47,6 @@ impl Watcher {
             live: FxHashMap::default(),
             planner: Planner::new(),
         };
-        w.planner.refresh_stats(g);
         let matcher = Matcher::with_planner(g, MatchConfig::default(), &w.planner);
         for (ri, rule) in w.rules.iter().enumerate() {
             for m in matcher.find_all(&rule.pattern) {
@@ -65,8 +61,7 @@ impl Watcher {
         &self.rules
     }
 
-    /// The watcher's long-lived planner (plan-cache and statistics
-    /// introspection).
+    /// The watcher's long-lived planner (plan-cache introspection).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
@@ -96,7 +91,6 @@ impl Watcher {
     /// Report externally touched nodes; discovers new violations in their
     /// neighborhood. Returns how many new violations appeared.
     pub fn update(&mut self, g: &Graph, touched: &TouchSet) -> usize {
-        self.planner.refresh_if_drifted(g);
         let matcher = Matcher::with_planner(g, MatchConfig::default(), &self.planner);
         let mut added = 0usize;
         for (ri, rule) in self.rules.iter().enumerate() {
@@ -182,8 +176,8 @@ mod tests {
 
     #[test]
     fn watcher_planner_stays_warm_across_updates() {
-        // Big enough that a handful of edits stays inside the planner's
-        // drift tolerance — the cache must survive the whole session.
+        // Edits that intern no new name keep every plan key: the cache
+        // must survive the whole session.
         let mut g = Graph::new();
         let city = g.add_node_named("City");
         let country = g.add_node_named("Country");

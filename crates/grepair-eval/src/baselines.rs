@@ -72,8 +72,8 @@ pub struct BaselineReport {
 /// the graph the earlier ones left, then rescan. Stops when a scan finds
 /// nothing, a round applies nothing, or after `max_rounds` rounds.
 ///
-/// The matcher runs with `cfg` and one planner whose statistics follow
-/// the graph across rounds, so `MatchConfig::default()` isolates what
+/// The matcher runs with `cfg` and one planner whose plan cache serves
+/// every round, so `MatchConfig::default()` isolates what
 /// incremental discovery buys and `MatchConfig::naive()` is the
 /// unoptimised baseline.
 pub fn rescan_repair(
@@ -86,9 +86,6 @@ pub fn rescan_repair(
     let planner = Planner::new();
     let mut report = BaselineReport::default();
     for _ in 0..max_rounds {
-        if cfg.connected_order {
-            planner.refresh_if_drifted(g);
-        }
         let mut violations: Vec<(f64, usize, Match)> =
             scan(&Matcher::with_planner(g, cfg, &planner), rules)
                 .into_iter()

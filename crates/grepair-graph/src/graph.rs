@@ -23,7 +23,6 @@ use crate::error::{GraphError, Result};
 use crate::ids::{AttrKeyId, EdgeId, LabelId, NodeId};
 use crate::interner::Interner;
 use crate::io::{EdgeDoc, GraphDoc, NodeDoc};
-use crate::stats::{CardinalityStats, StatsMaintenance};
 use crate::value::Value;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::OnceLock;
@@ -77,63 +76,39 @@ struct EdgeSlot {
 #[derive(Clone, Debug, Default, PartialEq)]
 struct KeyIndex {
     buckets: FxHashMap<Value, FxHashSet<NodeId>>,
-    /// Total (node, value) entries over all buckets.
-    entries: u64,
 }
 
 impl KeyIndex {
     fn insert(&mut self, id: NodeId, value: &Value) {
-        let inserted = match self.buckets.get_mut(value) {
+        match self.buckets.get_mut(value) {
             Some(bucket) => bucket.insert(id),
             None => self.buckets.entry(value.clone()).or_default().insert(id),
         };
-        self.entries += inserted as u64;
     }
 
     fn remove(&mut self, id: NodeId, value: &Value) {
         let Some(bucket) = self.buckets.get_mut(value) else {
             return;
         };
-        if bucket.remove(&id) {
-            self.entries -= 1;
-            if bucket.is_empty() {
-                self.buckets.remove(value);
-            }
+        if bucket.remove(&id) && bucket.is_empty() {
+            self.buckets.remove(value);
         }
     }
 }
 
-/// Record that node `id` gained `key = value`: in the key's value index
-/// if it is built, and in maintained statistics. A free function over
-/// the two fields so callers can pass a value borrowed from a node slot.
-fn index_attr(
-    value_index: &mut [OnceLock<KeyIndex>],
-    stats: Option<&mut StatsMaintenance>,
-    id: NodeId,
-    key: AttrKeyId,
-    value: &Value,
-) {
+/// Record that node `id` gained `key = value` in the key's value index,
+/// if it is built. A free function over the field so callers can pass a
+/// value borrowed from a node slot.
+fn index_attr(value_index: &mut [OnceLock<KeyIndex>], id: NodeId, key: AttrKeyId, value: &Value) {
     if let Some(ix) = value_index[key.index()].get_mut() {
         ix.insert(id, value);
-    }
-    if let Some(m) = stats {
-        m.attr_insert(key, value);
     }
 }
 
 /// Record that node `id` lost `key = value` (see [`index_attr`]).
-fn unindex_attr(
-    value_index: &mut [OnceLock<KeyIndex>],
-    stats: Option<&mut StatsMaintenance>,
-    id: NodeId,
-    key: AttrKeyId,
-    value: &Value,
-) {
+fn unindex_attr(value_index: &mut [OnceLock<KeyIndex>], id: NodeId, key: AttrKeyId, value: &Value) {
     if let Some(ix) = value_index[key.index()].get_mut() {
         ix.remove(id, value);
-    }
-    if let Some(m) = stats {
-        m.attr_remove(key, value);
     }
 }
 
@@ -152,8 +127,6 @@ pub struct Graph {
     attr_keys: Interner,
     /// Per label: live nodes carrying it. Swap-remove with back pointers.
     label_index: Vec<Vec<NodeId>>,
-    /// Per label: number of live edges carrying it.
-    edge_label_counts: Vec<u64>,
     /// Value index per attribute key, indexed by [`AttrKeyId`]: value →
     /// nodes carrying exactly that attribute. Powers equi-join candidate
     /// retrieval in the matcher (redundancy rules like "same ssn ⇒ same
@@ -164,11 +137,6 @@ pub struct Graph {
     n_nodes: usize,
     n_edges: usize,
     version: u64,
-    /// Maintained-statistics mode ([`Graph::maintain_stats`]): a
-    /// [`CardinalityStats`] kept exactly current by every mutator (plus
-    /// its numeric-distribution support structure), so planners read
-    /// fresh statistics without an `O(V + E)` recompute.
-    stats: Option<Box<StatsMaintenance>>,
 }
 
 const _: () = {
@@ -180,46 +148,6 @@ impl Graph {
     /// New empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    // ---- maintained statistics -------------------------------------------
-
-    /// Switch incremental statistics maintenance on or off.
-    ///
-    /// Enabling computes one fresh [`CardinalityStats`] snapshot (a
-    /// single `O(V + E)` pass) and from then on every mutation updates
-    /// it in place — triple counts, label marginals, attribute buckets,
-    /// range summaries and degree totals all move with the write, so
-    /// [`Graph::maintained_stats`] is always exactly
-    /// [`CardinalityStats::compute`] of the current graph at zero read
-    /// cost. Disabling drops the snapshot.
-    ///
-    /// The sustained overhead is a handful of hash-map updates per
-    /// mutation (bounded by the touched element's incident edges for
-    /// relabels).
-    pub fn maintain_stats(&mut self, on: bool) {
-        self.stats = if on {
-            Some(Box::new(StatsMaintenance::build(self)))
-        } else {
-            None
-        };
-    }
-
-    /// The incrementally maintained statistics, when
-    /// [`Graph::maintain_stats`] is on. Always stamped with the current
-    /// [`Graph::version`].
-    pub fn maintained_stats(&self) -> Option<&CardinalityStats> {
-        self.stats.as_deref().map(|m| &m.stats)
-    }
-
-    /// Stamp the maintained snapshot with the just-bumped version; every
-    /// mutator calls this after its delta updates.
-    #[inline]
-    fn sync_stats_version(&mut self) {
-        let v = self.version;
-        if let Some(m) = self.stats.as_deref_mut() {
-            m.stats.version = v;
-        }
     }
 
     // ---- interners -------------------------------------------------------
@@ -274,7 +202,6 @@ impl Graph {
         let need = id.index() + 1;
         if self.label_index.len() < need {
             self.label_index.resize_with(need, Vec::new);
-            self.edge_label_counts.resize(need, 0);
         }
     }
 
@@ -312,7 +239,7 @@ impl Graph {
             .pop()
             .unwrap_or_else(|| NodeId::from_index(self.nodes.len()));
         for (k, v) in &attrs {
-            index_attr(&mut self.value_index, self.stats.as_deref_mut(), id, *k, v);
+            index_attr(&mut self.value_index, id, *k, v);
         }
         let slot = NodeSlot {
             label,
@@ -328,11 +255,7 @@ impl Graph {
         }
         self.index_node(id, label);
         self.n_nodes += 1;
-        if let Some(m) = self.stats.as_deref_mut() {
-            m.stats.node_delta(label, 1);
-        }
         self.version += 1;
-        self.sync_stats_version();
         id
     }
 
@@ -367,17 +290,6 @@ impl Graph {
         self.key_index(key)
             .and_then(|ix| ix.buckets.get(value))
             .map_or(0, |s| s.len())
-    }
-
-    /// Expected size of one equality bucket of attribute `key`
-    /// (`entries / distinct values` in its value index); 0 when no live
-    /// node carries `key`. The planner's equality-join selectivity —
-    /// read from the index the join itself will probe.
-    pub fn avg_bucket(&self, key: AttrKeyId) -> f64 {
-        match self.key_index(key) {
-            Some(ix) if !ix.buckets.is_empty() => ix.entries as f64 / ix.buckets.len() as f64,
-            _ => 0.0,
-        }
     }
 
     fn index_node(&mut self, id: NodeId, label: LabelId) {
@@ -417,16 +329,12 @@ impl Graph {
         self.unindex_node(id, label);
         let attrs = std::mem::take(&mut self.nodes[id.index()].attrs);
         for (k, v) in &attrs {
-            unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), id, *k, v);
+            unindex_attr(&mut self.value_index, id, *k, v);
         }
         self.nodes[id.index()].alive = false;
         self.free_nodes.push(id);
         self.n_nodes -= 1;
-        if let Some(m) = self.stats.as_deref_mut() {
-            m.stats.node_delta(label, -1);
-        }
         self.version += 1;
-        self.sync_stats_version();
         Ok(removed)
     }
 
@@ -448,30 +356,10 @@ impl Graph {
         if old == label {
             return Ok(old);
         }
-        // Maintained statistics: the node moves between label marginals,
-        // and every incident edge's triple/degree attribution moves with
-        // it. Old/new labels are substituted explicitly so self-loops
-        // (both endpoints relabelled at once) stay exact. The snapshot
-        // is taken out of `self` for the duration so the loop can read
-        // slot state while mutating it.
-        if let Some(mut m) = self.stats.take() {
-            for e in self.incident_edges_sorted(id) {
-                let es = &self.edges[e.index()];
-                let sl_old = if es.src == id { old } else { self.nodes[es.src.index()].label };
-                let dl_old = if es.dst == id { old } else { self.nodes[es.dst.index()].label };
-                let sl_new = if es.src == id { label } else { sl_old };
-                let dl_new = if es.dst == id { label } else { dl_old };
-                m.stats.edge_delta(es.label, sl_old, dl_old, -1);
-                m.stats.edge_delta(es.label, sl_new, dl_new, 1);
-            }
-            m.stats.node_relabel(old, label);
-            self.stats = Some(m);
-        }
         self.unindex_node(id, old);
         self.nodes[id.index()].label = label;
         self.index_node(id, label);
         self.version += 1;
-        self.sync_stats_version();
         Ok(old)
     }
 
@@ -534,15 +422,8 @@ impl Graph {
         };
         self.nodes[src.index()].out.push(id);
         self.nodes[dst.index()].inc.push(id);
-        let src_label = self.nodes[src.index()].label;
-        let dst_label = self.nodes[dst.index()].label;
-        self.edge_label_counts[label.index()] += 1;
         self.n_edges += 1;
-        if let Some(m) = self.stats.as_deref_mut() {
-            m.stats.edge_delta(label, src_label, dst_label, 1);
-        }
         self.version += 1;
-        self.sync_stats_version();
         Ok(id)
     }
 
@@ -554,12 +435,10 @@ impl Graph {
 
     /// Delete an edge.
     pub fn remove_edge(&mut self, id: EdgeId) -> Result<()> {
-        let (src, dst, label) = {
+        let (src, dst) = {
             let e = self.live_edge(id)?;
-            (e.src, e.dst, e.label)
+            (e.src, e.dst)
         };
-        let src_label = self.nodes[src.index()].label;
-        let dst_label = self.nodes[dst.index()].label;
         let out = &mut self.nodes[src.index()].out;
         if let Some(pos) = out.iter().position(|&e| e == id) {
             out.swap_remove(pos);
@@ -570,13 +449,8 @@ impl Graph {
         }
         self.edges[id.index()].alive = false;
         self.free_edges.push(id);
-        self.edge_label_counts[label.index()] -= 1;
         self.n_edges -= 1;
-        if let Some(m) = self.stats.as_deref_mut() {
-            m.stats.edge_delta(label, src_label, dst_label, -1);
-        }
         self.version += 1;
-        self.sync_stats_version();
         Ok(())
     }
 
@@ -598,25 +472,12 @@ impl Graph {
     /// Replace an edge's label; returns the previous label.
     pub fn set_edge_label(&mut self, id: EdgeId, label: LabelId) -> Result<LabelId> {
         self.ensure_label_tables(label);
-        let (src, dst, old) = {
-            let e = self.live_edge(id)?;
-            (e.src, e.dst, e.label)
-        };
+        let old = self.live_edge(id)?.label;
         if old == label {
             return Ok(old);
         }
         self.edges[id.index()].label = label;
-        self.edge_label_counts[old.index()] -= 1;
-        self.edge_label_counts[label.index()] += 1;
-        if self.stats.is_some() {
-            let sl = self.nodes[src.index()].label;
-            let dl = self.nodes[dst.index()].label;
-            let m = self.stats.as_deref_mut().expect("checked above");
-            m.stats.edge_delta(old, sl, dl, -1);
-            m.stats.edge_delta(label, sl, dl, 1);
-        }
         self.version += 1;
-        self.sync_stats_version();
         Ok(old)
     }
 
@@ -649,10 +510,9 @@ impl Graph {
             }
         };
         if let Some(old_v) = &old {
-            unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, old_v);
+            unindex_attr(&mut self.value_index, node, key, old_v);
         }
-        index_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, &attrs[i].1);
-        self.sync_stats_version();
+        index_attr(&mut self.value_index, node, key, &attrs[i].1);
         Ok(old)
     }
 
@@ -664,8 +524,7 @@ impl Graph {
             Ok(i) => {
                 self.version += 1;
                 let (_, v) = attrs.remove(i);
-                unindex_attr(&mut self.value_index, self.stats.as_deref_mut(), node, key, &v);
-                self.sync_stats_version();
+                unindex_attr(&mut self.value_index, node, key, &v);
                 Ok(Some(v))
             }
             Err(_) => Ok(None),
@@ -817,14 +676,6 @@ impl Graph {
         self.nodes_with_label(label).len()
     }
 
-    /// Count of live edges with `label`.
-    pub fn count_edges_with_label(&self, label: LabelId) -> u64 {
-        self.edge_label_counts
-            .get(label.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Whether some live edge `src --label--> dst` exists.
     ///
     /// Short-circuits on the first hit — unlike [`Graph::find_edge`],
@@ -870,7 +721,7 @@ impl Graph {
     /// Check internal invariants; used by tests and `debug_assert!` hooks.
     ///
     /// Verifies: adjacency symmetry, index membership/positions, live
-    /// counts, edge label counts, every built value index.
+    /// counts, every built value index.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut n_alive = 0usize;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -918,14 +769,12 @@ impl Graph {
             ));
         }
         let mut n_edges = 0usize;
-        let mut label_counts = vec![0u64; self.edge_label_counts.len()];
         for (i, e) in self.edges.iter().enumerate() {
             if !e.alive {
                 continue;
             }
             n_edges += 1;
             let id = EdgeId::from_index(i);
-            label_counts[e.label.index()] += 1;
             let src = &self.nodes[e.src.index()];
             let dst = &self.nodes[e.dst.index()];
             if !src.alive || !dst.alive {
@@ -944,11 +793,7 @@ impl Graph {
                 self.n_edges
             ));
         }
-        if label_counts != self.edge_label_counts {
-            return Err("edge label counts stale".into());
-        }
-        // Every built value index equals a fresh build from the nodes,
-        // its entry count included.
+        // Every built value index equals a fresh build from the nodes.
         for (k, cell) in self.value_index.iter().enumerate() {
             let Some(ix) = cell.get() else {
                 continue;
@@ -956,16 +801,6 @@ impl Graph {
             let key = AttrKeyId::from_index(k);
             if *ix != self.build_key_index(key) {
                 return Err(format!("value index of {key:?} diverged from a scan"));
-            }
-        }
-        // Maintained statistics must equal a fresh full recompute — the
-        // differential oracle for the write-path deltas.
-        if let Some(s) = self.maintained_stats() {
-            let fresh = CardinalityStats::compute(self);
-            if *s != fresh {
-                return Err(format!(
-                    "maintained statistics diverged from recompute:\n  maintained: {s:?}\n  computed:   {fresh:?}"
-                ));
             }
         }
         Ok(())
@@ -1157,8 +992,8 @@ impl SlotLoader {
         if attrs.windows(2).any(|w| w[0].0 == w[1].0) {
             keep_last_of_each_key(&mut attrs);
         }
-        // A fresh graph has no value index built and no maintained
-        // statistics, so the attributes need no indexing here.
+        // A fresh graph has no value index built, so the attributes
+        // need no indexing here.
         let slot = &mut g.nodes[i];
         slot.label = label;
         slot.attrs = attrs;
@@ -1193,7 +1028,6 @@ impl SlotLoader {
         };
         g.nodes[src.index()].out.push(EdgeId(id));
         g.nodes[dst.index()].inc.push(EdgeId(id));
-        g.edge_label_counts[label.index()] += 1;
         g.n_edges += 1;
         Ok(())
     }
@@ -1325,6 +1159,10 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
+    fn edges_labeled(g: &Graph, label: LabelId) -> usize {
+        g.edges().filter(|&e| g.edge(e).unwrap().label == label).count()
+    }
+
     #[test]
     fn add_and_remove_edges() {
         let (mut g, a, b, c) = small();
@@ -1337,14 +1175,14 @@ mod tests {
         assert!(!g.has_edge_labeled(b, a, knows));
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(c), 1);
-        assert_eq!(g.count_edges_with_label(knows), 1);
+        assert_eq!(edges_labeled(&g, knows), 1);
         g.check_invariants().unwrap();
 
         g.remove_edge(e1).unwrap();
         assert!(!g.contains_edge(e1));
         assert!(g.contains_edge(e2));
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.count_edges_with_label(knows), 0);
+        assert_eq!(edges_labeled(&g, knows), 0);
         g.check_invariants().unwrap();
     }
 
@@ -1407,8 +1245,8 @@ mod tests {
         let hates = g.label("hates");
         let e = g.add_edge(a, b, knows).unwrap();
         g.set_edge_label(e, hates).unwrap();
-        assert_eq!(g.count_edges_with_label(knows), 0);
-        assert_eq!(g.count_edges_with_label(hates), 1);
+        assert_eq!(edges_labeled(&g, knows), 0);
+        assert_eq!(edges_labeled(&g, hates), 1);
         assert!(g.has_edge_labeled(a, b, hates));
         g.check_invariants().unwrap();
     }

@@ -4,8 +4,8 @@
 //! [`LabelId`](crate::LabelId)/[`AttrKeyId`](crate::AttrKeyId); all
 //! string comparisons on hot paths thus reduce to `u32` equality. The
 //! interner is append-only: ids are dense, stable, and never recycled, so
-//! they can be used directly as indexes into side tables (label indexes,
-//! per-label statistics).
+//! they can be used directly as indexes into side tables (label and
+//! value indexes).
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};

@@ -34,7 +34,7 @@
 //! - [`graph`] — the storage itself, its label indexes and the
 //!   [`SlotLoader`] that rebuilds it from a slot image.
 //! - [`ids`] — `u32` newtype identifiers.
-//! - [`value`] — dynamic attribute values.
+//! - `value` — dynamic attribute values ([`Value`]).
 //! - [`interner`] — label/attr-key interning.
 //! - [`edit_distance`] — graph edit distance (cost table + exact small-graph
 //!   solver + lower bound), backing the paper's "best repair" selection.
@@ -66,5 +66,5 @@ pub use graph::{EdgeRef, Graph, MergeOutcome, SlotLoader};
 pub use ids::{AttrKeyId, Direction, EdgeId, LabelId, NodeId};
 pub use interner::Interner;
 pub use io::{EdgeDoc, GraphDoc, NodeDoc};
-pub use stats::{CardinalityStats, GraphStats};
+pub use stats::GraphStats;
 pub use value::Value;

@@ -121,27 +121,34 @@ fn soup_strategy() -> impl Strategy<Value = String> {
 #[derive(Clone, Debug)]
 enum Op {
     AddNode(u8),
+    AddNodeWithAttrs(u8, u8, i64),
     AddEdge(u8, u8, u8),
     RemoveNode(u8),
     RemoveEdge(u8),
     RelabelNode(u8, u8),
     RelabelEdge(u8, u8),
     SetAttr(u8, u8, i64),
+    SetAttrFloat(u8, u8, i64),
+    SetAttrStr(u8, u8),
     RemoveAttr(u8, u8),
-    Merge(u8, u8),
+    Merge(u8, u8, bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         any::<u8>().prop_map(Op::AddNode),
+        (any::<u8>(), any::<u8>(), any::<i64>())
+            .prop_map(|(l, k, v)| Op::AddNodeWithAttrs(l, k, v)),
         (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, l)| Op::AddEdge(a, b, l)),
         any::<u8>().prop_map(Op::RemoveNode),
         any::<u8>().prop_map(Op::RemoveEdge),
         (any::<u8>(), any::<u8>()).prop_map(|(n, l)| Op::RelabelNode(n, l)),
         (any::<u8>(), any::<u8>()).prop_map(|(e, l)| Op::RelabelEdge(e, l)),
         (any::<u8>(), any::<u8>(), any::<i64>()).prop_map(|(n, k, v)| Op::SetAttr(n, k, v)),
+        (any::<u8>(), any::<u8>(), any::<i64>()).prop_map(|(n, k, v)| Op::SetAttrFloat(n, k, v)),
+        (any::<u8>(), any::<u8>()).prop_map(|(n, k)| Op::SetAttrStr(n, k)),
         (any::<u8>(), any::<u8>()).prop_map(|(n, k)| Op::RemoveAttr(n, k)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Merge(a, b)),
+        (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(a, b, d)| Op::Merge(a, b, d)),
     ]
 }
 
@@ -179,6 +186,10 @@ fn apply_ops_to(g: &mut Graph, ops: &[Op]) {
             Op::AddNode(l) => {
                 g.add_node(labels[*l as usize % labels.len()]);
             }
+            Op::AddNodeWithAttrs(l, k, v) => {
+                let attrs = vec![(keys[*k as usize % keys.len()], Value::Int(*v % 8))];
+                g.add_node_with_attrs(labels[*l as usize % labels.len()], attrs);
+            }
             Op::AddEdge(a, b, l) => {
                 if let (Some(s), Some(d)) = (pick_node(g, *a), pick_node(g, *b)) {
                     g.add_edge(s, d, labels[*l as usize % labels.len()])
@@ -213,15 +224,27 @@ fn apply_ops_to(g: &mut Graph, ops: &[Op]) {
                         .unwrap();
                 }
             }
+            Op::SetAttrFloat(n, k, v) => {
+                if let Some(n) = pick_node(g, *n) {
+                    let v = Value::Float((*v % 8) as f64 / 2.0);
+                    g.set_attr(n, keys[*k as usize % keys.len()], v).unwrap();
+                }
+            }
+            Op::SetAttrStr(n, k) => {
+                if let Some(n) = pick_node(g, *n) {
+                    g.set_attr(n, keys[*k as usize % keys.len()], Value::from("s"))
+                        .unwrap();
+                }
+            }
             Op::RemoveAttr(n, k) => {
                 if let Some(n) = pick_node(g, *n) {
                     g.remove_attr(n, keys[*k as usize % keys.len()]).unwrap();
                 }
             }
-            Op::Merge(a, b) => {
+            Op::Merge(a, b, dedup) => {
                 if let (Some(keep), Some(merged)) = (pick_node(g, *a), pick_node(g, *b)) {
                     if keep != merged {
-                        g.merge_nodes(keep, merged, true).unwrap();
+                        g.merge_nodes(keep, merged, *dedup).unwrap();
                     }
                 }
             }
@@ -239,6 +262,26 @@ proptest! {
     fn mutation_sequences_preserve_invariants(ops in prop::collection::vec(op_strategy(), 0..60)) {
         let g = apply_ops(&ops);
         prop_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
+    }
+
+    /// A slot-image restore and a clone are both sound graphs that
+    /// allocate the ids the original would: the same further ops leave
+    /// all three with identical slot images (tombstone reuse included)
+    /// and every invariant intact.
+    #[test]
+    fn restored_and_cloned_graphs_stay_sound(
+        ops in prop::collection::vec(op_strategy(), 0..40),
+        more in prop::collection::vec(op_strategy(), 0..20),
+    ) {
+        let mut g = apply_ops(&ops);
+        let mut restored = Graph::restore_slots(&g.dump_slots()).unwrap();
+        let mut cloned = g.clone();
+        for h in [&mut g, &mut restored, &mut cloned] {
+            apply_ops_to(h, &more);
+            prop_assert!(h.check_invariants().is_ok(), "{:?}", h.check_invariants());
+        }
+        prop_assert_eq!(restored.dump_slots(), g.dump_slots());
+        prop_assert_eq!(cloned.dump_slots(), g.dump_slots());
     }
 
     /// Documents round-trip: graph → doc → graph → doc is a fixpoint.

@@ -50,5 +50,5 @@ pub use matcher::{
     ExplainStep, Match, MatchConfig, Matcher, PlanAccess, PlanExplanation, PlanStep, TouchSet,
 };
 pub use pattern::{CmpOp, Constraint, Pattern, PatternBuilder, PatternEdge, PatternNode, Rhs, Var};
-pub use plan::{Planner, StatsSource};
+pub use plan::Planner;
 pub use sat::unsatisfiable;

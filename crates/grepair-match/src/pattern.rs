@@ -501,9 +501,7 @@ impl PatternBuilder {
         })
     }
 
-    /// Require `var.key op value` for an arbitrary comparison operator
-    /// (`<` / `>=`-style constraints additionally pick up range
-    /// selectivity from the planner's statistics).
+    /// Require `var.key op value` for an arbitrary comparison operator.
     pub fn attr_cmp(
         &mut self,
         var: Var,

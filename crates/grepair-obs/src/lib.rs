@@ -602,7 +602,7 @@ impl Registry {
         }
     }
 
-    /// Record an event (bounded buffer; drops past [`MAX_EVENTS`] are
+    /// Record an event (bounded buffer of 4096 events; drops past it are
     /// counted, not silently lost).
     pub fn event(&self, level: Level, name: impl Into<String>, message: impl Into<String>) {
         let mut events = self.events.lock().unwrap();

@@ -107,8 +107,8 @@ pub struct RecoveryStats {
     pub snapshot_load: Duration,
     /// Time spent reading, checking and replaying the log segments.
     pub replay: Duration,
-    /// Wall-clock time of the whole open: snapshot load, replay, the
-    /// statistics rebuild and reopening the active segment.
+    /// Wall-clock time of the whole open: snapshot load, replay and
+    /// reopening the active segment.
     pub wall: Duration,
 }
 
@@ -237,8 +237,7 @@ pub struct DurableGraph<V: Vfs = StdFs> {
     telemetry: StoreTelemetry,
     /// Long-lived planning state for [`DurableGraph::repair`]: plans
     /// compiled in one repair run serve every later run against this
-    /// store, and statistics come free off the graph's write path (the
-    /// store keeps its graph in [`Graph::maintain_stats`] mode).
+    /// store.
     planner: Planner,
     /// `Some((fp, delta))`: the graph was at a verified fixpoint of the
     /// rule set with [`set_fingerprint`] `fp`, and `delta` holds every
@@ -321,13 +320,11 @@ impl<V: Vfs> DurableGraph<V> {
         let writer = SegmentWriter::create_in(&vfs, dir, 1).inspect_err(|_| {
             lock::release(&vfs, dir);
         })?;
-        let mut graph = Graph::new();
-        graph.maintain_stats(true);
         Ok(Self {
             vfs,
             dir: dir.to_path_buf(),
             config,
-            graph,
+            graph: Graph::new(),
             writer,
             telemetry: StoreTelemetry::default(),
             planner: Planner::new(),
@@ -342,10 +339,9 @@ impl<V: Vfs> DurableGraph<V> {
     }
 
     /// [`DurableGraph::create_with`] against an explicit backend.
-    pub fn create_with_on(vfs: V, dir: &Path, config: StoreConfig, mut graph: Graph) -> Result<Self> {
+    pub fn create_with_on(vfs: V, dir: &Path, config: StoreConfig, graph: Graph) -> Result<Self> {
         let mut s = Self::create_on(vfs, dir, config)?;
         write_snapshot_in(&s.vfs, &s.dir, 0, &graph)?;
-        graph.maintain_stats(true);
         s.graph = graph;
         Ok(s)
     }
@@ -530,9 +526,6 @@ impl<V: Vfs> DurableGraph<V> {
             None => SegmentWriter::create_in(vfs, dir, last_seq + 1)?,
         };
 
-        // Statistics maintenance starts *after* replay (one compute over
-        // the recovered state) so the replay loop itself stays lean.
-        graph.maintain_stats(true);
         stats.wall = start.elapsed();
         obs::record_since_named("store.recovery_ns", recovery_started);
         obs::counter("wal.records_replayed").add(stats.records_replayed);
@@ -555,8 +548,8 @@ impl<V: Vfs> DurableGraph<V> {
         &self.dir
     }
 
-    /// The store's long-lived repair planner (plan-cache and statistics
-    /// introspection; warmed by [`DurableGraph::repair`]).
+    /// The store's long-lived repair planner (plan-cache introspection;
+    /// warmed by [`DurableGraph::repair`]).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
@@ -684,13 +677,12 @@ impl<V: Vfs> DurableGraph<V> {
     /// `fsync` it — everything journaled so far is durable once this
     /// returns.
     ///
-    /// A failed write is an [append](Poison::Append) poison and is
-    /// returned before any fsync. An fsync failure is final: the store
-    /// poisons itself against any further commit or mutation (see
-    /// [`Poison::Fsync`] — retrying an fsync after a failure can
-    /// silently lose the very pages the first call failed on). An
-    /// append-poisoned store may still commit: syncing the valid
-    /// journaled prefix already in the file is safe.
+    /// A failed write is an append poison and is returned before any
+    /// fsync. An fsync failure is final: the store poisons itself
+    /// against any further commit or mutation (retrying an fsync after
+    /// a failure can silently lose the very pages the first call failed
+    /// on). An append-poisoned store may still commit: syncing the
+    /// valid journaled prefix already in the file is safe.
     pub fn commit(&mut self) -> Result<()> {
         if self.poison == Some(Poison::Fsync) {
             return Err(StoreError::Poisoned);
@@ -850,10 +842,8 @@ impl<V: Vfs> DurableGraph<V> {
     ///
     /// Planning is always warm: the store owns a long-lived
     /// [`Planner`], so plans compiled during one repair serve every
-    /// later repair of this store, and the statistics feeding the cost
-    /// model come free off the graph's write path (the store keeps its
-    /// graph in [`Graph::maintain_stats`] mode). Later calls that have
-    /// anything to match report `plan_cache_hits` with zero
+    /// later repair of this store. Later calls that have anything to
+    /// match report `plan_cache_hits` with zero
     /// `pattern_compiles`.
     ///
     /// Matching is proportional to what changed: a repair that ends

@@ -11,7 +11,7 @@
 //!
 //! ## Retry policy
 //!
-//! [`with_retry`] wraps *whole-file and metadata* operations (create,
+//! `with_retry` wraps *whole-file and metadata* operations (create,
 //! open, read, rename, remove) in a bounded retry-with-backoff for
 //! transient `Interrupted`/`WouldBlock`/`TimedOut` errors, recording a
 //! `store.retry` counter and warn event per attempt. Two operation

@@ -202,12 +202,12 @@ fn stratified_repairs_are_journaled_identically() {
 }
 
 #[test]
-fn replayed_graph_maintains_exact_statistics() {
-    // WAL-replayed graphs must carry write-path–maintained statistics
-    // that exactly equal a full recompute — statistics maintenance and
-    // crash recovery compose.
-    let dir = tmpdir("maintained-stats");
-    {
+fn replayed_graph_keeps_its_invariants() {
+    // A WAL-replayed graph over a snapshot — node and edge inserts, an
+    // attribute write and a node removal with its incident edge — is
+    // structurally sound and equals the graph that was committed.
+    let dir = tmpdir("replayed-invariants");
+    let committed = {
         let mut store =
             DurableGraph::create_with(&dir, StoreConfig::default(), dirty_kg(60)).unwrap();
         let a = store.add_node("Person").unwrap();
@@ -218,18 +218,11 @@ fn replayed_graph_maintains_exact_statistics() {
             .unwrap();
         store.remove_node(b).unwrap();
         store.commit().unwrap();
-    }
+        store.graph().dump_slots()
+    };
     let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
     assert!(store.last_recovery().records_replayed > 0);
-    let maintained = store
-        .graph()
-        .maintained_stats()
-        .expect("store graphs maintain statistics");
-    assert_eq!(
-        maintained,
-        &grepair_graph::CardinalityStats::compute(store.graph()),
-        "replayed statistics must equal a recompute"
-    );
+    assert_eq!(store.graph().dump_slots(), committed);
     store.graph().check_invariants().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -181,51 +181,6 @@ fn rematch_rules_histogram_counts_the_rules_each_repair_enables() {
     assert!(t2[1] > t1[1], "gold repairs enable other gold rules");
 }
 
-/// "Was the estimate wrong?" is answered per plan step by
-/// `plan.step_obs_vs_est_pct`: with tracing on, a statistics-backed
-/// `find_all` records one sample per plan step that generated
-/// candidates, counted over the whole enumeration (the second city's
-/// persons come after the first match). With tracing off it records
-/// nothing.
-#[test]
-fn step_obs_vs_est_histogram_samples_every_step_while_tracing() {
-    use grepair_match::{MatchConfig, Matcher, Pattern, Planner};
-    let _lock = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // Two cities with two residents each: fresh statistics price the
-    // plan (root City, then extend to Person) exactly.
-    let mut g = grepair_graph::Graph::new();
-    for _ in 0..2 {
-        let city = g.add_node_named("City");
-        for _ in 0..2 {
-            let person = g.add_node_named("Person");
-            g.add_edge_named(person, city, "livesIn").unwrap();
-        }
-    }
-    let planner = Planner::new();
-    planner.refresh_stats(&g);
-    let mut b = Pattern::builder();
-    let x = b.node("x", Some("Person"));
-    let c = b.node("c", Some("City"));
-    b.edge(x, c, "livesIn");
-    let pattern = b.build().unwrap();
-    let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
-    let h = grepair_obs::histogram("plan.step_obs_vs_est_pct");
-    let read = || [h.count(), h.sum()];
-
-    let t0 = read();
-    assert_eq!(m.find_all(&pattern).len(), 4);
-    assert_eq!(read(), t0, "tracing off: no samples");
-
-    let (found, _) = with_tracing(|| m.find_all(&pattern));
-    assert_eq!(found.len(), 4);
-    let t1 = read();
-    assert_eq!(
-        [t1[0] - t0[0], t1[1] - t0[1]],
-        [2, 200],
-        "one sample per step, each 100% of its estimate"
-    );
-}
-
 /// Guardrail trips are telemetry-covered too: a repair cut short by an
 /// expired deadline bumps `limit.deadline_trips` exactly once (the trip
 /// is sticky and first-wins), emits the `limit.trip` warn event, and
