@@ -768,17 +768,17 @@ fn cmd_explain(tokens: &[String]) -> CliResult {
         }
         for (i, s) in ex.steps.iter().enumerate() {
             let label = s.label.as_deref().unwrap_or("*");
-            writeln!(
-                out,
-                "  {}. {:<20} {:<12} est {:.2}",
+            // An extend step's candidates are an adjacency list the
+            // planner cannot count, so it gets no `est`.
+            let est = s.estimate.map(|e| format!(" est {e:.2}")).unwrap_or_default();
+            let row = format!(
+                "  {}. {:<20} {:<12}{est}",
                 i + 1,
                 format!("{}:{label}", s.var),
-                s.access.to_string(),
-                s.estimate
-            )
-            .unwrap();
+                s.access.to_string()
+            );
+            writeln!(out, "{}", row.trim_end()).unwrap();
         }
-        writeln!(out, "  estimated cost: {:.1}", ex.estimated_cost).unwrap();
     }
     writeln!(
         out,
@@ -845,7 +845,7 @@ fn cmd_watch(tokens: &[String]) -> CliResult {
             let planner = Planner::new();
             for i in 0..runs {
                 let (r0, m0, d0) = (rounds_ctr.get(), matches_ctr.get(), delta_ctr.get());
-                let sink = |_: &AppliedOp| {};
+                let sink = |_: &[AppliedOp]| {};
                 let report =
                     engine.repair_with(&mut g, &rules.rules, &planner, RepairSeed::Full, sink);
                 print_run(&mut out, i, &report);
@@ -1342,12 +1342,18 @@ mod tests {
         assert!(out.contains("(version "), "{out}");
         assert!(out.contains("plan cache:"), "{out}");
         assert!(out.contains("rule add_citizenship"), "{out}");
-        assert!(out.contains("estimated cost"), "{out}");
         assert!(
             out.contains("label-index") || out.contains("scan"),
             "{out}"
         );
         assert!(out.contains("extend"), "{out}");
+        // Root steps carry their candidate count; extend steps carry none.
+        for row in out.lines().filter(|l| l.contains("label-index") || l.contains(" scan")) {
+            assert!(row.contains(" est "), "{row}");
+        }
+        for row in out.lines().filter(|l| l.contains(" extend")) {
+            assert!(!row.contains("est"), "an extend row carries no est: {row}");
+        }
         // A rule whose labels are absent from the graph is called out.
         let ghost = dir.join("ghost.grr");
         std::fs::write(

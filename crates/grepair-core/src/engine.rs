@@ -153,27 +153,26 @@ impl From<obs::TripReason> for RepairOutcome {
     }
 }
 
-/// Consumer of a repair run's applied operations, with round-boundary
-/// notifications.
+/// Consumer of a repair run's applied operations, one committed round
+/// at a time.
 ///
-/// [`RepairSink::op`] fires for every applied operation as it lands, in
-/// application order. [`RepairSink::round_committed`] fires when the
-/// ops delivered since the previous boundary form one *completed* round
-/// — one applied repair, whatever the schedule — the unit of atomicity
-/// for durable journaling and graceful shutdown: a budget trip never
-/// leaves the graph between two boundaries. Plain `FnMut(&AppliedOp)`
-/// closures implement the trait with a no-op boundary, so op-only
-/// consumers are unaffected.
+/// [`RepairSink::round`] is called once per committed round — one
+/// applied repair, whatever the schedule — with that round's operations
+/// in application order, never an empty slice. A round is the unit of
+/// atomicity for durable journaling and graceful shutdown: a budget trip
+/// never leaves the graph inside one, so a consumer that records whole
+/// calls records a prefix of the untripped run. The engine hands the
+/// same slice to its trigger filter and then drops it; a caller that
+/// wants the run's op log collects it here, e.g. with a closure
+/// `|ops: &[AppliedOp]| log.extend_from_slice(ops)`.
 pub trait RepairSink {
-    /// One applied operation, as it lands.
-    fn op(&mut self, op: &AppliedOp);
-    /// The ops since the previous boundary form one committed round.
-    fn round_committed(&mut self) {}
+    /// The operations of one committed round, in application order.
+    fn round(&mut self, ops: &[AppliedOp]);
 }
 
-impl<F: FnMut(&AppliedOp)> RepairSink for F {
-    fn op(&mut self, op: &AppliedOp) {
-        self(op)
+impl<F: FnMut(&[AppliedOp])> RepairSink for F {
+    fn round(&mut self, ops: &[AppliedOp]) {
+        self(ops)
     }
 }
 
@@ -194,16 +193,19 @@ pub struct RuleStats {
     pub scans: usize,
 }
 
-/// Result of a repair run.
+/// Result of a repair run: outcome and counts. The applied operations
+/// themselves go only to the run's [`RepairSink`]; take the op log with
+/// a closure sink passed to [`RepairEngine::repair_with`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RepairReport {
     /// Worklist runs: 1, or one per stratum under a stratified schedule.
     pub rounds: usize,
     /// Repairs applied (non-noop).
     pub repairs_applied: usize,
-    /// Concrete operation log, in application order.
-    #[serde(skip)]
-    pub ops: Vec<AppliedOp>,
+    /// Operations those repairs applied, summed over the rounds the
+    /// sink received.
+    #[serde(default)]
+    pub ops_applied: usize,
     /// Per-rule statistics (indexed like the rule slice).
     pub per_rule: Vec<RuleStats>,
     /// Total edit cost.
@@ -530,7 +532,7 @@ impl RepairEngine {
 
     /// Repair `g` with `rules` until fixpoint (or a guard trips).
     pub fn repair(&self, g: &mut Graph, rules: &[Grr]) -> RepairReport {
-        let sink = |_: &AppliedOp| {};
+        let sink = |_: &[AppliedOp]| {};
         self.repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink)
     }
 
@@ -542,10 +544,10 @@ impl RepairEngine {
     /// [`grepair_match::plan`]) keeps its compiled plans and search
     /// buffers across runs: later runs plan from cache
     /// ([`RepairReport::plan_cache_hits`] with zero
-    /// [`RepairReport::pattern_compiles`]). `sink` sees every applied
-    /// operation as it lands, in application order, never a no-op — a
+    /// [`RepairReport::pattern_compiles`]). `sink` gets each applied
+    /// repair's operations once, as one round, in application order — a
     /// store journals them, so the run is replayable; a plain
-    /// `FnMut(&AppliedOp)` closure is a sink without round boundaries.
+    /// `FnMut(&[AppliedOp])` closure collects the op log.
     pub fn repair_with(
         &self,
         g: &mut Graph,
@@ -799,15 +801,15 @@ impl RepairEngine {
                 report.outcome = RepairOutcome::RoundLimit;
                 return;
             }
-            let ops_start = report.ops.len();
-            let Some(touched) = self.apply(g, rules, &v, report, sink, tel) else {
+            let Some(applied) = self.apply(g, rules, &v, report, tel) else {
                 continue;
             };
             if let Some(delta) = delta.as_deref_mut() {
-                delta.extend(&touched);
+                delta.extend(&applied.touched);
             }
-            sink.round_committed();
-            self.budget.charge_ops((report.ops.len() - ops_start) as u64);
+            sink.round(&applied.ops);
+            report.ops_applied += applied.ops.len();
+            self.budget.charge_ops(applied.ops.len() as u64);
             // A repair may not fully eliminate its own violation (e.g. it
             // deleted one of several parallel witness edges): revalidate
             // the very match just repaired and requeue it if it persists —
@@ -832,7 +834,7 @@ impl RepairEngine {
             // honest if the approximation drifts. The planner's cache
             // serves the per-anchor plans — compiled once per (pattern,
             // anchor), not once per repair.
-            triggers.enabled_by(&report.ops[ops_start..], &mut enabled);
+            triggers.enabled_by(&applied.ops, &mut enabled);
             if let Some(stratum) = scope {
                 enabled.retain(|ri| stratum.binary_search(ri).is_ok());
             }
@@ -842,7 +844,7 @@ impl RepairEngine {
             }
             let matcher = self.matcher(g, planner);
             for &ri in &enabled {
-                let found = matcher.find_touching(&rules[ri].pattern, &touched);
+                let found = matcher.find_touching(&rules[ri].pattern, &applied.touched);
                 // The trigger graph put every rule this repair can enable
                 // in a later stratum: a match found here means it missed
                 // an edge.
@@ -886,16 +888,15 @@ impl RepairEngine {
         true
     }
 
-    /// Apply; returns the touched set if the repair changed anything.
+    /// Apply; returns the repair if it changed anything.
     fn apply(
         &self,
         g: &mut Graph,
         rules: &[Grr],
         v: &Violation,
         report: &mut RepairReport,
-        sink: &mut dyn RepairSink,
         tel: &EngineTelemetry,
-    ) -> Option<TouchSet> {
+    ) -> Option<Applied> {
         let repair_started = obs::timer();
         let applied: Applied = apply_rule(g, &rules[v.rule], &v.m, &EditCosts::default())
             .expect("validated rule on revalidated match cannot fail");
@@ -908,11 +909,7 @@ impl RepairEngine {
         report.total_cost += applied.cost;
         report.per_rule[v.rule].repairs_applied += 1;
         report.per_rule[v.rule].cost += applied.cost;
-        for op in &applied.ops {
-            sink.op(op);
-        }
-        report.ops.extend(applied.ops);
-        Some(applied.touched)
+        Some(applied)
     }
 }
 
@@ -1154,7 +1151,7 @@ mod tests {
             .with_budget(&budget)
             .repair(&mut g, &rules);
         assert_eq!(report.outcome, RepairOutcome::Cancelled);
-        assert!(report.ops.is_empty());
+        assert_eq!(report.ops_applied, 0);
         assert_eq!(g.to_doc(), before);
     }
 
@@ -1175,7 +1172,7 @@ mod tests {
                 .with_budget(&fresh)
                 .repair(&mut g2, &rules);
             assert_eq!(report.outcome, RepairOutcome::Deadline);
-            assert!(report.ops.is_empty());
+            assert_eq!(report.ops_applied, 0);
         }
         let report = RepairEngine::default()
             .with_budget(&budget)
@@ -1201,43 +1198,27 @@ mod tests {
             .with_budget(&budget)
             .repair(&mut g, &rules);
         assert_eq!(report.outcome, RepairOutcome::OpBudget);
-        assert!(!report.ops.is_empty());
-        assert!(report.ops.len() < 4, "should stop before fixing all nodes");
+        assert!(report.ops_applied > 0);
+        assert!(report.ops_applied < 4, "should stop before fixing all nodes");
     }
 
     #[test]
-    fn sink_round_committed_marks_every_applied_prefix() {
-        #[derive(Clone, Default)]
-        struct Recorder {
-            state: std::rc::Rc<std::cell::RefCell<(usize, Vec<usize>)>>,
-        }
-        impl RepairSink for Recorder {
-            fn op(&mut self, _op: &AppliedOp) {
-                self.state.borrow_mut().0 += 1;
-            }
-            fn round_committed(&mut self) {
-                let mut st = self.state.borrow_mut();
-                let n = std::mem::take(&mut st.0);
-                st.1.push(n);
-            }
-        }
+    fn sink_gets_one_round_per_applied_repair() {
         // The three-class set (cyclic: one worklist over Σ) and a
         // cascade (acyclic: one worklist per stratum).
         let (cascade, chain) = (parse_rules(&cascade_src(2)).unwrap(), cascade_graph(3));
         for (rules, base, strata) in [(&rules(), &dirty_graph(), 0), (&cascade, &chain, 2)] {
             let mut g2 = base.clone();
-            let rec = Recorder::default();
+            let mut rounds: Vec<usize> = Vec::new();
+            let sink = |ops: &[AppliedOp]| rounds.push(ops.len());
             let (planner, full) = (Planner::new(), RepairSeed::Full);
-            let report =
-                RepairEngine::default().repair_with(&mut g2, rules, &planner, full, rec.clone());
+            let report = RepairEngine::default().repair_with(&mut g2, rules, &planner, full, sink);
             let ctx = format!("{} rules/{strata} strata", rules.len());
             assert_eq!(report.strata, strata, "{ctx}");
             assert_eq!(report.outcome, RepairOutcome::Completed, "{ctx}");
-            let st = rec.state.borrow();
-            assert_eq!(st.0, 0, "{ctx}: ops after final round_committed");
-            assert_eq!(st.1.len(), report.repairs_applied, "{ctx}: one round per repair");
-            let total: usize = st.1.iter().sum();
-            assert_eq!(total, report.ops.len(), "{ctx}");
+            assert_eq!(rounds.len(), report.repairs_applied, "{ctx}: one round per repair");
+            assert!(rounds.iter().all(|&n| n > 0), "{ctx}: no empty round");
+            assert_eq!(rounds.iter().sum::<usize>(), report.ops_applied, "{ctx}");
         }
     }
 
@@ -1303,15 +1284,22 @@ mod tests {
     fn sink_sees_every_applied_op_in_order() {
         let mut shapes = Vec::new();
         for match_config in [MatchConfig::default(), MatchConfig::naive()] {
-            let mut g = dirty_graph();
-            let mut seen: Vec<AppliedOp> = Vec::new();
-            let sink = |op: &AppliedOp| seen.push(op.clone());
-            let (planner, full) = (Planner::new(), RepairSeed::Full);
-            let report =
-                RepairEngine::new(match_config).repair_with(&mut g, &rules(), &planner, full, sink);
+            // Two runs from the same graph: the sink must see the same
+            // ops in the same order, every one the report counts.
+            let run = || {
+                let mut g = dirty_graph();
+                let mut seen: Vec<AppliedOp> = Vec::new();
+                let sink = |ops: &[AppliedOp]| seen.extend_from_slice(ops);
+                let (planner, full) = (Planner::new(), RepairSeed::Full);
+                let engine = RepairEngine::new(match_config);
+                let report = engine.repair_with(&mut g, &rules(), &planner, full, sink);
+                (report, seen, g)
+            };
+            let (report, seen, g) = run();
             assert!(report.converged);
-            assert_eq!(seen, report.ops, "sink must mirror the op log exactly");
+            assert_eq!(seen.len(), report.ops_applied, "sink must see every op");
             assert!(!seen.is_empty());
+            assert_eq!(seen, run().1, "op order is deterministic");
             shapes.push((g.num_nodes(), g.num_edges()));
         }
         // Both matchers reach the same fixpoint shape (ids may differ).
@@ -1327,7 +1315,8 @@ mod tests {
         assert_eq!(per_rule_sum, report.repairs_applied);
         let per_rule_cost: f64 = report.per_rule.iter().map(|s| s.cost).sum();
         assert!((per_rule_cost - report.total_cost).abs() < 1e-9);
-        assert!(!report.ops.is_empty());
+        assert!(report.ops_applied >= report.repairs_applied);
+        assert!(report.repairs_applied > 0);
     }
 
     #[test]
@@ -1450,7 +1439,7 @@ mod tests {
         let engine = RepairEngine::default();
         let planner = Planner::new();
         let run = |g: &mut Graph| {
-            engine.repair_with(g, &rules, &planner, RepairSeed::Full, |_: &AppliedOp| {})
+            engine.repair_with(g, &rules, &planner, RepairSeed::Full, |_: &[AppliedOp]| {})
         };
         let r1 = run(&mut g);
         assert_eq!(r1.strata, 0);
@@ -1484,18 +1473,15 @@ mod tests {
     ) -> RepairReport {
         let run = |seed: RepairSeed<'_>| {
             let mut g = g.clone();
-            let report = RepairEngine::default().repair_with(
-                &mut g,
-                rules,
-                &Planner::new(),
-                seed,
-                |_: &AppliedOp| {},
-            );
-            (report, g.to_doc())
+            let mut ops: Vec<AppliedOp> = Vec::new();
+            let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+            let report =
+                RepairEngine::default().repair_with(&mut g, rules, &Planner::new(), seed, sink);
+            (report, g.to_doc(), ops)
         };
-        let (full, full_doc) = run(RepairSeed::Full);
-        let (delta, delta_doc) = run(RepairSeed::Touched(touched));
-        assert_eq!(delta.ops, full.ops);
+        let (full, full_doc, full_ops) = run(RepairSeed::Full);
+        let (delta, delta_doc, delta_ops) = run(RepairSeed::Touched(touched));
+        assert_eq!(delta_ops, full_ops);
         assert_eq!(delta_doc, full_doc);
         assert!(delta.converged && delta.outcome == RepairOutcome::Completed);
         let found = |r: &RepairReport| -> Vec<usize> {

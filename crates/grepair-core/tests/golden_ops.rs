@@ -10,7 +10,9 @@
 //! stratum and applied its violations cheapest-first. The one worklist
 //! that now runs both schedules must reproduce them bit for bit.
 
-use grepair_core::{parse_rules, Grr, RepairEngine, RepairOutcome, RepairReport};
+use grepair_core::{
+    parse_rules, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairReport, RepairSeed,
+};
 use grepair_gen::{
     generate_kg, gold_kg_rules, inject_kg_noise, synthetic_rules, KgConfig, NoiseConfig,
 };
@@ -23,13 +25,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Repair `g` to fixpoint, collecting the applied ops with a closure sink.
+fn repair_logged(g: &mut Graph, rules: &[Grr]) -> (RepairReport, Vec<AppliedOp>) {
+    let mut ops = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let report =
+        RepairEngine::default().repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink);
+    (report, ops)
+}
+
 /// `(ops applied, fnv1a(ops | per-rule matches_found))` of a finished run.
-fn digest(report: &RepairReport) -> (usize, u64) {
+fn digest((report, ops): &(RepairReport, Vec<AppliedOp>)) -> (usize, u64) {
     assert_eq!(report.outcome, RepairOutcome::Completed);
     assert!(report.converged);
+    assert_eq!(report.ops_applied, ops.len());
     let found: Vec<usize> = report.per_rule.iter().map(|s| s.matches_found).collect();
-    let hash = fnv1a(format!("{:?}|{:?}", report.ops, found).as_bytes());
-    (report.ops.len(), hash)
+    let hash = fnv1a(format!("{:?}|{:?}", ops, found).as_bytes());
+    (ops.len(), hash)
 }
 
 /// A seeded noisy 2 000-person KG and a cyclic 26-rule set over it.
@@ -55,9 +67,9 @@ fn seeded_kg() -> (Graph, Vec<Grr>) {
 #[test]
 fn worklist_op_sequence_is_pinned() {
     let (mut g, rules) = seeded_kg();
-    let report = RepairEngine::default().repair(&mut g, &rules);
-    assert_eq!(report.strata, 0, "the set is cyclic: the worklist must run");
-    assert_eq!(digest(&report), (3240, 16_561_389_111_087_361_895));
+    let run = repair_logged(&mut g, &rules);
+    assert_eq!(run.0.strata, 0, "the set is cyclic: the worklist must run");
+    assert_eq!(digest(&run), (3240, 16_561_389_111_087_361_895));
 }
 
 #[test]
@@ -81,7 +93,7 @@ fn stratified_op_sequence_is_pinned() {
         let node = g.add_node_named("T");
         g.set_attr(node, a0, Value::Bool(true)).unwrap();
     }
-    let report = RepairEngine::default().repair(&mut g, &rules);
-    assert!(report.strata > 0, "the set is acyclic: strata must run");
-    assert_eq!(digest(&report), (24_000, 14_056_968_947_073_612_927));
+    let run = repair_logged(&mut g, &rules);
+    assert!(run.0.strata > 0, "the set is acyclic: strata must run");
+    assert_eq!(digest(&run), (24_000, 14_056_968_947_073_612_927));
 }

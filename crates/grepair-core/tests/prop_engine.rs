@@ -136,6 +136,6 @@ proptest! {
         prop_assert_eq!(per_rule, report.repairs_applied);
         prop_assert!(report.total_cost >= 0.0);
         prop_assert_eq!(report.total_cost == 0.0, report.repairs_applied == 0);
-        prop_assert_eq!(report.ops.is_empty(), report.repairs_applied == 0);
+        prop_assert_eq!(report.ops_applied == 0, report.repairs_applied == 0);
     }
 }

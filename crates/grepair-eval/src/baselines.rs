@@ -84,18 +84,18 @@ pub fn rescan_repair(
 ) -> BaselineReport {
     let costs = EditCosts::default();
     let planner = Planner::new();
-    let mut report = BaselineReport::default();
+    let mut baseline = BaselineReport::default();
     for _ in 0..max_rounds {
         let mut violations: Vec<(f64, usize, Match)> =
             scan(&Matcher::with_planner(g, cfg, &planner), rules)
                 .into_iter()
                 .map(|(ri, m)| (estimate_cost(g, &rules[ri], &m, &costs), ri, m))
                 .collect();
-        report.rounds += 1;
-        report.matches_found += violations.len();
+        baseline.rounds += 1;
+        baseline.matches_found += violations.len();
         if violations.is_empty() {
-            report.converged = true;
-            return report;
+            baseline.converged = true;
+            return baseline;
         }
         violations.sort_by(|(ca, ra, ma), (cb, rb, mb)| {
             let (pa, pb) = (rules[*ra].priority, rules[*rb].priority);
@@ -109,8 +109,8 @@ pub fn rescan_repair(
             let applied = apply_rule(g, &rules[ri], &m, &costs)
                 .expect("a validated rule applies to a revalidated match");
             if !applied.is_noop() {
-                report.repairs_applied += 1;
-                report.ops.extend(applied.ops);
+                baseline.repairs_applied += 1;
+                baseline.ops.extend(applied.ops);
                 progressed = true;
             }
         }
@@ -118,8 +118,8 @@ pub fn rescan_repair(
             break;
         }
     }
-    report.converged = is_clean(&Matcher::with_planner(g, cfg, &planner), rules);
-    report
+    baseline.converged = is_clean(&Matcher::with_planner(g, cfg, &planner), rules);
+    baseline
 }
 
 /// Every (rule index, match) `matcher` finds, rule by rule.
@@ -142,16 +142,16 @@ pub fn random_repair(
     max_rounds: usize,
 ) -> BaselineReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut report = BaselineReport::default();
+    let mut baseline = BaselineReport::default();
     let costs = EditCosts::default();
     for _ in 0..max_rounds {
         let mut progressed = false;
         let violations = scan(&Matcher::new(g), rules);
-        report.rounds += 1;
-        report.matches_found += violations.len();
+        baseline.rounds += 1;
+        baseline.matches_found += violations.len();
         if violations.is_empty() {
-            report.converged = true;
-            return report;
+            baseline.converged = true;
+            return baseline;
         }
         for (ri, mut m) in violations {
             let rule = &rules[ri];
@@ -176,8 +176,8 @@ pub fn random_repair(
             };
             let applied = apply_rule(g, &scratch, &m, &costs).expect("delete ops cannot fail");
             if !applied.is_noop() {
-                report.repairs_applied += 1;
-                report.ops.extend(applied.ops);
+                baseline.repairs_applied += 1;
+                baseline.ops.extend(applied.ops);
                 progressed = true;
             }
         }
@@ -185,15 +185,14 @@ pub fn random_repair(
             break;
         }
     }
-    report.converged = is_clean(&Matcher::new(g), rules);
-    report
+    baseline.converged = is_clean(&Matcher::new(g), rules);
+    baseline
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::evaluate_repair;
-    use grepair_core::RepairEngine;
+    use crate::metrics::{evaluate_repair, repair_logged};
     use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 
     #[test]
@@ -218,13 +217,13 @@ mod tests {
         let gold = gold_kg_rules();
 
         let mut g_gold = dirty.clone();
-        let rep_gold = RepairEngine::default().repair(&mut g_gold, &gold.rules);
-        let q_gold = evaluate_repair(&clean, &dirty, &g_gold, &truth, &rep_gold.ops);
+        let (_, ops_gold) = repair_logged(&mut g_gold, &gold.rules);
+        let q_gold = evaluate_repair(&clean, &dirty, &g_gold, &truth, &ops_gold);
 
         let mut g_del = dirty.clone();
         let del = delete_only_rules(&gold);
-        let rep_del = RepairEngine::default().repair(&mut g_del, &del.rules);
-        let q_del = evaluate_repair(&clean, &dirty, &g_del, &truth, &rep_del.ops);
+        let (_, ops_del) = repair_logged(&mut g_del, &del.rules);
+        let q_del = evaluate_repair(&clean, &dirty, &g_del, &truth, &ops_del);
 
         let mut g_rand = dirty.clone();
         let rep_rand = random_repair(&mut g_rand, &gold.rules, 5, 16);

@@ -7,7 +7,7 @@
 //! so the full suite stays laptop-scale.
 
 use crate::baselines::{delete_only_rules, random_repair, rescan_repair};
-use crate::metrics::{evaluate_repair, RepairQuality};
+use crate::metrics::{evaluate_repair, repair_logged, RepairQuality};
 use crate::table::{f3, ms, Table};
 use grepair_core::{analyze, RepairEngine, RuleSet};
 use grepair_gen::{
@@ -200,19 +200,19 @@ fn quality_row(
     match method {
         "grr" => {
             let mut g = dirty.clone();
-            let report = RepairEngine::default().repair(&mut g, &gold.rules);
-            evaluate_repair(clean, dirty, &g, truth, &report.ops)
+            let (_, ops) = repair_logged(&mut g, &gold.rules);
+            evaluate_repair(clean, dirty, &g, truth, &ops)
         }
         "delete-only" => {
             let mut g = dirty.clone();
             let del = delete_only_rules(&gold);
-            let report = RepairEngine::default().repair(&mut g, &del.rules);
-            evaluate_repair(clean, dirty, &g, truth, &report.ops)
+            let (_, ops) = repair_logged(&mut g, &del.rules);
+            evaluate_repair(clean, dirty, &g, truth, &ops)
         }
         "random" => {
             let mut g = dirty.clone();
-            let report = random_repair(&mut g, &gold.rules, 17, 64);
-            evaluate_repair(clean, dirty, &g, truth, &report.ops)
+            let baseline = random_repair(&mut g, &gold.rules, 17, 64);
+            evaluate_repair(clean, dirty, &g, truth, &baseline.ops)
         }
         other => panic!("unknown method {other}"),
     }
@@ -474,8 +474,8 @@ pub fn exp_cost(p: &Profile) -> Table {
     let gold = gold_kg_rules();
 
     let mut g = dirty.clone();
-    let rep = RepairEngine::default().repair(&mut g, &gold.rules);
-    let q = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+    let (rep, ops) = repair_logged(&mut g, &gold.rules);
+    let q = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
     t.row(vec![
         "grr".into(),
         rep.repairs_applied.to_string(),
@@ -487,8 +487,8 @@ pub fn exp_cost(p: &Profile) -> Table {
 
     let mut g = dirty.clone();
     let del = delete_only_rules(&gold);
-    let rep = RepairEngine::default().repair(&mut g, &del.rules);
-    let q = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+    let (rep, ops) = repair_logged(&mut g, &del.rules);
+    let q = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
     t.row(vec![
         "delete-only".into(),
         rep.repairs_applied.to_string(),

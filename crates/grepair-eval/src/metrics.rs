@@ -20,7 +20,7 @@
 //! triples, and a correct merge shows up as exactly the multiplicity
 //! reduction the ground truth demands.
 
-use grepair_core::AppliedOp;
+use grepair_core::{AppliedOp, Grr, Planner, RepairEngine, RepairReport, RepairSeed};
 use grepair_gen::GroundTruth;
 use grepair_graph::{Graph, NodeId, Value};
 use rustc_hash::FxHashMap;
@@ -202,10 +202,20 @@ pub fn evaluate_repair(
     )
 }
 
+/// Repair `g` to fixpoint with the default engine, collecting the op log
+/// [`evaluate_repair`] needs with a closure sink.
+pub(crate) fn repair_logged(g: &mut Graph, rules: &[Grr]) -> (RepairReport, Vec<AppliedOp>) {
+    let mut ops = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let report =
+        RepairEngine::default().repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink);
+    (report, ops)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grepair_core::{RepairEngine, RuleSet};
+    use grepair_core::RuleSet;
     use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 
     fn pipeline(rate: f64, seed: u64) -> RepairQuality {
@@ -222,8 +232,8 @@ mod tests {
         );
         let mut repaired = dirty.clone();
         let rules = gold_kg_rules();
-        let report = RepairEngine::default().repair(&mut repaired, &rules.rules);
-        evaluate_repair(&clean, &dirty, &repaired, &truth, &report.ops)
+        let (_, ops) = repair_logged(&mut repaired, &rules.rules);
+        evaluate_repair(&clean, &dirty, &repaired, &truth, &ops)
     }
 
     #[test]
@@ -270,8 +280,8 @@ mod tests {
              repair delete node x",
         )
         .unwrap();
-        let report = RepairEngine::default().repair(&mut repaired, &delete_rules.rules);
-        let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &report.ops);
+        let (_, ops) = repair_logged(&mut repaired, &delete_rules.rules);
+        let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &ops);
         let gold = pipeline(0.1, 7);
         assert!(
             q.f1 < gold.f1,

@@ -1,10 +1,20 @@
 //! Property tests for the quality metrics: bounds, monotonicity, and the
 //! perfect/no-op calibration points, across random pipeline instances.
 
-use grepair_core::RepairEngine;
+use grepair_core::{AppliedOp, Grr, Planner, RepairEngine, RepairReport, RepairSeed};
 use grepair_eval::{delete_only_rules, evaluate_repair};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
+use grepair_graph::Graph;
 use proptest::prelude::*;
+
+/// Repair `g` to fixpoint, collecting the applied ops with a closure sink.
+fn repair_logged(g: &mut Graph, rules: &[Grr]) -> (RepairReport, Vec<AppliedOp>) {
+    let mut ops = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let report =
+        RepairEngine::default().repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink);
+    (report, ops)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -24,13 +34,13 @@ proptest! {
 
         for method in 0..2 {
             let mut g = dirty.clone();
-            let report = if method == 0 {
-                RepairEngine::default().repair(&mut g, &gold.rules)
+            let (_, ops) = if method == 0 {
+                repair_logged(&mut g, &gold.rules)
             } else {
                 let del = delete_only_rules(&gold);
-                RepairEngine::default().repair(&mut g, &del.rules)
+                repair_logged(&mut g, &del.rules)
             };
-            let q = evaluate_repair(&clean, &dirty, &g, &truth, &report.ops);
+            let q = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
             prop_assert!((0.0..=1.0).contains(&q.precision), "{q:?}");
             prop_assert!((0.0..=1.0).contains(&q.recall), "{q:?}");
             prop_assert!((0.0..=1.0).contains(&q.f1), "{q:?}");
@@ -60,8 +70,8 @@ proptest! {
         // canonical triples; F1 is high (≥0.9 at these scales).
         let gold = gold_kg_rules();
         let mut g = dirty.clone();
-        let report = RepairEngine::default().repair(&mut g, &gold.rules);
-        let q = evaluate_repair(&clean, &dirty, &g, &truth, &report.ops);
+        let (_, ops) = repair_logged(&mut g, &gold.rules);
+        let q = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
         prop_assert!(q.f1 >= 0.9, "{q:?}");
     }
 }

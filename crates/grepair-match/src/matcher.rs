@@ -177,8 +177,11 @@ pub struct ExplainStep {
     pub label: Option<String>,
     /// Expected candidate access path.
     pub access: PlanAccess,
-    /// The variable's candidate count (see [`PlanStep::estimate`]).
-    pub estimate: f64,
+    /// The step's candidate count (see [`PlanStep::estimate`]) on a root
+    /// or anchor step; `None` on an [`PlanAccess::Extension`] step, whose
+    /// candidates are a bound neighbour's adjacency list, not the label
+    /// size the planner knows.
+    pub estimate: Option<f64>,
 }
 
 /// The plan a [`Matcher`] would run for a pattern — see
@@ -190,10 +193,6 @@ pub struct PlanExplanation {
     pub satisfiable: bool,
     /// Plan steps in execution order.
     pub steps: Vec<ExplainStep>,
-    /// Accumulated cost bound: the sum of running products of the step
-    /// estimates (partial matches entering each step). Only meaningful
-    /// relative to other plans.
-    pub estimated_cost: f64,
 }
 
 /// A pattern compiled against a specific graph's interners + an execution
@@ -453,37 +452,29 @@ impl<'g> Matcher<'g> {
     }
 
     /// Explain the plan this matcher would run for `pattern`: variable
-    /// order, expected access path and candidate count per step, and an
-    /// accumulated cost bound.
+    /// order, expected access path per step, and the candidate count of
+    /// each root or anchor step.
     pub fn explain(&self, pattern: &Pattern) -> PlanExplanation {
         let empty = TouchSet::default();
         let Some(comp) = self.compiled(pattern, None, &empty) else {
             return PlanExplanation {
                 satisfiable: false,
                 steps: Vec::new(),
-                estimated_cost: 0.0,
             };
         };
-        let mut rows = 1.0f64;
-        let mut total = 0.0f64;
         let steps = comp
             .steps
             .iter()
-            .map(|s| {
-                rows *= s.estimate.max(0.0);
-                total += rows;
-                ExplainStep {
-                    var: pattern.var_name(Var(s.var as u8)).to_owned(),
-                    label: pattern.nodes[s.var].label.clone(),
-                    access: s.access,
-                    estimate: s.estimate,
-                }
+            .map(|s| ExplainStep {
+                var: pattern.var_name(Var(s.var as u8)).to_owned(),
+                label: pattern.nodes[s.var].label.clone(),
+                access: s.access,
+                estimate: (s.access != PlanAccess::Extension).then_some(s.estimate),
             })
             .collect();
         PlanExplanation {
             satisfiable: true,
             steps,
-            estimated_cost: total,
         }
     }
 

@@ -343,8 +343,8 @@ mod tests {
                 ("c", PlanAccess::Extension),
             ]
         );
-        assert_eq!(ex.steps[0].estimate, 60.0);
-        assert!(ex.estimated_cost > 0.0);
+        assert_eq!(ex.steps[0].estimate, Some(60.0));
+        assert!(ex.steps[1..].iter().all(|s| s.estimate.is_none()), "extend rows carry no est");
 
         // And the plan finds exactly what the declaration-order matcher
         // finds.

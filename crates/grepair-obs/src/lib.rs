@@ -507,7 +507,7 @@ pub struct EventRecord {
 
 /// Cap on buffered events; older process phases should not starve the
 /// snapshot of recent ones, so the buffer drops *new* events past the
-/// cap and counts the drops.
+/// cap and counts the drops in the `obs.events_dropped` counter.
 const MAX_EVENTS: usize = 4096;
 
 /// The process-wide instrument registry.
@@ -521,7 +521,6 @@ pub struct Registry {
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     events: Mutex<Vec<EventRecord>>,
-    events_dropped: AtomicU64,
 }
 
 /// The global registry.
@@ -603,18 +602,21 @@ impl Registry {
     }
 
     /// Record an event (bounded buffer of 4096 events; drops past it are
-    /// counted, not silently lost).
+    /// counted in `obs.events_dropped`, not silently lost).
     pub fn event(&self, level: Level, name: impl Into<String>, message: impl Into<String>) {
         let mut events = self.events.lock().unwrap();
-        if events.len() >= MAX_EVENTS {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
+        if events.len() < MAX_EVENTS {
+            events.push(EventRecord {
+                level,
+                name: name.into(),
+                message: message.into(),
+            });
             return;
         }
-        events.push(EventRecord {
-            level,
-            name: name.into(),
-            message: message.into(),
-        });
+        // Interning takes the counters lock: release `events` first so
+        // no thread ever holds both.
+        drop(events);
+        self.counter("obs.events_dropped").inc();
     }
 
     /// Snapshot of buffered events (does not drain).
@@ -889,7 +891,9 @@ mod tests {
             reg.event(Level::Info, "spam", format!("{i}"));
         }
         assert_eq!(reg.events().len(), MAX_EVENTS);
-        assert_eq!(reg.events_dropped.load(Ordering::Relaxed), 10);
+        assert_eq!(reg.counter("obs.events_dropped").get(), 10);
+        assert!(reg.snapshot_text().contains("obs.events_dropped"));
+        assert!(reg.snapshot_json().contains("\"obs.events_dropped\": 10"));
     }
 
     #[test]

@@ -224,6 +224,35 @@ pub(crate) fn encode_merge_nodes(
     w.u8(dedup_parallel as u8);
 }
 
+/// Append the journal record of an engine-applied repair operation to
+/// `w` — the bytes [`Mutation::encode`] writes for the same mutation.
+///
+/// [`AppliedOp`]s record what [`grepair_core::apply_rule`] actually did,
+/// in the exact call order, so the mapping is mechanical; what an op
+/// carries beyond that (`old` values, `from` labels, counts) is a
+/// function of the pre-state and is not journaled.
+pub fn encode_applied(w: &mut ByteWriter, op: &AppliedOp) {
+    match op {
+        AppliedOp::InsertNode { node, label, attrs } => encode_add_node(w, *node, label, attrs),
+        AppliedOp::InsertEdge {
+            edge,
+            src,
+            dst,
+            label,
+        } => encode_add_edge(w, *edge, *src, *dst, label),
+        AppliedOp::DeleteNode { node, .. } => encode_remove_node(w, *node),
+        AppliedOp::DeleteEdge { edge, .. } => encode_remove_edge(w, *edge),
+        AppliedOp::RelabelNode { node, to, .. } => encode_set_node_label(w, *node, to),
+        AppliedOp::RelabelEdge { edge, to, .. } => encode_set_edge_label(w, *edge, to),
+        AppliedOp::SetAttr {
+            node, key, value, ..
+        } => encode_set_attr(w, *node, key, value),
+        AppliedOp::RemoveAttr { node, key, .. } => encode_remove_attr(w, *node, key),
+        // apply_rule always merges with parallel-dedup on.
+        AppliedOp::Merge { keep, merged, .. } => encode_merge_nodes(w, *keep, *merged, true),
+    }
+}
+
 impl Mutation {
     /// Append the binary form to `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
@@ -295,58 +324,6 @@ impl Mutation {
                 keep: *keep,
                 merged: *merged,
                 dedup_parallel: *dedup_parallel,
-            },
-        }
-    }
-
-    /// The journal form of an engine-applied repair operation.
-    ///
-    /// [`AppliedOp`]s record what [`grepair_core::apply_rule`] actually
-    /// did, in the exact call order, so the mapping is mechanical.
-    pub fn from_applied(op: &AppliedOp) -> Mutation {
-        match op {
-            AppliedOp::InsertNode { node, label, attrs } => Mutation::AddNode {
-                node: *node,
-                label: label.clone(),
-                attrs: attrs.clone(),
-            },
-            AppliedOp::InsertEdge {
-                edge,
-                src,
-                dst,
-                label,
-            } => Mutation::AddEdge {
-                edge: *edge,
-                src: *src,
-                dst: *dst,
-                label: label.clone(),
-            },
-            AppliedOp::DeleteNode { node, .. } => Mutation::RemoveNode { node: *node },
-            AppliedOp::DeleteEdge { edge, .. } => Mutation::RemoveEdge { edge: *edge },
-            AppliedOp::RelabelNode { node, to, .. } => Mutation::SetNodeLabel {
-                node: *node,
-                label: to.clone(),
-            },
-            AppliedOp::RelabelEdge { edge, to, .. } => Mutation::SetEdgeLabel {
-                edge: *edge,
-                label: to.clone(),
-            },
-            AppliedOp::SetAttr {
-                node, key, value, ..
-            } => Mutation::SetAttr {
-                node: *node,
-                key: key.clone(),
-                value: value.clone(),
-            },
-            AppliedOp::RemoveAttr { node, key, .. } => Mutation::RemoveAttr {
-                node: *node,
-                key: key.clone(),
-            },
-            // apply_rule always merges with parallel-dedup on.
-            AppliedOp::Merge { keep, merged, .. } => Mutation::MergeNodes {
-                keep: *keep,
-                merged: *merged,
-                dedup_parallel: true,
             },
         }
     }
@@ -687,42 +664,53 @@ mod tests {
 
     #[test]
     fn applied_op_mapping_is_replayable() {
-        // Drive the engine-facing mapping through a real apply cycle:
-        // every AppliedOp converted and replayed on a second graph must
-        // reproduce the first graph's slots.
-        let mut live = Graph::new();
-        let p = live.add_node_named("Person");
-        let q = live.add_node_named("Person");
-        live.add_edge_named(p, q, "knows").unwrap();
-        let mut replayed = Graph::restore_slots(&live.dump_slots()).unwrap();
-
-        let k = live.attr_key("ssn");
-        live.set_attr(p, k, Value::Int(1)).unwrap();
-        live.set_attr(q, k, Value::Int(1)).unwrap();
-        let outcome = live.merge_nodes(p, q, true).unwrap();
-        let ops = vec![
-            AppliedOp::SetAttr {
-                node: p,
-                key: "ssn".into(),
-                value: Value::Int(1),
-                old: None,
-            },
-            AppliedOp::SetAttr {
-                node: q,
-                key: "ssn".into(),
-                value: Value::Int(1),
-                old: None,
-            },
-            AppliedOp::Merge {
-                keep: p,
-                merged: q,
-                rewired: outcome.rewired.len(),
-                dropped: outcome.dropped.len(),
-            },
+        // One op of every `AppliedOp` variant, each produced by
+        // `apply_rule` on the graph the previous steps left. Each must
+        // journal as exactly the bytes of the hand-written mutation, and
+        // replaying the decoded records on a copy of the starting graph
+        // must reproduce the live graph's slots.
+        let mut g = Graph::new();
+        let (a, b, c) = (g.add_node_named("A"), g.add_node_named("B"), g.add_node_named("C"));
+        let k = g.attr_key("k");
+        g.set_attr(a, k, Value::Int(1)).unwrap();
+        g.set_attr(b, k, Value::Int(1)).unwrap();
+        let ab = g.add_edge_named(a, b, "r").unwrap();
+        let bc = g.add_edge_named(b, c, "t").unwrap();
+        let mut replayed = Graph::restore_slots(&g.dump_slots()).unwrap();
+        let z = NodeId(3);
+        let s = |x: &str| x.to_owned();
+        let steps = [
+            (r#"match (x:A) repair insert node (z:Z {name: "n"})"#,
+             Mutation::AddNode { node: z, label: s("Z"), attrs: vec![(s("name"), Value::from("n"))] }),
+            ("match (x:A), (y:C) repair insert edge (x)-[s]->(y)",
+             Mutation::AddEdge { edge: EdgeId(2), src: a, dst: c, label: s("s") }),
+            ("match (x:A)-[r]->(y:B) repair relabel edge (x)-[r]->(y) to r2",
+             Mutation::SetEdgeLabel { edge: ab, label: s("r2") }),
+            ("match (x:A) repair set x.k = 2",
+             Mutation::SetAttr { node: a, key: s("k"), value: Value::Int(2) }),
+            ("match (x:B) repair unset x.k", Mutation::RemoveAttr { node: b, key: s("k") }),
+            ("match (x:C) repair relabel node x to C2",
+             Mutation::SetNodeLabel { node: c, label: s("C2") }),
+            ("match (x:B)-[t]->(y:C2) repair delete edge (x)-[t]->(y)",
+             Mutation::RemoveEdge { edge: bc }),
+            ("match (x:Z) repair delete node x", Mutation::RemoveNode { node: z }),
+            ("match (x:A), (y:B) repair merge y into x",
+             Mutation::MergeNodes { keep: a, merged: b, dedup_parallel: true }),
         ];
-        for op in &ops {
-            Mutation::from_applied(op).apply(&mut replayed).unwrap();
+        for (step, expected) in steps {
+            let rule = &grepair_core::parse_rules(&format!("rule step {step}")).unwrap()[0];
+            let m = grepair_match::Matcher::new(&g).find_all(&rule.pattern).remove(0);
+            let costs = grepair_graph::EditCosts::default();
+            let ops = grepair_core::apply_rule(&mut g, rule, &m, &costs).unwrap().ops;
+            assert_eq!(ops.len(), 1, "{step}: {ops:?}");
+            let (mut got, mut want) = (ByteWriter::new(), ByteWriter::new());
+            encode_applied(&mut got, &ops[0]);
+            expected.encode(&mut want);
+            let bytes = got.into_bytes();
+            assert_eq!(bytes, want.into_bytes(), "{:?} must journal as {expected:?}", ops[0]);
+            let record = Mutation::decode(&mut ByteReader::new(&bytes)).unwrap();
+            record.apply(&mut replayed).unwrap();
         }
-        assert_eq!(replayed.dump_slots(), live.dump_slots());
+        assert_eq!(replayed.dump_slots(), g.dump_slots());
     }
 }

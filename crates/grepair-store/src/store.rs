@@ -29,7 +29,7 @@
 use crate::codec::ByteWriter;
 use crate::error::{Result, StoreError};
 use crate::lock;
-use crate::record::{self, Mutation};
+use crate::record;
 use crate::snapshot::{list_snapshots_in, read_snapshot_in, write_snapshot_in};
 use crate::vfs::{with_retry, StdFs, Vfs};
 use crate::wal::{list_segments_in, scan_segment, SegmentWriter, SEGMENT_HEADER_LEN};
@@ -830,9 +830,10 @@ impl<V: Vfs> DurableGraph<V> {
     // ---- repairs -----------------------------------------------------------
 
     /// Run a repair to fixpoint with applied operations journaled
-    /// round-atomically, then commit (fsync). Ops buffer in memory and
-    /// hit the log only at the engine's `round_committed` boundary, so
-    /// the journal only ever holds whole rounds: a crash — or a
+    /// round-atomically, then commit (fsync). The engine hands the store
+    /// one committed round per applied repair, and the store encodes
+    /// that round's ops straight into the WAL buffer, so the journal
+    /// only ever holds whole rounds: a crash — or a
     /// [budget](RepairEngine::with_budget) trip, which makes the engine
     /// abandon the in-flight round before applying anything — recovers
     /// to exactly a committed-round prefix, a consistent graph, never a
@@ -902,7 +903,6 @@ impl<V: Vfs> DurableGraph<V> {
             last_seq,
             bytes_since_snapshot,
             telemetry,
-            pending: Vec::new(),
             io_err: &mut io_err,
         };
         let report = engine.repair_with(graph, rules, planner, seed, sink);
@@ -1151,15 +1151,13 @@ fn append_with_rotation<V: Vfs>(
     writer.append_encoded(seq, encode)
 }
 
-/// Round-buffering journal sink for [`DurableGraph::repair`]: applied
-/// ops accumulate in memory and reach the WAL only at the engine's
-/// `round_committed` boundary, so the journal only ever holds whole
-/// rounds. The engine fires the boundary after every applied repair and
-/// abandons a budget-tripped round *before* applying anything, so a
-/// cancelled durable repair recovers to exactly a committed-round
-/// prefix. The `Drop` flush is defense-in-depth: any op delivered
-/// without a closing boundary still lands in the log rather than
-/// silently drifting the in-memory graph ahead of it.
+/// Journal sink for [`DurableGraph::repair`]: the engine hands it each
+/// committed round — one applied repair — and every op of the round is
+/// encoded straight from the borrowed [`AppliedOp`] into the WAL buffer
+/// ([`record::encode_applied`]). The engine abandons a budget-tripped
+/// round *before* applying anything, so the journal only ever holds
+/// whole rounds and a cancelled durable repair recovers to exactly a
+/// committed-round prefix.
 struct WalRoundSink<'a, V: Vfs> {
     vfs: &'a V,
     writer: &'a mut SegmentWriter<V>,
@@ -1168,25 +1166,17 @@ struct WalRoundSink<'a, V: Vfs> {
     last_seq: &'a mut u64,
     bytes_since_snapshot: &'a mut u64,
     telemetry: &'a StoreTelemetry,
-    pending: Vec<Mutation>,
     io_err: &'a mut Option<StoreError>,
 }
 
 impl<V: Vfs> RepairSink for WalRoundSink<'_, V> {
-    fn op(&mut self, op: &AppliedOp) {
+    fn round(&mut self, ops: &[AppliedOp]) {
         // After a failed append the log can no longer reproduce the
         // in-memory state; stop journaling and let the caller poison.
-        if self.io_err.is_none() {
-            self.pending.push(Mutation::from_applied(op));
-        }
-    }
-
-    fn round_committed(&mut self) {
         if self.io_err.is_some() {
-            self.pending.clear();
             return;
         }
-        for m in self.pending.drain(..) {
+        for op in ops {
             let seq = *self.last_seq + 1;
             let append_started = obs::timer();
             match append_with_rotation(
@@ -1195,7 +1185,7 @@ impl<V: Vfs> RepairSink for WalRoundSink<'_, V> {
                 self.dir,
                 self.segment_max_bytes,
                 seq,
-                |w| m.encode(w),
+                |w| record::encode_applied(w, op),
             ) {
                 Ok(written) => {
                     obs::record_since(&self.telemetry.append_ns, append_started);
@@ -1204,19 +1194,9 @@ impl<V: Vfs> RepairSink for WalRoundSink<'_, V> {
                 }
                 Err(e) => {
                     *self.io_err = Some(e);
-                    break;
+                    return;
                 }
             }
-        }
-        self.pending.clear();
-    }
-}
-
-impl<V: Vfs> Drop for WalRoundSink<'_, V> {
-    fn drop(&mut self) {
-        if !self.pending.is_empty() {
-            debug_assert!(false, "repair engine dropped ops without a round boundary");
-            self.round_committed();
         }
     }
 }

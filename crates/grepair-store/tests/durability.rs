@@ -6,10 +6,11 @@
 //! exactly the last durably committed state — all applied repairs
 //! intact, the torn garbage discarded.
 
-use grepair_core::{RepairEngine, RepairOutcome, RuleSet};
+use grepair_core::{AppliedOp, Planner, RepairEngine, RepairOutcome, RepairSeed, RuleSet};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
-use grepair_store::{DurableGraph, StdFs, StoreConfig};
-use std::path::PathBuf;
+use grepair_store::codec::ByteWriter;
+use grepair_store::{record, wal, DurableGraph, StdFs, StoreConfig};
+use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -19,6 +20,32 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every record the store in `dir` journaled after seq `after`, in seq
+/// order, each as the bytes of its record body.
+fn journaled_since(dir: &Path, after: u64) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for (base, path) in wal::list_segments(dir).unwrap() {
+        for rec in wal::read_segment(&path, Some(base)).unwrap().records {
+            if rec.seq > after {
+                let mut w = ByteWriter::new();
+                rec.mutation.encode(&mut w);
+                out.push(w.into_bytes());
+            }
+        }
+    }
+    out
+}
+
+/// The record bodies a store journals for `ops`.
+fn journal_of(ops: &[AppliedOp]) -> Vec<Vec<u8>> {
+    let encode = |op| {
+        let mut w = ByteWriter::new();
+        record::encode_applied(&mut w, op);
+        w.into_bytes()
+    };
+    ops.iter().map(encode).collect()
 }
 
 fn dirty_kg(persons: usize) -> grepair_graph::Graph {
@@ -54,7 +81,7 @@ fn repair_survives_torn_tail_crash() {
     assert!(report.repairs_applied > 0);
     let committed = store.graph().dump_slots();
     let committed_seq = store.last_seq();
-    assert_eq!(committed_seq, report.ops.len() as u64);
+    assert_eq!(committed_seq, report.ops_applied as u64);
     drop(store);
 
     // Crash simulation: a torn half-record lands on the active segment.
@@ -184,19 +211,23 @@ fn stratified_repairs_are_journaled_identically() {
         g.set_attr(n, a0, grepair_graph::Value::Int(1)).unwrap();
     }
     let mut in_memory = g.clone();
-    let expected = RepairEngine::default().repair(&mut in_memory, &rules.rules);
+    let mut expected = Vec::new();
+    let sink = |round: &[AppliedOp]| expected.extend_from_slice(round);
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    RepairEngine::default().repair_with(&mut in_memory, &rules.rules, &planner, full, sink);
 
     let mut store = DurableGraph::create_with(&dir, StoreConfig::default(), g).unwrap();
+    let before = store.last_seq();
     let report = store.repair(&RepairEngine::default(), &rules.rules).unwrap();
     assert_eq!(report.strata, 3);
     assert!(report.converged);
-    assert_eq!(report.ops, expected.ops);
-    assert_eq!(store.last_seq(), report.ops.len() as u64);
+    assert_eq!(journaled_since(&dir, before), journal_of(&expected));
+    assert_eq!(store.last_seq(), report.ops_applied as u64);
     let committed = store.graph().dump_slots();
     assert_eq!(committed, in_memory.dump_slots());
     drop(store);
     let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.last_recovery().records_replayed, report.ops.len() as u64);
+    assert_eq!(store.last_recovery().records_replayed, report.ops_applied as u64);
     assert_eq!(store.graph().dump_slots(), committed);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -293,7 +324,7 @@ fn cancelled_durable_repair_recovers_committed_round_prefix() {
         let last_seq = store.last_seq();
         assert_eq!(
             last_seq,
-            report.ops.len() as u64,
+            report.ops_applied as u64,
             "cancel_at {cancel_at}: journal length == reported ops"
         );
         drop(store);
@@ -321,7 +352,7 @@ fn op_budget_tripped_durable_repair_journals_whole_rounds() {
     let engine = RepairEngine::default().with_budget(&budget);
     let report = store.repair(&engine, &rules.rules).unwrap();
     assert_eq!(report.outcome, grepair_core::RepairOutcome::OpBudget);
-    assert!(!report.ops.is_empty(), "cap of 3 lands after a round");
+    assert!(report.ops_applied > 0, "cap of 3 lands after a round");
     let in_memory = store.graph().dump_slots();
     drop(store);
     let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();

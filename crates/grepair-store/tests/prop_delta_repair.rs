@@ -13,16 +13,19 @@
 //! [`RuleStats::scans`](grepair_core::RuleStats) shows (it counts full
 //! sweeps only: 1 per rule after a full seed, 0 after a delta seed).
 
-use grepair_core::{parse_rules, Grr, RepairEngine, RepairOutcome, RepairReport};
+use grepair_core::{
+    parse_rules, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairReport, RepairSeed,
+};
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
     NoiseConfig, SocialConfig,
 };
 use grepair_graph::{EdgeId, Graph, NodeId, Value};
 use grepair_obs::Budget;
-use grepair_store::{DurableGraph, StoreConfig};
+use grepair_store::codec::ByteWriter;
+use grepair_store::{record, wal, DurableGraph, StoreConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
     static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -34,6 +37,32 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every record the store in `dir` journaled after seq `after`, in seq
+/// order, each as the bytes of its record body.
+fn journaled_since(dir: &Path, after: u64) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for (base, path) in wal::list_segments(dir).unwrap() {
+        for rec in wal::read_segment(&path, Some(base)).unwrap().records {
+            if rec.seq > after {
+                let mut w = ByteWriter::new();
+                rec.mutation.encode(&mut w);
+                out.push(w.into_bytes());
+            }
+        }
+    }
+    out
+}
+
+/// The record bodies a store journals for `ops`.
+fn journal_of(ops: &[AppliedOp]) -> Vec<Vec<u8>> {
+    let encode = |op| {
+        let mut w = ByteWriter::new();
+        record::encode_applied(&mut w, op);
+        w.into_bytes()
+    };
+    ops.iter().map(encode).collect()
 }
 
 /// The names a domain's rules read, for mutations that can matter.
@@ -266,10 +295,18 @@ impl Pair {
     /// store's report.
     fn repair(&mut self, rules: &[Grr]) -> RepairReport {
         let engine = RepairEngine::default();
+        let before = self.store().last_seq();
         let report = self.store().repair(&engine, rules).unwrap();
-        let reference = engine.repair(&mut self.plain, rules);
+        let mut ops = Vec::new();
+        let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+        let (planner, full) = (Planner::new(), RepairSeed::Full);
+        let reference = engine.repair_with(&mut self.plain, rules, &planner, full, sink);
         let store = self.store.as_ref().unwrap();
-        assert_eq!(report.ops, reference.ops, "applied operations differ");
+        assert_eq!(
+            journaled_since(&self.dir, before),
+            journal_of(&ops),
+            "applied operations differ"
+        );
         assert_eq!(store.graph().to_doc(), self.plain.to_doc(), "graphs differ");
         assert_eq!(report.outcome, reference.outcome);
         assert_eq!(

@@ -4,10 +4,10 @@
 //! baseline for contrast.
 //!
 //! ```text
-//! cargo run --release -p grepair-eval --example knowledge_graph_cleaning
+//! cargo run --release --example knowledge_graph_cleaning
 //! ```
 
-use grepair_core::{RepairEngine, RepairReport};
+use grepair_core::{AppliedOp, Planner, RepairEngine, RepairSeed};
 use grepair_eval::{delete_only_rules, evaluate_repair};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
 use grepair_graph::GraphStats;
@@ -33,10 +33,15 @@ fn main() {
         engine.count_violations(&dirty, &gold.rules)
     );
 
-    // Semantic repair with the gold GRR catalog.
+    // Semantic repair with the gold GRR catalog. Scoring needs the op
+    // log (merges map removed nodes to their survivors), which a closure
+    // sink collects one applied repair at a time.
     let mut repaired = dirty.clone();
-    let report: RepairReport = engine.repair(&mut repaired, &gold.rules);
-    let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &report.ops);
+    let mut ops: Vec<AppliedOp> = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    let report = engine.repair_with(&mut repaired, &gold.rules, &planner, full, sink);
+    let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &ops);
     println!(
         "\nGRR repair ({} repairs, {:?}):",
         report.repairs_applied, report.wall
@@ -49,8 +54,11 @@ fn main() {
     // Delete-only baseline: same detection, destructive repair.
     let mut deleted = dirty.clone();
     let del_rules = delete_only_rules(&gold);
-    let del_report = engine.repair(&mut deleted, &del_rules.rules);
-    let qd = evaluate_repair(&clean, &dirty, &deleted, &truth, &del_report.ops);
+    let mut del_ops: Vec<AppliedOp> = Vec::new();
+    let sink = |round: &[AppliedOp]| del_ops.extend_from_slice(round);
+    let del_report =
+        engine.repair_with(&mut deleted, &del_rules.rules, &Planner::new(), full, sink);
+    let qd = evaluate_repair(&clean, &dirty, &deleted, &truth, &del_ops);
     println!(
         "\ndelete-only baseline ({} repairs):",
         del_report.repairs_applied

@@ -1,10 +1,10 @@
 //! Quickstart: define a graph, write three repairing rules, repair.
 //!
 //! ```text
-//! cargo run -p grepair-eval --example quickstart
+//! cargo run --example quickstart
 //! ```
 
-use grepair_core::{RepairEngine, RuleSet};
+use grepair_core::{AppliedOp, Planner, RepairEngine, RepairSeed, RuleSet};
 use grepair_graph::{Graph, Value};
 
 fn main() {
@@ -54,7 +54,13 @@ fn main() {
     )
     .expect("rules parse");
 
-    let report = RepairEngine::default().repair(&mut g, &rules.rules);
+    // The engine hands each applied repair's operations to a sink, once,
+    // as one round; the report carries only counts. A closure that keeps
+    // every round is the run's op log.
+    let mut log: Vec<AppliedOp> = Vec::new();
+    let sink = |round: &[AppliedOp]| log.extend_from_slice(round);
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    let report = RepairEngine::default().repair_with(&mut g, &rules.rules, &planner, full, sink);
 
     println!("after:  {} nodes, {} edges", g.num_nodes(), g.num_edges());
     println!(
@@ -67,7 +73,8 @@ fn main() {
             s.name, s.matches_found, s.repairs_applied, s.cost
         );
     }
-    for op in &report.ops {
+    assert_eq!(log.len(), report.ops_applied);
+    for op in &log {
         println!("  op: {op:?}");
     }
     assert!(report.converged);

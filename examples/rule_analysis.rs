@@ -2,7 +2,7 @@
 //! and implication checking over a deliberately flawed rule set.
 //!
 //! ```text
-//! cargo run -p grepair-eval --example rule_analysis
+//! cargo run --example rule_analysis
 //! ```
 
 use grepair_core::{analyze, Effectiveness, RuleSet};

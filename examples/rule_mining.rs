@@ -3,7 +3,7 @@
 //! copy — the full closed loop from data to rules to repairs.
 //!
 //! ```text
-//! cargo run --release -p grepair-mine --example rule_mining
+//! cargo run --release --example rule_mining
 //! ```
 
 use grepair_core::{rule_to_dsl, RepairEngine};

@@ -3,7 +3,7 @@
 //! bots, backfill display names).
 //!
 //! ```text
-//! cargo run --release -p grepair-eval --example social_dedup
+//! cargo run --release --example social_dedup
 //! ```
 
 use grepair_core::RepairEngine;

@@ -2,10 +2,20 @@
 //! *shapes* of the reconstructed evaluation must hold (the tables the
 //! `experiments` binary prints; see the README's "Paper experiments").
 
-use grepair_core::RepairEngine;
+use grepair_core::{AppliedOp, Grr, Planner, RepairEngine, RepairReport, RepairSeed};
 use grepair_eval::{delete_only_rules, evaluate_repair, random_repair, rescan_repair};
 use grepair_gen::{generate_kg, gold_kg_rules, inject_kg_noise, KgConfig, NoiseConfig};
+use grepair_graph::Graph;
 use std::time::Instant;
+
+/// Repair `g` to fixpoint, collecting the applied ops with a closure sink.
+fn repair_logged(g: &mut Graph, rules: &[Grr]) -> (RepairReport, Vec<AppliedOp>) {
+    let mut ops = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let report =
+        RepairEngine::default().repair_with(g, rules, &Planner::new(), RepairSeed::Full, sink);
+    (report, ops)
+}
 
 /// F1 shape: GRR dominates the baselines in F-measure at every noise rate.
 #[test]
@@ -25,13 +35,13 @@ fn grr_dominates_baselines_across_noise_rates() {
         );
 
         let mut g = dirty.clone();
-        let rep = RepairEngine::default().repair(&mut g, &gold.rules);
-        let q_grr = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+        let (_, ops) = repair_logged(&mut g, &gold.rules);
+        let q_grr = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
 
         let mut g = dirty.clone();
         let del = delete_only_rules(&gold);
-        let rep = RepairEngine::default().repair(&mut g, &del.rules);
-        let q_del = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+        let (_, ops) = repair_logged(&mut g, &del.rules);
+        let q_del = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
 
         let mut g = dirty.clone();
         let rep = random_repair(&mut g, &gold.rules, 13, 64);
@@ -88,13 +98,13 @@ fn grr_edits_are_closer_to_ground_truth() {
     let truth = inject_kg_noise(&mut dirty, &refs, &NoiseConfig::default());
 
     let mut g = dirty.clone();
-    let rep = RepairEngine::default().repair(&mut g, &gold.rules);
-    let q_grr = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+    let (_, ops) = repair_logged(&mut g, &gold.rules);
+    let q_grr = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
 
     let mut g = dirty.clone();
     let del = delete_only_rules(&gold);
-    let rep = RepairEngine::default().repair(&mut g, &del.rules);
-    let q_del = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+    let (_, ops) = repair_logged(&mut g, &del.rules);
+    let q_del = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
 
     // GRR's made-edits are nearly all needed; delete-only wastes edits.
     let waste_grr = q_grr.made - q_grr.correct;
@@ -115,8 +125,8 @@ fn pipeline_is_deterministic() {
         let mut dirty = clean.clone();
         let truth = inject_kg_noise(&mut dirty, &refs, &NoiseConfig::default());
         let mut g = dirty.clone();
-        let rep = RepairEngine::default().repair(&mut g, &gold.rules);
-        let q = evaluate_repair(&clean, &dirty, &g, &truth, &rep.ops);
+        let (rep, ops) = repair_logged(&mut g, &gold.rules);
+        let q = evaluate_repair(&clean, &dirty, &g, &truth, &ops);
         (rep.repairs_applied, q.made, q.correct, g.to_doc().to_json())
     };
     let a = run();

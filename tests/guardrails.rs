@@ -5,13 +5,13 @@
 //! The driver is deterministic in the spirit of the store's scripted
 //! `FaultyFs` schedules: [`Budget::cancel_at_check`] trips cancellation
 //! at exactly the Nth checkpoint, and a reference run (same substrate,
-//! same rules, no trip) records every committed round through a
-//! [`RepairSink`], so each cancelled run can be checked for
-//! committed-round-prefix equality by replaying rounds 0..k and
-//! comparing [`Graph::to_doc`] documents.
+//! same rules, no trip) records every committed round through a closure
+//! [`RepairSink`](grepair_core::RepairSink), so each cancelled run can be
+//! checked for committed-round-prefix equality by replaying rounds 0..k
+//! and comparing [`Graph::to_doc`] documents.
 
 use grepair_core::{
-    parse_rules, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairSeed, RepairSink,
+    parse_rules, AppliedOp, Grr, Planner, RepairEngine, RepairOutcome, RepairReport, RepairSeed,
 };
 use grepair_gen::{
     generate_kg, generate_social, gold_kg_rules, inject_kg_noise, social_rules, KgConfig,
@@ -20,10 +20,9 @@ use grepair_gen::{
 use grepair_graph::{Graph, GraphDoc};
 use grepair_match::MatchConfig;
 use grepair_obs::{Budget, TestClock, TripReason};
-use grepair_store::{DurableGraph, Mutation, StoreConfig};
+use grepair_store::codec::{ByteReader, ByteWriter};
+use grepair_store::{record, wal, DurableGraph, Mutation, StoreConfig};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -105,44 +104,63 @@ fn build_case(c: &Case) -> (Graph, Vec<Grr>, MatchConfig) {
 
 // ---- round recording and prefix replay ------------------------------------
 
-#[derive(Default)]
-struct RecState {
-    current: Vec<AppliedOp>,
-    rounds: Vec<Vec<AppliedOp>>,
-}
-
-/// Sink that groups applied ops by `round_committed` boundaries.
-#[derive(Clone, Default)]
-struct RoundRecorder {
-    state: Rc<RefCell<RecState>>,
-}
-
-impl RepairSink for RoundRecorder {
-    fn op(&mut self, op: &AppliedOp) {
-        self.state.borrow_mut().current.push(op.clone());
-    }
-    fn round_committed(&mut self) {
-        let mut st = self.state.borrow_mut();
-        let ops = std::mem::take(&mut st.current);
-        st.rounds.push(ops);
-    }
+/// Run `engine` over a copy of `g`, recording each committed round the
+/// sink receives.
+fn record_rounds(
+    engine: &RepairEngine,
+    g: &Graph,
+    rules: &[Grr],
+) -> (RepairReport, Vec<Vec<AppliedOp>>, Graph) {
+    let mut g = g.clone();
+    let mut rounds = Vec::new();
+    let sink = |ops: &[AppliedOp]| rounds.push(ops.to_vec());
+    let report = engine.repair_with(&mut g, rules, &Planner::new(), RepairSeed::Full, sink);
+    (report, rounds, g)
 }
 
 /// Documents of every completed-round prefix: element k is the graph
-/// after rounds 0..k, built by replaying the recorded ops (the same
-/// journal replay path the durable store trusts).
+/// after rounds 0..k, built by replaying the recorded ops through the
+/// journal's record encoder and decoder (the replay path the durable
+/// store trusts).
 fn prefix_docs(initial: &Graph, rounds: &[Vec<AppliedOp>]) -> Vec<GraphDoc> {
     let mut g = initial.clone();
     let mut docs = vec![g.to_doc()];
     for round in rounds {
-        for op in round {
-            Mutation::from_applied(op)
+        for bytes in journal_of(round) {
+            Mutation::decode(&mut ByteReader::new(&bytes))
+                .expect("recorded op decodes")
                 .apply(&mut g)
                 .expect("recorded round replays");
         }
         docs.push(g.to_doc());
     }
     docs
+}
+
+/// Every record the store in `dir` journaled after seq `after`, in seq
+/// order, each as the bytes of its record body.
+fn journaled_since(dir: &std::path::Path, after: u64) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for (base, path) in wal::list_segments(dir).unwrap() {
+        for rec in wal::read_segment(&path, Some(base)).unwrap().records {
+            if rec.seq > after {
+                let mut w = ByteWriter::new();
+                rec.mutation.encode(&mut w);
+                out.push(w.into_bytes());
+            }
+        }
+    }
+    out
+}
+
+/// The record bodies a store journals for `ops`.
+fn journal_of(ops: &[AppliedOp]) -> Vec<Vec<u8>> {
+    let encode = |op| {
+        let mut w = ByteWriter::new();
+        record::encode_applied(&mut w, op);
+        w.into_bytes()
+    };
+    ops.iter().map(encode).collect()
 }
 
 /// The checkpoint indices to cancel at: every boundary when the run is
@@ -173,16 +191,12 @@ proptest! {
 
         // Reference run: record rounds and count checkpoints.
         let reference = Budget::unlimited();
-        let rec = RoundRecorder::default();
-        let mut g_ref = g0.clone();
-        let ref_report = RepairEngine::new(config)
-            .with_budget(&reference)
-            .repair_with(&mut g_ref, &rules, &Planner::new(), RepairSeed::Full, rec.clone());
+        let engine = RepairEngine::new(config).with_budget(&reference);
+        let (ref_report, rounds, g_ref) = record_rounds(&engine, &g0, &rules);
         prop_assert!(
             !ref_report.outcome.is_budget_trip(),
             "unlimited budget must not trip: {:?}", ref_report.outcome
         );
-        let rounds = std::mem::take(&mut rec.state.borrow_mut().rounds);
         let prefixes = prefix_docs(&g0, &rounds);
         // Replay sanity: the full prefix reproduces the reference graph.
         prop_assert_eq!(prefixes.last().unwrap(), &g_ref.to_doc());
@@ -202,7 +216,7 @@ proptest! {
                 k.is_some(),
                 "cancel at check {} of {} left a graph that matches no completed-round prefix \
                  (outcome {:?}, {} ops)",
-                n, reference.checks(), report.outcome, report.ops.len()
+                n, reference.checks(), report.outcome, report.ops_applied
             );
         }
     }
@@ -222,7 +236,7 @@ proptest! {
             .with_budget(&budget)
             .repair(&mut g, &rules);
         prop_assert_eq!(report.outcome, RepairOutcome::Deadline);
-        prop_assert_eq!(report.ops.len(), 0);
+        prop_assert_eq!(report.ops_applied, 0);
         prop_assert_eq!(g.to_doc(), g0.to_doc());
         prop_assert_eq!(budget.tripped(), Some(TripReason::Deadline));
     }
@@ -256,7 +270,7 @@ proptest! {
         let report = store.repair(&engine, &rules).unwrap();
         let in_memory = store.graph().dump_slots();
         let last_seq = store.last_seq();
-        prop_assert_eq!(last_seq, report.ops.len() as u64);
+        prop_assert_eq!(last_seq, report.ops_applied as u64);
         drop(store);
 
         let store = DurableGraph::open(&dir, StoreConfig::default()).unwrap();
@@ -328,11 +342,10 @@ fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
     // memory, full-seeded, which applies the identical rounds — every
     // completed-round prefix.
     let mut store = delta_fixture(&clean, &dir);
-    let rec = RoundRecorder::default();
     let dirty = store.graph().clone();
-    let (planner, full) = (Planner::new(), RepairSeed::Full);
-    RepairEngine::default().repair_with(&mut dirty.clone(), &rules, &planner, full, rec.clone());
-    let prefixes = prefix_docs(&dirty, &rec.state.borrow().rounds);
+    let (_, rounds, _) = record_rounds(&RepairEngine::default(), &dirty, &rules);
+    let prefixes = prefix_docs(&dirty, &rounds);
+    let before = store.last_seq();
     let unlimited = Budget::unlimited();
     let untripped = store
         .repair(&RepairEngine::default().with_budget(&unlimited), &rules)
@@ -342,7 +355,7 @@ fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
         untripped.per_rule.iter().all(|r| r.scans == 0),
         "fixture must take the delta seed"
     );
-    assert_eq!(rec.state.borrow().rounds.concat(), untripped.ops);
+    assert_eq!(journaled_since(&dir, before), journal_of(&rounds.concat()));
     let done = store.graph().to_doc();
     assert_eq!(prefixes.last(), Some(&done));
     drop(store);
@@ -360,7 +373,7 @@ fn cancelled_delta_seeded_durable_repair_is_a_round_prefix() {
             prefixes.contains(&doc),
             "cancel at check {n}: outcome {:?} after {} ops matches no round prefix",
             report.outcome,
-            report.ops.len()
+            report.ops_applied
         );
         let slots = store.graph().dump_slots();
         drop(store);
@@ -390,14 +403,9 @@ fn cancel_from_another_thread_stops_a_running_repair() {
         rule_mask: 0,
         matcher: 0,
     });
-    let rec = RoundRecorder::default();
-    let (planner, full) = (Planner::new(), RepairSeed::Full);
-    RepairEngine::new(config).repair_with(&mut g0.clone(), &rules, &planner, full, rec.clone());
-    assert!(
-        rec.state.borrow().rounds.len() > 1,
-        "the flip must land before the last round"
-    );
-    let prefixes = prefix_docs(&g0, &rec.state.borrow().rounds);
+    let (_, rounds, _) = record_rounds(&RepairEngine::new(config), &g0, &rules);
+    assert!(rounds.len() > 1, "the flip must land before the last round");
+    let prefixes = prefix_docs(&g0, &rounds);
 
     let budget = Budget::unlimited();
     let token = budget.token();
@@ -407,7 +415,7 @@ fn cancel_from_another_thread_stops_a_running_repair() {
         let worker = s.spawn(move || {
             let mut g = g0;
             let mut handshake = Some((started, on_resume));
-            let sink = move |_: &AppliedOp| {
+            let sink = move |_: &[AppliedOp]| {
                 if let Some((started, on_resume)) = handshake.take() {
                     started.send(()).expect("test thread is waiting");
                     on_resume.recv().expect("test thread resumes the repair");

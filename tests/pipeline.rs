@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full clean → noise → repair → metrics
 //! pipeline, per inconsistency class and mixed.
 
-use grepair_core::{RepairEngine, RuleSet};
+use grepair_core::{AppliedOp, Planner, RepairEngine, RepairSeed, RuleSet};
 use grepair_eval::evaluate_repair;
 use grepair_gen::{
     generate_kg, gold_kg_rules, inject_kg_noise, ErrorClass, KgConfig, NoiseConfig,
@@ -23,9 +23,13 @@ fn run_class(class: Option<ErrorClass>, rate: f64, seed: u64) -> (bool, f64, f64
 
     let mut repaired = dirty.clone();
     let rules = gold_kg_rules();
-    let report = RepairEngine::default().repair(&mut repaired, &rules.rules);
+    let mut ops = Vec::new();
+    let sink = |round: &[AppliedOp]| ops.extend_from_slice(round);
+    let (planner, full) = (Planner::new(), RepairSeed::Full);
+    let report =
+        RepairEngine::default().repair_with(&mut repaired, &rules.rules, &planner, full, sink);
     repaired.check_invariants().expect("invariants after repair");
-    let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &report.ops);
+    let q = evaluate_repair(&clean, &dirty, &repaired, &truth, &ops);
     (report.converged, q.precision, q.recall, q.f1)
 }
 
