@@ -41,9 +41,16 @@
 //!   fixpoint however many repairs that takes. Only the requeues of
 //!   matches a repair left standing, the one thing acyclicity does not
 //!   bound, count against the cap, per stratum.
-//! - **Verification** — every run that no budget trip cut short ends
-//!   with a scan for residual violations
-//!   ([`RepairReport::violations_remaining`]).
+//! - **Residue** — the fixpoint holds by construction: every violation
+//!   was in a seed or was created by an op whose enabled rules were
+//!   re-matched, so the only ones a run can leave are those its worklist
+//!   revalidated as holding and chose not to repair — a churn-refused
+//!   admission, a no-op repair, or, when the repair cap stops the run,
+//!   the queue's remaining entries and the seeds of the strata it never
+//!   reached. A run that no budget trip cut short revalidates that
+//!   residue instead of sweeping the graph again
+//!   ([`RepairReport::violations_remaining`]); debug builds also sweep
+//!   and assert that both counts agree.
 
 use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
@@ -80,6 +87,8 @@ pub enum RepairSeed<'a> {
     /// plus every node an earlier stratum's repairs touched): a match
     /// that exists when its stratum starts either existed before the run
     /// or was created by one of those repairs, so it touches that set.
+    /// The residual count comes from the run's residue, as after a full
+    /// seed: nothing is matched once the last stratum's queue empties.
     Touched(&'a TouchSet),
 }
 
@@ -187,9 +196,10 @@ pub struct RuleStats {
     pub repairs_applied: usize,
     /// Total edit cost of this rule's repairs.
     pub cost: f64,
-    /// Full scans that included this rule: exactly one (its worklist's
-    /// seed, in its stratum under a stratified schedule), or none under
-    /// [`RepairSeed::Touched`], where no sweep of the graph happens.
+    /// Full scans that included this rule: exactly one (the seed of its
+    /// stratum under a stratified schedule, also of a stratum the repair
+    /// cap kept from running), or none under [`RepairSeed::Touched`],
+    /// where no sweep of the graph happens.
     pub scans: usize,
 }
 
@@ -210,14 +220,16 @@ pub struct RepairReport {
     pub per_rule: Vec<RuleStats>,
     /// Total edit cost.
     pub total_cost: f64,
-    /// `true` if the run ended with no detectable violations.
+    /// `true` if the run ended with `violations_remaining == 0`.
     pub converged: bool,
-    /// Residual violations, counted by the final verification scan. After
-    /// a [`RepairSeed::Touched`] run this counts the matches touching the
-    /// seed or any node a repair of the run touched, which under the
-    /// seed's contract is every match in the graph: one that avoids all
-    /// of them existed, untouched, before the seed started filling —
-    /// when there were none.
+    /// Residual violations: the distinct (rule, matched nodes) of the
+    /// run's residue — the violations its worklist left unrepaired (see
+    /// the module docs) — that still hold when it ends. Every match in
+    /// the graph is among them: a [`RepairSeed::Full`] run seeded every
+    /// match that existed, a [`RepairSeed::Touched`] run every match
+    /// under the seed's contract, and each repair's new matches were
+    /// re-matched. [`RepairEngine::count_violations`] is the independent
+    /// check.
     pub violations_remaining: usize,
     /// Patterns actually compiled during the run (plan-cache misses).
     /// With a caller-owned [`Planner`] these counters are per-run
@@ -241,8 +253,8 @@ pub struct RepairReport {
     /// How the run ended: natural fixpoint, the repair cap, or a runtime
     /// guardrail trip. `violations_remaining` is only
     /// meaningful for [`RepairOutcome::Completed`] /
-    /// [`RepairOutcome::RoundLimit`] — budget trips skip the final
-    /// verification scan (it would itself be cut short).
+    /// [`RepairOutcome::RoundLimit`] — a budget trip leaves it 0 and
+    /// `converged` false: the tripped run's queue and seeds are partial.
     #[serde(default)]
     pub outcome: RepairOutcome,
 }
@@ -385,6 +397,15 @@ impl ArbitrationQueue {
             (Some(_), _) => self.seed.pop(),
             (None, _) => self.arrivals.pop(),
         }
+    }
+
+    /// A capped worklist's leftovers: push `stopped`, the entry the cap
+    /// stopped at, and every entry not yet popped to `residue`.
+    fn leave(self, stopped: Violation, residue: &mut Vec<(usize, Match)>) {
+        let left = std::iter::once(stopped)
+            .chain(self.seed)
+            .chain(self.arrivals);
+        residue.extend(left.map(|v| (v.rule, v.m)));
     }
 }
 
@@ -582,7 +603,7 @@ impl RepairEngine {
         // under which the run provably terminates without churn guards.
         let schedule = cached_schedule(rules);
         // A delta-seeded run grows its copy of the seed by every node a
-        // repair touches — where any residual violation must lie.
+        // repair touches: what each later stratum seeds from.
         let mut delta = match seed {
             RepairSeed::Touched(t) => {
                 tel.seed_delta.inc();
@@ -605,12 +626,28 @@ impl RepairEngine {
             }
             None => vec![None],
         };
+        // The violations the worklists revalidated as holding and left
+        // unrepaired: the only ones a run can leave.
+        let mut residue: Vec<(usize, Match)> = Vec::new();
         for scope in scopes {
-            self.run_worklist(
-                g, rules, scope, delta.as_mut(), &triggers, &mut report, max_repairs, &mut sink,
-                planner, &tel,
-            );
-            if report.outcome != RepairOutcome::Completed {
+            if report.outcome == RepairOutcome::Completed {
+                self.run_worklist(
+                    g, rules, scope, delta.as_mut(), &triggers, &mut report, max_repairs,
+                    &mut sink, planner, &tel, &mut residue,
+                );
+            } else {
+                // The repair cap stopped an earlier stratum: this one
+                // never runs, and leaves its seed.
+                let delta = delta.as_ref();
+                self.discover(g, rules, scope, delta, planner, &tel, |ri, m| {
+                    residue.push((ri, m))
+                });
+            }
+            // A trip the worklist did not observe at a pop still cut a
+            // search short — the re-match after the repair that reached
+            // an op cap, or a discovery — so the residue is partial.
+            if let Some(trip) = self.budget.tripped() {
+                report.outcome = trip.into();
                 break;
             }
         }
@@ -623,20 +660,10 @@ impl RepairEngine {
         }
 
         if !report.outcome.is_budget_trip() {
-            report.violations_remaining = match &delta {
-                Some(closure) => self.matches_touching(g, rules, None, planner, closure).count(),
-                None => self.count_violations_with(g, rules, planner),
-            };
+            report.violations_remaining = count_residue(g, rules, residue);
             report.converged = report.violations_remaining == 0;
-            // The deadline can expire during the verification scan
-            // itself, cutting the count short — surface the trip rather
-            // than report a bogus fixpoint.
-            if report.outcome == RepairOutcome::Completed {
-                if let Some(trip) = self.budget.tripped() {
-                    report.outcome = trip.into();
-                    report.converged = false;
-                }
-            }
+            #[cfg(debug_assertions)]
+            self.assert_residue_is_the_sweep(g, rules, delta.as_ref(), report.violations_remaining);
         }
         obs::instant(
             match report.outcome {
@@ -654,9 +681,13 @@ impl RepairEngine {
         report
     }
 
-    /// Count current violations without repairing.
+    /// Count current violations without repairing: one scan of every
+    /// rule, independent of any run (a repair's own count comes from its
+    /// residue).
     pub fn count_violations(&self, g: &Graph, rules: &[Grr]) -> usize {
-        self.count_violations_with(g, rules, &Planner::new())
+        let planner = Planner::new();
+        let matcher = self.matcher(g, &planner);
+        rules.iter().map(|r| matcher.count(&r.pattern)).sum()
     }
 
     /// The matcher every scan and re-match of a run goes through: this
@@ -665,9 +696,29 @@ impl RepairEngine {
         Matcher::with_planner(g, self.match_config, planner).with_budget(&self.budget)
     }
 
-    fn count_violations_with(&self, g: &Graph, rules: &[Grr], planner: &Planner) -> usize {
-        let matcher = self.matcher(g, planner);
-        rules.iter().map(|r| matcher.count(&r.pattern)).sum()
+    /// The sweep the residue replaces, as debug builds' cross-check: every
+    /// match after a full seed, every match touching the grown `delta`
+    /// after a [`RepairSeed::Touched`] one. Its matcher has no budget (a
+    /// deadline must not cut the count short) and no planner (the check
+    /// must not move the run's plan counters). A mismatch means the
+    /// trigger index or a touched set missed an enablement.
+    #[cfg(debug_assertions)]
+    fn assert_residue_is_the_sweep(
+        &self,
+        g: &Graph,
+        rules: &[Grr],
+        delta: Option<&TouchSet>,
+        remaining: usize,
+    ) {
+        let matcher = Matcher::with_config(g, self.match_config);
+        let swept: usize = rules
+            .iter()
+            .map(|r| match delta {
+                Some(closure) => matcher.find_touching(&r.pattern, closure).len(),
+                None => matcher.count(&r.pattern),
+            })
+            .sum();
+        debug_assert_eq!(remaining, swept, "the residue and the sweep disagree");
     }
 
     /// The rule indices `scope` names (`None` = every rule), ascending.
@@ -676,22 +727,33 @@ impl RepairEngine {
         (0..all).chain(scope.unwrap_or_default().iter().copied())
     }
 
-    /// Every (rule index, match) of the rules in `scope` whose match
-    /// intersects `touched` — a delta seed's discovery and its fixpoint
-    /// check.
-    fn matches_touching<'a>(
+    /// A worklist's seed: hand `found` every (rule index, match) of the
+    /// rules in `scope` — all of them (one counted scan per rule), or
+    /// with `delta`, those whose match intersects it.
+    #[allow(clippy::too_many_arguments)]
+    fn discover(
         &self,
-        g: &'a Graph,
-        rules: &'a [Grr],
-        scope: Option<&'a [usize]>,
-        planner: &'a Planner,
-        touched: &'a TouchSet,
-    ) -> impl Iterator<Item = (usize, Match)> + 'a {
+        g: &Graph,
+        rules: &[Grr],
+        scope: Option<&[usize]>,
+        delta: Option<&TouchSet>,
+        planner: &Planner,
+        tel: &EngineTelemetry,
+        mut found: impl FnMut(usize, Match),
+    ) {
         let matcher = self.matcher(g, planner);
-        Self::rules_in(rules, scope).flat_map(move |ri| {
-            let found = matcher.find_touching(&rules[ri].pattern, touched);
-            found.into_iter().map(move |m| (ri, m))
-        })
+        for ri in Self::rules_in(rules, scope) {
+            let matches = match delta {
+                None => {
+                    tel.rule_scans[ri].inc();
+                    matcher.find_all(&rules[ri].pattern)
+                }
+                Some(touched) => matcher.find_touching(&rules[ri].pattern, touched),
+            };
+            for m in matches {
+                found(ri, m);
+            }
+        }
     }
 
     /// The worklist loop, over the rules in `scope` (`None` = the whole,
@@ -720,9 +782,18 @@ impl RepairEngine {
     /// counted (`engine.stratum_rematches`), asserted against in debug
     /// builds, and puts the whole stratum back under `max_repairs`.
     ///
+    /// Every violation of the scope that holds when the worklist returns
+    /// is in `residue`: each one entered the queue after it last became
+    /// true, and a popped violation that still holds is repaired,
+    /// requeued, or pushed to `residue` — a churn-refused admission, a
+    /// no-op repair, and, when the cap stops the run, the popped entry
+    /// and the rest of the queue.
+    ///
     /// Returns with [`RepairReport::outcome`] still
-    /// [`RepairOutcome::Completed`] exactly when the scope reached its
-    /// fixpoint (or only noop / churn-guarded repairs remained).
+    /// [`RepairOutcome::Completed`] when the queue ran dry: the scope
+    /// reached its fixpoint (or only noop / churn-guarded repairs
+    /// remained) — unless a budget tripped inside a re-match after the
+    /// last pop, which the caller checks.
     #[allow(clippy::too_many_arguments)]
     fn run_worklist(
         &self,
@@ -736,6 +807,7 @@ impl RepairEngine {
         sink: &mut dyn RepairSink,
         planner: &Planner,
         tel: &EngineTelemetry,
+        residue: &mut Vec<(usize, Match)>,
     ) {
         let mut churn: FxHashMap<u64, u32> = FxHashMap::default();
         // Requeues of a stratum, capped at `max_repairs`.
@@ -749,26 +821,13 @@ impl RepairEngine {
         // rule-dependency pruning keeps per-repair work independent of
         // |Σ|.
         let mut enabled = Vec::new();
-        let seed: Vec<Violation> = {
+        let mut seed: Vec<Violation> = Vec::new();
+        {
             let _seed_span = obs::span("engine.round", "engine");
-            match delta.as_deref() {
-                None => {
-                    let matcher = self.matcher(g, planner);
-                    let mut seed = Vec::new();
-                    for ri in Self::rules_in(rules, scope) {
-                        tel.rule_scans[ri].inc();
-                        for m in matcher.find_all(&rules[ri].pattern) {
-                            seed.push(self.violation(g, rules, ri, m));
-                        }
-                    }
-                    seed
-                }
-                Some(touched) => self
-                    .matches_touching(g, rules, scope, planner, touched)
-                    .map(|(ri, m)| self.violation(g, rules, ri, m))
-                    .collect(),
-            }
-        };
+            self.discover(g, rules, scope, delta.as_deref(), planner, tel, |ri, m| {
+                seed.push(self.violation(g, rules, ri, m))
+            });
+        }
         if self.budget.is_tripped() {
             // Mid-seed-scan trip: the queue is partial — stop before
             // applying anything, leaving the graph untouched.
@@ -791,6 +850,7 @@ impl RepairEngine {
                 continue;
             }
             if scope.is_none() && !self.admit(&mut churn, &v) {
+                residue.push((v.rule, v.m));
                 continue;
             }
             // The backstop only stops a repair that is still needed: a
@@ -799,9 +859,11 @@ impl RepairEngine {
             // only once a re-match has falsified its termination proof.
             if (scope.is_none() || unsound) && report.repairs_applied >= max_repairs {
                 report.outcome = RepairOutcome::RoundLimit;
+                queue.leave(v, residue);
                 return;
             }
             let Some(applied) = self.apply(g, rules, &v, report, tel) else {
+                residue.push((v.rule, v.m));
                 continue;
             };
             if let Some(delta) = delta.as_deref_mut() {
@@ -820,7 +882,10 @@ impl RepairEngine {
             if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
                 if scope.is_some() {
                     if requeues == max_repairs {
+                        // No rule of the stratum can be enabled by this
+                        // repair: the queue holds the stratum's matches.
                         report.outcome = RepairOutcome::RoundLimit;
+                        queue.leave(v, residue);
                         return;
                     }
                     requeues += 1;
@@ -911,6 +976,18 @@ impl RepairEngine {
         report.per_rule[v.rule].cost += applied.cost;
         Some(applied)
     }
+}
+
+/// The residue's violations that still hold, each (rule, matched nodes)
+/// once: the run's `violations_remaining`.
+fn count_residue(g: &Graph, rules: &[Grr], mut residue: Vec<(usize, Match)>) -> usize {
+    residue.sort_unstable_by(|(ra, a), (rb, b)| (ra, &a.nodes).cmp(&(rb, &b.nodes)));
+    residue.dedup_by(|(ra, a), (rb, b)| ra == rb && a.nodes == b.nodes);
+    residue
+        .into_iter()
+        .map(|(ri, mut m)| revalidate(g, &rules[ri].pattern, &mut m))
+        .filter(|&holds| holds)
+        .count()
 }
 
 /// Process-global cache of stratification results keyed by the rule
@@ -1203,6 +1280,31 @@ mod tests {
     }
 
     #[test]
+    fn op_budget_tripped_by_the_last_repair_is_no_fixpoint() {
+        // `f`'s one repair reaches the op cap, and the tripped budget
+        // cuts short the re-match that would find `g`'s new match. The
+        // queue is then empty, and no pop observes the trip: the run must
+        // still end on it, not report a fixpoint its residue cannot see.
+        let mut g = Graph::new();
+        let k = g.attr_key("flag");
+        let n = g.add_node_named("P");
+        g.set_attr(n, k, Value::Int(0)).unwrap();
+        let rules = parse_rules(
+            "rule f [conflict] match (x:P) where x.flag == 0 repair set x.flag = 1
+             rule g [conflict] match (x:P) where x.flag == 1 repair set x.flag = 2",
+        )
+        .unwrap();
+        let budget = obs::Budget::unlimited().with_op_cap(1);
+        let engine = RepairEngine::default().with_budget(&budget);
+        let report = engine.repair(&mut g, &rules);
+        assert_eq!(report.strata, 0, "a cyclic set: one worklist");
+        assert_eq!(report.repairs_applied, 1);
+        assert_eq!(report.outcome, RepairOutcome::OpBudget);
+        assert!(!report.converged);
+        assert_eq!(RepairEngine::default().count_violations(&g, &rules), 1);
+    }
+
+    #[test]
     fn sink_gets_one_round_per_applied_repair() {
         // The three-class set (cyclic: one worklist over Σ) and a
         // cascade (acyclic: one worklist per stratum).
@@ -1428,10 +1530,10 @@ mod tests {
 
     #[test]
     fn caller_owned_planner_carries_plans_across_runs() {
-        // One long-lived planner over repeated repair runs: the second
-        // run's scans must be served entirely from the warmed plan
-        // cache, and the report counters must be per-run deltas rather
-        // than planner-lifetime totals.
+        // One long-lived planner over repeated repair runs: once the
+        // vocabulary stops growing, a run's scans must be served entirely
+        // from the warmed plan cache, and the report counters must be
+        // per-run deltas rather than planner-lifetime totals.
         // The cyclic cascade: the hit/compile arithmetic below assumes the
         // worklist's per-anchor plans, not stratified scans.
         let rules = parse_rules(&cyclic_cascade_src(3)).unwrap();
@@ -1447,16 +1549,28 @@ mod tests {
         assert_eq!(r1.repairs_applied, 30);
         assert!(r1.pattern_compiles > 0);
 
+        // A plan is cached per vocabulary size. Run 1 compiled its seed's
+        // full-scan plans while only `a0` was interned, and its repairs
+        // interned `a1`–`a3`: run 2 compiles each rule's scan again, and
+        // nothing else.
         let r2 = run(&mut g);
         assert!(r2.converged);
         assert_eq!(r2.repairs_applied, 0, "already at fixpoint");
         assert_eq!(
-            r2.pattern_compiles, 0,
-            "every run-2 plan must come from the warmed cache"
+            r2.pattern_compiles,
+            rules.len() as u64,
+            "only the scans run 1 planned at the smaller vocabulary recompile"
         );
-        assert!(r2.plan_cache_hits > 0);
+
+        let r3 = run(&mut g);
+        assert!(r3.converged);
+        assert_eq!(
+            r3.pattern_compiles, 0,
+            "every run-3 plan must come from the warmed cache"
+        );
+        assert!(r3.plan_cache_hits > 0);
         assert!(
-            r2.plan_cache_hits < r1.plan_cache_hits + r1.pattern_compiles,
+            r3.plan_cache_hits < r1.plan_cache_hits + r1.pattern_compiles,
             "counters must be per-run deltas, not lifetime totals"
         );
         g.check_invariants().unwrap();
@@ -1670,6 +1784,36 @@ mod tests {
         assert_eq!(report.strata, 1);
         assert!(report.converged);
         assert_eq!(g.num_nodes(), 1);
+    }
+
+    #[test]
+    fn round_limit_counts_the_strata_it_never_reached() {
+        // `grow` requeues forever in the first stratum; every Q node it
+        // inserts is a match of `tag`, a stratum the capped run never
+        // reaches. The residue holds `grow`'s last match and `tag`'s
+        // seed: 1 + 21 inserted nodes, as a fresh count finds.
+        let rules = parse_rules(
+            "rule grow [incompleteness] match (x:P) repair insert node (y:Q)
+             rule tag [incompleteness] match (y:Q) where missing(y.t) repair set y.t = 1",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        g.add_node_named("P");
+        let engine = RepairEngine::default();
+        let report = engine.repair(&mut g, &rules);
+        assert_eq!(report.strata, 2);
+        assert_eq!(report.outcome, RepairOutcome::RoundLimit);
+        assert_eq!((report.rounds, report.repairs_applied), (1, 21));
+        assert_eq!(report.violations_remaining, 1 + 21);
+        assert_eq!(
+            report.violations_remaining,
+            engine.count_violations(&g, &rules)
+        );
+        assert!(!report.converged);
+        // The unreached stratum's seed is discovered, not found: nothing
+        // of it was queued.
+        assert_eq!(report.per_rule[1].matches_found, 0);
+        assert_eq!(report.per_rule[1].scans, 1);
     }
 
     #[test]

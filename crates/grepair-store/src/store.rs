@@ -255,13 +255,14 @@ pub struct DurableGraph<V: Vfs = StdFs> {
 
 /// The clean mark is dropped once its delta exceeds 1/`DELTA_MAX_SHARE`
 /// of the live nodes: matching around a delta runs one anchored search
-/// per pattern variable per node, twice (seed and fixpoint check), and
-/// past the crossover two scans are cheaper. Measured on clean graphs
-/// with evenly spread deltas (release build, median of 7, delta-seeded ÷
-/// full-seeded repair time): social 7.8k nodes / 4 rules — 1/8 0.24x,
-/// 1/4 0.56x, 1/3 0.71x, 1/2 0.95x, all 1.7x; gold KG 17k nodes / 10
-/// rules — 1/8 0.41x, 1/4 0.76x, 1/3 1.00x, 1/2 1.33x, all 1.9x. A
-/// quarter sits below the earlier crossover; it also bounds the set.
+/// per pattern variable per node where a full seed runs one scan, and
+/// past the crossover the scan is cheaper. Measured on clean graphs with
+/// evenly spread deltas, a warm planner and no closing pass on either
+/// side (release build; delta-seeded ÷ full-seeded repair time, median
+/// of 7 sweeps of 7 runs each): social 7.8k nodes / 4 rules — 1/8 0.26x,
+/// 1/4 0.46x, 1/3 0.68x, 1/2 1.02x, all 1.94x; gold KG 17k nodes / 10
+/// rules — 1/8 0.42x, 1/4 0.71x, 1/3 0.91x, 1/2 1.25x, all 1.71x. A
+/// quarter sits below the crossover; it also bounds the set.
 const DELTA_MAX_SHARE: usize = 4;
 
 /// Why a store refuses further work (see [`StoreError::Poisoned`]).
@@ -853,8 +854,9 @@ impl<V: Vfs> DurableGraph<V> {
     /// set, every mutator then notes the nodes it affects, and the next
     /// repair of the same rule set ([`set_fingerprint`]) matches only
     /// around those nodes ([`RepairSeed::Touched`]) — no scan of the
-    /// graph, not even for the final fixpoint check. The mark is in
-    /// memory only and is dropped by anything that leaves the graph
+    /// graph, and no closing check: the engine counts what remains from
+    /// its residue ([`RepairReport::violations_remaining`]). The mark is
+    /// in memory only and is dropped by anything that leaves the graph
     /// unverified: a reopen (the first repair after
     /// [`DurableGraph::open`] is a full scan), a repair that trips its
     /// budget, leaves residual violations or fails to journal, a repair
@@ -914,7 +916,8 @@ impl<V: Vfs> DurableGraph<V> {
         self.commit()?;
         self.telemetry
             .set_gauges(self.last_seq, self.snapshot_seq, self.writer.len());
-        // `converged` is only ever set by the verification scan.
+        // `converged` is only ever set by the engine's residual count,
+        // which a budget trip skips.
         if report.outcome == RepairOutcome::Completed && report.converged {
             self.clean = Some((fp, TouchSet::default()));
         }
