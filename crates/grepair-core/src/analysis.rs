@@ -26,7 +26,7 @@
 use crate::apply::apply_rule;
 use crate::rule::{Action, Grr, PatternEdgeRef, Target, ValueSource};
 use grepair_graph::{EditCosts, Graph, Value};
-use grepair_match::{Constraint, Match, Matcher, Pattern, Rhs, Var};
+use grepair_match::{CompiledPattern, Constraint, Match, Matcher, Pattern, Rhs, Var};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -169,7 +169,7 @@ pub fn canonical_instance(pattern: &Pattern) -> Option<(Graph, Match)> {
     // Verify: the identity assignment must really match (catches unsolved
     // interactions, e.g. negative edges colliding with positive ones).
     let mut check = m.clone();
-    if !crate::apply::revalidate(&g, pattern, &mut check) {
+    if !CompiledPattern::new(&g, pattern).holds(&g, &mut check) {
         return None;
     }
     Some((g, m))
@@ -1127,7 +1127,7 @@ mod tests {
         .unwrap();
         let (g, m) = canonical_instance(&r.pattern).unwrap();
         let mut chk = m.clone();
-        assert!(crate::apply::revalidate(&g, &r.pattern, &mut chk));
+        assert!(CompiledPattern::new(&g, &r.pattern).holds(&g, &mut chk));
     }
 
     #[test]

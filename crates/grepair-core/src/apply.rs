@@ -1,4 +1,4 @@
-//! Applying a GRR to a concrete match, and revalidating stale matches.
+//! Applying a GRR to a concrete match.
 //!
 //! Application is **idempotent where possible** (inserting an edge that
 //! already exists, deleting an element already gone, setting an attribute
@@ -10,7 +10,7 @@
 use crate::cost::op_cost;
 use crate::rule::{Action, Grr, PatternEdgeRef, Target, ValueSource};
 use grepair_graph::{EditCosts, EdgeId, Graph, GraphError, NodeId, Value};
-use grepair_match::{Match, Pattern, TouchSet};
+use grepair_match::{Match, TouchSet};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -136,9 +136,10 @@ impl Applied {
 
 /// Apply `rule`'s actions to `g` under the variable assignment `m`.
 ///
-/// The caller is expected to have [`revalidate`]d the match; stale element
-/// references inside the match degrade to no-ops rather than errors, so a
-/// repair raced by an earlier repair in the same round is safe.
+/// The caller is expected to have checked that the match still holds
+/// ([`grepair_match::CompiledPattern::holds`]); stale element references
+/// inside the match degrade to no-ops rather than errors, so a repair
+/// raced by an earlier repair in the same round is safe.
 pub fn apply_rule(
     g: &mut Graph,
     rule: &Grr,
@@ -357,108 +358,6 @@ fn record(out: &mut Applied, costs: &EditCosts, op: AppliedOp) {
     out.ops.push(op);
 }
 
-/// Re-check a previously found match against the current graph state,
-/// refreshing witness edges (a deleted witness may have a surviving
-/// parallel edge). Returns `false` if the match no longer holds.
-pub fn revalidate(g: &Graph, pattern: &Pattern, m: &mut Match) -> bool {
-    // Nodes alive with required labels.
-    for (i, pn) in pattern.nodes.iter().enumerate() {
-        let n = m.nodes[i];
-        let Ok(label) = g.node_label(n) else {
-            return false;
-        };
-        if let Some(want) = &pn.label {
-            if g.label_name(label) != want {
-                return false;
-            }
-        }
-    }
-    // Injectivity can only be violated by merges: check pairwise.
-    for i in 0..m.nodes.len() {
-        for j in (i + 1)..m.nodes.len() {
-            if m.nodes[i] == m.nodes[j] {
-                return false;
-            }
-        }
-    }
-    // Positive edges, refreshing witnesses.
-    for (i, pe) in pattern.edges.iter().enumerate() {
-        let s = m.nodes[pe.src.index()];
-        let d = m.nodes[pe.dst.index()];
-        let found = match &pe.label {
-            Some(name) => g.try_label(name).and_then(|l| g.find_edge(s, d, l)),
-            None => g.find_edge_any(s, d),
-        };
-        match found {
-            Some(e) => m.edges[i] = e,
-            None => return false,
-        }
-    }
-    // Negative edges.
-    for pe in &pattern.neg_edges {
-        let s = m.nodes[pe.src.index()];
-        let d = m.nodes[pe.dst.index()];
-        let exists = match &pe.label {
-            Some(name) => g
-                .try_label(name)
-                .map(|l| g.has_edge_labeled(s, d, l))
-                .unwrap_or(false),
-            None => g.edges_between(s, d).next().is_some(),
-        };
-        if exists {
-            return false;
-        }
-    }
-    // Constraints.
-    for c in &pattern.constraints {
-        if !eval_constraint(g, c, &m.nodes) {
-            return false;
-        }
-    }
-    true
-}
-
-fn eval_constraint(g: &Graph, c: &grepair_match::Constraint, nodes: &[NodeId]) -> bool {
-    use grepair_match::{Constraint, Rhs};
-    let attr_of = |v: grepair_match::Var, key: &str| -> Option<&Value> {
-        g.try_attr_key(key).and_then(|k| g.attr(nodes[v.index()], k))
-    };
-    let has_dir_edge = |v: &grepair_match::Var, label: &Option<String>, out: bool| -> bool {
-        let n = nodes[v.index()];
-        let lid = label.as_ref().and_then(|name| g.try_label(name));
-        if label.is_some() && lid.is_none() {
-            return false;
-        }
-        let edges: Vec<_> = if out {
-            g.out_edges(n).collect()
-        } else {
-            g.in_edges(n).collect()
-        };
-        edges.into_iter().any(|e| match lid {
-            None => true,
-            Some(l) => g.edge(e).map(|er| er.label == l).unwrap_or(false),
-        })
-    };
-    match c {
-        Constraint::HasAttr(v, k) => attr_of(*v, k).is_some(),
-        Constraint::MissingAttr(v, k) => attr_of(*v, k).is_none(),
-        Constraint::NoOutEdge(v, l) => !has_dir_edge(v, l, true),
-        Constraint::NoInEdge(v, l) => !has_dir_edge(v, l, false),
-        Constraint::Cmp { var, key, op, rhs } => {
-            let Some(lhs) = attr_of(*var, key) else {
-                return false;
-            };
-            match rhs {
-                Rhs::Const(v) => op.eval(lhs, v),
-                Rhs::Attr(o, k2) => match attr_of(*o, k2) {
-                    Some(r) => op.eval(lhs, r),
-                    None => false,
-                },
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,43 +531,6 @@ mod tests {
         let again = apply_rule(&mut g, &rule, &matches[1], &EditCosts::default()).unwrap();
         assert!(again.is_noop());
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn revalidate_detects_staleness_and_refreshes_witnesses() {
-        let (mut g, rule) = incompleteness_fixture();
-        let mut m = Matcher::new(&g).find_all(&rule.pattern).remove(0);
-        assert!(revalidate(&g, &rule.pattern, &mut m));
-
-        // Add a parallel livesIn edge, delete the witness: match survives
-        // with a refreshed witness.
-        let x = m.nodes[0];
-        let c = m.nodes[1];
-        let lives = g.try_label("livesIn").unwrap();
-        let old_witness = m.edges[0];
-        let parallel = g.add_edge(x, c, lives).unwrap();
-        g.remove_edge(old_witness).unwrap();
-        assert!(revalidate(&g, &rule.pattern, &mut m));
-        assert_eq!(m.edges[0], parallel);
-
-        // Satisfy the negative edge: match dies.
-        let k = m.nodes[2];
-        g.add_edge_named(x, k, "citizenOf").unwrap();
-        assert!(!revalidate(&g, &rule.pattern, &mut m));
-    }
-
-    #[test]
-    fn revalidate_detects_deleted_node_and_label_change() {
-        let (mut g, rule) = incompleteness_fixture();
-        let mut m = Matcher::new(&g).find_all(&rule.pattern).remove(0);
-        let robot = g.label("Robot");
-        g.set_node_label(m.nodes[0], robot).unwrap();
-        assert!(!revalidate(&g, &rule.pattern, &mut m.clone()));
-        let person = g.try_label("Person").unwrap();
-        g.set_node_label(m.nodes[0], person).unwrap();
-        assert!(revalidate(&g, &rule.pattern, &mut m.clone()));
-        g.remove_node(m.nodes[2]).unwrap();
-        assert!(!revalidate(&g, &rule.pattern, &mut m));
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!
 //! - **Revalidation** — a queued violation is re-checked against the
 //!   current graph before its repair is applied (earlier repairs may have
-//!   fixed or invalidated it).
+//!   fixed or invalidated it), by the matcher's own checks: each rule's
+//!   [`CompiledPattern`], resolved at its first use in a run and again
+//!   only after a repair grows the graph's label or attribute-key
+//!   vocabulary.
 //! - **Cost arbitration** — pending violations are applied cheapest-first
 //!   (graph-edit-distance estimate, then rule priority, then deterministic
 //!   tie-breaks), which implements the paper's best-repair selection: when
@@ -53,11 +56,11 @@
 //!   and assert that both counts agree.
 
 use crate::analysis::{preconditions_of, L};
-use crate::apply::{apply_rule, revalidate, Applied, AppliedOp};
+use crate::apply::{apply_rule, Applied, AppliedOp};
 use crate::cost::estimate_cost;
 use crate::rule::Grr;
 use grepair_graph::{EditCosts, Graph, NodeId};
-use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
+use grepair_match::{CompiledPattern, Match, MatchConfig, Matcher, Planner, TouchSet};
 use grepair_obs as obs;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -370,8 +373,8 @@ impl Ord for Violation {
 /// A pop is then `O(1)` against the seed and `O(log arrivals)` otherwise,
 /// not `O(log (seed + arrivals))`. `Ord`-equal violations are
 /// interchangeable (equal cost bits, priority, rule and nodes;
-/// [`revalidate`] rewrites the witness edges before anything reads
-/// them), so which of two tied heads pops first is unobservable.
+/// [`CompiledPattern::holds`] rewrites the witness edges before anything
+/// reads them), so which of two tied heads pops first is unobservable.
 struct ArbitrationQueue {
     /// Ascending in `Ord`, i.e. cheapest last.
     seed: Vec<Violation>,
@@ -629,11 +632,12 @@ impl RepairEngine {
         // The violations the worklists revalidated as holding and left
         // unrepaired: the only ones a run can leave.
         let mut residue: Vec<(usize, Match)> = Vec::new();
+        let mut checks = RuleChecks::new(rules);
         for scope in scopes {
             if report.outcome == RepairOutcome::Completed {
                 self.run_worklist(
-                    g, rules, scope, delta.as_mut(), &triggers, &mut report, max_repairs,
-                    &mut sink, planner, &tel, &mut residue,
+                    g, rules, scope, delta.as_mut(), &triggers, &mut checks, &mut report,
+                    max_repairs, &mut sink, planner, &tel, &mut residue,
                 );
             } else {
                 // The repair cap stopped an earlier stratum: this one
@@ -660,7 +664,7 @@ impl RepairEngine {
         }
 
         if !report.outcome.is_budget_trip() {
-            report.violations_remaining = count_residue(g, rules, residue);
+            report.violations_remaining = checks.count_residue(g, rules, residue);
             report.converged = report.violations_remaining == 0;
             #[cfg(debug_assertions)]
             self.assert_residue_is_the_sweep(g, rules, delta.as_ref(), report.violations_remaining);
@@ -802,6 +806,7 @@ impl RepairEngine {
         scope: Option<&[usize]>,
         mut delta: Option<&mut TouchSet>,
         triggers: &TriggerIndex,
+        checks: &mut RuleChecks,
         report: &mut RepairReport,
         max_repairs: usize,
         sink: &mut dyn RepairSink,
@@ -846,7 +851,7 @@ impl RepairEngine {
                 report.outcome = trip.into();
                 return;
             }
-            if !revalidate(g, &rules[v.rule].pattern, &mut v.m) {
+            if !checks.holds(g, rules, v.rule, &mut v.m) {
                 continue;
             }
             if scope.is_none() && !self.admit(&mut churn, &v) {
@@ -879,7 +884,7 @@ impl RepairEngine {
             // On a cyclic set the churn guard bounds these; in a stratum
             // the cap does, for a rule whose repair never falsifies its
             // own match.
-            if revalidate(g, &rules[v.rule].pattern, &mut v.m) {
+            if checks.holds(g, rules, v.rule, &mut v.m) {
                 if scope.is_some() {
                     if requeues == max_repairs {
                         // No rule of the stratum can be enabled by this
@@ -978,16 +983,42 @@ impl RepairEngine {
     }
 }
 
-/// The residue's violations that still hold, each (rule, matched nodes)
-/// once: the run's `violations_remaining`.
-fn count_residue(g: &Graph, rules: &[Grr], mut residue: Vec<(usize, Match)>) -> usize {
-    residue.sort_unstable_by(|(ra, a), (rb, b)| (ra, &a.nodes).cmp(&(rb, &b.nodes)));
-    residue.dedup_by(|(ra, a), (rb, b)| ra == rb && a.nodes == b.nodes);
-    residue
-        .into_iter()
-        .map(|(ri, mut m)| revalidate(g, &rules[ri].pattern, &mut m))
-        .filter(|&holds| holds)
-        .count()
+/// Each rule's pattern resolved against the graph's vocabulary, for
+/// revalidation: resolved at its first use in a run, and again at its
+/// next use after a repair interned a new label or attribute key — a
+/// name the old resolution read as absent may now be present.
+struct RuleChecks(Vec<Option<CompiledPattern>>);
+
+impl RuleChecks {
+    fn new(rules: &[Grr]) -> Self {
+        RuleChecks(vec![None; rules.len()])
+    }
+
+    /// Whether match `m` of `rules[ri]` still holds; refreshes its
+    /// witness edges.
+    fn holds(&mut self, g: &Graph, rules: &[Grr], ri: usize, m: &mut Match) -> bool {
+        let pattern = &rules[ri].pattern;
+        let check = self.0[ri].get_or_insert_with(|| CompiledPattern::new(g, pattern));
+        check.refresh(g, pattern);
+        check.holds(g, m)
+    }
+
+    /// The residue's violations that still hold, each (rule, matched
+    /// nodes) once: the run's `violations_remaining`.
+    fn count_residue(
+        &mut self,
+        g: &Graph,
+        rules: &[Grr],
+        mut residue: Vec<(usize, Match)>,
+    ) -> usize {
+        residue.sort_unstable_by(|(ra, a), (rb, b)| (ra, &a.nodes).cmp(&(rb, &b.nodes)));
+        residue.dedup_by(|(ra, a), (rb, b)| ra == rb && a.nodes == b.nodes);
+        residue
+            .into_iter()
+            .map(|(ri, mut m)| self.holds(g, rules, ri, &mut m))
+            .filter(|&holds| holds)
+            .count()
+    }
 }
 
 /// Process-global cache of stratification results keyed by the rule
@@ -1380,6 +1411,62 @@ mod tests {
         assert_eq!(report.per_rule[1].repairs_applied, 1, "high priority wins");
         assert_eq!(report.per_rule[0].repairs_applied, 0);
         assert!(g.try_label("fineHigh").is_some());
+    }
+
+    /// Repair nodes `P1`, `P2` and `Q` with rules `a` and `b`, where
+    /// `a`'s repairs intern the name `b`'s pattern depends on, unknown
+    /// when the run first resolved it: `b`'s no-op at `P1` (cost 0; `seed`
+    /// makes it one) pops first, then `a`'s repairs (equal cost, higher
+    /// priority), then `b` at `P2`, which must see the new name and find
+    /// its violation gone. Returns the graph, `P2` and `Q`.
+    fn repair_interning_mid_run(
+        rules: &str,
+        seed: impl FnOnce(&mut Graph, NodeId, NodeId),
+    ) -> (Graph, NodeId, NodeId) {
+        let rules = parse_rules(rules).unwrap();
+        let mut g = Graph::new();
+        let (p1, p2, q) = (g.add_node_named("P"), g.add_node_named("P"), g.add_node_named("Q"));
+        seed(&mut g, p1, q);
+        assert!(g.try_attr_key("k").is_none() && g.try_label("r").is_none());
+        let report = RepairEngine::default().repair(&mut g, &rules);
+        assert_eq!(report.per_rule[1].matches_found, 2, "b's violations were queued");
+        assert_eq!(report.per_rule[0].repairs_applied, 2);
+        assert_eq!(report.per_rule[1].repairs_applied, 0, "b must revalidate false");
+        assert!(report.converged);
+        (g, p2, q)
+    }
+
+    #[test]
+    fn revalidation_sees_names_interned_mid_run() {
+        // A key that `missing(x.k)` reads.
+        let (g, p2, _) = repair_interning_mid_run(
+            "rule a [incompleteness] priority 9
+             match (x:P) where missing(x.k)
+             repair set x.k = 1
+
+             rule b [incompleteness] priority 1
+             match (x:P) where missing(x.k)
+             repair set x.j = 2",
+            |g, p1, _| {
+                let j = g.attr_key("j");
+                g.set_attr(p1, j, Value::Int(2)).unwrap();
+            },
+        );
+        assert!(g.attr(p2, g.try_attr_key("j").unwrap()).is_none());
+        // The label of a negative edge.
+        let (g, p2, q) = repair_interning_mid_run(
+            "rule a [incompleteness] priority 9
+             match (x:P), (y:Q) where not (x)-[r]->(y)
+             repair insert edge (x)-[r]->(y)
+
+             rule b [incompleteness] priority 1
+             match (x:P), (y:Q) where not (x)-[r]->(y)
+             repair insert edge (x)-[s]->(y)",
+            |g, p1, q| {
+                g.add_edge_named(p1, q, "s").unwrap();
+            },
+        );
+        assert!(!g.has_edge_labeled(p2, q, g.try_label("s").unwrap()));
     }
 
     #[test]

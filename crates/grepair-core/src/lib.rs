@@ -9,8 +9,7 @@
 //! This crate provides:
 //!
 //! - the rule model ([`rule`]) and a text DSL ([`dsl`]);
-//! - rule application with idempotent semantics and revalidation
-//!   ([`apply`]);
+//! - rule application with idempotent semantics ([`apply`]);
 //! - the edit-distance repair cost model ([`cost`]);
 //! - static rule-set analyses: effectiveness, termination, consistency,
 //!   implication ([`analysis`]);
@@ -66,7 +65,7 @@ pub use analysis::{
     Effectiveness, Implication, RuleConflict, TriggerGraph, TriggerReason,
 };
 pub use lint::{lint_rules, Finding, LintCode, LintPolicy, LintReport, Severity};
-pub use apply::{apply_rule, revalidate, Applied, AppliedOp};
+pub use apply::{apply_rule, Applied, AppliedOp};
 pub use cost::{estimate_cost, op_cost};
 pub use dsl::{parse_rule, parse_rules, parse_rules_with_spans, ParseError, RuleSpan};
 pub use engine::{RepairEngine, RepairOutcome, RepairReport, RepairSeed, RepairSink, RuleStats};

@@ -7,10 +7,9 @@
 //! [`Watcher::update`] and only the affected neighborhood is re-matched
 //! (the same delta discipline as the incremental engine).
 
-use crate::apply::revalidate;
 use crate::rule::Grr;
 use grepair_graph::{Graph, NodeId};
-use grepair_match::{Match, MatchConfig, Matcher, Planner, TouchSet};
+use grepair_match::{CompiledPattern, Match, MatchConfig, Matcher, Planner, TouchSet};
 use rustc_hash::FxHashMap;
 
 /// A currently outstanding violation.
@@ -83,9 +82,9 @@ impl Watcher {
     }
 
     fn prune(&mut self, g: &Graph) {
-        let rules = &self.rules;
-        self.live
-            .retain(|_, v| revalidate(g, &rules[v.rule].pattern, &mut v.m));
+        let checks: Vec<CompiledPattern> =
+            self.rules.iter().map(|r| CompiledPattern::new(g, &r.pattern)).collect();
+        self.live.retain(|_, v| checks[v.rule].holds(g, &mut v.m));
     }
 
     /// Report externally touched nodes; discovers new violations in their

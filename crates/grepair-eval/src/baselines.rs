@@ -17,11 +17,9 @@
 //! - [`random_repair`] — picks a uniformly random element of each
 //!   violation to delete; the sanity-check floor.
 
-use grepair_core::{
-    apply_rule, estimate_cost, revalidate, Action, AppliedOp, Grr, PatternEdgeRef, RuleSet,
-};
+use grepair_core::{apply_rule, estimate_cost, Action, AppliedOp, Grr, PatternEdgeRef, RuleSet};
 use grepair_graph::{EditCosts, Graph};
-use grepair_match::{Match, MatchConfig, Matcher, Planner, Var};
+use grepair_match::{CompiledPattern, Match, MatchConfig, Matcher, Planner, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,6 +82,7 @@ pub fn rescan_repair(
 ) -> BaselineReport {
     let costs = EditCosts::default();
     let planner = Planner::new();
+    let mut checks: Vec<_> = rules.iter().map(|r| CompiledPattern::new(g, &r.pattern)).collect();
     let mut baseline = BaselineReport::default();
     for _ in 0..max_rounds {
         let mut violations: Vec<(f64, usize, Match)> =
@@ -103,7 +102,9 @@ pub fn rescan_repair(
         });
         let mut progressed = false;
         for (_, ri, mut m) in violations {
-            if !revalidate(g, &rules[ri].pattern, &mut m) {
+            // An earlier repair may have interned a name the pattern uses.
+            checks[ri].refresh(g, &rules[ri].pattern);
+            if !checks[ri].holds(g, &mut m) {
                 continue;
             }
             let applied = apply_rule(g, &rules[ri], &m, &costs)
@@ -144,6 +145,8 @@ pub fn random_repair(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut baseline = BaselineReport::default();
     let costs = EditCosts::default();
+    // Deletions intern no name: one resolution serves the whole run.
+    let checks: Vec<_> = rules.iter().map(|r| CompiledPattern::new(g, &r.pattern)).collect();
     for _ in 0..max_rounds {
         let mut progressed = false;
         let violations = scan(&Matcher::new(g), rules);
@@ -155,7 +158,7 @@ pub fn random_repair(
         }
         for (ri, mut m) in violations {
             let rule = &rules[ri];
-            if !revalidate(g, &rule.pattern, &mut m) {
+            if !checks[ri].holds(g, &mut m) {
                 continue;
             }
             // Choose a random victim: a witness edge or a matched node.

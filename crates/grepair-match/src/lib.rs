@@ -12,8 +12,9 @@
 //! attribute-index equality joins) are individually switchable through
 //! [`MatchConfig`] so the F5 ablation can quantify each.
 //! [`Matcher::find_touching`] is the delta-driven entry point behind the
-//! incremental repair engine. [`oracle`] holds the brute-force reference
-//! implementation used by property tests.
+//! incremental repair engine, and [`CompiledPattern::holds`] re-checks
+//! one match it found after the graph changed. [`oracle`] holds the
+//! brute-force reference implementation used by property tests.
 //!
 //! ```
 //! use grepair_graph::Graph;
@@ -47,7 +48,8 @@ pub mod plan;
 pub mod sat;
 
 pub use matcher::{
-    ExplainStep, Match, MatchConfig, Matcher, PlanAccess, PlanExplanation, PlanStep, TouchSet,
+    CompiledPattern, ExplainStep, Match, MatchConfig, Matcher, PlanAccess, PlanExplanation,
+    PlanStep, TouchSet,
 };
 pub use pattern::{CmpOp, Constraint, Pattern, PatternBuilder, PatternEdge, PatternNode, Rhs, Var};
 pub use plan::Planner;

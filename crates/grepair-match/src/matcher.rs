@@ -11,11 +11,15 @@
 //! - **attribute-index joins** — an equality join against a bound variable
 //!   takes its candidates from the graph's (key, value) index.
 //!
+//! A pattern is first resolved against the graph's interners into a
+//! [`CompiledPattern`] (names become ids); a plan orders its variables.
 //! Negative edges and attribute constraints are verified as early as their
 //! variables are bound. Matches are injective. [`Matcher::find_touching`]
 //! is the delta-driven entry point used by the incremental repair engine:
 //! it enumerates exactly the matches whose image intersects a given node
-//! set, without duplicates.
+//! set, without duplicates. [`CompiledPattern::holds`] re-checks one
+//! earlier match with the search's own checks — how the repair engine
+//! revalidates a queued violation.
 
 use crate::pattern::{CmpOp, Constraint, Pattern, Rhs, Var};
 use crate::plan::Planner;
@@ -195,15 +199,191 @@ pub struct PlanExplanation {
     pub steps: Vec<ExplainStep>,
 }
 
-/// A pattern compiled against a specific graph's interners + an execution
-/// plan. Rebuilt whenever the graph's label vocabulary could have changed
-/// (cheap: proportional to pattern size); the [`Planner`]'s plan cache
-/// avoids even that for repeated matching over a stable vocabulary.
-pub(crate) struct Compiled {
+/// A [`Pattern`] resolved against one graph's interners, names to ids:
+/// the node, edge, negative-edge and constraint checks that both the
+/// search and [`CompiledPattern::holds`] run. Interners are append-only,
+/// so it stays valid across every mutation that interns no new name
+/// ([`CompiledPattern::is_stale`]) — within one graph's lineage, as for
+/// a [`Planner`].
+#[derive(Clone, Debug)]
+pub struct CompiledPattern {
     labels: Vec<LabelReq>,
     edges: Vec<CEdge>,
     neg_edges: Vec<CEdge>,
     constraints: Vec<CC>,
+    /// Label and attribute-key vocabulary sizes at resolution time.
+    vocabulary: (usize, usize),
+}
+
+impl CompiledPattern {
+    /// Resolve `pattern` against `g`'s label and attribute-key interners.
+    pub fn new(g: &Graph, pattern: &Pattern) -> Self {
+        let resolve_label = |name: &Option<String>| match name {
+            None => LabelReq::Any,
+            Some(name) => match g.try_label(name) {
+                Some(id) => LabelReq::Is(id),
+                None => LabelReq::Unsatisfiable,
+            },
+        };
+        let labels = pattern.nodes.iter().map(|pn| resolve_label(&pn.label)).collect();
+        let resolve_edge = |e: &crate::pattern::PatternEdge| CEdge {
+            src: e.src.index(),
+            dst: e.dst.index(),
+            label: resolve_label(&e.label),
+        };
+        let edges = pattern.edges.iter().map(resolve_edge).collect();
+        // A negative edge or no-edge condition with an unknown label is
+        // trivially satisfied: drop it.
+        let neg_edges = pattern
+            .neg_edges
+            .iter()
+            .map(resolve_edge)
+            .filter(|e| e.label != LabelReq::Unsatisfiable)
+            .collect();
+        let resolve_key = |k: &str| match g.try_attr_key(k) {
+            Some(id) => KeyReq::Is(id),
+            None => KeyReq::Unknown,
+        };
+        // `None` for an unknown label, `Some(None)` for any label.
+        let known_label = |l: &Option<String>| match l {
+            None => Some(None),
+            Some(name) => g.try_label(name).map(Some),
+        };
+        let constraints = pattern
+            .constraints
+            .iter()
+            .filter_map(|c| match c {
+                Constraint::HasAttr(v, k) => Some(CC::HasAttr(v.index(), resolve_key(k))),
+                Constraint::MissingAttr(v, k) => {
+                    Some(CC::MissingAttr(v.index(), resolve_key(k)))
+                }
+                Constraint::Cmp { var, key, op, rhs } => Some(CC::Cmp {
+                    var: var.index(),
+                    key: resolve_key(key),
+                    op: *op,
+                    rhs: match rhs {
+                        Rhs::Const(v) => CRhs::Const(v.clone()),
+                        Rhs::Attr(o, k2) => CRhs::Attr(o.index(), resolve_key(k2)),
+                    },
+                }),
+                Constraint::NoOutEdge(v, l) => known_label(l).map(|l| CC::NoOutEdge(v.index(), l)),
+                Constraint::NoInEdge(v, l) => known_label(l).map(|l| CC::NoInEdge(v.index(), l)),
+            })
+            .collect();
+        CompiledPattern {
+            labels,
+            edges,
+            neg_edges,
+            constraints,
+            vocabulary: (g.labels().len(), g.attr_keys().len()),
+        }
+    }
+
+    /// Whether `g` has interned a label or attribute key since this was
+    /// built: a name it resolved as unknown may now have an id.
+    pub fn is_stale(&self, g: &Graph) -> bool {
+        self.vocabulary != (g.labels().len(), g.attr_keys().len())
+    }
+
+    /// Resolve `pattern` — the one `self` was built from — again if `g`'s
+    /// vocabulary grew since (see [`CompiledPattern::is_stale`]).
+    pub fn refresh(&mut self, g: &Graph, pattern: &Pattern) {
+        if self.is_stale(g) {
+            *self = CompiledPattern::new(g, pattern);
+        }
+    }
+
+    /// Whether the match `m` found earlier still holds in `g` (its nodes
+    /// live, distinct and correctly labelled, every check passing), with
+    /// `m.edges` rewritten to the witnesses the search would pick: a
+    /// deleted witness with a surviving parallel edge keeps the match.
+    /// `self` must be [`refresh`](CompiledPattern::refresh)ed for `g`.
+    pub fn holds(&self, g: &Graph, m: &mut Match) -> bool {
+        debug_assert!(!self.is_stale(g), "holds on a stale resolution");
+        let Match { nodes, edges } = m;
+        let node_of = |v: usize| nodes[v];
+        // Injectivity can only be broken by merges.
+        let distinct = |v: usize| !nodes[v + 1..].contains(&nodes[v]);
+        if !(0..nodes.len()).all(|v| self.node_ok(g, v, nodes[v]) && distinct(v)) {
+            return false;
+        }
+        for (ei, witness) in edges.iter_mut().enumerate() {
+            let Some(e) = self.edge_witness(g, ei, node_of) else {
+                return false;
+            };
+            *witness = e;
+        }
+        (0..self.neg_edges.len()).all(|ni| self.neg_edge_absent(g, ni, node_of))
+            && (0..self.constraints.len()).all(|ci| self.constraint_holds(g, ci, node_of))
+    }
+
+    /// Whether node `n` is live and carries variable `v`'s label.
+    fn node_ok(&self, g: &Graph, v: usize, n: NodeId) -> bool {
+        match self.labels[v] {
+            LabelReq::Is(l) => g.node_label(n).ok() == Some(l),
+            LabelReq::Any => g.contains_node(n),
+            LabelReq::Unsatisfiable => false,
+        }
+    }
+
+    /// The witness of positive edge `ei` under `node`: the lowest-id
+    /// edge between its endpoints with its label.
+    fn edge_witness(&self, g: &Graph, ei: usize, node: impl Fn(usize) -> NodeId) -> Option<EdgeId> {
+        let e = &self.edges[ei];
+        let (s, d) = (node(e.src), node(e.dst));
+        match e.label {
+            LabelReq::Is(l) => g.find_edge(s, d, l),
+            LabelReq::Any => g.find_edge_any(s, d),
+            LabelReq::Unsatisfiable => None,
+        }
+    }
+
+    /// Whether negative edge `ni` is absent under `node`.
+    fn neg_edge_absent(&self, g: &Graph, ni: usize, node: impl Fn(usize) -> NodeId) -> bool {
+        let e = &self.neg_edges[ni];
+        let (s, d) = (node(e.src), node(e.dst));
+        match e.label {
+            LabelReq::Is(l) => !g.has_edge_labeled(s, d, l),
+            LabelReq::Any => g.edges_between(s, d).next().is_none(),
+            LabelReq::Unsatisfiable => true,
+        }
+    }
+
+    /// Whether constraint `ci` holds under `node`.
+    fn constraint_holds(&self, g: &Graph, ci: usize, node: impl Fn(usize) -> NodeId) -> bool {
+        let attr_of = |var: usize, key: KeyReq| -> Option<&Value> {
+            match key {
+                KeyReq::Unknown => None,
+                KeyReq::Is(k) => g.attr(node(var), k),
+            }
+        };
+        match &self.constraints[ci] {
+            CC::HasAttr(var, key) => attr_of(*var, *key).is_some(),
+            CC::MissingAttr(var, key) => attr_of(*var, *key).is_none(),
+            CC::NoOutEdge(var, label) => !has_adjacent_edge(g, node(*var), Direction::Out, *label),
+            CC::NoInEdge(var, label) => !has_adjacent_edge(g, node(*var), Direction::In, *label),
+            CC::Cmp { var, key, op, rhs } => {
+                let Some(lhs) = attr_of(*var, *key) else {
+                    return false;
+                };
+                match rhs {
+                    CRhs::Const(val) => op.eval(lhs, val),
+                    CRhs::Attr(o, k2) => match attr_of(*o, *k2) {
+                        Some(r) => op.eval(lhs, r),
+                        None => false,
+                    },
+                }
+            }
+        }
+    }
+}
+
+/// A [`CompiledPattern`] plus an execution plan. Rebuilt whenever the
+/// graph's vocabulary could have changed (cheap: proportional to pattern
+/// size); the [`Planner`]'s plan cache avoids even that for repeated
+/// matching over a stable vocabulary.
+pub(crate) struct Compiled {
+    pattern: CompiledPattern,
     /// Variable order of the search.
     plan: Vec<usize>,
     /// plan position of each var.
@@ -486,80 +666,15 @@ impl<'g> Matcher<'g> {
         anchor_var: Option<usize>,
         touched: &TouchSet,
     ) -> Option<Compiled> {
-        let g = self.g;
         let n = pattern.num_vars();
-        let labels: Vec<LabelReq> = pattern
-            .nodes
-            .iter()
-            .map(|pn| match &pn.label {
-                None => LabelReq::Any,
-                Some(name) => match g.try_label(name) {
-                    Some(id) => LabelReq::Is(id),
-                    None => LabelReq::Unsatisfiable,
-                },
-            })
-            .collect();
-        if labels.contains(&LabelReq::Unsatisfiable) {
+        let pattern = CompiledPattern::new(self.g, pattern);
+        // A node or positive edge with an unknown label can never match.
+        let unknown = LabelReq::Unsatisfiable;
+        if pattern.labels.contains(&unknown) || pattern.edges.iter().any(|e| e.label == unknown) {
             return None;
         }
-        let resolve_edge = |e: &crate::pattern::PatternEdge| CEdge {
-            src: e.src.index(),
-            dst: e.dst.index(),
-            label: match &e.label {
-                None => LabelReq::Any,
-                Some(name) => match g.try_label(name) {
-                    Some(id) => LabelReq::Is(id),
-                    None => LabelReq::Unsatisfiable,
-                },
-            },
-        };
-        let edges: Vec<CEdge> = pattern.edges.iter().map(resolve_edge).collect();
-        // A positive edge with an unknown label can never match.
-        if edges.iter().any(|e| e.label == LabelReq::Unsatisfiable) {
-            return None;
-        }
-        // A negative edge with an unknown label is trivially satisfied.
-        let neg_edges: Vec<CEdge> = pattern
-            .neg_edges
-            .iter()
-            .map(resolve_edge)
-            .filter(|e| e.label != LabelReq::Unsatisfiable)
-            .collect();
-        let resolve_key = |k: &str| match g.try_attr_key(k) {
-            Some(id) => KeyReq::Is(id),
-            None => KeyReq::Unknown,
-        };
-        let constraints: Vec<CC> = pattern
-            .constraints
-            .iter()
-            .filter_map(|c| match c {
-                Constraint::HasAttr(v, k) => Some(CC::HasAttr(v.index(), resolve_key(k))),
-                Constraint::MissingAttr(v, k) => {
-                    Some(CC::MissingAttr(v.index(), resolve_key(k)))
-                }
-                Constraint::Cmp { var, key, op, rhs } => Some(CC::Cmp {
-                    var: var.index(),
-                    key: resolve_key(key),
-                    op: *op,
-                    rhs: match rhs {
-                        Rhs::Const(v) => CRhs::Const(v.clone()),
-                        Rhs::Attr(o, k2) => CRhs::Attr(o.index(), resolve_key(k2)),
-                    },
-                }),
-                // An unknown edge label cannot occur on any edge: the
-                // no-edge condition is trivially true — drop it.
-                Constraint::NoOutEdge(v, l) => match l {
-                    None => Some(CC::NoOutEdge(v.index(), None)),
-                    Some(name) => g.try_label(name).map(|id| CC::NoOutEdge(v.index(), Some(id))),
-                },
-                Constraint::NoInEdge(v, l) => match l {
-                    None => Some(CC::NoInEdge(v.index(), None)),
-                    Some(name) => g.try_label(name).map(|id| CC::NoInEdge(v.index(), Some(id))),
-                },
-            })
-            .collect();
-
-        let (plan, steps) = self.order_plan(n, &labels, &edges, anchor_var, touched);
+        let (plan, steps) =
+            self.order_plan(n, &pattern.labels, &pattern.edges, anchor_var, touched);
         let mut pos = vec![0usize; n];
         for (i, &v) in plan.iter().enumerate() {
             pos[v] = i;
@@ -567,17 +682,17 @@ impl<'g> Matcher<'g> {
 
         // Readiness schedules.
         let mut edge_checks = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
+        for (i, e) in pattern.edges.iter().enumerate() {
             let step = pos[e.src].max(pos[e.dst]);
             edge_checks[step].push(i);
         }
         let mut neg_checks = vec![Vec::new(); n];
-        for (i, e) in neg_edges.iter().enumerate() {
+        for (i, e) in pattern.neg_edges.iter().enumerate() {
             let step = pos[e.src].max(pos[e.dst]);
             neg_checks[step].push(i);
         }
         let mut con_checks = vec![Vec::new(); n];
-        for (i, c) in constraints.iter().enumerate() {
+        for (i, c) in pattern.constraints.iter().enumerate() {
             let step = c.vars().into_iter().map(|v| pos[v]).max().unwrap_or(0);
             con_checks[step].push(i);
         }
@@ -590,10 +705,7 @@ impl<'g> Matcher<'g> {
         }
 
         Some(Compiled {
-            labels,
-            edges,
-            neg_edges,
-            constraints,
+            pattern,
             plan,
             pos,
             edge_checks,
@@ -706,7 +818,7 @@ impl<'g> Matcher<'g> {
         emit: &mut dyn FnMut(&SearchState) -> bool,
         touched: &TouchSet,
     ) {
-        let mut st = self.acquire_state(comp.plan.len(), comp.edges.len());
+        let mut st = self.acquire_state(comp.plan.len(), comp.pattern.edges.len());
         if comp.plan.is_empty() {
             // Zero-variable pattern: `step` emits the single empty match.
             self.step(comp, &mut st, 0, emit, touched);
@@ -814,7 +926,7 @@ impl<'g> Matcher<'g> {
         // candidates come from an adjacency list instead of an index scan.
         if self.cfg.connected_order {
             let mut best: Option<Vec<NodeId>> = None;
-            for e in &comp.edges {
+            for e in &comp.pattern.edges {
                 let (anchor, dir) = if e.src == v && comp.pos[e.dst] < depth {
                     (e.dst, Direction::In) // v --e--> bound: walk bound's in-edges
                 } else if e.dst == v && comp.pos[e.src] < depth {
@@ -842,7 +954,7 @@ impl<'g> Matcher<'g> {
         // Equality-join anchor: `v.key == bound.key2` (either orientation)
         // retrieves candidates from the value index.
         if self.cfg.use_attr_index {
-            for c in &comp.constraints {
+            for c in &comp.pattern.constraints {
                 let CC::Cmp {
                     var,
                     key,
@@ -878,7 +990,7 @@ impl<'g> Matcher<'g> {
 
         // Fall back to the label index, or a full scan for an unlabelled
         // variable.
-        match comp.labels[v] {
+        match comp.pattern.labels[v] {
             LabelReq::Is(l) => {
                 let mut c = g.nodes_with_label(l).to_vec();
                 c.sort_unstable();
@@ -888,7 +1000,9 @@ impl<'g> Matcher<'g> {
         }
     }
 
-    /// Full acceptance check for binding `v → cand` at plan position `depth`.
+    /// Full acceptance check for binding `v → cand` at plan position
+    /// `depth`: injectivity and the anchor's dedup rule, then the
+    /// [`CompiledPattern`] checks whose variables are all bound.
     fn accept(
         &self,
         comp: &Compiled,
@@ -898,89 +1012,27 @@ impl<'g> Matcher<'g> {
         cand: NodeId,
         touched: &TouchSet,
     ) -> bool {
-        let g = self.g;
+        let (g, p) = (self.g, &comp.pattern);
         if st.used.contains(&cand) {
             return false;
         }
         if comp.anchor_var.is_some() && comp.forbid_touched[v] && touched.contains(&cand) {
             return false;
         }
-        if let LabelReq::Is(l) = comp.labels[v] {
-            if g.node_label(cand).ok() != Some(l) {
-                return false;
-            }
-        } else if !g.contains_node(cand) {
+        if !p.node_ok(g, v, cand) {
             return false;
         }
+        let assignment = &st.assignment;
+        let node_of = |var: usize| if var == v { cand } else { assignment[var] };
         // Positive edges whose both endpoints are now bound.
         for &ei in &comp.edge_checks[depth] {
-            let e = &comp.edges[ei];
-            let s = if e.src == v { cand } else { st.assignment[e.src] };
-            let d = if e.dst == v { cand } else { st.assignment[e.dst] };
-            let found = match e.label {
-                LabelReq::Is(l) => g.find_edge(s, d, l),
-                LabelReq::Any => g.find_edge_any(s, d),
-                LabelReq::Unsatisfiable => None,
-            };
-            match found {
+            match p.edge_witness(g, ei, node_of) {
                 Some(eid) => st.witness[ei] = eid,
                 None => return false,
             }
         }
-        // Negative edges ready at this step.
-        for &ni in &comp.neg_checks[depth] {
-            let e = &comp.neg_edges[ni];
-            let s = if e.src == v { cand } else { st.assignment[e.src] };
-            let d = if e.dst == v { cand } else { st.assignment[e.dst] };
-            let exists = match e.label {
-                LabelReq::Is(l) => g.has_edge_labeled(s, d, l),
-                LabelReq::Any => g.edges_between(s, d).next().is_some(),
-                LabelReq::Unsatisfiable => false,
-            };
-            if exists {
-                return false;
-            }
-        }
-        // Constraints ready at this step.
-        for &ci in &comp.con_checks[depth] {
-            if !self.eval_constraint(&comp.constraints[ci], st, v, cand) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn eval_constraint(&self, c: &CC, st: &SearchState, v: usize, cand: NodeId) -> bool {
-        let g = self.g;
-        let node_of = |var: usize| if var == v { cand } else { st.assignment[var] };
-        let attr_of = |var: usize, key: KeyReq| -> Option<&Value> {
-            match key {
-                KeyReq::Unknown => None,
-                KeyReq::Is(k) => g.attr(node_of(var), k),
-            }
-        };
-        match c {
-            CC::HasAttr(var, key) => attr_of(*var, *key).is_some(),
-            CC::MissingAttr(var, key) => attr_of(*var, *key).is_none(),
-            CC::NoOutEdge(var, label) => {
-                !has_adjacent_edge(g, node_of(*var), Direction::Out, *label)
-            }
-            CC::NoInEdge(var, label) => {
-                !has_adjacent_edge(g, node_of(*var), Direction::In, *label)
-            }
-            CC::Cmp { var, key, op, rhs } => {
-                let Some(lhs) = attr_of(*var, *key) else {
-                    return false;
-                };
-                match rhs {
-                    CRhs::Const(val) => op.eval(lhs, val),
-                    CRhs::Attr(o, k2) => match attr_of(*o, *k2) {
-                        Some(r) => op.eval(lhs, r),
-                        None => false,
-                    },
-                }
-            }
-        }
+        comp.neg_checks[depth].iter().all(|&ni| p.neg_edge_absent(g, ni, node_of))
+            && comp.con_checks[depth].iter().all(|&ci| p.constraint_holds(g, ci, node_of))
     }
 }
 
@@ -1427,6 +1479,82 @@ mod tests {
             assert_eq!(found.len(), 1);
             assert_eq!(found[0].edges, vec![e1]);
         }
+    }
+
+    /// Person lives in a city with a country, with no citizenship edge.
+    fn citizenship_fixture() -> (Graph, Pattern) {
+        let mut g = Graph::new();
+        let x = g.add_node_named("Person");
+        let c = g.add_node_named("City");
+        let k = g.add_node_named("Country");
+        g.add_edge_named(x, c, "livesIn").unwrap();
+        g.add_edge_named(c, k, "inCountry").unwrap();
+
+        let mut b = Pattern::builder();
+        let vx = b.node("x", Some("Person"));
+        let vc = b.node("c", Some("City"));
+        let vk = b.node("k", Some("Country"));
+        b.edge(vx, vc, "livesIn");
+        b.edge(vc, vk, "inCountry");
+        b.neg_edge(vx, vk, "citizenOf");
+        (g, b.build().unwrap())
+    }
+
+    #[test]
+    fn holds_detects_staleness_and_refreshes_witnesses() {
+        let (mut g, pattern) = citizenship_fixture();
+        let mut m = Matcher::new(&g).find_all(&pattern).remove(0);
+        assert!(CompiledPattern::new(&g, &pattern).holds(&g, &mut m));
+
+        // Add a parallel livesIn edge, delete the witness: match survives
+        // with a refreshed witness.
+        let x = m.nodes[0];
+        let c = m.nodes[1];
+        let lives = g.try_label("livesIn").unwrap();
+        let old_witness = m.edges[0];
+        let parallel = g.add_edge(x, c, lives).unwrap();
+        g.remove_edge(old_witness).unwrap();
+        assert!(CompiledPattern::new(&g, &pattern).holds(&g, &mut m));
+        assert_eq!(m.edges[0], parallel);
+
+        // Satisfy the negative edge: match dies. Interning `citizenOf`
+        // makes the earlier resolution stale.
+        let before = CompiledPattern::new(&g, &pattern);
+        let k = m.nodes[2];
+        g.add_edge_named(x, k, "citizenOf").unwrap();
+        assert!(before.is_stale(&g));
+        assert!(!CompiledPattern::new(&g, &pattern).holds(&g, &mut m));
+    }
+
+    #[test]
+    fn holds_detects_deleted_node_and_label_change() {
+        let (mut g, pattern) = citizenship_fixture();
+        let mut m = Matcher::new(&g).find_all(&pattern).remove(0);
+        let robot = g.label("Robot");
+        g.set_node_label(m.nodes[0], robot).unwrap();
+        let holds = |g: &Graph, m: &mut Match| CompiledPattern::new(g, &pattern).holds(g, m);
+        assert!(!holds(&g, &mut m.clone()));
+        let person = g.try_label("Person").unwrap();
+        g.set_node_label(m.nodes[0], person).unwrap();
+        assert!(holds(&g, &mut m.clone()));
+        g.remove_node(m.nodes[2]).unwrap();
+        assert!(!holds(&g, &mut m));
+    }
+
+    /// A merge can map two variables to one node: the match no longer
+    /// holds.
+    #[test]
+    fn holds_rejects_a_non_injective_assignment() {
+        let g = kg();
+        let mut b = Pattern::builder();
+        b.node("x", Some("Person"));
+        b.node("y", Some("Person"));
+        let pattern = b.build().unwrap();
+        let cp = CompiledPattern::new(&g, &pattern);
+        let mut m = Matcher::new(&g).find_all(&pattern).remove(0);
+        assert!(cp.holds(&g, &mut m.clone()));
+        m.nodes[1] = m.nodes[0];
+        assert!(!cp.holds(&g, &mut m));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property tests: the optimized matcher agrees with the brute-force
-//! oracle on random graphs and patterns, under every configuration.
+//! oracle on random graphs and patterns, under every configuration, and
+//! so does re-checking an old match after the graph changed.
 
-use grepair_graph::{Graph, NodeId, Value};
-use grepair_match::{oracle, Match, MatchConfig, Matcher, Pattern, Planner, TouchSet};
+use grepair_graph::{EdgeId, Graph, NodeId, Value};
+use grepair_match::{
+    oracle, CompiledPattern, Match, MatchConfig, Matcher, Pattern, Planner, TouchSet,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const NODE_LABELS: [&str; 3] = ["P", "Q", "R"];
 const EDGE_LABELS: [&str; 3] = ["a", "b", "c"];
@@ -136,6 +140,96 @@ fn punch_tombstones(g: &mut Graph, kill_mask: u8) {
     }
 }
 
+/// One graph edit between finding matches and re-checking them.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Tombstone a live node (and its edges).
+    Kill(u8),
+    /// Relabel a live node; index 3 is a label no pattern names.
+    Relabel(u8, u8),
+    /// Add an edge; label index 3 is one no pattern names.
+    AddEdge(u8, u8, u8),
+    /// Add a parallel copy of a live edge.
+    Duplicate(u8),
+    /// Replace a live edge by a parallel copy (a new witness).
+    Replace(u8),
+    /// Remove a live edge.
+    RemoveEdge(u8),
+    /// Set an attribute; key index 2 is one no pattern names.
+    SetAttr(u8, u8, i64),
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        any::<u8>().prop_map(Mutation::Kill),
+        (any::<u8>(), 0u8..4).prop_map(|(n, l)| Mutation::Relabel(n, l)),
+        (any::<u8>(), any::<u8>(), 0u8..4).prop_map(|(s, d, l)| Mutation::AddEdge(s, d, l)),
+        any::<u8>().prop_map(Mutation::Duplicate),
+        any::<u8>().prop_map(Mutation::Replace),
+        any::<u8>().prop_map(Mutation::RemoveEdge),
+        (any::<u8>(), 0u8..3, 0i64..4).prop_map(|(n, k, v)| Mutation::SetAttr(n, k, v)),
+    ]
+}
+
+/// Apply `mu`, aimed at `focus` — its live nodes and witness edges,
+/// else the live nodes' out-edges, else the whole graph — so that edits
+/// hit the match it re-checks.
+fn apply_mutation(g: &mut Graph, mu: &Mutation, focus: Option<&Match>) {
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    if let Some(m) = focus {
+        nodes.extend(m.nodes.iter().copied().filter(|&n| g.contains_node(n)));
+        edges.extend(m.edges.iter().copied().filter(|&e| g.edge(e).is_ok()));
+        if edges.is_empty() {
+            edges.extend(nodes.iter().flat_map(|&n| g.out_edges(n)));
+        }
+    }
+    if nodes.is_empty() {
+        nodes = g.nodes().collect();
+    }
+    if edges.is_empty() {
+        edges = g.edges().collect();
+    }
+    let node = |i: u8| nodes[i as usize % nodes.len()];
+    let edge = |i: u8| edges[i as usize % edges.len()];
+    let node_label = |i: u8| *NODE_LABELS.get(i as usize).unwrap_or(&"S");
+    let edge_label = |i: u8| *EDGE_LABELS.get(i as usize).unwrap_or(&"d");
+    match *mu {
+        _ if nodes.is_empty() => {}
+        Mutation::Kill(n) => {
+            g.remove_node(node(n)).unwrap();
+        }
+        Mutation::Relabel(n, l) => {
+            let l = g.label(node_label(l));
+            g.set_node_label(node(n), l).unwrap();
+        }
+        Mutation::AddEdge(s, d, l) => {
+            g.add_edge_named(node(s), node(d), edge_label(l)).unwrap();
+        }
+        Mutation::Duplicate(_) | Mutation::Replace(_) | Mutation::RemoveEdge(_)
+            if edges.is_empty() => {}
+        Mutation::Duplicate(e) => {
+            let er = g.edge(edge(e)).unwrap();
+            g.add_edge(er.src, er.dst, er.label).unwrap();
+        }
+        Mutation::Replace(e) => {
+            let er = g.edge(edge(e)).unwrap();
+            g.add_edge(er.src, er.dst, er.label).unwrap();
+            g.remove_edge(edge(e)).unwrap();
+        }
+        Mutation::RemoveEdge(e) => g.remove_edge(edge(e)).unwrap(),
+        Mutation::SetAttr(n, k, v) => {
+            let k = g.attr_key(KEYS.get(k as usize).unwrap_or(&"k2"));
+            g.set_attr(node(n), k, Value::Int(v)).unwrap();
+        }
+    }
+}
+
+/// Which of the names a pattern can mention `g` has interned.
+fn known_names(g: &Graph) -> Vec<bool> {
+    let labels = NODE_LABELS.iter().chain(&EDGE_LABELS).map(|l| g.try_label(l).is_some());
+    labels.chain(KEYS.iter().map(|k| g.try_attr_key(k).is_some())).collect()
+}
+
 fn node_sets(ms: &[Match]) -> Vec<Vec<NodeId>> {
     let mut v: Vec<Vec<NodeId>> = ms.iter().map(|m| m.nodes.clone()).collect();
     v.sort();
@@ -216,10 +310,9 @@ proptest! {
     /// plan — the F5 ablation extended to the planner: join order is a
     /// pure performance choice. Also pins the count-only emission path
     /// and plan-cache stability (repeated runs return byte-identical
-    /// sequences). The name is kept from the statistics-priced planner
-    /// the greedy order replaced.
+    /// sequences).
     #[test]
-    fn cost_based_plans_agree_with_declaration_order(rg in graph_strategy(), rp in pattern_strategy()) {
+    fn greedy_plans_agree_with_declaration_order(rg in graph_strategy(), rp in pattern_strategy()) {
         let g = build_graph(&rg);
         let p = build_pattern(&rp);
         let naive = node_sets(&Matcher::with_config(&g, MatchConfig::naive()).find_all(&p));
@@ -293,6 +386,64 @@ proptest! {
                 if let Some(want) = &pe.label {
                     prop_assert_eq!(g.label_name(er.label), want.as_str());
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Most random patterns match little, so this property draws more
+    // cases to re-check enough matches.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Re-checking a match after a random edit sequence agrees with the
+    /// oracle: `CompiledPattern::holds` on the edited graph is true
+    /// exactly when the oracle still finds the match's nodes, and then
+    /// rewrites the witnesses to the oracle's (live, correctly labelled,
+    /// lowest-id) edges. A resolution built before the edits reports
+    /// itself stale when they interned a name a pattern can mention; one
+    /// that is not stale gives the same answers.
+    #[test]
+    fn holds_agrees_with_oracle_after_mutation(
+        rg in graph_strategy(),
+        rp in pattern_strategy(),
+        mutations in prop::collection::vec(mutation_strategy(), 0..8),
+    ) {
+        let mut g = build_graph(&rg);
+        let p = build_pattern(&rp);
+        let before = CompiledPattern::new(&g, &p);
+        let found = Matcher::new(&g).find_all(&p);
+        let known_before = known_names(&g);
+        for mu in &mutations {
+            apply_mutation(&mut g, mu, found.first());
+        }
+        if known_names(&g) != known_before {
+            prop_assert!(before.is_stale(&g), "a name was interned");
+        }
+
+        let now: HashMap<Vec<NodeId>, Vec<EdgeId>> = oracle::brute_force_matches(&g, &p)
+            .into_iter()
+            .map(|m| (m.nodes, m.edges))
+            .collect();
+        let after = CompiledPattern::new(&g, &p);
+        prop_assert!(!after.is_stale(&g));
+        for m in found {
+            let mut rechecked = m.clone();
+            let holds = after.holds(&g, &mut rechecked);
+            prop_assert_eq!(holds, now.contains_key(&m.nodes), "match {:?}", m.nodes);
+            if holds {
+                prop_assert_eq!(&rechecked.edges, &now[&m.nodes]);
+                for (pe, &e) in p.edges.iter().zip(&rechecked.edges) {
+                    let er = g.edge(e).unwrap();
+                    prop_assert_eq!(er.src, m.nodes[pe.src.index()]);
+                    prop_assert_eq!(er.dst, m.nodes[pe.dst.index()]);
+                    if let Some(want) = &pe.label {
+                        prop_assert_eq!(g.label_name(er.label), want.as_str());
+                    }
+                }
+            }
+            if !before.is_stale(&g) {
+                prop_assert_eq!(before.holds(&g, &mut m.clone()), holds);
             }
         }
     }
