@@ -5,10 +5,10 @@
 //! since the caller last saw the graph clean ([`RepairSeed::Touched`]),
 //! then after each applied repair re-matches **only** the rules the
 //! repair's operations can enable, **only** around its touched nodes
-//! ([`grepair_match::Matcher::find_touching`]). Work is proportional to
-//! the affected neighbourhood, not the graph. The rescan-every-round
-//! loop the paper compares against lives in `grepair-eval` as a
-//! baseline, not here.
+//! ([`grepair_match::Matcher::find_touching_distinct`]). Work is
+//! proportional to the affected neighbourhood, not the graph. The
+//! rescan-every-round loop the paper compares against lives in
+//! `grepair-eval` as a baseline, not here.
 //!
 //! The rule set alone fixes what one run of the loop covers — there is
 //! no configuration of the schedule:
@@ -22,12 +22,36 @@
 //!
 //! Shared semantics:
 //!
+//! - **Footprints and existential variables** — a repair reads only its
+//!   rule's footprint ([`Grr::footprint`]): the variables its actions
+//!   name, plus both endpoints of an edge it deletes or relabels. The
+//!   other variables are existential: every match that agrees on the
+//!   footprint gets the same repair at the same cost, so the queue holds
+//!   one violation per (rule, footprint binding), not one per match
+//!   ([`Matcher::find_distinct`], [`Matcher::find_touching_distinct`]).
+//!   The match it keeps is the one with the smallest nodes. The queue's
+//!   key is (cost, priority, rule, nodes), and the matches of one binding
+//!   tie on the first three, so that match is the one a queue holding
+//!   every match would pop first, and the op order is that queue's —
+//!   unless the churn guard refuses a violation: it counts repairs per
+//!   (rule, matched nodes), so a binding whose repair never falsifies it
+//!   is refused after 16 repairs of its smallest match, where a queue of
+//!   every match went on to repair each other match 16 times. A rule
+//!   whose footprint is every variable is matched and queued exactly as
+//!   before.
 //! - **Revalidation** — a queued violation is re-checked against the
 //!   current graph before its repair is applied (earlier repairs may have
 //!   fixed or invalidated it), by the matcher's own checks: each rule's
 //!   [`CompiledPattern`], resolved at its first use in a run and again
 //!   only after a repair grows the graph's label or attribute-key
-//!   vocabulary.
+//!   vocabulary. When the stored match fails, the violation is gone if a
+//!   check on the footprint alone fails ([`CompiledPattern::holds_on`]);
+//!   otherwise the smallest match of its footprint binding that holds
+//!   ([`Matcher::min_witness`]) is queued again at the same cost — where
+//!   the next match of the binding sat in a queue of every match. The
+//!   test after a repair that requeues a violation left standing works
+//!   the same way; in a stratum, such a next match does not count against
+//!   the repair cap as a requeue.
 //! - **Cost arbitration** — pending violations are applied cheapest-first
 //!   (graph-edit-distance estimate, then rule priority, then deterministic
 //!   tie-breaks), which implements the paper's best-repair selection: when
@@ -52,8 +76,9 @@
 //!   the queue's remaining entries and the seeds of the strata it never
 //!   reached. A run that no budget trip cut short revalidates that
 //!   residue instead of sweeping the graph again
-//!   ([`RepairReport::violations_remaining`]); debug builds also sweep
-//!   and assert that both counts agree.
+//!   ([`RepairReport::violations_remaining`]), counting every match of
+//!   each residual footprint binding ([`Matcher::count_witnesses`]);
+//!   debug builds also sweep and assert that both counts agree.
 
 use crate::analysis::{preconditions_of, L};
 use crate::apply::{apply_rule, Applied, AppliedOp};
@@ -82,8 +107,8 @@ pub enum RepairSeed<'a> {
     /// had **no** match of any rule when the set was empty, and that
     /// every node affected by an edit since is in it (the definition
     /// [`Applied::touched`] uses). Every violation then intersects the
-    /// set, [`Matcher::find_touching`] finds exactly those, and the run
-    /// pops, applies and reports the same operations a
+    /// set, [`Matcher::find_touching_distinct`] finds exactly those, and
+    /// the run pops, applies and reports the same operations a
     /// [`RepairSeed::Full`] run would — the queue's order is total, so
     /// equal violation sets give equal runs. A stratified run seeds each
     /// stratum from the matches touching the set grown so far (the seed
@@ -193,7 +218,10 @@ impl<F: FnMut(&[AppliedOp])> RepairSink for F {
 pub struct RuleStats {
     /// Rule name.
     pub name: String,
-    /// Violations found (pre-revalidation).
+    /// Violations queued: one per footprint binding ([`Grr::footprint`])
+    /// of each seed scan and re-match, before revalidation. A violation
+    /// requeued after its own repair, or after its stored match failed
+    /// and another held, is not counted again.
     pub matches_found: usize,
     /// Repairs actually applied (non-noop).
     pub repairs_applied: usize,
@@ -225,10 +253,10 @@ pub struct RepairReport {
     pub total_cost: f64,
     /// `true` if the run ended with `violations_remaining == 0`.
     pub converged: bool,
-    /// Residual violations: the distinct (rule, matched nodes) of the
-    /// run's residue — the violations its worklist left unrepaired (see
-    /// the module docs) — that still hold when it ends. Every match in
-    /// the graph is among them: a [`RepairSeed::Full`] run seeded every
+    /// Residual violations, counted in matches: those that still hold
+    /// when the run ends, of every (rule, footprint binding) in its
+    /// residue — the violations its worklist left unrepaired (see the
+    /// module docs). Every match in the graph is among them: a [`RepairSeed::Full`] run seeded every
     /// match that existed, a [`RepairSeed::Touched`] run every match
     /// under the seed's contract, and each repair's new matches were
     /// re-matched. [`RepairEngine::count_violations`] is the independent
@@ -643,7 +671,7 @@ impl RepairEngine {
                 // The repair cap stopped an earlier stratum: this one
                 // never runs, and leaves its seed.
                 let delta = delta.as_ref();
-                self.discover(g, rules, scope, delta, planner, &tel, |ri, m| {
+                self.discover(g, rules, &checks, scope, delta, planner, &tel, |ri, m| {
                     residue.push((ri, m))
                 });
             }
@@ -664,7 +692,8 @@ impl RepairEngine {
         }
 
         if !report.outcome.is_budget_trip() {
-            report.violations_remaining = checks.count_residue(g, rules, residue);
+            let matcher = Matcher::with_planner(g, self.match_config, planner);
+            report.violations_remaining = checks.count_residue(g, rules, &matcher, residue);
             report.converged = report.violations_remaining == 0;
             #[cfg(debug_assertions)]
             self.assert_residue_is_the_sweep(g, rules, delta.as_ref(), report.violations_remaining);
@@ -731,14 +760,16 @@ impl RepairEngine {
         (0..all).chain(scope.unwrap_or_default().iter().copied())
     }
 
-    /// A worklist's seed: hand `found` every (rule index, match) of the
-    /// rules in `scope` — all of them (one counted scan per rule), or
-    /// with `delta`, those whose match intersects it.
+    /// A worklist's seed: hand `found` every violation — (rule index,
+    /// smallest match of one footprint binding) — of the rules in `scope`:
+    /// all of them (one counted scan per rule), or with `delta`, those
+    /// whose matches intersect it.
     #[allow(clippy::too_many_arguments)]
     fn discover(
         &self,
         g: &Graph,
         rules: &[Grr],
+        checks: &RuleChecks,
         scope: Option<&[usize]>,
         delta: Option<&TouchSet>,
         planner: &Planner,
@@ -747,12 +778,13 @@ impl RepairEngine {
     ) {
         let matcher = self.matcher(g, planner);
         for ri in Self::rules_in(rules, scope) {
+            let (pattern, footprint) = (&rules[ri].pattern, checks.footprints[ri]);
             let matches = match delta {
                 None => {
                     tel.rule_scans[ri].inc();
-                    matcher.find_all(&rules[ri].pattern)
+                    matcher.find_distinct(pattern, footprint)
                 }
-                Some(touched) => matcher.find_touching(&rules[ri].pattern, touched),
+                Some(touched) => matcher.find_touching_distinct(pattern, footprint, touched),
             };
             for m in matches {
                 found(ri, m);
@@ -778,13 +810,16 @@ impl RepairEngine {
     /// puts every rule a stratum's rules can enable in a later stratum,
     /// so the caller runs each stratum once, in order, and its queue is
     /// its seed plus the requeues of matches a repair left standing (e.g.
-    /// one of several parallel duplicate edges). An effective rule's
+    /// one of several parallel duplicate edges) and the next matches of
+    /// bindings whose stored match failed. An effective rule's
     /// requeues shrink its match; a rule whose repair never falsifies its
     /// own match requeues forever, so the stratum's requeues, and only
-    /// they, count against `max_repairs`. A re-match that finds a match
-    /// in the stratum means the trigger graph missed an edge: it is
-    /// counted (`engine.stratum_rematches`), asserted against in debug
-    /// builds, and puts the whole stratum back under `max_repairs`.
+    /// they, count against `max_repairs`; a binding's next match is no
+    /// requeue, as a queue of every match held it from the seed on. A
+    /// re-match that finds a match in the stratum means the trigger graph
+    /// missed an edge: it is counted (`engine.stratum_rematches`),
+    /// asserted against in debug builds, and puts the whole stratum back
+    /// under `max_repairs`.
     ///
     /// Every violation of the scope that holds when the worklist returns
     /// is in `residue`: each one entered the queue after it last became
@@ -829,7 +864,7 @@ impl RepairEngine {
         let mut seed: Vec<Violation> = Vec::new();
         {
             let _seed_span = obs::span("engine.round", "engine");
-            self.discover(g, rules, scope, delta.as_deref(), planner, tel, |ri, m| {
+            self.discover(g, rules, checks, scope, delta.as_deref(), planner, tel, |ri, m| {
                 seed.push(self.violation(g, rules, ri, m))
             });
         }
@@ -852,6 +887,11 @@ impl RepairEngine {
                 return;
             }
             if !checks.holds(g, rules, v.rule, &mut v.m) {
+                // Another match of the footprint binding may still hold:
+                // it pops where a queue of every match would have it.
+                if let Some(m) = self.other_witness(g, rules, checks, planner, &v) {
+                    queue.push(Violation { m, ..v });
+                }
                 continue;
             }
             if scope.is_none() && !self.admit(&mut churn, &v) {
@@ -879,11 +919,11 @@ impl RepairEngine {
             self.budget.charge_ops(applied.ops.len() as u64);
             // A repair may not fully eliminate its own violation (e.g. it
             // deleted one of several parallel witness edges): revalidate
-            // the very match just repaired and requeue it if it persists —
-            // the trigger filter below only covers *newly created* matches.
-            // On a cyclic set the churn guard bounds these; in a stratum
-            // the cap does, for a rule whose repair never falsifies its
-            // own match.
+            // the very violation just repaired and requeue it if it
+            // persists — the trigger filter below only covers *newly
+            // created* matches. On a cyclic set the churn guard bounds
+            // these; in a stratum the cap does, for a rule whose repair
+            // never falsifies its own violation.
             if checks.holds(g, rules, v.rule, &mut v.m) {
                 if scope.is_some() {
                     if requeues == max_repairs {
@@ -896,6 +936,10 @@ impl RepairEngine {
                     requeues += 1;
                 }
                 queue.push(self.violation(g, rules, v.rule, v.m));
+            } else if let Some(m) = self.other_witness(g, rules, checks, planner, &v) {
+                // Not a requeue: the binding's next match, which a queue
+                // of every match held from the seed on.
+                queue.push(Violation { m, ..v });
             }
             // Delta-driven discovery: only trigger-affected rules in
             // scope, only matches anchored in the delta. Within a stratum
@@ -914,7 +958,8 @@ impl RepairEngine {
             }
             let matcher = self.matcher(g, planner);
             for &ri in &enabled {
-                let found = matcher.find_touching(&rules[ri].pattern, &applied.touched);
+                let (pattern, footprint) = (&rules[ri].pattern, checks.footprints[ri]);
+                let found = matcher.find_touching_distinct(pattern, footprint, &applied.touched);
                 // The trigger graph put every rule this repair can enable
                 // in a later stratum: a match found here means it missed
                 // an edge.
@@ -943,6 +988,48 @@ impl RepairEngine {
             m,
             priority: rules[ri].priority,
         }
+    }
+
+    /// For violation `v` whose stored match no longer holds: the smallest
+    /// match of its footprint binding that does. There is none for a rule
+    /// without existential variables — tested here, inline, as every
+    /// repair of such a rule in a stratum asks — nor when a check on the
+    /// footprint alone fails; otherwise it is searched for.
+    #[inline(always)]
+    fn other_witness(
+        &self,
+        g: &Graph,
+        rules: &[Grr],
+        checks: &mut RuleChecks,
+        planner: &Planner,
+        v: &Violation,
+    ) -> Option<Match> {
+        if checks.footprints[v.rule] == rules[v.rule].pattern.all_vars() {
+            return None;
+        }
+        self.search_other_witness(g, rules, checks, planner, v)
+    }
+
+    /// [`RepairEngine::other_witness`] for a rule with existential
+    /// variables. Kept out of the worklist loop's body, which every repair
+    /// runs through: inlined there, it slowed the `cascade-rounds-inmem`
+    /// benchmark, whose rules have none (EXPERIMENTS.md, "Third build").
+    #[cold]
+    #[inline(never)]
+    fn search_other_witness(
+        &self,
+        g: &Graph,
+        rules: &[Grr],
+        checks: &mut RuleChecks,
+        planner: &Planner,
+        v: &Violation,
+    ) -> Option<Match> {
+        if !checks.holds_on_footprint(g, rules, v.rule, &v.m) {
+            return None;
+        }
+        let footprint = checks.footprints[v.rule];
+        self.matcher(g, planner)
+            .min_witness(&rules[v.rule].pattern, footprint, &v.m.nodes)
     }
 
     /// Churn admission: identical (rule, nodes) repairs are capped.
@@ -983,41 +1070,79 @@ impl RepairEngine {
     }
 }
 
-/// Each rule's pattern resolved against the graph's vocabulary, for
-/// revalidation: resolved at its first use in a run, and again at its
-/// next use after a repair interned a new label or attribute key — a
-/// name the old resolution read as absent may now be present.
-struct RuleChecks(Vec<Option<CompiledPattern>>);
+/// Per rule of a run: its footprint ([`Grr::footprint`]), and its pattern
+/// resolved against the graph's vocabulary for revalidation — resolved
+/// at its first use in a run, and again at its next use after a repair
+/// interned a new label or attribute key (a name the old resolution read
+/// as absent may now be present).
+struct RuleChecks {
+    footprints: Vec<u64>,
+    resolved: Vec<Option<CompiledPattern>>,
+}
 
 impl RuleChecks {
     fn new(rules: &[Grr]) -> Self {
-        RuleChecks(vec![None; rules.len()])
+        RuleChecks {
+            footprints: rules.iter().map(Grr::footprint).collect(),
+            resolved: vec![None; rules.len()],
+        }
+    }
+
+    /// `rules[ri]`'s pattern, resolved for `g`'s vocabulary.
+    fn resolve(&mut self, g: &Graph, rules: &[Grr], ri: usize) -> &CompiledPattern {
+        let pattern = &rules[ri].pattern;
+        let check = self.resolved[ri].get_or_insert_with(|| CompiledPattern::new(g, pattern));
+        check.refresh(g, pattern);
+        check
     }
 
     /// Whether match `m` of `rules[ri]` still holds; refreshes its
     /// witness edges.
     fn holds(&mut self, g: &Graph, rules: &[Grr], ri: usize, m: &mut Match) -> bool {
-        let pattern = &rules[ri].pattern;
-        let check = self.0[ri].get_or_insert_with(|| CompiledPattern::new(g, pattern));
-        check.refresh(g, pattern);
-        check.holds(g, m)
+        self.resolve(g, rules, ri).holds(g, m)
     }
 
-    /// The residue's violations that still hold, each (rule, matched
-    /// nodes) once: the run's `violations_remaining`.
+    /// Whether the checks of `rules[ri]` that read only its footprint pass
+    /// on `m`: if not, no match of `m`'s footprint binding holds.
+    fn holds_on_footprint(&mut self, g: &Graph, rules: &[Grr], ri: usize, m: &Match) -> bool {
+        let footprint = self.footprints[ri];
+        self.resolve(g, rules, ri).holds_on(g, &m.nodes, footprint)
+    }
+
+    /// The run's `violations_remaining`: each (rule, footprint binding)
+    /// of the residue once, counting every match of it that still holds —
+    /// the count a sweep of the graph finds.
     fn count_residue(
         &mut self,
         g: &Graph,
         rules: &[Grr],
-        mut residue: Vec<(usize, Match)>,
+        matcher: &Matcher<'_>,
+        residue: Vec<(usize, Match)>,
     ) -> usize {
-        residue.sort_unstable_by(|(ra, a), (rb, b)| (ra, &a.nodes).cmp(&(rb, &b.nodes)));
-        residue.dedup_by(|(ra, a), (rb, b)| ra == rb && a.nodes == b.nodes);
-        residue
+        let binding = |ri: usize, m: &Match| -> Vec<NodeId> {
+            let footprint = self.footprints[ri];
+            (0..m.nodes.len())
+                .filter(|v| footprint >> v & 1 == 1)
+                .map(|v| m.nodes[v])
+                .collect()
+        };
+        let mut keyed: Vec<_> = residue
             .into_iter()
-            .map(|(ri, mut m)| self.holds(g, rules, ri, &mut m))
-            .filter(|&holds| holds)
-            .count()
+            .map(|(ri, m)| ((ri, binding(ri, &m)), m))
+            .collect();
+        keyed.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        keyed.dedup_by(|(a, _), (b, _)| a == b);
+        keyed
+            .into_iter()
+            .map(|((ri, _), mut m)| {
+                let (pattern, footprint) = (&rules[ri].pattern, self.footprints[ri]);
+                if footprint == pattern.all_vars() {
+                    usize::from(self.holds(g, rules, ri, &mut m))
+                } else {
+                    matcher.count_witnesses(pattern, footprint, &m.nodes)
+                }
+            })
+            .sum()
     }
 }
 
@@ -1467,6 +1592,140 @@ mod tests {
             },
         );
         assert!(!g.has_edge_labeled(p2, q, g.try_label("s").unwrap()));
+    }
+
+    #[test]
+    fn existential_violation_outlives_its_stored_witness() {
+        // `tag`'s footprint is {x}: `c` is existential, and x's one
+        // violation is queued with its smallest witness, (x, c1). `spoil`
+        // (equal cost, higher priority) pops first and falsifies that
+        // witness; (x, c2) still holds, so `tag` must still repair x.
+        let rules = parse_rules(
+            "rule spoil [conflict] priority 9
+             match (c:C) where c.ok == 1, has(c.bad)
+             repair set c.ok = 0
+
+             rule tag [incompleteness]
+             match (x:P)-[r]->(c:C) where missing(x.t), c.ok == 1
+             repair set x.t = 1",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        let (ok, bad) = (g.attr_key("ok"), g.attr_key("bad"));
+        let x = g.add_node_named("P");
+        let (c1, c2) = (g.add_node_named("C"), g.add_node_named("C"));
+        for c in [c1, c2] {
+            g.add_edge_named(x, c, "r").unwrap();
+            g.set_attr(c, ok, Value::Int(1)).unwrap();
+        }
+        g.set_attr(c1, bad, Value::Bool(true)).unwrap();
+        let report = RepairEngine::default().repair(&mut g, &rules);
+        assert_eq!(report.strata, 0, "`spoil` can enable itself: one worklist");
+        assert_eq!(
+            report.per_rule[1].matches_found, 1,
+            "one violation for x, not one per c"
+        );
+        assert_eq!(report.per_rule[0].repairs_applied, 1);
+        assert_eq!(
+            report.per_rule[1].repairs_applied, 1,
+            "the surviving witness is repaired"
+        );
+        assert!(report.converged);
+        assert_eq!(
+            g.attr(x, g.try_attr_key("t").unwrap()),
+            Some(&Value::Int(1))
+        );
+
+        // A repair that falsifies its own witness but not its binding:
+        // x.v = 1 settles (x, c1) only. The binding is requeued at (x, c2),
+        // and found there again by the re-match its own `SetAttr` triggers;
+        // both entries' repair is a no-op: one residual violation.
+        let rules = parse_rules(
+            "rule align [conflict]
+             match (x:P)-[r]->(c:C) where x.v != c.v
+             repair set x.v = 1",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        let v = g.attr_key("v");
+        let x = g.add_node_named("P");
+        g.set_attr(x, v, Value::Int(0)).unwrap();
+        for value in [1, 2] {
+            let c = g.add_node_named("C");
+            g.add_edge_named(x, c, "r").unwrap();
+            g.set_attr(c, v, Value::Int(value)).unwrap();
+        }
+        let report = RepairEngine::default().repair(&mut g, &rules);
+        assert_eq!(
+            (report.per_rule[0].matches_found, report.repairs_applied),
+            (2, 1)
+        );
+        assert_eq!(report.outcome, RepairOutcome::Completed);
+        assert_eq!(report.violations_remaining, 1);
+        assert!(!report.converged);
+    }
+
+    #[test]
+    fn churn_guard_counts_a_binding_not_each_of_its_witnesses() {
+        // `grow`'s footprint is {x}; its repair inserts a P node, so the set
+        // is cyclic, and never falsifies (x, c1) or (x, c2). The churn guard
+        // stops the binding after MAX_CHURN repairs of its smallest witness:
+        // (x, c2) is never popped on its own, where a queue of every match
+        // repaired it MAX_CHURN times more. Both witnesses are residue. The
+        // cap, 10·(3+2+1) = 60, is not reached.
+        let rules = parse_rules(
+            "rule grow [incompleteness]
+             match (x:P)-[r]->(c:C)
+             repair insert node (n:P); insert edge (x)-[s]->(n)",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        let x = g.add_node_named("P");
+        for _ in 0..2 {
+            let c = g.add_node_named("C");
+            g.add_edge_named(x, c, "r").unwrap();
+        }
+        let engine = RepairEngine::default();
+        let report = engine.repair(&mut g, &rules);
+        assert_eq!(report.strata, 0, "`grow` can enable itself: one worklist");
+        assert_eq!(report.outcome, RepairOutcome::Completed);
+        assert_eq!(report.repairs_applied, MAX_CHURN as usize);
+        assert_eq!(report.violations_remaining, 2, "every witness of x");
+        assert_eq!(
+            report.violations_remaining,
+            engine.count_violations(&g, &rules)
+        );
+    }
+
+    #[test]
+    fn empty_footprint_is_one_violation_counting_every_witness() {
+        // `grow` reads no variable: its three matches are one violation,
+        // repaired at the smallest, and its repair never falsifies it. The
+        // stratum's requeues hit the cap, 10·(3+0+1) = 40, after the seed's
+        // repair; the residual count is still every match.
+        let rules =
+            parse_rules("rule grow [incompleteness] match (x:P) repair insert node (n:Q)").unwrap();
+        let mut g = Graph::new();
+        for _ in 0..3 {
+            g.add_node_named("P");
+        }
+        let engine = RepairEngine::default();
+        let report = engine.repair(&mut g, &rules);
+        assert_eq!(report.strata, 1);
+        assert_eq!(
+            report.per_rule[0].matches_found, 1,
+            "one violation per footprint binding"
+        );
+        assert_eq!(report.outcome, RepairOutcome::RoundLimit);
+        assert_eq!(report.repairs_applied, 41);
+        assert_eq!(
+            report.violations_remaining, 3,
+            "every witness of the binding counts"
+        );
+        assert_eq!(
+            report.violations_remaining,
+            engine.count_violations(&g, &rules)
+        );
     }
 
     #[test]

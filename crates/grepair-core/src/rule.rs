@@ -246,6 +246,32 @@ impl Grr {
         self
     }
 
+    /// The pattern variables the repair reads, as a mask (bit `i` is
+    /// `Var(i)`): every variable an action names ([`Action::vars`]) and
+    /// both endpoints of every pattern edge a [`Action::DeleteEdge`] or
+    /// [`Action::UpdateEdgeLabel`] references, whose witness is the
+    /// lowest-id edge between them. [`crate::apply_rule`] and
+    /// [`crate::estimate_cost`] read nothing else of a match, so all
+    /// matches that agree on the footprint get the same repair at the same
+    /// cost; the other variables are existential.
+    pub fn footprint(&self) -> u64 {
+        let bit = |v: Var| 1u64 << v.index();
+        let mut mask = 0;
+        for action in &self.actions {
+            mask |= action.vars().into_iter().map(bit).fold(0, |a, b| a | b);
+            if let Action::DeleteEdge(PatternEdgeRef(e))
+            | Action::UpdateEdgeLabel {
+                edge: PatternEdgeRef(e),
+                ..
+            } = action
+            {
+                let edge = &self.pattern.edges[*e];
+                mask |= bit(edge.src) | bit(edge.dst);
+            }
+        }
+        mask
+    }
+
     /// Validate structure: pattern well-formed, every action references
     /// existing variables / pattern edges / previously bound fresh binders,
     /// and no variable is used after being deleted or merged away.
@@ -386,6 +412,43 @@ mod tests {
         let c = b.node("c", Some("City"));
         b.edge(x, c, "livesIn");
         b.build().unwrap()
+    }
+
+    #[test]
+    fn footprint_is_what_the_repair_reads() {
+        let rules = crate::dsl::parse_rules(
+            "rule citizenship [incompleteness]
+             match (x:Person)-[livesIn]->(c:City)-[inCountry]->(k:Country)
+             where not (x)-[citizenOf]->(k)
+             repair insert edge (x)-[citizenOf]->(k)
+
+             rule fill_country [incompleteness]
+             match (x:Person)-[livesIn]->(c:City)-[inCountry]->(k:Country)
+             where missing(x.country)
+             repair set x.country = k.name
+
+             rule bigamy [conflict]
+             match (x:Person)-[marriedTo]->(y:Person)-[marriedTo]->(x), (x)-[marriedTo]->(z:Person)
+             where not (z)-[marriedTo]->(x)
+             repair delete edge (x)-[marriedTo]->(z)
+
+             rule mistyped [conflict]
+             match (x:Person)-[livesIn]->(k:Country)
+             repair relabel edge (x)-[livesIn]->(k) to citizenOf
+
+             rule grow [incompleteness]
+             match (x:P)
+             repair insert node (y:Q)
+
+             rule dedup [redundancy]
+             match (x:Person), (y:Person)
+             where x.ssn == y.ssn
+             repair merge y into x",
+        )
+        .unwrap();
+        let footprints: Vec<u64> = rules.iter().map(Grr::footprint).collect();
+        // `c` and `y` (bit 1) are existential in the first three.
+        assert_eq!(footprints, [0b101, 0b101, 0b101, 0b11, 0, 0b11]);
     }
 
     #[test]

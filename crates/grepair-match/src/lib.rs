@@ -13,7 +13,10 @@
 //! [`MatchConfig`] so the F5 ablation can quantify each.
 //! [`Matcher::find_touching`] is the delta-driven entry point behind the
 //! incremental repair engine, and [`CompiledPattern::holds`] re-checks
-//! one match it found after the graph changed. [`oracle`] holds the
+//! one match it found after the graph changed.
+//! [`Matcher::find_distinct`] and [`Matcher::find_touching_distinct`]
+//! return one match per binding of a rule's footprint, the variables its
+//! repair reads. [`oracle`] holds the
 //! brute-force reference implementation used by property tests.
 //!
 //! ```

@@ -17,15 +17,19 @@
 //! variables are bound. Matches are injective. [`Matcher::find_touching`]
 //! is the delta-driven entry point used by the incremental repair engine:
 //! it enumerates exactly the matches whose image intersects a given node
-//! set, without duplicates. [`CompiledPattern::holds`] re-checks one
+//! set, without duplicates. [`Matcher::find_distinct`] and
+//! [`Matcher::find_touching_distinct`] keep one match per binding of a
+//! set of variables, a rule's footprint — the smallest — folding the rest
+//! away inside the search. [`CompiledPattern::holds`] re-checks one
 //! earlier match with the search's own checks — how the repair engine
-//! revalidates a queued violation.
+//! revalidates a queued violation — and [`Matcher::min_witness`] finds
+//! another match of the same binding when it fails.
 
 use crate::pattern::{CmpOp, Constraint, Pattern, Rhs, Var};
 use crate::plan::Planner;
 use grepair_obs as obs;
 use grepair_graph::{AttrKeyId, Direction, EdgeId, Graph, LabelId, NodeId, Value};
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -111,15 +115,17 @@ enum CC {
 }
 
 impl CC {
-    fn vars(&self) -> Vec<usize> {
+    /// The constrained variable and, for a comparison against another
+    /// variable's attribute, that variable.
+    fn vars(&self) -> (usize, Option<usize>) {
         match self {
             CC::HasAttr(v, _)
             | CC::MissingAttr(v, _)
             | CC::NoOutEdge(v, _)
-            | CC::NoInEdge(v, _) => vec![*v],
+            | CC::NoInEdge(v, _) => (*v, None),
             CC::Cmp { var, rhs, .. } => match rhs {
-                CRhs::Const(_) => vec![*var],
-                CRhs::Attr(o, _) => vec![*var, *o],
+                CRhs::Const(_) => (*var, None),
+                CRhs::Attr(o, _) => (*var, Some(*o)),
             },
         }
     }
@@ -315,6 +321,35 @@ impl CompiledPattern {
         }
         (0..self.neg_edges.len()).all(|ni| self.neg_edge_absent(g, ni, node_of))
             && (0..self.constraints.len()).all(|ci| self.constraint_holds(g, ci, node_of))
+    }
+
+    /// Whether the checks of `nodes` that read only the variables in `vars`
+    /// (bit `i` for `Var(i)`) pass: those nodes live, distinct and
+    /// correctly labelled, and every edge, negative edge and constraint
+    /// among them. When one fails, no match agreeing with `nodes` on
+    /// `vars` holds, whatever it binds the other variables to. `self` must
+    /// be [`refresh`](CompiledPattern::refresh)ed for `g`.
+    pub fn holds_on(&self, g: &Graph, nodes: &[NodeId], vars: u64) -> bool {
+        debug_assert!(!self.is_stale(g), "holds_on on a stale resolution");
+        let inside = |v: usize| vars >> v & 1 == 1;
+        let node_of = |v: usize| nodes[v];
+        let distinct = |v: usize| !(v + 1..nodes.len()).any(|u| inside(u) && nodes[u] == nodes[v]);
+        let edge_inside = |e: &CEdge| inside(e.src) && inside(e.dst);
+        (0..nodes.len())
+            .filter(|&v| inside(v))
+            .all(|v| self.node_ok(g, v, nodes[v]) && distinct(v))
+            && (0..self.edges.len())
+                .filter(|&ei| edge_inside(&self.edges[ei]))
+                .all(|ei| self.edge_witness(g, ei, node_of).is_some())
+            && (0..self.neg_edges.len())
+                .filter(|&ni| edge_inside(&self.neg_edges[ni]))
+                .all(|ni| self.neg_edge_absent(g, ni, node_of))
+            && (0..self.constraints.len())
+                .filter(|&ci| {
+                    let (v, other) = self.constraints[ci].vars();
+                    inside(v) && other.is_none_or(inside)
+                })
+                .all(|ci| self.constraint_holds(g, ci, node_of))
     }
 
     /// Whether node `n` is live and carries variable `v`'s label.
@@ -537,13 +572,19 @@ impl<'g> Matcher<'g> {
 
     /// All matches of `pattern`.
     pub fn find_all(&self, pattern: &Pattern) -> Vec<Match> {
+        self.find_distinct(pattern, pattern.all_vars())
+    }
+
+    /// One match per distinct binding of the `footprint` variables (bit
+    /// `i` for `Var(i)`): of the matches that agree on them, the one with
+    /// the smallest `nodes`. The search's own plan runs, and each match
+    /// it completes folds through a map keyed by its binding, so the other
+    /// matches are never materialized. A footprint covering every variable
+    /// is [`Matcher::find_all`]: no fold.
+    pub fn find_distinct(&self, pattern: &Pattern, footprint: u64) -> Vec<Match> {
         let _span = obs::span("match.find_all", "match");
         let started = obs::timer();
-        let mut out = Vec::new();
-        self.for_each_state(pattern, &mut |st| {
-            out.push(st.to_match());
-            true
-        });
+        let out = fold(pattern, footprint, |f| self.for_each_state(pattern, f));
         obs::record_since_named("match.find_all_ns", started);
         obs::counter("match.matches_found").add(out.len() as u64);
         out
@@ -610,25 +651,99 @@ impl<'g> Matcher<'g> {
     /// pattern variable per call, the dominant compile cost of the
     /// incremental engine — come from the plan cache.
     pub fn find_touching(&self, pattern: &Pattern, touched: &TouchSet) -> Vec<Match> {
+        self.find_touching_distinct(pattern, pattern.all_vars(), touched)
+    }
+
+    /// [`Matcher::find_touching`] folded like [`Matcher::find_distinct`]:
+    /// of the matches intersecting `touched`, one per distinct binding of
+    /// the `footprint` variables, the one with the smallest `nodes`. The
+    /// fold runs across the anchors.
+    pub fn find_touching_distinct(
+        &self,
+        pattern: &Pattern,
+        footprint: u64,
+        touched: &TouchSet,
+    ) -> Vec<Match> {
+        fold(pattern, footprint, |f| {
+            self.for_each_touching(pattern, touched, f)
+        })
+    }
+
+    /// Enumerate the matches whose image intersects `touched`, each once.
+    fn for_each_touching(
+        &self,
+        pattern: &Pattern,
+        touched: &TouchSet,
+        f: &mut dyn FnMut(&SearchState) -> bool,
+    ) {
         debug_assert!(pattern.validate().is_ok());
-        let mut out = Vec::new();
         if touched.is_empty() {
-            return out;
+            return;
         }
         for anchor in 0..pattern.num_vars() {
-            let Some(comp) = self.compiled(pattern, Some(anchor), touched) else {
-                continue;
-            };
-            self.run(
-                &comp,
-                &mut |st| {
-                    out.push(st.to_match());
-                    true
-                },
-                touched,
-            );
+            if let Some(comp) = self.compiled(pattern, Some(anchor), touched) {
+                self.run(&comp, f, touched);
+            }
         }
-        out
+    }
+
+    /// Of the matches that agree with `nodes` on the `footprint`
+    /// variables, the one with the smallest `nodes`: how a queued
+    /// violation whose own witness failed finds another. The search is
+    /// anchored at the node of the lowest footprint variable, through the
+    /// plan [`Matcher::find_touching`] uses for that anchor (an empty
+    /// footprint scans the whole graph).
+    pub fn min_witness(
+        &self,
+        pattern: &Pattern,
+        footprint: u64,
+        nodes: &[NodeId],
+    ) -> Option<Match> {
+        let mut best: Option<Match> = None;
+        self.for_each_witness(pattern, footprint, nodes, &mut |st| {
+            match &mut best {
+                Some(m) => keep_smaller(m, st),
+                None => best = Some(st.to_match()),
+            }
+            true
+        });
+        best
+    }
+
+    /// How many matches agree with `nodes` on the `footprint` variables —
+    /// the violations one footprint binding stands for. Searched as
+    /// [`Matcher::min_witness`] does.
+    pub fn count_witnesses(&self, pattern: &Pattern, footprint: u64, nodes: &[NodeId]) -> usize {
+        let mut n = 0;
+        self.for_each_witness(pattern, footprint, nodes, &mut |_| {
+            n += 1;
+            true
+        });
+        n
+    }
+
+    /// Enumerate the matches that agree with `nodes` on the `footprint`
+    /// variables.
+    fn for_each_witness(
+        &self,
+        pattern: &Pattern,
+        footprint: u64,
+        nodes: &[NodeId],
+        f: &mut dyn FnMut(&SearchState) -> bool,
+    ) {
+        let footprint = footprint & pattern.all_vars();
+        let agrees = |st: &SearchState| {
+            (0..nodes.len()).all(|v| footprint >> v & 1 == 0 || st.assignment[v] == nodes[v])
+        };
+        let mut emit = |st: &SearchState| !agrees(st) || f(st);
+        if footprint == 0 {
+            return self.for_each_state(pattern, &mut emit);
+        }
+        let anchor = footprint.trailing_zeros() as usize;
+        let touched: TouchSet = [nodes[anchor]].into_iter().collect();
+        if let Some(comp) = self.compiled(pattern, Some(anchor), &touched) {
+            self.run(&comp, &mut emit, &touched);
+        }
     }
 
     /// Explain the plan this matcher would run for `pattern`: variable
@@ -693,7 +808,8 @@ impl<'g> Matcher<'g> {
         }
         let mut con_checks = vec![Vec::new(); n];
         for (i, c) in pattern.constraints.iter().enumerate() {
-            let step = c.vars().into_iter().map(|v| pos[v]).max().unwrap_or(0);
+            let (v, other) = c.vars();
+            let step = other.map_or(pos[v], |o| pos[v].max(pos[o]));
             con_checks[step].push(i);
         }
 
@@ -1084,6 +1200,52 @@ fn has_adjacent_edge(g: &Graph, id: NodeId, dir: Direction, label: Option<LabelI
         Direction::Out => check(g, g.out_edges(id), label),
         Direction::In => check(g, g.in_edges(id), label),
     }
+}
+
+/// Replace `m` by the completed search `st` if its `nodes` are smaller,
+/// reusing `m`'s buffers.
+fn keep_smaller(m: &mut Match, st: &SearchState) {
+    if st.assignment < m.nodes {
+        m.nodes.clone_from(&st.assignment);
+        m.edges.clone_from(&st.witness);
+    }
+}
+
+/// Collect what `search` enumerates into one [`Match`] per binding of the
+/// `footprint` variables of `pattern` — the smallest-`nodes` one — through
+/// a map keyed by the binding; without a fold when the footprint covers
+/// every variable. For [`Matcher::find_distinct`] and
+/// [`Matcher::find_touching_distinct`].
+fn fold(
+    pattern: &Pattern,
+    footprint: u64,
+    search: impl FnOnce(&mut dyn FnMut(&SearchState) -> bool),
+) -> Vec<Match> {
+    let mut out: Vec<Match> = Vec::new();
+    let footprint = footprint & pattern.all_vars();
+    if footprint == pattern.all_vars() {
+        search(&mut |st| {
+            out.push(st.to_match());
+            true
+        });
+        return out;
+    }
+    let vars: Vec<usize> = (0..64).filter(|v| footprint >> v & 1 == 1).collect();
+    let mut index: FxHashMap<Vec<NodeId>, usize> = FxHashMap::default();
+    let mut key = Vec::new();
+    search(&mut |st| {
+        key.clear();
+        key.extend(vars.iter().map(|&v| st.assignment[v]));
+        match index.get(key.as_slice()) {
+            Some(&i) => keep_smaller(&mut out[i], st),
+            None => {
+                index.insert(key.clone(), out.len());
+                out.push(st.to_match());
+            }
+        }
+        true
+    });
+    out
 }
 
 /// Backtracking state of one search. Pooled by the [`Planner`] so
@@ -1541,6 +1703,40 @@ mod tests {
         assert!(!holds(&g, &mut m));
     }
 
+    /// `holds_on` runs exactly the checks among the given variables: the
+    /// negative edge `x → k` and the comparison `x.a == k.a` only when
+    /// both ends are given, a node's liveness only when it is.
+    #[test]
+    fn holds_on_runs_only_the_checks_inside_the_footprint() {
+        let (mut g, mut pattern) = citizenship_fixture();
+        let (vx, vk) = (pattern.var("x").unwrap(), pattern.var("k").unwrap());
+        pattern.constraints.push(Constraint::Cmp {
+            var: vx,
+            key: "a".into(),
+            op: CmpOp::Eq,
+            rhs: Rhs::Attr(vk, "a".into()),
+        });
+        let a = g.attr_key("a");
+        for n in g.nodes().collect::<Vec<_>>() {
+            g.set_attr(n, a, Value::Int(1)).unwrap();
+        }
+        let m = Matcher::new(&g).find_all(&pattern).remove(0);
+        let (x, c, k) = (m.nodes[0], m.nodes[1], m.nodes[2]);
+        let holds_on =
+            |g: &Graph, vars: u64| CompiledPattern::new(g, &pattern).holds_on(g, &m.nodes, vars);
+        assert!(holds_on(&g, 0b111));
+        g.set_attr(k, a, Value::Int(2)).unwrap();
+        assert!(!holds_on(&g, 0b101), "x.a == k.a fails");
+        assert!(holds_on(&g, 0b011) && holds_on(&g, 0b110));
+        g.set_attr(k, a, Value::Int(1)).unwrap();
+        g.add_edge_named(x, k, "citizenOf").unwrap();
+        assert!(!holds_on(&g, 0b101), "the negative edge is present");
+        assert!(holds_on(&g, 0b011) && holds_on(&g, 0b001));
+        g.remove_node(c).unwrap();
+        assert!(!holds_on(&g, 0b010) && !holds_on(&g, 0b011), "c is dead");
+        assert!(holds_on(&g, 0b001) && holds_on(&g, 0b100));
+    }
+
     /// A merge can map two variables to one node: the match no longer
     /// holds.
     #[test]
@@ -1555,6 +1751,58 @@ mod tests {
         assert!(cp.holds(&g, &mut m.clone()));
         m.nodes[1] = m.nodes[0];
         assert!(!cp.holds(&g, &mut m));
+    }
+
+    /// Persons `a` and `b` share cities `c1` and `c2`: four matches of
+    /// `(x)-[livesIn]->(c)<-[livesIn]-(y)`, two per city, two per pair.
+    #[test]
+    fn find_distinct_keeps_the_smallest_match_per_footprint_binding() {
+        let mut g = Graph::new();
+        let (a, b) = (g.add_node_named("Person"), g.add_node_named("Person"));
+        let (c1, c2) = (g.add_node_named("City"), g.add_node_named("City"));
+        for (p, c) in [(a, c1), (b, c1), (a, c2), (b, c2)] {
+            g.add_edge_named(p, c, "livesIn").unwrap();
+        }
+        let mut pb = Pattern::builder();
+        let x = pb.node("x", Some("Person"));
+        let y = pb.node("y", Some("Person"));
+        let c = pb.node("c", Some("City"));
+        pb.edge(x, c, "livesIn");
+        pb.edge(y, c, "livesIn");
+        let p = pb.build().unwrap();
+        let planner = Planner::new();
+        let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
+        assert_eq!(m.find_all(&p).len(), 4);
+        let nodes = |ms: Vec<Match>| {
+            let mut v: Vec<Vec<NodeId>> = ms.into_iter().map(|m| m.nodes).collect();
+            v.sort();
+            v
+        };
+
+        // Every footprint folds the one cached plan's matches.
+        assert_eq!(
+            nodes(m.find_distinct(&p, 0b011)),
+            [vec![a, b, c1], vec![b, a, c1]]
+        );
+        assert_eq!(
+            nodes(m.find_distinct(&p, 0b100)),
+            [vec![a, b, c1], vec![a, b, c2]]
+        );
+        assert_eq!(planner.compile_count(), 1);
+        // The empty footprint: one binding, the smallest match.
+        assert_eq!(nodes(m.find_distinct(&p, 0)), [vec![a, b, c1]]);
+
+        // Touching `c2` only: its two matches, one per pair.
+        let touched: TouchSet = [c2].into_iter().collect();
+        let pairs = nodes(m.find_touching_distinct(&p, 0b011, &touched));
+        assert_eq!(pairs, [vec![a, b, c2], vec![b, a, c2]]);
+
+        // The witnesses of one binding, wherever the given match points.
+        let stale = [b, a, NodeId(u32::MAX)];
+        assert_eq!(m.min_witness(&p, 0b011, &stale).unwrap().nodes, [b, a, c1]);
+        assert_eq!(m.count_witnesses(&p, 0b011, &stale), 2);
+        assert_eq!(m.count_witnesses(&p, 0, &stale), 4);
+        assert!(m.min_witness(&p, 0b011, &[a, a, c1]).is_none());
     }
 
     #[test]

@@ -211,6 +211,15 @@ impl Pattern {
         self.nodes.len()
     }
 
+    /// Every variable as a mask, bit `i` for `Var(i)` — the form
+    /// [`crate::Matcher::find_distinct`] takes a footprint in. A pattern has
+    /// at most 64 variables ([`Pattern::validate`]).
+    pub fn all_vars(&self) -> u64 {
+        1u64.checked_shl(self.nodes.len() as u32)
+            .unwrap_or(0)
+            .wrapping_sub(1)
+    }
+
     /// Look up a variable by name.
     pub fn var(&self, name: &str) -> Option<Var> {
         self.nodes

@@ -1,13 +1,17 @@
 //! Property tests: the optimized matcher agrees with the brute-force
 //! oracle on random graphs and patterns, under every configuration, and
 //! so does re-checking an old match after the graph changed.
+//!
+//! About half the patterns are planted in their graph (see
+//! [`build_pattern`]): wholly random ones rarely match, and two empty
+//! match sets agree on nothing.
 
 use grepair_graph::{EdgeId, Graph, NodeId, Value};
 use grepair_match::{
     oracle, CompiledPattern, Match, MatchConfig, Matcher, Pattern, Planner, TouchSet,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const NODE_LABELS: [&str; 3] = ["P", "Q", "R"];
 const EDGE_LABELS: [&str; 3] = ["a", "b", "c"];
@@ -61,6 +65,8 @@ struct RandPattern {
     neg_edges: Vec<(u8, u8, Option<u8>)>,
     eq_constraint: Option<(u8, u8, u8, u8)>,
     no_out: Option<(u8, Option<u8>)>,
+    /// Plant the pattern in the graph, along a walk from this node.
+    plant: Option<u8>,
 }
 
 fn pattern_strategy() -> impl Strategy<Value = RandPattern> {
@@ -70,59 +76,140 @@ fn pattern_strategy() -> impl Strategy<Value = RandPattern> {
         prop::collection::vec((any::<u8>(), any::<u8>(), prop::option::of(any::<u8>())), 0..2),
         prop::option::of((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())),
         prop::option::of((any::<u8>(), prop::option::of(any::<u8>()))),
+        prop::option::of(any::<u8>()),
     )
-        .prop_map(|(labels, edges, neg_edges, eq_constraint, no_out)| RandPattern {
+        .prop_map(|(labels, edges, neg_edges, eq_constraint, no_out, plant)| RandPattern {
             labels,
             edges,
             neg_edges,
             eq_constraint,
             no_out,
+            plant,
         })
 }
 
-fn build_pattern(rp: &RandPattern) -> Pattern {
+/// Up to `len` distinct live nodes of `g`: `start`, then each time a
+/// neighbour of the nodes so far (any node when there is none).
+fn walk(g: &Graph, start: u8, len: usize) -> Vec<NodeId> {
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let mut walk: Vec<NodeId> = nodes
+        .get(start as usize % nodes.len().max(1))
+        .into_iter()
+        .copied()
+        .collect();
+    while walk.len() < len {
+        let other_end = |e: EdgeId, n: NodeId| {
+            let er = g.edge(e).unwrap();
+            if er.src == n {
+                er.dst
+            } else {
+                er.src
+            }
+        };
+        let neighbours = walk.iter().flat_map(|&n| {
+            g.out_edges(n)
+                .chain(g.in_edges(n))
+                .map(move |e| other_end(e, n))
+        });
+        let fresh = neighbours
+            .chain(nodes.iter().copied())
+            .find(|n| !walk.contains(n));
+        match fresh {
+            Some(n) => walk.push(n),
+            None => break,
+        }
+    }
+    walk
+}
+
+/// The pattern `rp` describes. A planted one (`rp.plant`) is pinned to a
+/// [`walk`] through `g`, so that it mostly has matches: variable `i`
+/// takes the label of the walk's `i`-th node, and an edge of `rp` between
+/// two variables becomes the label of an edge `g` has between their
+/// nodes (in either direction; dropped when there is none). Where `rp`
+/// leaves a label out, so does the pattern. A negative edge or constraint
+/// of `rp` that the walk's nodes violate is dropped; the others stay, and
+/// may still exclude other matches.
+fn build_pattern(rp: &RandPattern, g: &Graph) -> Pattern {
+    let planted = rp
+        .plant
+        .map(|start| walk(g, start, rp.labels.len()))
+        .filter(|w| !w.is_empty());
     let mut b = Pattern::builder();
-    let n = rp.labels.len();
-    let vars: Vec<_> = rp
-        .labels
+    let n = planted.as_ref().map_or(rp.labels.len(), Vec::len).max(1);
+    let vars: Vec<_> = rp.labels[..n]
         .iter()
         .enumerate()
         .map(|(i, l)| {
-            b.node(
-                &format!("v{i}"),
-                l.map(|l| NODE_LABELS[l as usize % NODE_LABELS.len()]),
-            )
+            let label = match &planted {
+                Some(walk) => l.map(|_| g.label_name(g.node_label(walk[i]).unwrap())),
+                None => l.map(|l| NODE_LABELS[l as usize % NODE_LABELS.len()]),
+            };
+            b.node(&format!("v{i}"), label)
         })
         .collect();
     for (s, d, l) in &rp.edges {
-        let s = vars[*s as usize % n];
-        let d = vars[*d as usize % n];
-        match l {
-            Some(l) => b.edge(s, d, EDGE_LABELS[*l as usize % EDGE_LABELS.len()]),
-            None => b.edge_any(s, d),
+        let (mut s, mut d) = (*s as usize % n, *d as usize % n);
+        let label = match &planted {
+            Some(walk) => {
+                let between = |s: usize, d: usize| g.find_edge_any(walk[s], walk[d]);
+                let Some(e) = between(s, d).or_else(|| {
+                    (s, d) = (d, s);
+                    between(s, d)
+                }) else {
+                    continue;
+                };
+                l.map(|_| g.label_name(g.edge(e).unwrap().label))
+            }
+            None => l.map(|l| EDGE_LABELS[l as usize % EDGE_LABELS.len()]),
+        };
+        match label {
+            Some(label) => b.edge(vars[s], vars[d], label),
+            None => b.edge_any(vars[s], vars[d]),
         };
     }
+    // Whether `walk`'s nodes `s`, `d` have an edge labelled `l` (any
+    // label for `None`).
+    let joined = |walk: &[NodeId], s: usize, d: usize, l: Option<&str>| match l {
+        Some(l) => g
+            .try_label(l)
+            .is_some_and(|l| g.has_edge_labeled(walk[s], walk[d], l)),
+        None => g.edges_between(walk[s], walk[d]).next().is_some(),
+    };
     for (s, d, l) in &rp.neg_edges {
-        let s = vars[*s as usize % n];
-        let d = vars[*d as usize % n];
+        let (s, d) = (*s as usize % n, *d as usize % n);
+        let l = l.map(|l| EDGE_LABELS[l as usize % EDGE_LABELS.len()]);
+        if planted.as_ref().is_some_and(|walk| joined(walk, s, d, l)) {
+            continue;
+        }
         match l {
-            Some(l) => b.neg_edge(s, d, EDGE_LABELS[*l as usize % EDGE_LABELS.len()]),
-            None => b.neg_edge_any(s, d),
+            Some(l) => b.neg_edge(vars[s], vars[d], l),
+            None => b.neg_edge_any(vars[s], vars[d]),
         };
     }
     if let Some((a, ka, bb, kb)) = &rp.eq_constraint {
-        b.attr_eq_var(
-            vars[*a as usize % n],
-            KEYS[*ka as usize % KEYS.len()],
-            vars[*bb as usize % n],
-            KEYS[*kb as usize % KEYS.len()],
-        );
+        let (a, ka) = (*a as usize % n, KEYS[*ka as usize % KEYS.len()]);
+        let (bb, kb) = (*bb as usize % n, KEYS[*kb as usize % KEYS.len()]);
+        let attr =
+            |walk: &[NodeId], v: usize, k: &str| g.try_attr_key(k).and_then(|k| g.attr(walk[v], k));
+        let equal =
+            |walk: &Vec<NodeId>| attr(walk, a, ka).is_some_and(|x| Some(x) == attr(walk, bb, kb));
+        if planted.as_ref().is_none_or(equal) {
+            b.attr_eq_var(vars[a], ka, vars[bb], kb);
+        }
     }
     if let Some((v, l)) = &rp.no_out {
-        b.no_out_edge(
-            vars[*v as usize % n],
+        let (v, l) = (
+            *v as usize % n,
             l.map(|l| EDGE_LABELS[l as usize % EDGE_LABELS.len()]),
         );
+        let has_out = |walk: &Vec<NodeId>| {
+            g.out_edges(walk[v])
+                .any(|e| l.is_none_or(|l| g.label_name(g.edge(e).unwrap().label) == l))
+        };
+        if !planted.as_ref().is_some_and(has_out) {
+            b.no_out_edge(vars[v], l);
+        }
     }
     b.build().unwrap()
 }
@@ -230,6 +317,12 @@ fn known_names(g: &Graph) -> Vec<bool> {
     labels.chain(KEYS.iter().map(|k| g.try_attr_key(k).is_some())).collect()
 }
 
+/// `ms` ordered by nodes.
+fn sorted(mut ms: Vec<Match>) -> Vec<Match> {
+    ms.sort_by(|a, b| a.nodes.cmp(&b.nodes));
+    ms
+}
+
 fn node_sets(ms: &[Match]) -> Vec<Vec<NodeId>> {
     let mut v: Vec<Vec<NodeId>> = ms.iter().map(|m| m.nodes.clone()).collect();
     v.sort();
@@ -244,7 +337,7 @@ proptest! {
     #[test]
     fn matcher_agrees_with_oracle(rg in graph_strategy(), rp in pattern_strategy()) {
         let g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let expected = node_sets(&oracle::brute_force_matches(&g, &p));
         let got = node_sets(&Matcher::new(&g).find_all(&p));
         prop_assert_eq!(got, expected);
@@ -260,7 +353,7 @@ proptest! {
     ) {
         let mut g = build_graph(&rg);
         punch_tombstones(&mut g, kill_mask);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let expected = node_sets(&oracle::brute_force_matches(&g, &p));
         let full = MatchConfig::default();
         for cfg in [
@@ -280,7 +373,7 @@ proptest! {
     #[test]
     fn find_touching_is_exact(rg in graph_strategy(), rp in pattern_strategy(), mask in any::<u64>()) {
         let g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let m = Matcher::new(&g);
         let all = m.find_all(&p);
 
@@ -314,7 +407,7 @@ proptest! {
     #[test]
     fn greedy_plans_agree_with_declaration_order(rg in graph_strategy(), rp in pattern_strategy()) {
         let g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let naive = node_sets(&Matcher::with_config(&g, MatchConfig::naive()).find_all(&p));
 
         let planner = Planner::new();
@@ -335,7 +428,7 @@ proptest! {
         mask in any::<u64>(),
     ) {
         let g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let subset: TouchSet = g
             .nodes()
             .enumerate()
@@ -360,7 +453,7 @@ proptest! {
         kill_mask in any::<u8>(),
     ) {
         let mut g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let planner = Planner::new();
         Matcher::with_planner(&g, MatchConfig::default(), &planner).find_all(&p);
         let compiles = planner.compile_count();
@@ -372,12 +465,81 @@ proptest! {
         prop_assert_eq!(planner.compile_count(), compiles, "no new name, no recompile");
     }
 
+    /// For every footprint — every subset of the pattern's variables —
+    /// `find_distinct` returns, per footprint binding, the member of
+    /// `find_all` with the smallest nodes, witnesses included, under
+    /// either configuration and through a planner. `find_touching_distinct`
+    /// does the same over the matches touching a subset, and
+    /// `min_witness` / `count_witnesses` find each binding's smallest
+    /// match and its number of matches.
+    #[test]
+    fn distinct_matches_are_the_smallest_per_footprint_binding(
+        rg in graph_strategy(),
+        rp in pattern_strategy(),
+        mask in any::<u64>(),
+    ) {
+        let g = build_graph(&rg);
+        let p = build_pattern(&rp, &g);
+        let all = Matcher::new(&g).find_all(&p);
+        let subset: TouchSet = g
+            .nodes()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << (i % 64)) != 0)
+            .map(|(_, n)| n)
+            .collect();
+        let planner = Planner::new();
+        let matchers = [
+            Matcher::new(&g),
+            Matcher::with_config(&g, MatchConfig::naive()),
+            Matcher::with_planner(&g, MatchConfig::default(), &planner),
+        ];
+        for footprint in 0..=p.all_vars() {
+            let binding = |m: &Match| -> Vec<NodeId> {
+                (0..p.num_vars()).filter(|v| footprint >> v & 1 == 1).map(|v| m.nodes[v]).collect()
+            };
+            // Per binding: the smallest match and how many there are.
+            let fold = |ms: &mut dyn Iterator<Item = &Match>| {
+                let mut by_binding: BTreeMap<Vec<NodeId>, (Match, usize)> = BTreeMap::new();
+                for m in ms {
+                    let (min, n) = by_binding.entry(binding(m)).or_insert((m.clone(), 0));
+                    if m.nodes < min.nodes {
+                        *min = m.clone();
+                    }
+                    *n += 1;
+                }
+                by_binding
+            };
+            let expected = fold(&mut all.iter());
+            let smallest = |by: &BTreeMap<_, (Match, usize)>| {
+                sorted(by.values().map(|(m, _)| m.clone()).collect())
+            };
+            for m in &matchers {
+                prop_assert_eq!(
+                    sorted(m.find_distinct(&p, footprint)),
+                    smallest(&expected),
+                    "footprint {:#b}", footprint
+                );
+            }
+            let touching = fold(&mut all.iter().filter(|m| m.nodes.iter().any(|n| subset.contains(n))));
+            prop_assert_eq!(
+                sorted(matchers[2].find_touching_distinct(&p, footprint, &subset)),
+                smallest(&touching),
+                "footprint {:#b}", footprint
+            );
+            for (min, n) in expected.values() {
+                let m = &matchers[2];
+                prop_assert_eq!(m.min_witness(&p, footprint, &min.nodes), Some(min.clone()));
+                prop_assert_eq!(m.count_witnesses(&p, footprint, &min.nodes), *n);
+            }
+        }
+    }
+
     /// Witness edges are always live, correctly labelled, and connect the
     /// matched endpoints.
     #[test]
     fn witnesses_are_valid(rg in graph_strategy(), rp in pattern_strategy()) {
         let g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         for m in Matcher::new(&g).find_all(&p) {
             for (i, pe) in p.edges.iter().enumerate() {
                 let er = g.edge(m.edges[i]).unwrap();
@@ -410,7 +572,7 @@ proptest! {
         mutations in prop::collection::vec(mutation_strategy(), 0..8),
     ) {
         let mut g = build_graph(&rg);
-        let p = build_pattern(&rp);
+        let p = build_pattern(&rp, &g);
         let before = CompiledPattern::new(&g, &p);
         let found = Matcher::new(&g).find_all(&p);
         let known_before = known_names(&g);
