@@ -482,10 +482,10 @@ periodic binary snapshots, and reopening recovers the exact committed
 state even after a crash mid-write. `repair --store` commits repairs
 durably and compacts the log when it outgrows its threshold.
 
-`store fsck` is a dry-run recovery: it walks the directory exactly the
-way open would — newest loadable snapshot, ordered replay, torn-tail
-detection — and reports per-file health, where valid data ends, and the
-lock state, without modifying anything. Verdict 'clean' or 'torn-tail'
+`store fsck` is a dry-run recovery: it runs the walk open runs — newest
+loadable snapshot, ordered replay, torn-tail detection — over every
+file, and reports per-file health, where valid data ends, and the lock
+state, without modifying anything. Verdict 'clean' or 'torn-tail'
 exits 0 (a writable open succeeds); 'degraded' (damage open refuses to
 absorb) prints the report on stderr and exits 4. check/explain accept
 --read-only alongside --store: the store opens without taking the lock

@@ -518,8 +518,9 @@ pub fn stratify(tg: &TriggerGraph) -> Option<Vec<Vec<usize>>> {
 }
 
 /// Fingerprint of a rule set covering everything scheduling depends on:
-/// pattern structure, actions, and priorities. The engine's stratified
-/// scheduler and the lint layer key their analysis caches on it.
+/// pattern structure, actions, and priorities. The durable store keys
+/// its clean mark (the rule set its graph is a verified fixpoint of) on
+/// it.
 pub fn set_fingerprint(rules: &[Grr]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = rustc_hash::FxHasher::default();

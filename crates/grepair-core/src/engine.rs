@@ -630,9 +630,9 @@ impl RepairEngine {
         let hits0 = planner.cache_hit_count();
 
         // Analysis-driven scheduling: an acyclic trigger graph yields a
-        // topological stratification (cached per rule-set fingerprint)
-        // under which the run provably terminates without churn guards.
-        let schedule = cached_schedule(rules);
+        // topological stratification under which the run provably
+        // terminates without churn guards.
+        let schedule = crate::analysis::stratify(&crate::analysis::trigger_graph(rules));
         // A delta-seeded run grows its copy of the seed by every node a
         // repair touches: what each later stratum seeds from.
         let mut delta = match seed {
@@ -1144,28 +1144,6 @@ impl RuleChecks {
             })
             .sum()
     }
-}
-
-/// Process-global cache of stratification results keyed by the rule
-/// set's fingerprint ([`crate::analysis::set_fingerprint`]); repeated
-/// runs over the same set — a watch loop, a store's repair hook — skip
-/// the trigger-graph analysis entirely. A cached `None` records "the
-/// trigger graph is cyclic: run one worklist over the whole set".
-fn cached_schedule(rules: &[Grr]) -> Option<std::sync::Arc<Vec<Vec<usize>>>> {
-    use std::sync::{Arc, Mutex, OnceLock};
-    type Cache = Mutex<FxHashMap<u64, Option<Arc<Vec<Vec<usize>>>>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    let fp = crate::analysis::set_fingerprint(rules);
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(FxHashMap::default()))
-        .lock()
-        .unwrap();
-    cache
-        .entry(fp)
-        .or_insert_with(|| {
-            crate::analysis::stratify(&crate::analysis::trigger_graph(rules)).map(Arc::new)
-        })
-        .clone()
 }
 
 #[cfg(test)]

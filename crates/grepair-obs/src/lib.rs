@@ -499,7 +499,7 @@ impl Level {
 pub struct EventRecord {
     /// Severity.
     pub level: Level,
-    /// Stable event name (e.g. `"store.log_growth"`).
+    /// Stable event name (e.g. `"store.fault"`).
     pub name: String,
     /// Human-readable details.
     pub message: String,

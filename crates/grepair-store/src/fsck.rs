@@ -1,23 +1,20 @@
 //! Store health checking: dry-run recovery without taking the lock.
 //!
-//! [`fsck`] walks a store directory exactly the way [`crate::DurableGraph::open`]
-//! would — newest loadable snapshot, ordered replay, torn-tail detection —
-//! but *diagnoses* instead of failing: every snapshot and segment gets a
-//! health row, damage is collected as issues, and the report says where
-//! recovery stops and whether a writable open would succeed
-//! ([`FsckVerdict`]). Nothing is modified: no truncation, no lock file,
-//! no segment rewrite.
+//! [`fsck`] *is* the recovery walk a writable [`crate::DurableGraph::open`]
+//! runs, in the scope that diagnoses instead of failing: every snapshot
+//! and segment gets a health row, damage is collected as issues and ends
+//! replay but not the walk, and the report says where recovery stops and
+//! whether a writable open would succeed ([`FsckVerdict`]). Nothing is
+//! modified: no truncation, no lock file, no segment rewrite.
 //!
-//! [`crate::ReadOnlyStore`] is built on the same walk: it keeps the graph fsck
-//! reconstructs, serving the newest loadable snapshot plus the longest
-//! cleanly replayable log prefix of a damaged store.
+//! [`crate::ReadOnlyStore`] serves the graph the same walk rebuilds: the
+//! newest loadable snapshot plus the longest cleanly replayable log
+//! prefix of a damaged store.
 
-use crate::error::{Result, StoreError};
+use crate::error::Result;
 use crate::lock::{self, LockStatus};
-use crate::snapshot::{list_snapshots_in, read_snapshot_in};
-use crate::store::dir_has_store_in;
+use crate::recovery::{require_store, walk, Scope};
 use crate::vfs::{StdFs, Vfs};
-use crate::wal::{list_segments_in, read_segment_prefix_in, SegmentContents};
 use grepair_graph::Graph;
 use grepair_obs as obs;
 use std::path::{Path, PathBuf};
@@ -247,195 +244,41 @@ pub fn fsck_in<V: Vfs>(vfs: &V, dir: &Path) -> Result<FsckReport> {
     fsck_with_graph_in(vfs, dir).map(|(report, _)| report)
 }
 
-/// The fsck walk, also returning the graph it reconstructed (the newest
-/// loadable snapshot plus every cleanly replayable record) — the engine
-/// under [`crate::ReadOnlyStore::open`].
+/// The [`Scope::Inspect`] walk as a report, with the graph it rebuilt
+/// (the newest loadable snapshot plus every cleanly replayable record):
+/// what [`crate::ReadOnlyStore::open`] serves.
 pub(crate) fn fsck_with_graph_in<V: Vfs>(vfs: &V, dir: &Path) -> Result<(FsckReport, Graph)> {
     let _span = obs::span("store.fsck", "store");
     let fsck_started = obs::timer();
-    if !vfs.is_dir(dir) || !dir_has_store_in(vfs, dir)? {
-        return Err(StoreError::NotAStore(dir.to_path_buf()));
-    }
-
-    let mut report = FsckReport {
+    require_store(vfs, dir)?;
+    let w = walk(vfs, dir, Scope::Inspect)?;
+    let report = FsckReport {
         dir: dir.to_path_buf(),
         lock: lock::status(vfs, dir),
-        snapshots: Vec::new(),
-        segments: Vec::new(),
-        usable_snapshot_seq: 0,
-        last_seq: 0,
-        records_replayable: 0,
-        truncation: None,
-        issues: Vec::new(),
-        verdict: FsckVerdict::Clean,
-    };
-
-    // Snapshots, newest first. The newest one that reads, checksums and
-    // restores cleanly is what recovery would start from; newer damaged
-    // ones are issues (recovery skips them, losing nothing — the log
-    // still covers their records) but do not degrade the verdict. Older
-    // snapshots are validated too, for the health report.
-    let mut graph = Graph::new();
-    let mut found_usable = false;
-    for (seq, path) in list_snapshots_in(vfs, dir)?.into_iter().rev() {
-        let bytes = vfs.file_len(&path).unwrap_or(0);
-        let row = match read_snapshot_in(vfs, &path) {
-            Ok((s, g)) if !found_usable => {
-                found_usable = true;
-                report.usable_snapshot_seq = s;
-                graph = g;
-                SnapshotHealth {
-                    seq,
-                    path,
-                    bytes,
-                    loadable: true,
-                    status: "ok".into(),
-                }
-            }
-            Ok(_) => SnapshotHealth {
-                seq,
-                path,
-                bytes,
-                loadable: true,
-                status: "superseded".into(),
-            },
-            Err(e) => {
-                report.issues.push(format!("snapshot seq {seq}: {e}"));
-                SnapshotHealth {
-                    seq,
-                    path,
-                    bytes,
-                    loadable: false,
-                    status: format!("damaged: {e}"),
-                }
-            }
-        };
-        report.snapshots.push(row);
-    }
-    let snap_seq = report.usable_snapshot_seq;
-
-    // Replay walk over the segments, mirroring recovery's skip and
-    // ordering rules, but reading leniently (a damaged segment yields
-    // its valid prefix instead of an error) and never bailing: after
-    // the point recovery would stop, remaining files are still health-
-    // checked — their records counted but not replayed.
-    let segments = list_segments_in(vfs, dir)?;
-    let mut next_seq = snap_seq + 1;
-    let mut stopped = false; // recovery cannot proceed past damage
-    for (i, (base, path)) in segments.iter().enumerate() {
-        let is_last = i + 1 == segments.len();
-        let bytes = vfs.file_len(path).unwrap_or(0);
-        let covered = !is_last && segments[i + 1].0 <= next_seq && !stopped;
-        let contents: SegmentContents = match read_segment_prefix_in(vfs, path, Some(*base)) {
-            Ok(c) => c,
-            Err(e) => {
-                // Header-level damage: not one record is attributable.
-                report.issues.push(format!("segment base {base}: {e}"));
-                if !covered && !stopped {
-                    stopped = true;
-                    report.verdict = FsckVerdict::Degraded;
-                }
-                report.segments.push(SegmentHealth {
-                    base_seq: *base,
-                    path: path.clone(),
-                    bytes,
-                    records: 0,
-                    torn_bytes: bytes,
-                    status: format!("damaged: {e}"),
-                });
-                continue;
-            }
-        };
-        let status: String;
-        if covered {
-            status = "covered by snapshot".into();
-            if contents.is_torn() {
-                // Harmless — recovery never reads this file — but worth
-                // surfacing: the damage predates the covering snapshot.
-                report.issues.push(format!(
-                    "segment base {base}: {} invalid bytes (covered by snapshot; \
-                     recovery unaffected)",
-                    contents.torn_bytes
-                ));
-            }
-        } else if !stopped {
-            // Replay what recovery would replay.
-            let mut replay_err: Option<String> = None;
-            for rec in &contents.records {
-                if rec.seq < next_seq {
-                    continue;
-                }
-                if rec.seq != next_seq {
-                    replay_err = Some(format!(
-                        "sequence gap: expected {next_seq}, found {}",
-                        rec.seq
-                    ));
-                    break;
-                }
-                if let Err(e) = rec.mutation.apply(&mut graph) {
-                    replay_err = Some(format!("record seq {} unreplayable: {e}", rec.seq));
-                    break;
-                }
-                report.records_replayable += 1;
-                next_seq += 1;
-            }
-            if let Some(detail) = replay_err {
-                report.issues.push(format!("segment base {base}: {detail}"));
-                report.verdict = FsckVerdict::Degraded;
-                stopped = true;
-                status = format!("damaged: {detail}");
-            } else if contents.is_torn() {
-                report.truncation = Some((path.clone(), contents.valid_len));
-                if is_last && !contents.mid_log_damage {
-                    // The one kind of damage a writable open absorbs.
-                    report.issues.push(format!(
-                        "segment base {base}: {} torn tail bytes (crash residue; \
-                         a writable open truncates them)",
-                        contents.torn_bytes
-                    ));
-                    if report.verdict == FsckVerdict::Clean {
-                        report.verdict = FsckVerdict::TornTail;
-                    }
-                    status = "torn tail".into();
-                } else {
-                    report.issues.push(format!(
-                        "segment base {base}: {} invalid bytes mid-log with \
-                         committed records after them",
-                        contents.torn_bytes
-                    ));
-                    report.verdict = FsckVerdict::Degraded;
-                    stopped = true;
-                    status = "damaged: invalid bytes mid-log".into();
-                }
-            } else {
-                status = "clean".into();
-            }
+        snapshots: w.snapshots,
+        segments: w.segments,
+        usable_snapshot_seq: w.stats.snapshot_seq,
+        last_seq: w.last_seq,
+        records_replayable: w.stats.records_replayed,
+        truncation: w.truncation,
+        issues: w.issues,
+        verdict: if w.degraded {
+            FsckVerdict::Degraded
+        } else if w.stats.torn_tail_bytes > 0 {
+            FsckVerdict::TornTail
         } else {
-            // Past the stop point: count but never replay.
-            status = format!(
-                "unreachable ({} records beyond the damage point)",
-                contents.records.len()
-            );
-        }
-        report.segments.push(SegmentHealth {
-            base_seq: *base,
-            path: path.clone(),
-            bytes,
-            records: contents.records.len() as u64,
-            torn_bytes: contents.torn_bytes,
-            status,
-        });
-    }
-    report.last_seq = next_seq - 1;
-
+            FsckVerdict::Clean
+        },
+    };
     obs::record_since_named("store.fsck_ns", fsck_started);
     obs::counter("store.fsck_runs").inc();
-    Ok((report, graph))
+    Ok((report, w.graph))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StoreError;
     use crate::store::{DurableGraph, StoreConfig};
     use crate::wal::list_segments;
 
@@ -455,7 +298,6 @@ mod tests {
             compact_log_bytes: 1024,
             keep_snapshots: 2,
             sync_on_commit: true,
-            log_growth_warn_bytes: 1024,
         }
     }
 

@@ -75,19 +75,23 @@
 //!
 //! ## Module map
 //!
-//! - [`store`] — [`DurableGraph`], recovery, compaction, introspection,
+//! - [`store`] — [`DurableGraph`], compaction, introspection,
 //!   [`ReadOnlyStore`].
+//! - `recovery` (private) — the one recovery walk (snapshot load, then
+//!   segment replay) that the writable open, [`ReadOnlyStore::open`] and
+//!   [`fsck::fsck`] share.
 //! - [`wal`] — segment files, framing, the frame scanner recovery
 //!   applies through, torn-tail detection.
 //! - [`snapshot`] — binary snapshot files, encoded from and decoded
 //!   into a [`grepair_graph::Graph`] directly.
-//! - [`record`] — the journaled [`Mutation`] vocabulary, its codec and
-//!   the borrowed form recovery decodes and applies.
+//! - [`record`] — the journaled record codec and the borrowed form
+//!   recovery decodes and applies; the owned [`Mutation`] is the tests'
+//!   record type.
 //! - [`codec`] — byte-level encoding and the CRC-32.
 //! - [`vfs`] — the storage backend trait, [`StdFs`], retry policy, and
 //!   the fault-injection backend (tests / `fault-injection` feature).
 //! - [`lock`] — the `LOCK` file and staleness detection.
-//! - [`fsck`](mod@fsck) — dry-run recovery and health reporting.
+//! - [`fsck`](mod@fsck) — the recovery walk's health report.
 //! - [`error`] — [`StoreError`].
 
 #![forbid(unsafe_code)]
@@ -100,6 +104,7 @@ pub mod error;
 pub mod fsck;
 pub mod lock;
 pub mod record;
+mod recovery;
 pub mod snapshot;
 pub mod store;
 pub mod vfs;

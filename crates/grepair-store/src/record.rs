@@ -8,10 +8,11 @@
 //! log is still deterministic ([`StoreError::ReplayDivergence`]
 //! otherwise) instead of silently rebuilding a different graph.
 //!
-//! Recovery never builds a [`Mutation`]: it decodes each record into a
-//! `MutationRef`, whose names borrow the record bytes and whose values
-//! are moved into the graph by `MutationRef::apply`. That decoder and
-//! that apply routine are the only ones — the owned [`Mutation`] decodes
+//! The store never builds a [`Mutation`]: recovery, fsck and the
+//! read-only open decode each record into a `MutationRef`, whose names
+//! borrow the record bytes and whose values are moved into the graph by
+//! `MutationRef::apply`. That decoder and that apply routine are the
+//! only ones — the owned [`Mutation`], the tests' record type, decodes
 //! and applies through them too.
 //!
 //! Replay calls exactly the live-path method sequence (`AddNode` =
@@ -25,7 +26,10 @@ use crate::error::{Result, StoreError};
 use grepair_core::AppliedOp;
 use grepair_graph::{EdgeId, Graph, NodeId, Value};
 
-/// One journaled graph mutation.
+/// One journaled graph mutation, owned: the record type of the tests'
+/// reader ([`crate::wal::read_segment`]) and writer
+/// ([`crate::SegmentWriter::append`]). The store journals from borrowed
+/// arguments and replays borrowed records.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Mutation {
     /// A node was created (id recorded for replay verification), then

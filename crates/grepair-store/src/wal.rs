@@ -252,7 +252,7 @@ impl<V: Vfs> Drop for SegmentWriter<V> {
     }
 }
 
-/// One decoded record.
+/// One decoded record, as [`read_segment`] collects it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalRecord {
     /// Log sequence number.
@@ -263,7 +263,7 @@ pub struct WalRecord {
     pub frame_len: u64,
 }
 
-/// Everything recoverable from one segment file.
+/// Everything [`read_segment`] recovers from one segment file.
 #[derive(Debug)]
 pub struct SegmentContents {
     /// Base sequence from the header.
@@ -274,11 +274,6 @@ pub struct SegmentContents {
     pub valid_len: u64,
     /// Bytes past `valid_len` — the torn tail.
     pub torn_bytes: u64,
-    /// Whether a complete, CRC-valid, decodable frame exists *past* the
-    /// first invalid one. A genuine crash tears only the tail, so this
-    /// marks mid-log damage (bad block, bit rot): truncating at
-    /// `valid_len` would silently drop the committed records after it.
-    pub mid_log_damage: bool,
 }
 
 impl SegmentContents {
@@ -289,9 +284,9 @@ impl SegmentContents {
     }
 }
 
-/// Read a segment, stopping cleanly at the first invalid frame: the
-/// frame scanner recovery applies through, with every record collected
-/// into an owned [`WalRecord`].
+/// Read a segment into owned records, stopping cleanly at the first
+/// invalid frame: the tests' record reader (the store never collects
+/// records).
 ///
 /// Returns [`StoreError::Corrupt`] only for header-level damage (bad
 /// magic, unsupported version, base mismatch with the file name), for
@@ -299,53 +294,23 @@ impl SegmentContents {
 /// what we wrote, not that a write was interrupted — or for mid-log
 /// damage. An `expected_base` of `None` skips the name cross-check.
 pub fn read_segment(path: &Path, expected_base: Option<u64>) -> Result<SegmentContents> {
-    read_segment_in(&StdFs, path, expected_base)
-}
-
-/// [`read_segment`] against an explicit backend.
-pub fn read_segment_in<V: Vfs>(
-    vfs: &V,
-    path: &Path,
-    expected_base: Option<u64>,
-) -> Result<SegmentContents> {
-    let bytes = with_retry("wal.read", || vfs.read(path))?;
-    collect_segment(path, &bytes, expected_base, false)
-}
-
-/// Lenient variant for degraded reads and `fsck`: mid-log damage does
-/// not fail — the records before the first invalid frame are returned
-/// as the servable prefix. Header-level damage still fails (zero
-/// records are decodable from a file we cannot identify).
-pub fn read_segment_prefix_in<V: Vfs>(
-    vfs: &V,
-    path: &Path,
-    expected_base: Option<u64>,
-) -> Result<SegmentContents> {
-    let bytes = with_retry("wal.read", || vfs.read(path))?;
-    collect_segment(path, &bytes, expected_base, true)
-}
-
-fn collect_segment(
-    path: &Path,
-    bytes: &[u8],
-    expected_base: Option<u64>,
-    lenient: bool,
-) -> Result<SegmentContents> {
+    let bytes = with_retry("wal.read", || StdFs.read(path))?;
     let mut records = Vec::new();
-    let scan = scan_segment(path, bytes, expected_base, lenient, |seq, m, frame_len| {
+    let scan = scan_segment(path, &bytes, expected_base, |seq, m, frame_len| {
         records.push(WalRecord {
             seq,
             mutation: m.into_owned(),
             frame_len,
         });
-        Ok(())
     })?;
+    if scan.mid_log_damage {
+        return Err(scan.corrupt(path));
+    }
     Ok(SegmentContents {
         base_seq: scan.base_seq,
         records,
         valid_len: scan.valid_len,
         torn_bytes: scan.torn_bytes,
-        mid_log_damage: scan.mid_log_damage,
     })
 }
 
@@ -358,19 +323,30 @@ pub(crate) struct SegmentScan {
     pub valid_len: u64,
     /// Bytes past `valid_len` — the torn tail.
     pub torn_bytes: u64,
-    /// See [`SegmentContents::mid_log_damage`].
+    /// Whether a complete, CRC-valid, decodable frame exists *past* the
+    /// first invalid one. A genuine crash tears only the tail, so this
+    /// marks mid-log damage (bad block, bit rot): truncating at
+    /// `valid_len` would silently drop the committed records after it.
     pub mid_log_damage: bool,
-    /// The first error the visitor returned. The visitor is not called
-    /// again after it, but the rest of the segment is still CRC- and
-    /// decode-checked, so damage there takes precedence; the caller
-    /// decides where this error ranks against its own checks.
-    pub visit_error: Option<StoreError>,
 }
 
 impl SegmentScan {
-    /// Whether the file ended with a torn frame.
-    pub fn is_torn(&self) -> bool {
-        self.torn_bytes > 0
+    /// The error for invalid bytes in the segment at `path` that a
+    /// writable open cannot truncate: [`SegmentScan::mid_log_damage`],
+    /// or else a torn tail on a segment that is not the last.
+    pub fn corrupt(&self, path: &Path) -> StoreError {
+        let detail = if self.mid_log_damage {
+            format!(
+                "invalid frame at offset {} with valid frames after it (mid-segment corruption)",
+                self.valid_len
+            )
+        } else {
+            format!("{} torn bytes in a non-active segment", self.torn_bytes)
+        };
+        StoreError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        }
     }
 }
 
@@ -380,17 +356,15 @@ impl SegmentScan {
 /// `bytes`) and its frame size. Nothing is collected; recovery applies
 /// each record inside `visit`.
 ///
-/// Errors (all [`StoreError::Corrupt`]): header-level damage, a
-/// CRC-valid record that fails to decode, and — unless `lenient` —
-/// mid-log damage (see [`SegmentContents::mid_log_damage`]). A sub-header
-/// file is a torn file with zero records. A visitor error is latched in
-/// [`SegmentScan::visit_error`] instead.
+/// Errors (all [`StoreError::Corrupt`]): header-level damage and a
+/// CRC-valid record that fails to decode. Mid-log damage is reported in
+/// [`SegmentScan::mid_log_damage`], for the caller to rank. A sub-header
+/// file is a torn file with zero records.
 pub(crate) fn scan_segment<'a>(
     path: &Path,
     bytes: &'a [u8],
     expected_base: Option<u64>,
-    lenient: bool,
-    mut visit: impl FnMut(u64, MutationRef<'a>, u64) -> Result<()>,
+    mut visit: impl FnMut(u64, MutationRef<'a>, u64),
 ) -> Result<SegmentScan> {
     let corrupt = |detail: String| StoreError::Corrupt {
         path: path.to_path_buf(),
@@ -404,7 +378,6 @@ pub(crate) fn scan_segment<'a>(
             valid_len: 0,
             torn_bytes: bytes.len() as u64,
             mid_log_damage: false,
-            visit_error: None,
         });
     }
     if bytes[..8] != SEGMENT_MAGIC {
@@ -423,7 +396,6 @@ pub(crate) fn scan_segment<'a>(
         }
     }
 
-    let mut visit_error = None;
     let mut pos = SEGMENT_HEADER_LEN as usize;
     while let Some(payload) = frame_at(bytes, pos) {
         let mut r = ByteReader::new(payload);
@@ -439,30 +411,19 @@ pub(crate) fn scan_segment<'a>(
             )));
         }
         let frame_len = 8 + payload.len() as u64;
-        if visit_error.is_none() {
-            visit_error = visit(seq, mutation, frame_len).err();
-        }
+        visit(seq, mutation, frame_len);
         pos += frame_len as usize;
     }
     // Torn-vs-corrupt: a crash tears the *tail* — nothing meaningful can
     // follow the partial frame. If a byte-complete, checksum-valid,
     // decodable frame exists anywhere past the first invalid one, the
-    // damage is mid-log (bad block, bit rot) and committed records would
-    // be silently dropped by truncation; fail closed instead. The
-    // lenient path keeps the prefix but records the distinction so
-    // `fsck` reaches the same verdict a strict open would.
-    let mid_log_damage = pos < bytes.len() && contains_valid_frame(&bytes[pos + 1..]);
-    if !lenient && mid_log_damage {
-        return Err(corrupt(format!(
-            "invalid frame at offset {pos} with valid frames after it (mid-segment corruption)"
-        )));
-    }
+    // damage is mid-log (bad block, bit rot) and truncation would
+    // silently drop committed records.
     Ok(SegmentScan {
         base_seq,
         valid_len: pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
-        mid_log_damage,
-        visit_error,
+        mid_log_damage: pos < bytes.len() && contains_valid_frame(&bytes[pos + 1..]),
     })
 }
 

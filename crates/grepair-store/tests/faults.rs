@@ -20,7 +20,8 @@
 
 use grepair_graph::{NodeId, SlotDump, Value};
 use grepair_store::{
-    DurableGraph, FaultOp, FaultyFs, InjectedError, ReadOnlyStore, StoreConfig, StoreError,
+    DurableGraph, FaultOp, FaultOpCounts, FaultyFs, InjectedError, ReadOnlyStore, StoreConfig,
+    StoreError,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -43,7 +44,6 @@ fn small_config() -> StoreConfig {
         compact_log_bytes: u64::MAX,
         keep_snapshots: 2,
         sync_on_commit: true,
-        log_growth_warn_bytes: u64::MAX,
     }
 }
 
@@ -201,6 +201,30 @@ fn torn_write_crash_at_every_operation_recovers_a_committed_prefix() {
             );
         }
     }
+}
+
+/// Recovery reads and never writes: a writable open of the script's
+/// store creates and writes only its `LOCK`, reopens the active segment
+/// for appending, and on drop removes the `LOCK` — nothing else.
+#[test]
+fn writable_open_writes_only_its_lock() {
+    let vdir = PathBuf::from("/store");
+    let fs = FaultyFs::new();
+    let trace = run_script(&fs, &vdir);
+    let before = fs.op_counts();
+    let s = DurableGraph::open_on(fs.clone(), &vdir, small_config()).unwrap();
+    assert_eq!(s.last_seq(), trace.acked);
+    drop(s);
+    assert_eq!(
+        fs.op_counts(),
+        FaultOpCounts {
+            creates: before.creates + 1,
+            opens: before.opens + 1,
+            writes: before.writes + 1,
+            removes: before.removes + 1,
+            ..before
+        }
+    );
 }
 
 /// fsyncgate: a failed commit fsync must poison the store hard — no
