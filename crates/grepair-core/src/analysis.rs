@@ -295,7 +295,8 @@ struct Effects {
 
 fn effects_of(rule: &Grr) -> Effects {
     let mut fx = Effects::default();
-    for a in &rule.actions {
+    let labels = |at, i| edge_labels_at(rule, at, i).map(|l: Option<&str>| l.map(str::to_owned));
+    for (at, a) in rule.actions.iter().enumerate() {
         match a {
             Action::InsertNode { label, attrs, .. } => {
                 fx.adds_node.push(Some(label.clone()));
@@ -308,10 +309,7 @@ fn effects_of(rule: &Grr) -> Effects {
                 // Deleting a node removes incident edges of unknown labels.
                 fx.removes_edge.push(None);
             }
-            Action::DeleteEdge(PatternEdgeRef(i)) => {
-                let l = rule.pattern.edges.get(*i).and_then(|e| e.label.clone());
-                fx.removes_edge.push(l);
-            }
+            Action::DeleteEdge(PatternEdgeRef(i)) => fx.removes_edge.extend(labels(at, *i)),
             Action::UpdateNode {
                 set_label,
                 set_attrs,
@@ -333,8 +331,7 @@ fn effects_of(rule: &Grr) -> Effects {
                 label,
             } => {
                 fx.adds_edge.push(Some(label.clone()));
-                let old = rule.pattern.edges.get(*i).and_then(|e| e.label.clone());
-                fx.removes_edge.push(old);
+                fx.removes_edge.extend(labels(at, *i));
             }
             Action::MergeNodes { .. } => {
                 // Rewired edges carry unknown labels; dedup removes
@@ -346,6 +343,21 @@ fn effects_of(rule: &Grr) -> Effects {
         }
     }
     fx
+}
+
+/// The labels the witness of pattern edge `i` can carry when `rule`'s
+/// action `at` runs: the pattern's (`None`: any label), then the label of
+/// each earlier action that relabels that edge.
+pub(crate) fn edge_labels_at(rule: &Grr, at: usize, i: usize) -> impl Iterator<Item = Option<&str>> {
+    let matched = rule.pattern.edges.get(i).and_then(|e| e.label.as_deref());
+    let relabelled = rule.actions[..at].iter().filter_map(move |a| match a {
+        Action::UpdateEdgeLabel {
+            edge: PatternEdgeRef(j),
+            label,
+        } if *j == i => Some(Some(label.as_str())),
+        _ => None,
+    });
+    std::iter::once(matched).chain(relabelled)
 }
 
 /// Label-level preconditions of a rule (what kinds of graph changes can

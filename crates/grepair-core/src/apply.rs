@@ -9,9 +9,8 @@
 
 use crate::cost::op_cost;
 use crate::rule::{Action, Grr, PatternEdgeRef, Target, ValueSource};
-use grepair_graph::{EditCosts, EdgeId, Graph, GraphError, NodeId, Value};
+use grepair_graph::{AttrKeyId, EditCosts, EdgeId, Graph, GraphError, LabelId, NodeId, Value};
 use grepair_match::{Match, TouchSet};
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// A concrete repair operation that was applied to the graph.
@@ -147,64 +146,216 @@ pub fn apply_rule(
     costs: &EditCosts,
 ) -> Result<Applied, GraphError> {
     let mut out = Applied::default();
-    let mut fresh: FxHashMap<&str, NodeId> = FxHashMap::default();
+    apply_into(g, rule, &mut ActionIds::new(g, rule), m, costs, &mut out)?;
+    Ok(out)
+}
 
-    let node_of = |t: &Target, fresh: &FxHashMap<&str, NodeId>| -> Option<NodeId> {
-        match t {
-            Target::Var(v) => m.nodes.get(v.index()).copied(),
-            Target::Fresh(b) => fresh.get(b.as_str()).copied(),
+/// Label and attribute-key vocabulary sizes of a graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Vocabulary(usize, usize);
+
+impl Vocabulary {
+    fn of(g: &Graph) -> Self {
+        Vocabulary(g.labels().len(), g.attr_keys().len())
+    }
+
+    /// The id of label `name`, `slot` as resolved against `self`: `None`
+    /// there is looked up again only if `g` has interned names since.
+    pub(crate) fn label(self, g: &Graph, slot: Option<LabelId>, name: &str) -> Option<LabelId> {
+        match slot {
+            None if self != Vocabulary::of(g) => g.try_label(name),
+            _ => slot,
         }
+    }
+
+    /// [`Vocabulary::label`] for attribute key `name`.
+    pub(crate) fn key(self, g: &Graph, slot: Option<AttrKeyId>, name: &str) -> Option<AttrKeyId> {
+        match slot {
+            None if self != Vocabulary::of(g) => g.try_attr_key(name),
+            _ => slot,
+        }
+    }
+}
+
+/// A rule's action names resolved to one graph's ids: what applying
+/// ([`apply_into`]) and pricing ([`crate::cost::estimate_with`]) the rule
+/// read instead of its names. The engine keeps one per rule for a run;
+/// [`apply_rule`] and [`crate::estimate_cost`] resolve one per call.
+///
+/// Interners are append-only, so a resolved id stays valid within the
+/// graph's lineage, and a name absent at resolution (`None`) stays absent
+/// until the vocabulary grows: a read then looks it up
+/// ([`Vocabulary::label`]), until [`ActionIds::refresh`] resolves the rule
+/// again. An application interns an absent name where it first writes it,
+/// as the graph's name-keyed calls would.
+#[derive(Clone, Debug)]
+pub(crate) struct ActionIds {
+    /// One entry per action, in rule order.
+    pub(crate) actions: Vec<Ids>,
+    /// The vocabulary the ids were resolved against.
+    pub(crate) vocabulary: Vocabulary,
+}
+
+/// One action's names as ids (`None`: not interned).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Ids {
+    /// The label the action writes: `InsertNode`'s, `InsertEdge`'s,
+    /// `UpdateNode`'s `set_label`, `UpdateEdgeLabel`'s.
+    pub(crate) label: Option<LabelId>,
+    /// Per attribute the action sets: its key, and the key its
+    /// [`ValueSource::CopyAttr`] source reads.
+    pub(crate) set: Vec<(Option<AttrKeyId>, Option<AttrKeyId>)>,
+    /// Per attribute `UpdateNode` removes: its key.
+    pub(crate) del: Vec<Option<AttrKeyId>>,
+    /// `InsertEdge`'s source and target, when fresh: the ordinal, among
+    /// the rule's `InsertNode`s, of the one binding it.
+    fresh: [Option<usize>; 2],
+}
+
+impl ActionIds {
+    /// Resolve `rule`'s action names against `g`'s interners.
+    pub(crate) fn new(g: &Graph, rule: &Grr) -> Self {
+        let key = |k: &str| g.try_attr_key(k);
+        let set = |attrs: &[(String, ValueSource)]| {
+            let source = |s: &ValueSource| match s {
+                ValueSource::CopyAttr(_, k) => key(k),
+                ValueSource::Const(_) => None,
+            };
+            attrs.iter().map(|(k, s)| (key(k), source(s))).collect()
+        };
+        let mut binders: Vec<&str> = Vec::new();
+        let actions = rule
+            .actions
+            .iter()
+            .map(|action| match action {
+                Action::InsertNode {
+                    binder,
+                    label,
+                    attrs,
+                } => {
+                    binders.push(binder);
+                    Ids {
+                        label: g.try_label(label),
+                        set: set(attrs),
+                        ..Ids::default()
+                    }
+                }
+                Action::InsertEdge { src, dst, label } => {
+                    let fresh = |t: &Target| match t {
+                        Target::Fresh(b) => binders.iter().rposition(|x| x == b),
+                        Target::Var(_) => None,
+                    };
+                    Ids {
+                        label: g.try_label(label),
+                        fresh: [fresh(src), fresh(dst)],
+                        ..Ids::default()
+                    }
+                }
+                Action::UpdateNode {
+                    set_label,
+                    set_attrs,
+                    del_attrs,
+                    ..
+                } => Ids {
+                    label: set_label.as_deref().and_then(|l| g.try_label(l)),
+                    set: set(set_attrs),
+                    del: del_attrs.iter().map(|k| key(k)).collect(),
+                    ..Ids::default()
+                },
+                Action::UpdateEdgeLabel { label, .. } => Ids {
+                    label: g.try_label(label),
+                    ..Ids::default()
+                },
+                Action::DeleteNode(_) | Action::DeleteEdge(_) | Action::MergeNodes { .. } => {
+                    Ids::default()
+                }
+            })
+            .collect();
+        ActionIds {
+            actions,
+            vocabulary: Vocabulary::of(g),
+        }
+    }
+
+    /// Resolve `rule` — the one `self` was built from — again if `g` has
+    /// interned a label or attribute key since.
+    pub(crate) fn refresh(&mut self, g: &Graph, rule: &Grr) {
+        if self.vocabulary != Vocabulary::of(g) {
+            *self = ActionIds::new(g, rule);
+        }
+    }
+}
+
+/// [`apply_rule`]'s body: apply `rule` at `m` into `out`, which it clears
+/// first, reading the rule's names through `ids` (resolved for `g`) and
+/// filling in the id of each name it interns.
+pub(crate) fn apply_into(
+    g: &mut Graph,
+    rule: &Grr,
+    ids: &mut ActionIds,
+    m: &Match,
+    costs: &EditCosts,
+    out: &mut Applied,
+) -> Result<(), GraphError> {
+    out.ops.clear();
+    out.touched.clear();
+    out.cost = 0.0;
+    let vocabulary = ids.vocabulary;
+    let value_of = |g: &Graph, src: &ValueSource, key: Option<AttrKeyId>| match src {
+        ValueSource::Const(v) => Some(v.clone()),
+        ValueSource::CopyAttr(v, k) => vocabulary
+            .key(g, key, k)
+            .and_then(|kk| g.attr(m.nodes[v.index()], kk))
+            .cloned(),
     };
 
-    for action in &rule.actions {
+    for (action, ids) in rule.actions.iter().zip(&mut ids.actions) {
         match action {
-            Action::InsertNode {
-                binder,
-                label,
-                attrs,
-            } => {
-                let l = g.label(label);
+            Action::InsertNode { label, attrs, .. } => {
+                let l = *ids.label.get_or_insert_with(|| g.label(label));
                 let node = g.add_node(l);
                 let mut set = Vec::new();
-                for (key, src) in attrs {
-                    let value = match src {
-                        ValueSource::Const(v) => Some(v.clone()),
-                        ValueSource::CopyAttr(v, k) => {
-                            let src_node = m.nodes[v.index()];
-                            g.try_attr_key(k)
-                                .and_then(|kk| g.attr(src_node, kk))
-                                .cloned()
-                        }
-                    };
-                    if let Some(value) = value {
-                        let kk = g.attr_key(key);
+                for ((key, src), (kk, src_kk)) in attrs.iter().zip(&mut ids.set) {
+                    if let Some(value) = value_of(g, src, *src_kk) {
+                        let kk = *kk.get_or_insert_with(|| g.attr_key(key));
                         g.set_attr(node, kk, value.clone())?;
                         set.push((key.clone(), value));
                     }
                 }
-                fresh.insert(binder.as_str(), node);
                 out.touched.insert(node);
-                record(&mut out, costs, AppliedOp::InsertNode {
+                record(out, costs, AppliedOp::InsertNode {
                     node,
                     label: label.clone(),
                     attrs: set,
                 });
             }
             Action::InsertEdge { src, dst, label } => {
-                let (Some(s), Some(d)) = (node_of(src, &fresh), node_of(dst, &fresh)) else {
+                // A fresh endpoint is the node its `InsertNode` recorded.
+                let node_of = |t: &Target, fresh: Option<usize>| match t {
+                    Target::Var(v) => m.nodes.get(v.index()).copied(),
+                    Target::Fresh(_) => {
+                        let mut created = out.ops.iter().filter_map(|op| match op {
+                            AppliedOp::InsertNode { node, .. } => Some(*node),
+                            _ => None,
+                        });
+                        fresh.and_then(|n| created.nth(n))
+                    }
+                };
+                let [src_fresh, dst_fresh] = ids.fresh;
+                let (Some(s), Some(d)) = (node_of(src, src_fresh), node_of(dst, dst_fresh)) else {
                     continue;
                 };
                 if !g.contains_node(s) || !g.contains_node(d) {
                     continue; // deleted by an earlier racing repair
                 }
-                let l = g.label(label);
+                let l = *ids.label.get_or_insert_with(|| g.label(label));
                 if g.has_edge_labeled(s, d, l) {
                     continue; // idempotent
                 }
                 let edge = g.add_edge(s, d, l)?;
                 out.touched.insert(s);
                 out.touched.insert(d);
-                record(&mut out, costs, AppliedOp::InsertEdge {
+                record(out, costs, AppliedOp::InsertEdge {
                     edge,
                     src: s,
                     dst: d,
@@ -218,17 +369,16 @@ pub fn apply_rule(
                 }
                 let label = g.label_name(g.node_label(node)?).to_owned();
                 // Neighbors survive and their adjacency changes.
-                let neighbors: Vec<NodeId> = g
-                    .incident_edges(node)
-                    .filter_map(|e| {
-                        let er = g.edge(e).ok()?;
-                        Some(if er.src == node { er.dst } else { er.src })
-                    })
-                    .filter(|&n| n != node)
-                    .collect();
+                for e in g.incident_edges(node) {
+                    if let Ok(er) = g.edge(e) {
+                        let n = if er.src == node { er.dst } else { er.src };
+                        if n != node {
+                            out.touched.insert(n);
+                        }
+                    }
+                }
                 let removed = g.remove_node(node)?;
-                out.touched.extend(neighbors);
-                record(&mut out, costs, AppliedOp::DeleteNode {
+                record(out, costs, AppliedOp::DeleteNode {
                     node,
                     label,
                     removed_edges: removed.len(),
@@ -241,7 +391,7 @@ pub fn apply_rule(
                 g.remove_edge(edge)?;
                 out.touched.insert(er.src);
                 out.touched.insert(er.dst);
-                record(&mut out, costs, AppliedOp::DeleteEdge {
+                record(out, costs, AppliedOp::DeleteEdge {
                     edge,
                     src: er.src,
                     dst: er.dst,
@@ -259,47 +409,39 @@ pub fn apply_rule(
                     continue;
                 }
                 if let Some(new_label) = set_label {
-                    let from = g.label_name(g.node_label(n)?).to_owned();
-                    if &from != new_label {
-                        let l = g.label(new_label);
+                    let from = g.node_label(n)?;
+                    if vocabulary.label(g, ids.label, new_label) != Some(from) {
+                        let from = g.label_name(from).to_owned();
+                        let l = *ids.label.get_or_insert_with(|| g.label(new_label));
                         g.set_node_label(n, l)?;
                         out.touched.insert(n);
-                        record(&mut out, costs, AppliedOp::RelabelNode {
+                        record(out, costs, AppliedOp::RelabelNode {
                             node: n,
                             from,
                             to: new_label.clone(),
                         });
                     }
                 }
-                for (key, src) in set_attrs {
-                    let value = match src {
-                        ValueSource::Const(v) => Some(v.clone()),
-                        ValueSource::CopyAttr(v, k) => {
-                            let src_node = m.nodes[v.index()];
-                            g.try_attr_key(k)
-                                .and_then(|kk| g.attr(src_node, kk))
-                                .cloned()
-                        }
-                    };
-                    let Some(value) = value else { continue };
-                    let kk = g.attr_key(key);
+                for ((key, src), (kk, src_kk)) in set_attrs.iter().zip(&mut ids.set) {
+                    let Some(value) = value_of(g, src, *src_kk) else { continue };
+                    let kk = *kk.get_or_insert_with(|| g.attr_key(key));
                     if g.attr(n, kk) == Some(&value) {
                         continue; // idempotent
                     }
                     let old = g.set_attr(n, kk, value.clone())?;
                     out.touched.insert(n);
-                    record(&mut out, costs, AppliedOp::SetAttr {
+                    record(out, costs, AppliedOp::SetAttr {
                         node: n,
                         key: key.clone(),
                         value,
                         old,
                     });
                 }
-                for key in del_attrs {
-                    let Some(kk) = g.try_attr_key(key) else { continue };
+                for (key, kk) in del_attrs.iter().zip(&ids.del) {
+                    let Some(kk) = vocabulary.key(g, *kk, key) else { continue };
                     if let Some(old) = g.remove_attr(n, kk)? {
                         out.touched.insert(n);
-                        record(&mut out, costs, AppliedOp::RemoveAttr {
+                        record(out, costs, AppliedOp::RemoveAttr {
                             node: n,
                             key: key.clone(),
                             old,
@@ -313,15 +455,15 @@ pub fn apply_rule(
             } => {
                 let Some(&edge) = m.edges.get(*i) else { continue };
                 let Ok(er) = g.edge(edge) else { continue };
-                let from = g.label_name(er.label).to_owned();
-                if &from == label {
+                if vocabulary.label(g, ids.label, label) == Some(er.label) {
                     continue;
                 }
-                let l = g.label(label);
+                let from = g.label_name(er.label).to_owned();
+                let l = *ids.label.get_or_insert_with(|| g.label(label));
                 g.set_edge_label(edge, l)?;
                 out.touched.insert(er.src);
                 out.touched.insert(er.dst);
-                record(&mut out, costs, AppliedOp::RelabelEdge {
+                record(out, costs, AppliedOp::RelabelEdge {
                     edge,
                     from,
                     to: label.clone(),
@@ -341,7 +483,7 @@ pub fn apply_rule(
                         out.touched.insert(er.dst);
                     }
                 }
-                record(&mut out, costs, AppliedOp::Merge {
+                record(out, costs, AppliedOp::Merge {
                     keep: k,
                     merged: d,
                     rewired: outcome.rewired.len(),
@@ -350,7 +492,7 @@ pub fn apply_rule(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn record(out: &mut Applied, costs: &EditCosts, op: AppliedOp) {
@@ -560,6 +702,24 @@ mod tests {
         assert_eq!(applied.ops.len(), 2);
         assert_eq!(g.label_name(g.node_label(n).unwrap()), "Person");
         assert_eq!(g.attr(n, k), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn a_key_an_earlier_action_interned_reads_as_present() {
+        // `k` has no id when the rule's names are resolved; the first
+        // action interns it, and the second must copy its new value.
+        let rules = crate::dsl::parse_rules(
+            "rule copy [incompleteness] match (x:P) where missing(x.k)
+             repair set x.k = 1; set x.j = x.k",
+        )
+        .unwrap();
+        let mut g = Graph::new();
+        let x = g.add_node_named("P");
+        let m = Matcher::new(&g).find_all(&rules[0].pattern).remove(0);
+        let applied = apply_rule(&mut g, &rules[0], &m, &EditCosts::default()).unwrap();
+        assert_eq!(applied.ops.len(), 2);
+        let j = g.try_attr_key("j").unwrap();
+        assert_eq!(g.attr(x, j), Some(&Value::Int(1)));
     }
 
     #[test]

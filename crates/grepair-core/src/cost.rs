@@ -13,9 +13,9 @@
 //!   between estimation and application; racing repairs can only lower the
 //!   real cost (idempotent skips).
 
-use crate::apply::AppliedOp;
+use crate::apply::{ActionIds, AppliedOp};
 use crate::rule::{Action, Grr, PatternEdgeRef, Target, ValueSource};
-use grepair_graph::{EditCosts, Graph};
+use grepair_graph::{AttrKeyId, EditCosts, Graph, NodeId};
 use grepair_match::Match;
 
 /// Exact edit cost of a performed operation.
@@ -46,32 +46,44 @@ pub fn op_cost(op: &AppliedOp, costs: &EditCosts) -> f64 {
 /// a dead element) are predicted at zero, mirroring
 /// [`crate::apply::apply_rule`]'s no-op behaviour.
 pub fn estimate_cost(g: &Graph, rule: &Grr, m: &Match, costs: &EditCosts) -> f64 {
+    estimate_with(g, rule, &ActionIds::new(g, rule), m, costs)
+}
+
+/// [`estimate_cost`]'s body, reading the rule's names through `ids`
+/// (resolved for `g`).
+pub(crate) fn estimate_with<'a>(
+    g: &'a Graph,
+    rule: &'a Grr,
+    ids: &ActionIds,
+    m: &Match,
+    costs: &EditCosts,
+) -> f64 {
+    let vocabulary = ids.vocabulary;
+    let attr = |n: NodeId, key: Option<AttrKeyId>, name: &str| {
+        vocabulary.key(g, key, name).and_then(|kk| g.attr(n, kk))
+    };
+    let value_of = |src: &'a ValueSource, key: Option<AttrKeyId>| match src {
+        ValueSource::Const(v) => Some(v),
+        ValueSource::CopyAttr(v, k) => attr(m.nodes[v.index()], key, k),
+    };
     let mut total = 0.0;
-    // Fresh binders: assume they will be created (their edges too).
-    let mut fresh: Vec<&str> = Vec::new();
-    for action in &rule.actions {
+    for (action, ids) in rule.actions.iter().zip(&ids.actions) {
         match action {
-            Action::InsertNode { binder, attrs, .. } => {
+            Action::InsertNode { attrs, .. } => {
                 let settable = attrs
                     .iter()
-                    .filter(|(_, s)| match s {
-                        ValueSource::Const(_) => true,
-                        ValueSource::CopyAttr(v, k) => g
-                            .try_attr_key(k)
-                            .and_then(|kk| g.attr(m.nodes[v.index()], kk))
-                            .is_some(),
-                    })
+                    .zip(&ids.set)
+                    .filter(|((_, src), (_, src_key))| value_of(src, *src_key).is_some())
                     .count();
                 total += costs.node_insert + settable as f64 * costs.attr_change;
-                fresh.push(binder.as_str());
             }
             Action::InsertEdge { src, dst, label } => {
                 let exists = match (src, dst) {
                     (Target::Var(s), Target::Var(d)) => {
                         let (sn, dn) = (m.nodes[s.index()], m.nodes[d.index()]);
-                        g.try_label(label)
-                            .map(|l| g.has_edge_labeled(sn, dn, l))
-                            .unwrap_or(false)
+                        vocabulary
+                            .label(g, ids.label, label)
+                            .is_some_and(|l| g.has_edge_labeled(sn, dn, l))
                     }
                     // An edge to/from a fresh node can never pre-exist.
                     _ => false,
@@ -102,26 +114,18 @@ pub fn estimate_cost(g: &Graph, rule: &Grr, m: &Match, costs: &EditCosts) -> f64
                     continue;
                 }
                 if let Some(new_label) = set_label {
-                    if g.label_name(g.node_label(n).unwrap()) != new_label {
+                    if vocabulary.label(g, ids.label, new_label) != g.node_label(n).ok() {
                         total += costs.node_relabel;
                     }
                 }
-                for (key, src) in set_attrs {
-                    let value = match src {
-                        ValueSource::Const(v) => Some(v.clone()),
-                        ValueSource::CopyAttr(v, k) => g
-                            .try_attr_key(k)
-                            .and_then(|kk| g.attr(m.nodes[v.index()], kk))
-                            .cloned(),
-                    };
-                    let Some(value) = value else { continue };
-                    let current = g.try_attr_key(key).and_then(|kk| g.attr(n, kk));
-                    if current != Some(&value) {
+                for ((key, src), (kk, src_key)) in set_attrs.iter().zip(&ids.set) {
+                    let Some(value) = value_of(src, *src_key) else { continue };
+                    if attr(n, *kk, key) != Some(value) {
                         total += costs.attr_change;
                     }
                 }
-                for key in del_attrs {
-                    if g.try_attr_key(key).and_then(|kk| g.attr(n, kk)).is_some() {
+                for (key, kk) in del_attrs.iter().zip(&ids.del) {
+                    if attr(n, *kk, key).is_some() {
                         total += costs.attr_change;
                     }
                 }
@@ -132,7 +136,7 @@ pub fn estimate_cost(g: &Graph, rule: &Grr, m: &Match, costs: &EditCosts) -> f64
             } => {
                 if let Some(&e) = m.edges.get(*i) {
                     if let Ok(er) = g.edge(e) {
-                        if g.label_name(er.label) != label {
+                        if vocabulary.label(g, ids.label, label) != Some(er.label) {
                             total += costs.edge_relabel;
                         }
                     }

@@ -57,6 +57,12 @@
 //!   tie-breaks), which implements the paper's best-repair selection: when
 //!   several rules can fix overlapping violations, the cheapest repair
 //!   lands first and the costlier alternatives revalidate away.
+//! - **Ids, not names** — a run resolves each rule's pattern and the
+//!   names its actions write to the graph's label and attribute-key ids
+//!   at the rule's first use, and again only after a repair grows the
+//!   vocabulary; pricing ([`crate::estimate_cost`]'s body) and applying
+//!   ([`crate::apply_rule`]'s) a repair then hash no name, and every
+//!   repair of a worklist is applied into one reused buffer.
 //! - **Churn guard** — on cyclic sets the same (rule, matched nodes)
 //!   repair may be applied at most 16 times, which bounds runtime even
 //!   though the trigger graph has a cycle.
@@ -80,10 +86,10 @@
 //!   each residual footprint binding ([`Matcher::count_witnesses`]);
 //!   debug builds also sweep and assert that both counts agree.
 
-use crate::analysis::{preconditions_of, L};
-use crate::apply::{apply_rule, Applied, AppliedOp};
-use crate::cost::estimate_cost;
-use crate::rule::Grr;
+use crate::analysis::{edge_labels_at, preconditions_of, L};
+use crate::apply::{apply_into, ActionIds, Applied, AppliedOp};
+use crate::cost::estimate_with;
+use crate::rule::{Action, Grr, PatternEdgeRef};
 use grepair_graph::{EditCosts, Graph, NodeId};
 use grepair_match::{CompiledPattern, Match, MatchConfig, Matcher, Planner, TouchSet};
 use grepair_obs as obs;
@@ -471,6 +477,18 @@ impl TriggerClass {
             out.extend_from_slice(rules);
         }
     }
+
+    /// Append the rules holding a precondition that overlaps some label
+    /// (`None`) or `Some(name)`: the whole class, or [`Self::overlapping`].
+    fn overlapping_label(&self, label: Option<&str>, out: &mut Vec<usize>) {
+        match label {
+            Some(name) => self.overlapping(name, out),
+            None => {
+                out.extend_from_slice(&self.wildcard);
+                self.named.values().for_each(|rules| out.extend_from_slice(rules));
+            }
+        }
+    }
 }
 
 /// Inverted trigger filter: which rules can a set of applied operations
@@ -482,6 +500,9 @@ impl TriggerClass {
 /// op can affect: no allocation and no walk over Σ. The answer is a
 /// sound label-level over-approximation — every real enablement is
 /// caught; a spurious one only costs a re-match that finds nothing new.
+/// Per rule, the index also holds the union of those answers over every
+/// op the rule's actions can apply ([`TriggerIndex::may_enable`]): a
+/// repair whose set meets no rule in scope needs no per-op lookup.
 #[derive(Default)]
 struct TriggerIndex {
     pos_edge: TriggerClass,
@@ -496,6 +517,9 @@ struct TriggerIndex {
     /// edges of unknown labels, drops parallels and copies attributes of
     /// unknown keys — the effects `trigger_graph` gives it.
     merge_enables: Vec<usize>,
+    /// Per rule, ascending: every rule an op of its repairs can enable
+    /// ([`TriggerIndex::may_enable`]).
+    by_rule: Vec<Vec<usize>>,
 }
 
 impl TriggerIndex {
@@ -515,7 +539,58 @@ impl TriggerIndex {
             ix.missing_attr.add(ri, pre.missing_attr);
             ix.needs_attr.add(ri, pre.needs_attr);
         }
+        ix.by_rule = rules.iter().map(|rule| ix.may_enable(rule)).collect();
         ix
+    }
+
+    /// Every rule an op of a repair of `rule` can enable, ascending: each
+    /// action looked up in the class its ops hit in
+    /// [`TriggerIndex::enabled_by`], under the name it writes, or in the
+    /// whole class where the name is known only once the repair runs (the
+    /// label of an edge the pattern matches as `*`). Every `enabled_by`
+    /// answer for the ops of one of its repairs is therefore a subset.
+    fn may_enable(&self, rule: &Grr) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (at, action) in rule.actions.iter().enumerate() {
+            let removed = |i: usize, out: &mut Vec<usize>| {
+                for label in edge_labels_at(rule, at, i) {
+                    self.neg_edge.overlapping_label(label, out);
+                }
+            };
+            match action {
+                Action::InsertNode { label, .. } => self.node_label.overlapping(label, &mut out),
+                Action::InsertEdge { label, .. } => self.pos_edge.overlapping(label, &mut out),
+                Action::DeleteNode(_) => out.extend_from_slice(&self.any_neg_edge),
+                Action::DeleteEdge(PatternEdgeRef(i)) => removed(*i, &mut out),
+                Action::UpdateNode {
+                    set_label,
+                    set_attrs,
+                    del_attrs,
+                    ..
+                } => {
+                    if let Some(label) = set_label {
+                        self.node_label.overlapping(label, &mut out);
+                    }
+                    for (key, _) in set_attrs {
+                        self.needs_attr.overlapping(key, &mut out);
+                    }
+                    for key in del_attrs {
+                        self.missing_attr.overlapping(key, &mut out);
+                    }
+                }
+                Action::UpdateEdgeLabel {
+                    edge: PatternEdgeRef(i),
+                    label,
+                } => {
+                    self.pos_edge.overlapping(label, &mut out);
+                    removed(*i, &mut out);
+                }
+                Action::MergeNodes { .. } => out.extend_from_slice(&self.merge_enables),
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Fill `out` with the rules any of `ops` can enable — ascending,
@@ -671,7 +746,7 @@ impl RepairEngine {
                 // The repair cap stopped an earlier stratum: this one
                 // never runs, and leaves its seed.
                 let delta = delta.as_ref();
-                self.discover(g, rules, &checks, scope, delta, planner, &tel, |ri, m| {
+                self.discover(g, rules, &mut checks, scope, delta, planner, &tel, |_, ri, m| {
                     residue.push((ri, m))
                 });
             }
@@ -769,12 +844,12 @@ impl RepairEngine {
         &self,
         g: &Graph,
         rules: &[Grr],
-        checks: &RuleChecks,
+        checks: &mut RuleChecks,
         scope: Option<&[usize]>,
         delta: Option<&TouchSet>,
         planner: &Planner,
         tel: &EngineTelemetry,
-        mut found: impl FnMut(usize, Match),
+        mut found: impl FnMut(&mut RuleChecks, usize, Match),
     ) {
         let matcher = self.matcher(g, planner);
         for ri in Self::rules_in(rules, scope) {
@@ -787,7 +862,7 @@ impl RepairEngine {
                 Some(touched) => matcher.find_touching_distinct(pattern, footprint, touched),
             };
             for m in matches {
-                found(ri, m);
+                found(checks, ri, m);
             }
         }
     }
@@ -799,9 +874,13 @@ impl RepairEngine {
     /// grown by every node the repairs touch.
     ///
     /// Each step pops the cheapest outstanding violation from the
-    /// [`ArbitrationQueue`], revalidates and applies it, then asks the
-    /// [`TriggerIndex`] which rules the applied operations can enable and
-    /// re-matches only those in scope, only around the touched nodes.
+    /// [`ArbitrationQueue`], revalidates it and applies it into the
+    /// worklist's one [`Applied`] buffer, reading the rule's names as the
+    /// ids [`RuleChecks`] resolved, then asks the [`TriggerIndex`] which
+    /// rules the applied operations can enable and re-matches only those
+    /// in scope, only around the touched nodes. The question is skipped
+    /// when no rule in scope is in the repaired rule's rule-level set
+    /// ([`TriggerIndex::may_enable`]) — after every repair of a stratum.
     /// Neither structure walks the rule set: what a repair costs depends
     /// on the rules it enables, not on |Σ| (`engine.rematch_rules`
     /// records that number per repair).
@@ -859,13 +938,29 @@ impl RepairEngine {
         // After a repair only the rules its operations can enable are
         // re-matched — one index lookup per operation, so the
         // rule-dependency pruning keeps per-repair work independent of
-        // |Σ|.
+        // |Σ| — and only after a repair of a rule whose ops can enable
+        // one in scope at all: in a stratum, none can.
         let mut enabled = Vec::new();
+        let rematches: Vec<bool> = triggers
+            .by_rule
+            .iter()
+            .map(|enables| match scope {
+                None => !enables.is_empty(),
+                Some(stratum) => enables.iter().any(|ri| stratum.binary_search(ri).is_ok()),
+            })
+            .collect();
+        debug_assert!(
+            scope.is_none() || Self::rules_in(rules, scope).all(|ri| !rematches[ri]),
+            "the trigger index lets a rule enable one of its own stratum"
+        );
+        // The one buffer every repair of the worklist is applied into.
+        let mut applied = Applied::default();
         let mut seed: Vec<Violation> = Vec::new();
         {
             let _seed_span = obs::span("engine.round", "engine");
-            self.discover(g, rules, checks, scope, delta.as_deref(), planner, tel, |ri, m| {
-                seed.push(self.violation(g, rules, ri, m))
+            let delta = delta.as_deref();
+            self.discover(g, rules, checks, scope, delta, planner, tel, |checks, ri, m| {
+                seed.push(self.violation(g, rules, checks, ri, m))
             });
         }
         if self.budget.is_tripped() {
@@ -907,10 +1002,10 @@ impl RepairEngine {
                 queue.leave(v, residue);
                 return;
             }
-            let Some(applied) = self.apply(g, rules, &v, report, tel) else {
+            if !self.apply(g, rules, checks, &v, report, tel, &mut applied) {
                 residue.push((v.rule, v.m));
                 continue;
-            };
+            }
             if let Some(delta) = delta.as_deref_mut() {
                 delta.extend(&applied.touched);
             }
@@ -935,7 +1030,7 @@ impl RepairEngine {
                     }
                     requeues += 1;
                 }
-                queue.push(self.violation(g, rules, v.rule, v.m));
+                queue.push(self.violation(g, rules, checks, v.rule, v.m));
             } else if let Some(m) = self.other_witness(g, rules, checks, planner, &v) {
                 // Not a requeue: the binding's next match, which a queue
                 // of every match held from the seed on.
@@ -944,13 +1039,18 @@ impl RepairEngine {
             // Delta-driven discovery: only trigger-affected rules in
             // scope, only matches anchored in the delta. Within a stratum
             // no rule can label-enable another (that edge would have
-            // forced a later stratum), but the filter keeps the schedule
-            // honest if the approximation drifts. The planner's cache
-            // serves the per-anchor plans — compiled once per (pattern,
-            // anchor), not once per repair.
-            triggers.enabled_by(&applied.ops, &mut enabled);
-            if let Some(stratum) = scope {
-                enabled.retain(|ri| stratum.binary_search(ri).is_ok());
+            // forced a later stratum), so the precheck skips the lookup;
+            // were the index ever to disagree with the stratification,
+            // the lookup runs and the check below fires. The planner's
+            // cache serves the per-anchor plans — compiled once per
+            // (pattern, anchor), not once per repair.
+            if rematches[v.rule] {
+                triggers.enabled_by(&applied.ops, &mut enabled);
+                if let Some(stratum) = scope {
+                    enabled.retain(|ri| stratum.binary_search(ri).is_ok());
+                }
+            } else {
+                enabled.clear();
             }
             tel.rematch_rules.record(enabled.len() as u64);
             if enabled.is_empty() {
@@ -974,17 +1074,25 @@ impl RepairEngine {
                 }
                 for m in found {
                     report.per_rule[ri].matches_found += 1;
-                    queue.push(self.violation(g, rules, ri, m));
+                    queue.push(self.violation(g, rules, checks, ri, m));
                 }
             }
         }
     }
 
     /// Price match `m` of `rules[ri]` for the arbitration queue.
-    fn violation(&self, g: &Graph, rules: &[Grr], ri: usize, m: Match) -> Violation {
+    fn violation(
+        &self,
+        g: &Graph,
+        rules: &[Grr],
+        checks: &mut RuleChecks,
+        ri: usize,
+        m: Match,
+    ) -> Violation {
+        let ids = checks.actions(g, rules, ri);
         Violation {
             rule: ri,
-            cost: estimate_cost(g, &rules[ri], &m, &EditCosts::default()),
+            cost: estimate_with(g, &rules[ri], ids, &m, &EditCosts::default()),
             m,
             priority: rules[ri].priority,
         }
@@ -1045,39 +1153,45 @@ impl RepairEngine {
         true
     }
 
-    /// Apply; returns the repair if it changed anything.
+    /// Apply `v` into `applied`; returns whether it changed anything.
+    #[allow(clippy::too_many_arguments)]
     fn apply(
         &self,
         g: &mut Graph,
         rules: &[Grr],
+        checks: &mut RuleChecks,
         v: &Violation,
         report: &mut RepairReport,
         tel: &EngineTelemetry,
-    ) -> Option<Applied> {
+        applied: &mut Applied,
+    ) -> bool {
         let repair_started = obs::timer();
-        let applied: Applied = apply_rule(g, &rules[v.rule], &v.m, &EditCosts::default())
+        let ids = checks.actions(g, rules, v.rule);
+        apply_into(g, &rules[v.rule], ids, &v.m, &EditCosts::default(), applied)
             .expect("validated rule on revalidated match cannot fail");
         obs::record_since(&tel.rule_repair_ns, repair_started);
         if applied.is_noop() {
-            return None;
+            return false;
         }
         report.repairs_applied += 1;
         tel.repairs_applied.inc();
         report.total_cost += applied.cost;
         report.per_rule[v.rule].repairs_applied += 1;
         report.per_rule[v.rule].cost += applied.cost;
-        Some(applied)
+        true
     }
 }
 
 /// Per rule of a run: its footprint ([`Grr::footprint`]), and its pattern
-/// resolved against the graph's vocabulary for revalidation — resolved
+/// and action names resolved against the graph's vocabulary, for
+/// revalidation and for pricing and applying its repairs — each resolved
 /// at its first use in a run, and again at its next use after a repair
 /// interned a new label or attribute key (a name the old resolution read
 /// as absent may now be present).
 struct RuleChecks {
     footprints: Vec<u64>,
     resolved: Vec<Option<CompiledPattern>>,
+    actions: Vec<Option<ActionIds>>,
 }
 
 impl RuleChecks {
@@ -1085,7 +1199,16 @@ impl RuleChecks {
         RuleChecks {
             footprints: rules.iter().map(Grr::footprint).collect(),
             resolved: vec![None; rules.len()],
+            actions: vec![None; rules.len()],
         }
+    }
+
+    /// `rules[ri]`'s action names, resolved for `g`'s vocabulary.
+    fn actions(&mut self, g: &Graph, rules: &[Grr], ri: usize) -> &mut ActionIds {
+        let rule = &rules[ri];
+        let ids = self.actions[ri].get_or_insert_with(|| ActionIds::new(g, rule));
+        ids.refresh(g, rule);
+        ids
     }
 
     /// `rules[ri]`'s pattern, resolved for `g`'s vocabulary.
@@ -1150,6 +1273,7 @@ impl RuleChecks {
 mod tests {
     use super::*;
     use crate::analysis::{l_overlap, Preconditions};
+    use crate::apply::apply_rule;
     use crate::dsl::parse_rules;
     use grepair_graph::Value;
 
@@ -1873,19 +1997,24 @@ mod tests {
         assert_eq!(r1.repairs_applied, 30);
         assert!(r1.pattern_compiles > 0);
 
-        // A plan is cached per vocabulary size. Run 1 compiled its seed's
-        // full-scan plans while only `a0` was interned, and its repairs
-        // interned `a1`–`a3`: run 2 compiles each rule's scan again, and
-        // nothing else.
+        // A plan is compiled again only once a name it reads gets an id.
+        // Run 1 compiled its seed's full-scan plans while only `a0` was
+        // interned, and its repairs interned `a1`–`a3`, each read by some
+        // rule's scan: run 2 compiles each rule's scan again, and nothing
+        // else.
         let r2 = run(&mut g);
         assert!(r2.converged);
         assert_eq!(r2.repairs_applied, 0, "already at fixpoint");
         assert_eq!(
             r2.pattern_compiles,
             rules.len() as u64,
-            "only the scans run 1 planned at the smaller vocabulary recompile"
+            "only the scans run 1 planned before their names existed recompile"
         );
 
+        // Names no rule reads grow the vocabulary but leave every plan
+        // valid.
+        g.label("Unrelated");
+        g.attr_key("unrelated");
         let r3 = run(&mut g);
         assert!(r3.converged);
         assert_eq!(
@@ -2301,50 +2430,58 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn trigger_index_agrees_with_the_per_rule_walk() {
+    /// Unlabelled nodes and `*` edges: a wildcard in every class that can
+    /// hold one, next to concrete names in the same classes.
+    const WILDCARD_RULES: &str = "rule any_edge [conflict]
+         match (x)-[*]->(y:Q)
+         where not (y)-[*]->(x)
+         repair delete edge (x)-[*]->(y)
+
+         rule no_out [incompleteness]
+         match (x:P)
+         where not (x)-[*]->(*), missing(x.seen)
+         repair set x.seen = true
+
+         rule no_in [incompleteness]
+         match (x)
+         where not (*)-[r]->(x), has(x.k)
+         repair unset x.k
+
+         rule labelled [conflict]
+         match (a:P)-[r]->(b)
+         where not (b)-[r]->(a), a.k == b.j
+         repair delete edge (a)-[r]->(b)
+
+         rule label_only [conflict]
+         match (x:Q)
+         where x.k == 1
+         repair relabel node x to P";
+
+    /// The rule sets the trigger index is checked on: the gold KG and
+    /// social catalogues, 16 synthetic rules, the 8-stage cascade and its
+    /// cyclic variant, and [`WILDCARD_RULES`]. grepair-gen links the
+    /// non-test build of this crate, so its rule sets cross over as text.
+    fn trigger_fixture_sets() -> Vec<(&'static str, Vec<Grr>)> {
         use grepair_gen::catalog::{GOLD_KG_DSL, SOCIAL_DSL};
-        // grepair-gen links the non-test build of this crate, so its rule
-        // sets cross over as text.
         let synthetic =
             crate::ruleset::RuleSet::from_json(&grepair_gen::synthetic_rules(16).to_json())
                 .unwrap()
                 .rules;
         let parse = |src: &str| parse_rules(src).unwrap();
-        // Unlabelled nodes and `*` edges: a wildcard in every class that
-        // can hold one, next to concrete names in the same classes.
-        let wildcards = "rule any_edge [conflict]
-             match (x)-[*]->(y:Q)
-             where not (y)-[*]->(x)
-             repair delete edge (x)-[*]->(y)
-
-             rule no_out [incompleteness]
-             match (x:P)
-             where not (x)-[*]->(*), missing(x.seen)
-             repair set x.seen = true
-
-             rule no_in [incompleteness]
-             match (x)
-             where not (*)-[r]->(x), has(x.k)
-             repair unset x.k
-
-             rule labelled [conflict]
-             match (a:P)-[r]->(b)
-             where not (b)-[r]->(a), a.k == b.j
-             repair delete edge (a)-[r]->(b)
-
-             rule label_only [conflict]
-             match (x:Q)
-             where x.k == 1
-             repair relabel node x to P";
-        let mut wildcard_classes = [false; 3];
-        for (set, rules) in [
+        vec![
             ("gold-kg", parse(GOLD_KG_DSL)),
             ("social", parse(SOCIAL_DSL)),
             ("synthetic-16", synthetic),
             ("cascade", parse(&cascade_src(8))),
-            ("wildcards", parse(wildcards)),
-        ] {
+            ("cyclic-cascade", parse(&cyclic_cascade_src(8))),
+            ("wildcards", parse(WILDCARD_RULES)),
+        ]
+    }
+
+    #[test]
+    fn trigger_index_agrees_with_the_per_rule_walk() {
+        let mut wildcard_classes = [false; 3];
+        for (set, rules) in trigger_fixture_sets() {
             let pre: Vec<Preconditions> = rules.iter().map(preconditions_of).collect();
             let index = TriggerIndex::new(&rules);
 
@@ -2400,6 +2537,123 @@ mod tests {
             wildcard_classes, [true; 3],
             "the hand-written set lost a wildcard"
         );
+    }
+
+    /// Repair `g` the textbook way: sweep the rules in order, applying
+    /// each match that still holds, until a sweep applies nothing or
+    /// `sweeps` have run. Hands `seen` each applied repair's rule and ops.
+    fn sweep_repairs(
+        g: &mut Graph,
+        rules: &[Grr],
+        sweeps: usize,
+        mut seen: impl FnMut(usize, &[AppliedOp]),
+    ) {
+        for _ in 0..sweeps {
+            let mut applied_any = false;
+            for (ri, rule) in rules.iter().enumerate() {
+                let matches = Matcher::new(g).find_all(&rule.pattern);
+                for mut m in matches {
+                    if !CompiledPattern::new(g, &rule.pattern).holds(g, &mut m) {
+                        continue;
+                    }
+                    let applied = apply_rule(g, rule, &m, &EditCosts::default()).unwrap();
+                    if !applied.is_noop() {
+                        seen(ri, &applied.ops);
+                        applied_any = true;
+                    }
+                }
+            }
+            if !applied_any {
+                break;
+            }
+        }
+    }
+
+    /// A graph every rule of [`WILDCARD_RULES`] repairs something in.
+    /// `any_edge` deletes `a -r-> b`, an edge it matched as `*` whose
+    /// label `labelled` and `no_in` name in their negative conditions;
+    /// `e -r-> b`, answered by `b -s-> e`, keeps `b.k` from `no_in`.
+    fn wildcard_graph() -> Graph {
+        let mut g = Graph::new();
+        let [a, b, c, d, e] = ["P", "Q", "P", "P", "P"].map(|l| g.add_node_named(l));
+        for (s, t, l) in [(a, b, "r"), (c, a, "r"), (d, c, "r"), (e, b, "r"), (b, e, "s")] {
+            g.add_edge_named(s, t, l).unwrap();
+        }
+        let (k, j) = (g.attr_key("k"), g.attr_key("j"));
+        for (n, key) in [(c, k), (a, j), (b, k), (d, k)] {
+            g.set_attr(n, key, Value::Int(1)).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn rule_level_triggers_cover_every_repair() {
+        use grepair_gen::{generate_kg, generate_social, inject_kg_noise};
+        use grepair_gen::{KgConfig, NoiseConfig, SocialConfig};
+        let kg = || {
+            let (mut g, refs) = generate_kg(&KgConfig {
+                seed: 7,
+                ..KgConfig::with_persons(150)
+            });
+            let noise = NoiseConfig {
+                seed: 7,
+                ..NoiseConfig::default()
+            };
+            inject_kg_noise(&mut g, &refs, &noise);
+            g
+        };
+        let social = || {
+            let cfg = SocialConfig {
+                accounts: 150,
+                seed: 7,
+                ..SocialConfig::default()
+            };
+            generate_social(&cfg).0
+        };
+        let graphs: [Graph; 6] = [
+            kg(),
+            social(),
+            kg(),
+            cascade_graph(5),
+            cascade_graph(5),
+            wildcard_graph(),
+        ];
+        let mut enabled = Vec::new();
+        for ((set, rules), mut g) in trigger_fixture_sets().into_iter().zip(graphs) {
+            let index = TriggerIndex::new(&rules);
+            let mut fired = vec![false; rules.len()];
+            sweep_repairs(&mut g, &rules, 3, |ri, ops| {
+                index.enabled_by(ops, &mut enabled);
+                let may = &index.by_rule[ri];
+                assert!(
+                    enabled.iter().all(|r| may.binary_search(r).is_ok()),
+                    "{set}: `{}` enabled {enabled:?} by {ops:?}, outside its {may:?}",
+                    rules[ri].name
+                );
+                fired[ri] = true;
+            });
+            assert!(fired.contains(&true), "{set}: no repair ran");
+            if set == "wildcards" {
+                assert_eq!(fired, [true; 5], "every wildcard rule repairs");
+            }
+        }
+    }
+
+    #[test]
+    fn a_noop_repair_after_an_effective_one_reports_nothing() {
+        // One buffer for both applications, as in the worklist: the
+        // second finds its attribute already set.
+        let (mut g, rules) = flag_fixture();
+        let rule = &rules[0];
+        let m = Matcher::new(&g).find_all(&rule.pattern).remove(0);
+        let (mut ids, mut applied) = (ActionIds::new(&g, rule), Applied::default());
+        for effective in [true, false] {
+            apply_into(&mut g, rule, &mut ids, &m, &EditCosts::default(), &mut applied).unwrap();
+            assert_eq!(applied.ops.len(), usize::from(effective));
+            assert_eq!(applied.touched.len(), usize::from(effective));
+            assert_eq!(applied.cost > 0.0, effective);
+        }
+        assert_eq!(applied.cost, 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! distinct variables always bind distinct nodes — exactly the semantics
 //! redundancy rules need.
 
-use grepair_graph::Value;
+use grepair_graph::{Graph, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -218,6 +218,29 @@ impl Pattern {
         1u64.checked_shl(self.nodes.len() as u32)
             .unwrap_or(0)
             .wrapping_sub(1)
+    }
+
+    /// How many of the names the pattern reads — the labels of its nodes,
+    /// edges, negative edges and no-edge conditions, the attribute keys
+    /// of its constraints — `g` has interned. Interners are append-only,
+    /// so while the count holds, no name has changed whether it resolves.
+    pub(crate) fn resolved_names(&self, g: &Graph) -> usize {
+        let no_edge = self.constraints.iter().filter_map(|c| match c {
+            Constraint::NoOutEdge(_, l) | Constraint::NoInEdge(_, l) => Some(l),
+            _ => None,
+        });
+        let labels = self.nodes.iter().map(|n| &n.label);
+        let labels = labels.chain(self.edges.iter().chain(&self.neg_edges).map(|e| &e.label));
+        let keys = self.constraints.iter().flat_map(|c| match c {
+            Constraint::HasAttr(_, k) | Constraint::MissingAttr(_, k) => [Some(k), None],
+            Constraint::Cmp { key, rhs, .. } => [Some(key), match rhs {
+                Rhs::Attr(_, k) => Some(k),
+                Rhs::Const(_) => None,
+            }],
+            Constraint::NoOutEdge(..) | Constraint::NoInEdge(..) => [None, None],
+        });
+        let labels = labels.chain(no_edge).flatten().filter(|l| g.try_label(l).is_some());
+        labels.count() + keys.flatten().filter(|k| g.try_attr_key(k).is_some()).count()
     }
 
     /// Look up a variable by name.

@@ -4,14 +4,16 @@
 //! cannot own itself (it borrows a graph and dies with the borrow):
 //!
 //! - a **plan cache** — compiled patterns keyed by (pattern fingerprint,
-//!   anchor variable, label/attr-key vocabulary sizes, matcher
-//!   configuration). Interners are append-only, so equal vocabulary
-//!   sizes guarantee the cached label resolutions are still valid, and
-//!   a plan survives every graph mutation that interns no new name. The
-//!   join order is the greedy candidate-count order, taken from the
-//!   graph at compile time; the search still picks each step's access
-//!   path per binding, so an order that has gone stale costs time,
-//!   never results.
+//!   anchor variable, matcher configuration). Interners are append-only,
+//!   so a cached plan's name resolutions stay valid until one of the
+//!   pattern's names that had no id gets one: a lookup at the vocabulary
+//!   sizes the plan was last checked at is a hit, and one after the
+//!   vocabulary grew counts the pattern's names that resolve — if the
+//!   count is unchanged, no name changed whether it resolves, and the
+//!   plan survives the growth. The join order is the greedy
+//!   candidate-count order, taken from the graph at compile time; the
+//!   search still picks each step's access path per binding, so an
+//!   order that has gone stale costs time, never results.
 //! - a **search-state pool** — backtracking buffers reused across calls,
 //!   so a fixpoint loop issuing thousands of small `find_touching`
 //!   queries stops paying per-call allocations.
@@ -23,11 +25,11 @@
 //!
 //! A planner must only ever serve matchers over **one graph's lineage**
 //! — the graph itself across mutations. The cache-validity argument
-//! (append-only interners ⇒ equal vocabulary sizes prove cached label
-//! resolutions still hold) only works within a lineage; two *unrelated* graphs can intern the
-//! same names in different orders while agreeing on vocabulary sizes,
-//! and a plan cached against one would silently resolve the wrong
-//! `LabelId`s on the other. Use a fresh planner per graph — they are
+//! (append-only interners ⇒ an id once resolved stays right, and an
+//! unchanged count of resolving names proves none changed) only works
+//! within a lineage; two *unrelated* graphs can intern the same names in
+//! different orders, and a plan cached against one would silently
+//! resolve the wrong `LabelId`s on the other. Use a fresh planner per graph — they are
 //! cheap to create (the engine builds one per repair run).
 //!
 //! ```
@@ -60,20 +62,27 @@ use grepair_obs as obs;
 use rustc_hash::FxHashMap;
 use std::sync::{Arc, Mutex};
 
-/// Cache key of one compiled plan. See the module docs for why each
-/// component is sufficient for validity.
+/// Cache key of one compiled plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct PlanKey {
     /// Structural pattern fingerprint ([`Pattern::fingerprint`]).
     fingerprint: u64,
     /// Anchor variable (`usize::MAX` = unanchored full scan).
     anchor: usize,
-    /// Label vocabulary size at compile time.
-    labels: usize,
-    /// Attribute-key vocabulary size at compile time.
-    attr_keys: usize,
     /// Matcher configuration bits.
     cfg: u8,
+}
+
+/// A cached plan and the proof it is still valid: see the module docs.
+struct CachedPlan {
+    /// Label and attribute-key vocabulary sizes the plan was last found
+    /// valid at.
+    vocabulary: (usize, usize),
+    /// How many of the pattern's names resolved at compile time
+    /// ([`Pattern::resolved_names`]).
+    resolved: usize,
+    /// The plan; `None` when the pattern cannot match.
+    plan: Option<Arc<Compiled>>,
 }
 
 /// Soft bound on cached plans; hit only by degenerate workloads (the cap
@@ -87,7 +96,7 @@ const MAX_POOLED_STATES: usize = 64;
 /// Shared planning context: a compiled-plan cache and a search-state
 /// pool. See the module docs.
 pub struct Planner {
-    cache: Mutex<FxHashMap<PlanKey, Option<Arc<Compiled>>>>,
+    cache: Mutex<FxHashMap<PlanKey, CachedPlan>>,
     /// Per-planner children of the global `planner.*` registry counters:
     /// reading one gives this planner's own count (the per-run delta
     /// semantics `RepairReport` depends on) while every increment also
@@ -148,8 +157,8 @@ impl Planner {
 
     /// Cached-or-fresh compile of `pattern` for `m`'s graph and
     /// configuration. `None` is cached too — a pattern unmatchable under
-    /// the current vocabulary stays unmatchable until the vocabulary
-    /// grows, which changes the key.
+    /// the current vocabulary stays unmatchable until one of its names
+    /// gets an id.
     pub(crate) fn compiled(
         &self,
         m: &Matcher<'_>,
@@ -157,28 +166,36 @@ impl Planner {
         anchor: Option<usize>,
         touched: &TouchSet,
     ) -> Option<Arc<Compiled>> {
+        let g = m.graph();
         let key = PlanKey {
             fingerprint: pattern.fingerprint(),
             anchor: anchor.unwrap_or(usize::MAX),
-            labels: m.graph().labels().len(),
-            attr_keys: m.graph().attr_keys().len(),
             cfg: m.config_bits(),
         };
-        if let Some(found) = self.cache.lock().unwrap().get(&key) {
-            self.hits.inc();
-            return found.clone();
+        let vocabulary = (g.labels().len(), g.attr_keys().len());
+        if let Some(cached) = self.cache.lock().unwrap().get_mut(&key) {
+            if cached.vocabulary == vocabulary || cached.resolved == pattern.resolved_names(g) {
+                cached.vocabulary = vocabulary;
+                self.hits.inc();
+                return cached.plan.clone();
+            }
         }
         self.compiles.inc();
         let _span = obs::span("plan.compile", "plan");
         let started = obs::timer();
-        let comp = m.compile(pattern, anchor, touched).map(Arc::new);
+        let plan = m.compile(pattern, anchor, touched).map(Arc::new);
         obs::record_since(&self.compile_ns, started);
+        let cached = CachedPlan {
+            vocabulary,
+            resolved: pattern.resolved_names(g),
+            plan: plan.clone(),
+        };
         let mut cache = self.cache.lock().unwrap();
         if cache.len() >= MAX_CACHED_PLANS {
             cache.clear();
         }
-        cache.insert(key, comp.clone());
-        comp
+        cache.insert(key, cached);
+        plan
     }
 
     pub(crate) fn pool_pop(&self) -> Option<SearchState> {
@@ -243,13 +260,41 @@ mod tests {
         assert_eq!(planner.compile_count(), 1);
         assert_eq!(planner.cache_hit_count(), 1);
 
-        // Interning the missing vocabulary changes the key: the stale
-        // "unmatchable" verdict cannot be served again.
+        // Interning the missing names changes what the pattern resolves:
+        // the stale "unmatchable" verdict cannot be served again.
         let a = g.add_node_named("Person");
         let c = g.nodes().next().unwrap();
         g.add_edge_named(a, c, "livesIn").unwrap();
         let m = Matcher::with_planner(&g, MatchConfig::default(), &planner);
         assert_eq!(m.find_all(&p).len(), 1);
+        assert_eq!(planner.compile_count(), 2);
+    }
+
+    #[test]
+    fn plans_survive_names_they_do_not_read() {
+        let mut g = sample();
+        let planner = Planner::new();
+        let mut b = Pattern::builder();
+        let x = b.node("x", Some("Person"));
+        let c = b.node("c", Some("City"));
+        b.edge(x, c, "livesIn");
+        b.missing_attr(x, "verified"); // not interned yet
+        let p = b.build().unwrap();
+        let found = |g: &Graph| Matcher::with_planner(g, MatchConfig::default(), &planner).count(&p);
+        assert_eq!(found(&g), 2);
+
+        // New names the pattern does not read: the plan keeps serving.
+        g.label("Company");
+        g.attr_key("founded");
+        assert_eq!(found(&g), 2);
+        assert_eq!((planner.compile_count(), planner.cache_hit_count()), (1, 1));
+
+        // A name it reads gets an id: its "absent key" check must become
+        // a real one.
+        let verified = g.attr_key("verified");
+        let ann = g.nodes().next().unwrap();
+        g.set_attr(ann, verified, grepair_graph::Value::Bool(true)).unwrap();
+        assert_eq!(found(&g), 1);
         assert_eq!(planner.compile_count(), 2);
     }
 
